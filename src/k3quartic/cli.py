@@ -46,7 +46,7 @@ from .curves import (
     rho_inversion,
     verify_involution,
 )
-from .fields import eighth_root_field, gaussian_field, imaginary_unit
+from .fields import eighth_root_field
 from .fibration import (
     classify_fibers,
     degeneration_model,
@@ -65,6 +65,7 @@ from .lattices import (
     rank4_classification_check,
     tn_gram,
     tn_search,
+    transcendental_gram,
 )
 from .moduli import (
     cayley,
@@ -75,7 +76,7 @@ from .moduli import (
     m_eq,
     m_mul,
     membership,
-    period_point,
+    period_examples,
     su11_samples,
 )
 from .periods import (
@@ -331,21 +332,20 @@ def check_curve_identities():
     return True, "%d identities, residuals zero" % len(results)
 
 
-def check_ns_invariants():
-    inv = lattice_invariants(neron_severi_gram())
+def _check_invariants(gram, expected):
+    """expected is (rank, signature, |det|, ell, delta) of a 2-elementary lattice."""
+    inv = lattice_invariants(gram)
     got = (inv.rank, inv.signature, abs(inv.determinant), inv.ell, inv.delta)
-    ok = got == (18, (1, 17), 16, 4, 1) and inv.two_elementary
-    return ok, "rank %d, signature %s, |det| %d, ell %d, delta %s" % (
-        inv.rank, inv.signature, abs(inv.determinant), inv.ell, inv.delta)
+    return (got == expected and inv.two_elementary,
+            "rank %d, signature %s, |det| %d, ell %d, delta %s" % got)
+
+
+def check_ns_invariants():
+    return _check_invariants(neron_severi_gram(), (18, (1, 17), 16, 4, 1))
 
 
 def check_t_invariants():
-    inv = lattice_invariants(
-        ((2, 0, 0, 0), (0, 2, 0, 0), (0, 0, -2, 0), (0, 0, 0, -2)))
-    got = (inv.rank, inv.signature, abs(inv.determinant), inv.ell, inv.delta)
-    ok = got == (4, (2, 2), 16, 4, 1) and inv.two_elementary
-    return ok, "rank %d, signature %s, |det| %d, ell %d, delta %s" % (
-        inv.rank, inv.signature, abs(inv.determinant), inv.ell, inv.delta)
+    return _check_invariants(transcendental_gram(), (4, (2, 2), 16, 4, 1))
 
 
 def check_rank4():
@@ -410,20 +410,21 @@ def check_fricke_bundle():
     return True, "%d identities verified" % len(checks)
 
 
-def check_cayley_roundtrip():
+def _cayley_round_trip():
+    """The su11_samples(100) words and how many miss inverse_cayley(cayley(m)) == m."""
     samples = su11_samples(100)
-    bad = sum(1 for m in samples
-              if not m_eq(inverse_cayley(cayley(m)), m))
+    return samples, sum(1 for m in samples if not m_eq(inverse_cayley(cayley(m)), m))
+
+
+def check_cayley_roundtrip():
+    samples, bad = _cayley_round_trip()
     if bad:
         return False, "%d of %d samples failed the round trip" % (bad, len(samples))
     return True, "%d samples round-trip exactly" % len(samples)
 
 
 def check_period_examples():
-    p0 = period_point(1, 0)
-    p1 = period_point(1, 1)
-    i = imaginary_unit(gaussian_field())
-    p2 = period_point(gaussian_field().from_rational(2), i)
+    p0, p1, p2 = (p for _, p in period_examples())
     verdicts = (p0.verdict, p1.verdict, p2.verdict)
     ok = (verdicts == ("inside", "boundary", "inside") and p2.form_value == 12
           and all(p.eigenvector_ok and p.ball_consistent for p in (p0, p1, p2)))
@@ -507,59 +508,59 @@ SUITES = {
 # -- subcommand handlers --------------------------------------------------------
 
 
-def cmd_analyze(args):
+def _family_report(command, args, inputs, stable_results):
+    """The report of analyze and fibers.  An unstable alpha stops at its
+    degeneration; otherwise the fibers are classified, the fiber-table
+    entries go on the ledger, and stable_results(alpha, fib, cfg, ledger)
+    gives the results."""
     alpha = _alpha_from_args(args)
-    mw_rank = args.mw_rank
+    inputs = dict(inputs, alpha=_alpha_str(alpha))
     ledger = Ledger()
-    inputs = {"alpha": _alpha_str(alpha), "mwRank": mw_rank}
     verdict = stability(alpha)
     if isinstance(verdict, Unstable):
-        results = {"stability": "Unstable", "reason": verdict.reason}
         ledger.add("degeneration_identified", True, verdict.reason)
-        return build_report("analyze", inputs, results, ledger)
-    fam_q = build_quartic(alpha)
-    nodes = [_encode_singular_point(p) for p in singular_points(fam_q)]
-    fib = standard_family(alpha=alpha)
-    cfg = classify_fibers(fib)
-    bound = shioda_tate_bound(cfg, mw_rank=mw_rank)
-    refined = parity_refine(bound)
-    results = {
-        "stability": "Stable",
-        "singularPoints": nodes,
-        "fibration": str(fib.f),
-        "fibers": [_encode_fiber(fb) for fb in cfg.fibers],
-        "eulerTotal": cfg.total_euler,
-        "picardBound": bound,
-        "picardBoundParityRefined": refined,
-    }
-    ledger.add("euler_number_is_24", cfg.total_euler == 24,
-               "euler %d" % cfg.total_euler)
-    ledger.add("fiber_table_certified", all(fb.certified for fb in cfg.fibers),
-               _fmt_types(cfg))
-    ledger.add("bound_in_k3_range", 2 <= bound <= 20 and refined <= 20,
-               "bound %d, refined %d" % (bound, refined))
-    return build_report("analyze", inputs, results, ledger)
+        results = {"stability": "Unstable", "reason": verdict.reason}
+    else:
+        fib = standard_family(alpha=alpha)
+        cfg = classify_fibers(fib)
+        ledger.add("euler_number_is_24", cfg.total_euler == 24,
+                   "euler %d" % cfg.total_euler)
+        ledger.add("fiber_table_certified", all(fb.certified for fb in cfg.fibers),
+                   _fmt_types(cfg))
+        results = stable_results(alpha, fib, cfg, ledger)
+    return build_report(command, inputs, results, ledger)
+
+
+def cmd_analyze(args):
+    mw_rank = args.mw_rank
+
+    def stable_results(alpha, fib, cfg, ledger):
+        try:
+            bound = shioda_tate_bound(cfg, mw_rank=mw_rank)
+            refined = parity_refine(bound)
+        except ValueError as exc:
+            raise UsageError("--mw-rank %d: %s" % (mw_rank, exc))
+        ledger.add("bound_in_k3_range", 2 <= bound <= 20 and refined <= 20,
+                   "bound %d, refined %d" % (bound, refined))
+        return {
+            "stability": "Stable",
+            "singularPoints": [_encode_singular_point(p)
+                               for p in singular_points(build_quartic(alpha))],
+            "fibration": str(fib.f),
+            "fibers": [_encode_fiber(fb) for fb in cfg.fibers],
+            "eulerTotal": cfg.total_euler,
+            "picardBound": bound,
+            "picardBoundParityRefined": refined,
+        }
+
+    return _family_report("analyze", args, {"mwRank": mw_rank}, stable_results)
 
 
 def cmd_fibers(args):
-    alpha = _alpha_from_args(args)
-    ledger = Ledger()
-    inputs = {"alpha": _alpha_str(alpha)}
-    verdict = stability(alpha)
-    if isinstance(verdict, Unstable):
-        results = {"stability": "Unstable", "reason": verdict.reason}
-        ledger.add("degeneration_identified", True, verdict.reason)
-        return build_report("fibers", inputs, results, ledger)
-    cfg = classify_fibers(standard_family(alpha=alpha))
-    results = {
+    return _family_report("fibers", args, {}, lambda alpha, fib, cfg, ledger: {
         "fibers": [_encode_fiber(fb) for fb in cfg.fibers],
         "eulerTotal": cfg.total_euler,
-    }
-    ledger.add("euler_number_is_24", cfg.total_euler == 24,
-               "euler %d" % cfg.total_euler)
-    ledger.add("fiber_table_certified", all(fb.certified for fb in cfg.fibers),
-               _fmt_types(cfg))
-    return build_report("fibers", inputs, results, ledger)
+    })
 
 
 def cmd_lattice(args):
@@ -568,9 +569,9 @@ def cmd_lattice(args):
         spec = args.gram
         try:
             gram = gram_build(spec)
+            inv = lattice_invariants(gram)
         except ValueError as exc:
             raise UsageError(str(exc))
-        inv = lattice_invariants(gram)
         inputs = {"gram": spec}
         results = {"gram": [list(row) for row in gram],
                    "invariants": _encode_invariants(inv)}
@@ -723,8 +724,8 @@ def cmd_moduli(args):
         for name, (ok, witness) in checks.items():
             ledger.add("fricke.%s" % name, ok, witness or "")
     if which in ("all", "cayley"):
-        samples = su11_samples(100)
-        round_trip = all(m_eq(inverse_cayley(cayley(m)), m) for m in samples)
+        samples, bad = _cayley_round_trip()
+        round_trip = not bad
         pairs = list(zip(samples[:50], samples[50:]))
         multiplicative = all(
             m_eq(cayley(m_mul(a, b)), m_mul(cayley(a), cayley(b)))
@@ -744,11 +745,8 @@ def cmd_moduli(args):
                    "%d products" % len(pairs))
         ledger.add("cayley.h0_correspondence", in_h0 and back, "")
     if which in ("all", "period"):
-        i = imaginary_unit(gaussian_field())
         examples = []
-        for z2, z4, label in ((1, 0, "1,0"), (1, 1, "1,1"),
-                              (gaussian_field().from_rational(2), i, "2,i")):
-            p = period_point(z2, z4)
+        for label, p in period_examples():
             examples.append({
                 "input": label,
                 "w": str(p.w),
@@ -762,8 +760,6 @@ def cmd_moduli(args):
         results["period"] = {"examples": examples, "gramChecks": g}
         for name, ok in g.items():
             ledger.add("period.%s" % name, ok, "")
-    if not results:
-        raise UsageError("--check must be one of all, fricke, cayley, period")
     return build_report("moduli", {"check": which}, results, ledger)
 
 

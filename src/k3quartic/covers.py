@@ -189,7 +189,7 @@ def fourth_power_test(param, alpha=STANDARD_ALPHA):
     return CoverDoesNotSplit(profile, places, comp)
 
 
-def sextic_factor_check(alpha=STANDARD_ALPHA):
+def sextic_factor_check():
     """The quartic composed with the sextic curve, factor by factor: the
     conic, the line, and the pencil line evaluate to the three displayed
     factors, and their product is the full composition."""
@@ -202,12 +202,13 @@ def sextic_factor_check(alpha=STANDARD_ALPHA):
     return {
         "conic_factor": conic == y * y - x * z,
         "line_factor": line == y,
-        "pencil_factor": pencil == alpha * x + 2 * y + z,
-        "product": SPLIT_PARAM_SEXTIC.compose_quartic(alpha) == conic * line * pencil,
+        "pencil_factor": pencil == STANDARD_ALPHA * x + 2 * y + z,
+        "product": (SPLIT_PARAM_SEXTIC.compose_quartic(STANDARD_ALPHA)
+                    == conic * line * pencil),
     }
 
 
-def quartic_factor_check(alpha=STANDARD_ALPHA):
+def quartic_factor_check():
     """Same factor-by-factor check along the quartic curve.
 
     The conic factor here is -112896 r^3 (r - 9)^2; a scaled variant with
@@ -219,12 +220,12 @@ def quartic_factor_check(alpha=STANDARD_ALPHA):
     conic = -112896 * r ** 3 * (r - 9) ** 2
     line = 63 * r * (r - 9) ** 2
     pencil = 81 * (r + 3) ** 4
-    comp = SPLIT_PARAM_QUARTIC.compose_quartic(alpha)
+    comp = SPLIT_PARAM_QUARTIC.compose_quartic(STANDARD_ALPHA)
     scaled = (-9144576 * r ** 3 * (r - 9) ** 2) * line * pencil
     return {
         "conic_factor": conic == y * y - x * z,
         "line_factor": line == y,
-        "pencil_factor": pencil == alpha * x + 2 * y + z,
+        "pencil_factor": pencil == STANDARD_ALPHA * x + 2 * y + z,
         "product": comp == conic * line * pencil,
         "scaled_variant_is_81_times": scaled == 81 * comp,
     }
@@ -334,8 +335,9 @@ class SectionLift:
         return "SectionLift(u=%s, v=%s)" % (self.u, self.v)
 
 
-def lift_two_section(param, alpha=STANDARD_ALPHA, root_choice=0):
-    """Lift a split curve with even fiber coordinate to a two-section.
+def lift_two_section(param, root_choice=0):
+    """Lift a split curve with even fiber coordinate to a two-section of the
+    standard member alpha = STANDARD_ALPHA.
 
     Writes lam(r) = y/x (must be even in r), Z(r) = z/x, converts to the
     normalized fiber coordinate z1 = (2Z - (lam^2 - 2 lam - alpha))/A, forms
@@ -356,7 +358,7 @@ def lift_two_section(param, alpha=STANDARD_ALPHA, root_choice=0):
         raise ValueError("fiber coordinate y/x is not even in the parameter")
     zc = RationalFunction(param.z) / x_rf
 
-    alpha = Fraction(alpha)
+    alpha = STANDARD_ALPHA
     a_of = lam ** 2 + 2 * lam + alpha
     z1 = (2 * zc - (lam ** 2 - 2 * lam - alpha)) / a_of
     h = Fraction(1, 4) * lam * a_of ** 2 * (z1 ** 2 - 1)
@@ -402,17 +404,17 @@ def _negate_variable_rf(rf):
     return RationalFunction(_negate_variable_poly(rf.num), _negate_variable_poly(rf.den))
 
 
-def _even_poly_descend(p, scale, lam_var):
+def _even_poly_descend(p, scale):
     """p(r) with only even exponents -> q(lam) under r^2 = scale * lam."""
     out = {}
     for e, cf in p.coeffs.items():
         if e % 2:
             raise ValueError("polynomial has an odd term: not Galois-invariant")
         out[e // 2] = cf * scale ** (e // 2)
-    return Poly(lam_var, out)
+    return Poly("lam", out)
 
 
-def even_descend(rf, scale, lam_var="lam"):
+def even_descend(rf, scale):
     """An r -> -r invariant rational function as a function of lam = r^2/scale."""
     num, den = rf.num, rf.den
     den_neg = _negate_variable_poly(den)
@@ -420,12 +422,12 @@ def even_descend(rf, scale, lam_var="lam"):
         num = num * den_neg
         den = den * den_neg
     return RationalFunction(
-        _even_poly_descend(num, scale, lam_var),
-        _even_poly_descend(den, scale, lam_var),
+        _even_poly_descend(num, scale),
+        _even_poly_descend(den, scale),
     )
 
 
-def sum_sections(lift, lam_var="lam"):
+def sum_sections(lift):
     """Add the two branches of a two-section; the sum descends to the lam-line.
 
     Returns {"u", "v", "on_curve"}: coordinates as rational functions of lam
@@ -441,10 +443,10 @@ def sum_sections(lift, lam_var="lam"):
         return {"u": None, "v": None, "on_curve": True, "residual": None}
     su, sv = total
     scale = lift.r_squared_in_lam
-    u_lam = even_descend(su, scale, lam_var)
-    v_lam = even_descend(sv, scale, lam_var)
+    u_lam = even_descend(su, scale)
+    v_lam = even_descend(sv, scale)
 
-    lam = Poly.x(lam_var)
+    lam = Poly.x("lam")
     f_lam = (lam ** 3 * (lam ** 2 + 2 * lam + lift.alpha) ** 2).map_coeffs(
         lift.field.from_rational
     )
@@ -453,7 +455,7 @@ def sum_sections(lift, lam_var="lam"):
             "residual": residual}
 
 
-def displayed_section(field=None):
+def displayed_section():
     """The closed-form coordinates of the summed two-section over the lam-line:
 
         u = (27+7 lam)^2 (81+98 lam+49 lam^2) t^2 / 38416
@@ -463,7 +465,7 @@ def displayed_section(field=None):
     t^3/7529536 = 2^-6 7^-21/4).  Returns {"u", "v"} as rational functions of
     lam over Q(7^(1/4)).
     """
-    field = field or quartic_root_field(7)
+    field = quartic_root_field(7)
     t = field.gen()
     lam = Poly.x("lam")
     a = 27 + 7 * lam

@@ -143,18 +143,19 @@ def verify_involution(curve, images):
                                    "squares_to_identity": squares}
 
 
-def automorphism_order(curve, images, cap=12):
+def automorphism_order(curve, images):
+    """Order of the curve automorphism given by `images`, searched up to 12."""
     m = CurveMap(curve, curve, images)
     ok, residual = m.verify()
     if not ok:
         raise ValueError("map does not preserve the curve: residual %r" % residual)
     ident = identity_map(curve)
     acc = m
-    for k in range(1, cap + 1):
+    for k in range(1, 13):
         if acc == ident:
             return k
         acc = compose(m, acc)
-    raise ValueError("order exceeds cap %d" % cap)
+    raise ValueError("order exceeds cap 12")
 
 
 # -- the concrete models -----------------------------------------------------
@@ -169,14 +170,6 @@ def genus2_curve():
     beta = MultiPoly.gen(G2_VARS, "beta")
     rhs = rho * (rho ** 4 + 2 * beta ** 4 * rho ** 2 + 1)
     return CurveModel(G2_VARS, "tau", 2, rhs)
-
-
-def genus2_parameter_curve():
-    """tau^2 = rho(rho^4 + 2 rho^2 + alpha), the un-normalized form."""
-    V = ("rho", "tau", "alpha")
-    rho = MultiPoly.gen(V, "rho")
-    alpha = MultiPoly.gen(V, "alpha")
-    return CurveModel(V, "tau", 2, rho * (rho ** 4 + 2 * rho ** 2 + alpha))
 
 
 def rescale_genus2_check():
@@ -211,7 +204,6 @@ def quotient_map(perturb=False):
     denominator exponent on v)."""
     B = genus2_curve()
     E = base_elliptic()
-    ctx = B.context()
     rho, tau, beta = B.q("rho"), B.q("tau"), B.q("beta")
     c = 2 + 2 * beta ** 4
     vden = (rho - 1) ** (2 if perturb else 3)
@@ -389,23 +381,22 @@ def _total_derivative(qf, head, base):
     return dq / _as_qf(ctx, d * d)
 
 
-def pullback_differential(cmap, base="rho", du="u", v="v"):
-    """Pull du/v back along a map from a head-power-2 curve.
+def pullback_differential(cmap):
+    """Pull du/v back along a map from a head-power-2 curve in rho.
 
-    Writes the pullback as P(base) * d(base)/head and returns
+    Writes the pullback as P(rho) * d(rho)/head and returns
     {"regular": bool, "coords": (c0, c1, ...), "raw": ...}; coords are the
-    coefficients of P when P is a polynomial in the base variable alone.
+    coefficients of P when P is a polynomial in rho alone.
     """
     src = cmap.source
-    ctx = src.context()
-    du_img = cmap.images[du]
-    v_img = cmap.images[v]
-    ratio = _total_derivative(du_img, src.head, base) / v_img
+    du_img = cmap.images["u"]
+    v_img = cmap.images["v"]
+    ratio = _total_derivative(du_img, src.head, "rho") / v_img
     s = ratio * src.q(src.head)
     p = s.num.try_exact_div(s.den)
     if p is None or p.degree_in(src.head) > 0:
         return {"regular": False, "coords": None, "raw": s}
-    i_base = src.vars.index(base)
+    i_base = src.vars.index("rho")
     coords = {}
     for e, c in p.terms.items():
         if any(k and j != i_base for j, k in enumerate(e)):
@@ -419,17 +410,17 @@ def pullback_differential(cmap, base="rho", du="u", v="v"):
     }
 
 
-def pullback_matrix(maps, base="rho", du="u", v="v", width=2):
-    """Rows of pullback coordinates for several maps, plus the 2x2 determinant
-    when exactly two maps each give two coordinates."""
+def pullback_matrix(maps):
+    """Rows of pullback coordinates, padded to two, for several maps, plus
+    the 2x2 determinant when there are exactly two maps."""
     rows = []
     for m in maps:
-        rec = pullback_differential(m, base=base, du=du, v=v)
+        rec = pullback_differential(m)
         if not rec["regular"]:
             raise ValueError("pullback is not regular: %r" % rec["raw"])
         c = rec["coords"]
-        rows.append(tuple(c) + (0,) * (width - len(c)))
+        rows.append(tuple(c) + (0,) * (2 - len(c)))
     det = None
-    if len(rows) == 2 and width == 2:
+    if len(rows) == 2:
         det = rows[0][0] * rows[1][1] - rows[0][1] * rows[1][0]
     return {"rows": rows, "det": det}

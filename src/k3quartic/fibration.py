@@ -254,15 +254,15 @@ def weierstrass_reduce(beta_expr):
     }
 
 
-def _pencil_poly(alpha, var):
+def _pencil_poly(alpha):
     """lam^2 + 2*lam + alpha with alpha living in the coefficient domain."""
-    return Poly(var, {2: 1, 1: 2, 0: alpha})
+    return Poly("lam", {2: 1, 1: 2, 0: alpha})
 
 
-def standard_beta(alpha=ALPHA, var="lam"):
+def standard_beta(alpha=ALPHA):
     """beta with 4*beta = 16/(lam*(lam^2+2*lam+alpha)^2)."""
-    lam = Poly.x(var)
-    A = _pencil_poly(alpha, var)
+    lam = Poly.x("lam")
+    A = _pencil_poly(alpha)
     return 1 / (Fraction(1, 4) * lam * A ** 2)
 
 
@@ -275,15 +275,15 @@ def quartic_twist(f_rf, s):
     return f_rf / s ** 4
 
 
-def standard_family(alpha=ALPHA, var="lam"):
+def standard_family(alpha=ALPHA):
     """The polynomial family v^2 = u^3 - lam^3 (lam^2+2 lam+alpha)^2 u.
 
     Built from the reduction output by the twist s = 2/(lam*A), and the twist
     equivalence is checked exactly before returning.
     """
-    lam = Poly.x(var)
-    A = _pencil_poly(alpha, var)
-    beta = standard_beta(alpha, var)
+    lam = Poly.x("lam")
+    A = _pencil_poly(alpha)
+    beta = standard_beta(alpha)
     base = weierstrass_reduce(beta)
     g = base["coefficient"]          # 16/(lam*A^2)
     s = 2 / (lam * A)                # (u,v) -> (s^2 u, s^3 v) scales f by s^-4

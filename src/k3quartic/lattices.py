@@ -438,11 +438,12 @@ def tn_obstruction_evidence(n, bound=12):
             "primitive_found": primitive}
 
 
-def _brute_force_vector(n, bound=12):
-    for a1 in range(bound + 1):
+def _brute_force_vector(n):
+    """First primitive vector of form value n with coordinates in [0, 12]."""
+    for a1 in range(13):
         for a2 in range(a1 + 1):
             h = a1 * a1 + a2 * a2
-            for a3 in range(bound + 1):
+            for a3 in range(13):
                 for a4 in range(a3 + 1):
                     if h - a3 * a3 - a4 * a4 == n:
                         for cand in ((a1, a2, a3, a4), (a1, a2, a4, a3),
@@ -494,7 +495,7 @@ def gaussian_block_gram(n, m, b, c):
     ]
 
 
-_BLOCK_J = [
+BLOCK_J = [
     [0, -1, 0, 0],
     [1, 0, 0, 0],
     [0, 0, 0, -1],
@@ -516,7 +517,6 @@ def certificate_basis(gram, coord_bound=4):
 
     Existence certifies the lattice is the standard one as a Z[i]-module,
     since the new basis intertwines the block J action."""
-    j_local = _BLOCK_J
     rng = range(-coord_bound, coord_bound + 1)
     plus2 = []
     minus2 = []
@@ -531,16 +531,16 @@ def certificate_basis(gram, coord_bound=4):
                     elif q == -2:
                         minus2.append(v)
     for x in plus2:
-        jx = mat_vec(j_local, x)
+        jx = mat_vec(BLOCK_J, x)
         for y in minus2:
             if _ip(gram, x, y) != 0 or _ip(gram, jx, y) != 0:
                 continue
-            jy = mat_vec(j_local, y)
+            jy = mat_vec(BLOCK_J, y)
             p = [[x[i], jx[i], y[i], jy[i]] for i in range(4)]
             if abs(mat_det(p)) != 1:
                 continue
             check = mat_mul(mat_transpose(p), mat_mul(gram, p))
-            if check == [[2, 0, 0, 0], [0, 2, 0, 0], [0, 0, -2, 0], [0, 0, 0, -2]]:
+            if check == AMBIENT_GRAM:
                 return p
     return None
 
@@ -560,19 +560,23 @@ class Rank4Classification:
                     len(self.delta_zero), self.canonical))
 
 
-def rank4_classification_check(bound=4, certificate_bound=4):
-    """Enumerate J-invariant block Grams with |n|,|m|,|b|,|c| <= bound and
-    keep those with |det| = 16 and signature (2,2).
+RANK4_BOUND = 4
+
+
+def rank4_classification_check():
+    """Enumerate J-invariant block Grams with |n|,|m|,|b|,|c| <= RANK4_BOUND
+    and keep those with |det| = 16 and signature (2,2).
 
     All survivors are 2-elementary of length 4 (entries are even once the
     determinant forces b, c even).  The ones with delta = 1 each get an
-    explicit change-of-basis certificate onto diag(2,2,-2,-2); the delta = 0
+    explicit change-of-basis certificate onto diag(2,2,-2,-2), searched with
+    coordinates up to 4 and, failing that, up to 6; the delta = 0
     ones have an integral discriminant form and are excluded from being the
     transcendental form.  The b = c = 0 survivors are exactly nm = -1.
     """
     survivors = []
     det_identity = True
-    rng = range(-bound, bound + 1)
+    rng = range(-RANK4_BOUND, RANK4_BOUND + 1)
     for n in rng:
         for m in rng:
             for b in rng:
@@ -595,9 +599,7 @@ def rank4_classification_check(bound=4, certificate_bound=4):
         if inv.invariant_factors != (2, 2, 2, 2):
             raise AssertionError("unexpected Smith form for %r" % (tup,))
         if inv.delta == 1:
-            cert = certificate_basis(gram, certificate_bound)
-            if cert is None:
-                cert = certificate_basis(gram, certificate_bound + 2)
+            cert = certificate_basis(gram, 4) or certificate_basis(gram, 6)
             if cert is None:
                 all_certified = False
             delta_one.append((tup, cert))
@@ -607,7 +609,7 @@ def rank4_classification_check(bound=4, certificate_bound=4):
         {(n, m) for (n, m, b, c) in survivors if b == 0 and c == 0}
     )
     return Rank4Classification(
-        bound=bound,
+        bound=RANK4_BOUND,
         survivors=survivors,
         delta_one=delta_one,
         delta_zero=delta_zero,

@@ -18,6 +18,7 @@ from .fields import (
     imaginary_unit,
     sqrt_field,
 )
+from .lattices import AMBIENT_GRAM, BLOCK_J, mat_mul, mat_transpose, mat_vec
 
 # -- generic 2x2 helpers -------------------------------------------------------
 
@@ -342,15 +343,16 @@ def inverse_cayley(n):
     return mat2(a, b, _conj_entry(b), _conj_entry(a))
 
 
-def su11_samples(count=100, seed=20260819, max_length=6):
-    """Deterministic pseudo-random words in the integral generators."""
+def su11_samples(count=100, seed=20260819):
+    """Deterministic pseudo-random words of length 1 to 6 in the integral
+    generators."""
     gens = g0_generators()
     alphabet = list(gens) + [m_adj(g) for g in gens]  # det 1: adjugate inverts
     rng = random.Random(seed)
     out = []
     for _ in range(count):
         word = IDENTITY
-        for _ in range(rng.randint(1, max_length)):
+        for _ in range(rng.randint(1, 6)):
             step = rng.choice(alphabet)
             word = m_mul(word, step)
         out.append(word)
@@ -437,20 +439,6 @@ def fricke_checks():
 # -- period points and the Gaussian form ---------------------------------------
 
 
-J_PERIOD = (
-    (0, -1, 0, 0),
-    (1, 0, 0, 0),
-    (0, 0, 0, -1),
-    (0, 0, 1, 0),
-)
-
-PERIOD_GRAM = ((2, 0, 0, 0), (0, 2, 0, 0), (0, 0, -2, 0), (0, 0, 0, -2))
-
-
-def _j_apply4(v):
-    return (-v[1], v[0], -v[3], v[2])
-
-
 def _to_gaussian(x):
     if isinstance(x, FieldElement):
         return x
@@ -481,10 +469,10 @@ def period_point(z2, z4):
         raise ValueError("z2 must be nonzero")
     i = imaginary_unit(z2.ctx)
     z = (i * z2, z2, i * z4, z4)
-    eigen_ok = _j_apply4(z) == tuple(i * x for x in z)
+    eigen_ok = mat_vec(BLOCK_J, z) == [i * x for x in z]
     conj = tuple(x.conj() for x in z)
     form = sum(
-        z[r] * PERIOD_GRAM[r][r] * conj[r] for r in range(4)
+        z[r] * AMBIENT_GRAM[r][r] * conj[r] for r in range(4)
     ).rational()
     n2 = z2.norm_sq().rational()
     n4 = z4.norm_sq().rational()
@@ -499,6 +487,13 @@ def period_point(z2, z4):
     w = z4 / z2
     ball_consistent = (w.norm_sq().rational() < 1) == (verdict == "inside")
     return PeriodPoint(w, verdict, form, eigen_ok, ball_consistent)
+
+
+def period_examples():
+    """The stock period points (1,0), (1,1) and (2,i), as (label, point)."""
+    two = gaussian_field().from_rational(2)
+    return [(label, period_point(z2, z4)) for z2, z4, label in (
+        (1, 0, "1,0"), (1, 1, "1,1"), (two, _gaussian_i(), "2,i"))]
 
 
 def _real_coords(z, w):
@@ -527,25 +522,14 @@ def gaussian_form_check():
     i_action_ok = True
     for z, w in samples:
         v = _real_coords(z, w)
-        q = sum(v[r] * PERIOD_GRAM[r][r] * v[r] for r in range(4))
+        q = sum(v[r] * AMBIENT_GRAM[r][r] * v[r] for r in range(4))
         if q != 2 * (z.norm_sq().rational() - w.norm_sq().rational()):
             form_ok = False
-        if _j_apply4(v) != _real_coords(i * z, i * w):
+        if mat_vec(BLOCK_J, v) != list(_real_coords(i * z, i * w)):
             i_action_ok = False
-    jt_g_j = tuple(
-        tuple(
-            sum(
-                J_PERIOD[r][a] * PERIOD_GRAM[r][s] * J_PERIOD[s][bb]
-                for r in range(4)
-                for s in range(4)
-            )
-            for bb in range(4)
-        )
-        for a in range(4)
-    )
-    isometry_ok = jt_g_j == PERIOD_GRAM
+    jt_g_j = mat_mul(mat_transpose(BLOCK_J), mat_mul(AMBIENT_GRAM, BLOCK_J))
     return {
         "gram_matches_hermitian_form": form_ok,
         "i_action_matches_j": i_action_ok,
-        "j_is_isometry": isometry_ok,
+        "j_is_isometry": jt_g_j == AMBIENT_GRAM,
     }

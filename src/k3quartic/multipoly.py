@@ -78,14 +78,6 @@ class MultiPoly:
     def total_degree(self):
         return max((sum(e) for e in self.terms), default=-1)
 
-    def constant_value(self):
-        if self.is_zero:
-            return 0
-        z = (0,) * len(self.vars)
-        if set(self.terms) != {z}:
-            raise ValueError("%r is not constant" % self)
-        return self.terms[z]
-
     def uses(self, name):
         i = self.vars.index(name)
         return any(e[i] for e in self.terms)
@@ -471,11 +463,6 @@ class QuotientFraction:
         if self.den == MultiPoly.const(self.qctx.vars, 1):
             return repr(self.num)
         return "(%s)/(%s)" % (self.num, self.den)
-
-
-def quotient_reduce(e, ctx):
-    """Normal form of a MultiPoly under the context's relations."""
-    return ctx.reduce(e)
 
 
 # Poly/RationalFunction defer binary ops to these types (they may appear as

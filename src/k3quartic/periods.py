@@ -16,7 +16,7 @@ import mpmath
 from mpmath import mp
 
 from .fields import FieldElement
-from .polynomials import Poly, rational_roots
+from .polynomials import rational_roots
 
 GUARD_BITS = 16
 

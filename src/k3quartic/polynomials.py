@@ -53,10 +53,6 @@ class Poly:
     def constant(cls, var, c):
         return cls(var, {0: c})
 
-    @classmethod
-    def from_list(cls, var, coeff_list):
-        return cls(var, {e: c for e, c in enumerate(coeff_list)})
-
     # -- structure -------------------------------------------------------------
 
     @property
@@ -83,18 +79,8 @@ class Poly:
             return self
         return self.map_coeffs(lambda c: c / lead)
 
-    def map_coeffs(self, fn, var=None):
-        return Poly(var or self.var, {e: fn(c) for e, c in self.coeffs.items()})
-
-    def rename(self, var):
-        return Poly(var, dict(self.coeffs))
-
-    def coeff_list(self):
-        """Dense list of coefficients from degree 0 upward (empty for zero)."""
-        if self.is_zero:
-            return []
-        d = max(self.coeffs)
-        return [self.coeffs.get(e, 0) for e in range(d + 1)]
+    def map_coeffs(self, fn):
+        return Poly(self.var, {e: fn(c) for e, c in self.coeffs.items()})
 
     # -- arithmetic --------------------------------------------------------------
 
@@ -516,14 +502,6 @@ class RationalFunction:
         self.num = num
         self.den = den
 
-    @classmethod
-    def from_value(cls, var, value):
-        if isinstance(value, RationalFunction):
-            return value
-        if isinstance(value, Poly):
-            return cls(value)
-        return cls(Poly.constant(var, value))
-
     @property
     def var(self):
         return self.num.var
@@ -634,8 +612,8 @@ class RationalFunction:
         n = self.num.derivative() * self.den - self.num * self.den.derivative()
         return RationalFunction(n, self.den * self.den)
 
-    def map_coeffs(self, fn, var=None):
-        return RationalFunction(self.num.map_coeffs(fn, var), self.den.map_coeffs(fn, var))
+    def map_coeffs(self, fn):
+        return RationalFunction(self.num.map_coeffs(fn), self.den.map_coeffs(fn))
 
     def __repr__(self):
         if self.is_polynomial:

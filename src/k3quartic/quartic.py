@@ -17,7 +17,7 @@ concrete members.
 
 from fractions import Fraction
 
-from .multipoly import MultiPoly, QuotientContext, QuotientFraction
+from .multipoly import MultiPoly
 from .polynomials import Poly, RationalFunction, scalar_nth_root
 
 PLANE_VARS = ("x", "y", "z")

@@ -27,16 +27,6 @@ class Ledger:
             detail = "check returned false"
         self.entries.append({"checkName": name, "pass": passed, "detail": detail})
 
-    def extend(self, other):
-        self.entries.extend(other.entries)
-
-    @property
-    def all_pass(self):
-        return all(e["pass"] for e in self.entries)
-
-    def failures(self):
-        return [e for e in self.entries if not e["pass"]]
-
 
 def build_report(command, inputs, results, ledger):
     return {

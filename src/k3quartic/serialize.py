@@ -1,16 +1,12 @@
 """Stable JSON-friendly encodings for exact values.
 
 Rationals travel as strings "p/q" ("p" when q == 1) so no precision is lost
-and output bytes do not depend on platform integer formatting.  Polynomials
-become [[exponent, coefficient], ...] in ascending exponent order; matrices
-become row-major nested lists.  Everything is deterministic: same value, same
-bytes.
+and output bytes do not depend on platform integer formatting; `parse_rat`
+reads them back.  `dumps` is the one JSON writer: same value, same bytes.
 """
 
 import json
 from fractions import Fraction
-
-from .polynomials import Poly, RationalFunction
 
 
 def rat_str(q):
@@ -30,40 +26,6 @@ def parse_rat(s):
         num, den = s.split("/", 1)
         return Fraction(int(num), int(den))
     return Fraction(int(s))
-
-
-def encode_scalar(c):
-    """Encode a rational-valued scalar; field elements use their coordinates."""
-    if isinstance(c, (int, Fraction)):
-        return rat_str(c)
-    rational = getattr(c, "rational", None)
-    if rational is not None and getattr(c, "is_rational", False):
-        return rat_str(c.rational())
-    coords = getattr(c, "coords", None)
-    if coords is not None:
-        def enc(raw):
-            if isinstance(raw, tuple):
-                return [enc(x) for x in raw]
-            return rat_str(raw)
-        return {"field": c.ctx.label, "coords": enc(c.coords())}
-    raise TypeError("cannot encode scalar %r" % (c,))
-
-
-def encode_poly(p):
-    return [[e, encode_scalar(p.coeffs[e])] for e in sorted(p.coeffs)]
-
-
-def encode_rational_function(f):
-    if isinstance(f, Poly):
-        f = RationalFunction(f)
-    out = {"num": encode_poly(f.num)}
-    if not f.is_polynomial:
-        out["den"] = encode_poly(f.den)
-    return out
-
-
-def encode_matrix(m):
-    return [[rat_str(c) for c in row] for row in m]
 
 
 def dumps(obj):

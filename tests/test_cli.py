@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -75,6 +76,14 @@ class TestAnalyze:
         code, _, err = run(capsys, "analyze")
         assert code == 2
 
+    @pytest.mark.parametrize("rank", ["-5", "100"])
+    def test_mw_rank_out_of_range(self, capsys, rank):
+        code, out, err = run(capsys, "analyze", "81/49", "--mw-rank", rank)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: --mw-rank %s: " % rank)
+        assert err.count("\n") == 1
+
 
 class TestFibers:
     def test_table(self, capsys):
@@ -111,6 +120,12 @@ class TestLattice:
     def test_invariants_bad_spec(self, capsys):
         code, _, err = run(capsys, "lattice", "invariants", "--gram", "E8")
         assert code == 2
+
+    def test_invariants_degenerate_gram(self, capsys):
+        code, out, err = run(capsys, "lattice", "invariants", "--gram", "A1(0)")
+        assert code == 2
+        assert out == ""
+        assert err == "error: degenerate lattice\n"
 
     def test_tn_realized(self, capsys):
         code, rep, _ = run_json(capsys, "lattice", "tn", "--n", "7")
@@ -239,10 +254,52 @@ class TestModuli:
         assert rep["results"]["cayley"]["roundTripExact"] is True
 
 
+# sha256 of the --json stdout of each call: report bytes must not drift.
+# ``verify all`` is pinned in TestVerify.test_all, which runs that ledger anyway.
+GOLDEN = [
+    (("analyze", "81/49", "--mw-rank", "1"),
+     "d27e6842b3f9b5858d28b684e1d3e2b7d3c158a48946a6002763f90bf1a9bfe5"),
+    (("analyze", "0"),
+     "e371b3a1d2002526326ff4846805172c1434415d0de90ac4801754207b64794a"),
+    (("fibers", "81/49"),
+     "41530fa1c8adc4b0a84f4884730f14e01b52247c97533c195f3617ef99eaae63"),
+    (("fibers", "inf"),
+     "311d181b2f39b9b64e259e29abc4efb855968a9b4c042a2480e6b58a01218ec2"),
+    (("lattice", "invariants", "--gram", "N"),
+     "185dbb058e4cde58a9f1925afbce5b7be8a617472084ad893dacac057a1f4ef4"),
+    (("lattice", "tn", "--n", "7"),
+     "91bc5f2c17669d6779a167fc6f460ffd2fa5b5084a28988d8b01edfdcfe396a7"),
+    (("lattice", "tn", "--n", "2"),
+     "a950cc9f394e798a2a5d13cbe0e031bb4509cdea1a1e4813b633371b6366f6c0"),
+    (("split",),
+     "54897b28cc7ff88218ffbc006c5c9c84615014231907e39a30df9685220d61ae"),
+    (("cm", "--beta4", "7/9"),
+     "b86854609a7e85a6e143e30bf30522ffa669de7933d92d545198b887078dc7ec"),
+    (("moduli", "--check", "all"),
+     "9ea996c9c7d8b5cf3ea167d3b65979b659abfa214db5d73cd07710038c8a4d9e"),
+]
+VERIFY_ALL_SHA256 = (
+    "dfc241634eb761cd9514c5127237c01150d6fdabe5a1505521dc952b0b5ff05f")
+
+
+def sha256(text):
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+@pytest.mark.parametrize("argv,digest", GOLDEN,
+                         ids=[" ".join(argv) for argv, _ in GOLDEN])
+def test_golden_json(capsys, argv, digest):
+    code, out, _ = run(capsys, *argv, "--json")
+    assert code == 0
+    assert sha256(out) == digest
+
+
 class TestVerify:
     def test_all(self, capsys):
-        code, rep, _ = run_json(capsys, "verify", "all")
+        code, out, _ = run(capsys, "verify", "all", "--json")
         assert code == 0
+        assert sha256(out) == VERIFY_ALL_SHA256
+        rep = json.loads(out)
         ledger = rep["verificationLedger"]
         assert len(ledger) == len(SUITES["all"]) == 26
         assert all(e["pass"] for e in ledger)
