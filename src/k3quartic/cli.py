@@ -11,6 +11,7 @@ timestamps.
 
 import argparse
 import json
+import re
 import sys
 from fractions import Fraction
 
@@ -790,6 +791,11 @@ def cmd_verify(args):
 
 # -- argument parsing ------------------------------------------------------------
 
+# argparse counts only "-3" and "-0.5" as negative numbers and reads "-1/3"
+# as an unknown flag; no option here starts with "-" and a digit, so any such
+# word is a value (the pattern newer argparse versions use)
+_NEGATIVE_NUMBER = re.compile(r"-\.?\d")
+
 
 def _build_parser():
     parser = argparse.ArgumentParser(
@@ -856,6 +862,8 @@ def _build_parser():
                    help="suite name (default 'all') or a single check name")
     p.set_defaults(handler=cmd_verify)
 
+    for p in sub.choices.values():
+        p._negative_number_matcher = _NEGATIVE_NUMBER
     return parser
 
 

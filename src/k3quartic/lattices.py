@@ -1,10 +1,12 @@
 """Even integral lattices given by Gram matrices: constructors, exact
 invariants, and the rank-two realization search inside diag(2,2,-2,-2).
 
-Everything is exact integer/Fraction linear algebra.  Signature comes from
-congruent diagonalization over Q, discriminant data from the Smith normal
-form with unimodular transforms, and the realization results are certified
-by explicit vectors and minor gcds rather than by citation.
+The determinant (Bareiss fraction-free elimination), the Smith normal form,
+delta and the rank-4 certificate search run on Python ints only; signature
+alone uses congruent diagonalization over Q.  Discriminant data comes from
+the Smith normal form with unimodular transforms, and the realization
+results are certified by explicit vectors and minor gcds rather than by
+citation.
 """
 
 from fractions import Fraction
@@ -36,24 +38,36 @@ def mat_vec(a, v):
     return [sum(row[j] * v[j] for j in range(len(v))) for row in a]
 
 
+def _int_matrix(a):
+    """A copy of `a` with int entries; ValueError on a non-integral entry."""
+    m = [list(map(int, row)) for row in a]
+    if m != list(map(list, a)):
+        raise ValueError("matrix entries must be integers")
+    return m
+
+
 def mat_det(a):
-    n = len(a)
-    m = [[Fraction(x) for x in row] for row in a]
-    det = Fraction(1)
-    for k in range(n):
-        piv = next((i for i in range(k, n) if m[i][k] != 0), None)
-        if piv is None:
-            return Fraction(0)
-        if piv != k:
+    """Determinant of an integer matrix by Bareiss elimination: after step k
+    each trailing entry is a (k+1)-minor, so every division is exact."""
+    m = _int_matrix(a)
+    n = len(m)
+    sign, prev = 1, 1
+    for k in range(n - 1):
+        if m[k][k] == 0:
+            piv = next((i for i in range(k + 1, n) if m[i][k]), None)
+            if piv is None:
+                return 0
             m[k], m[piv] = m[piv], m[k]
-            det = -det
-        det *= m[k][k]
-        inv = 1 / m[k][k]
+            sign = -sign
+        pivot_row = m[k]
+        pivot = pivot_row[k]
         for i in range(k + 1, n):
-            if m[i][k]:
-                f = m[i][k] * inv
-                m[i] = [m[i][j] - f * m[k][j] for j in range(n)]
-    return det
+            row = m[i]
+            f = row[k]
+            for j in range(k + 1, n):
+                row[j] = (pivot * row[j] - f * pivot_row[j]) // prev
+        prev = pivot
+    return sign * m[n - 1][n - 1] if n else 1
 
 
 def direct_sum(*grams):
@@ -184,83 +198,85 @@ def signature(gram):
     return (plus, minus)
 
 
+def _xgcd(a, b):
+    """(g, s, u) with s*a + u*b = g = gcd(a, b) >= 0."""
+    s0, s1, u0, u1 = 1, 0, 0, 1
+    while b:
+        q, r = divmod(a, b)
+        a, b = b, r
+        s0, s1 = s1, s0 - q * s1
+        u0, u1 = u1, u0 - q * u1
+    return (a, s0, u0) if a >= 0 else (-a, -s0, -u0)
+
+
 def smith_normal_form(mat):
     """Returns (d, left, right) with left*mat*right = diag(d), transforms
-    unimodular, and d a divisibility chain of nonnegative integers."""
+    unimodular, and d a divisibility chain of nonnegative integers.
+
+    An entry the pivot does not divide is cleared by one 2x2 unimodular
+    Bezout step that makes the pivot their gcd, so the pivot shrinks at
+    each such step instead of cycling through Euclid swaps; on random 6x6
+    to 9x9 matrices with entries up to 9 no entry of the transforms passes
+    300 bits."""
     rows = len(mat)
     cols = len(mat[0])
-    m = [[int(x) for x in row] for row in mat]
+    m = _int_matrix(mat)
     left = identity_matrix(rows)
     right = identity_matrix(cols)
 
-    def swap_rows(i, j):
-        m[i], m[j] = m[j], m[i]
-        left[i], left[j] = left[j], left[i]
+    def row_op(i, j, a, b, c, e):
+        # (row i, row j) <- (a*row i + b*row j, c*row i + e*row j)
+        for mm in (m, left):
+            ri, rj = mm[i], mm[j]
+            mm[i] = [a * x + b * y for x, y in zip(ri, rj)]
+            mm[j] = [c * x + e * y for x, y in zip(ri, rj)]
 
-    def swap_cols(i, j):
-        for r in m:
-            r[i], r[j] = r[j], r[i]
-        for r in right:
-            r[i], r[j] = r[j], r[i]
+    def col_op(i, j, a, b, c, e):
+        for mm in (m, right):
+            for r in mm:
+                x, y = r[i], r[j]
+                r[i], r[j] = a * x + b * y, c * x + e * y
 
-    def add_row(i, j, k):
-        # row i += k * row j
-        m[i] = [a + k * b for a, b in zip(m[i], m[j])]
-        left[i] = [a + k * b for a, b in zip(left[i], left[j])]
+    def clear(op, t, k, b):
+        # zero the entry b at k against the pivot at t
+        p = m[t][t]
+        if b % p == 0:
+            op(t, k, 1, 0, -(b // p), 1)
+        else:
+            g, s, u = _xgcd(p, b)
+            op(t, k, s, u, -(b // g), p // g)
 
-    def add_col(i, j, k):
-        for r in m:
-            r[i] += k * r[j]
-        for r in right:
-            r[i] += k * r[j]
-
-    def negate_row(i):
-        m[i] = [-a for a in m[i]]
-        left[i] = [-a for a in left[i]]
-
-    t = 0
     size = min(rows, cols)
-    while t < size:
+    for t in range(size):
         # smallest nonzero entry in the trailing submatrix becomes the pivot
-        best = None
-        for i in range(t, rows):
-            for j in range(t, cols):
-                if m[i][j] != 0 and (best is None or abs(m[i][j]) < abs(m[best[0]][best[1]])):
-                    best = (i, j)
+        best = min(((abs(m[i][j]), i, j) for i in range(t, rows)
+                    for j in range(t, cols) if m[i][j]), default=None)
         if best is None:
             break
-        swap_rows(t, best[0])
-        swap_cols(t, best[1])
-        dirty = True
-        while dirty:
-            dirty = False
+        _, i, j = best
+        if i != t:
+            row_op(t, i, 0, 1, 1, 0)
+        if j != t:
+            col_op(t, j, 0, 1, 1, 0)
+        while True:
             for i in range(t + 1, rows):
                 if m[i][t]:
-                    q = m[i][t] // m[t][t]
-                    add_row(i, t, -q)
-                    if m[i][t]:
-                        swap_rows(t, i)
-                        dirty = True
+                    clear(row_op, t, i, m[i][t])
             for j in range(t + 1, cols):
                 if m[t][j]:
-                    q = m[t][j] // m[t][t]
-                    add_col(j, t, -q)
-                    if m[t][j]:
-                        swap_cols(t, j)
-                        dirty = True
-        # pivot must divide the rest of the submatrix
-        piv = m[t][t]
-        fix = next(
-            ((i, j) for i in range(t + 1, rows) for j in range(t + 1, cols)
-             if m[i][j] % piv),
-            None,
-        )
-        if fix is not None:
-            add_row(t, fix[0], 1)
-            continue
-        if piv < 0:
-            negate_row(t)
-        t += 1
+                    clear(col_op, t, j, m[t][j])
+            if any(m[i][t] for i in range(t + 1, rows)):
+                continue
+            # the pivot must divide the rest of the submatrix
+            piv = m[t][t]
+            fix = next((i for i in range(t + 1, rows)
+                        if any(x % piv for x in m[i][t + 1:])), None)
+            if fix is None:
+                break
+            row_op(t, fix, 1, 1, 0, 1)
+        if m[t][t] < 0:
+            m[t] = [-x for x in m[t]]
+            left[t] = [-x for x in left[t]]
     d = [m[i][i] for i in range(size)]
     return d, left, right
 
@@ -309,12 +325,12 @@ def lattice_invariants(gram):
         for i, di in enumerate(d):
             if di <= 1:
                 continue
-            g = [Fraction(right[r][i], di) for r in range(n)]
-            q = sum(g[r] * gram[r][s] * g[s] for r in range(n) for s in range(n))
-            if q.denominator != 1:
+            # q(col / di) is integral iff col^T G col = 0 mod di^2
+            col = [row[i] for row in right]
+            if sum(c * x for c, x in zip(col, mat_vec(gram, col))) % (di * di):
                 delta = 1
                 break
-    return LatticeInvariants(n, sig, int(det), tuple(d), ell, two_elem, delta)
+    return LatticeInvariants(n, sig, det, tuple(d), ell, two_elem, delta)
 
 
 # -- rank-two realizations inside diag(2,2,-2,-2) ------------------------------
@@ -508,32 +524,42 @@ def hermitian_det_identity(n, m, b, c):
     return mat_det(gaussian_block_gram(n, m, b, c)) == (4 * n * m - b * b - c * c) ** 2
 
 
-def _ip(gram, x, y):
-    return sum(x[i] * gram[i][j] * y[j] for i in range(len(x)) for j in range(len(x)))
-
-
 def certificate_basis(gram, coord_bound=4):
     """A unimodular basis (x, Jx, y, Jy) with Gram diag(2,2,-2,-2), or None.
 
     Existence certifies the lattice is the standard one as a Z[i]-module,
-    since the new basis intertwines the block J action."""
+    since the new basis intertwines the block J action.  The vectors are
+    tried in lexicographic order, so the first certificate is canonical."""
     rng = range(-coord_bound, coord_bound + 1)
+    (g11, g12, g13, g14), (g21, g22, g23, g24), \
+        (g31, g32, g33, g34), (g41, g42, g43, g44) = gram
     plus2 = []
     minus2 = []
+    # q(v) = v^T G v, one coordinate at a time
     for x1 in rng:
+        q1 = g11 * x1 * x1
         for x2 in rng:
+            q2 = q1 + ((g12 + g21) * x1 + g22 * x2) * x2
             for x3 in rng:
+                q3 = q2 + ((g13 + g31) * x1 + (g23 + g32) * x2 + g33 * x3) * x3
+                lin4 = (g14 + g41) * x1 + (g24 + g42) * x2 + (g34 + g43) * x3
                 for x4 in rng:
-                    v = (x1, x2, x3, x4)
-                    q = _ip(gram, v, v)
+                    q = q3 + (lin4 + g44 * x4) * x4
                     if q == 2:
-                        plus2.append(v)
+                        plus2.append((x1, x2, x3, x4))
                     elif q == -2:
-                        minus2.append(v)
+                        minus2.append((x1, x2, x3, x4))
+    gram_t = mat_transpose(gram)
     for x in plus2:
         jx = mat_vec(BLOCK_J, x)
+        # x^T G y and (Jx)^T G y become 4-term dot products with y
+        a1, a2, a3, a4 = mat_vec(gram_t, x)
+        b1, b2, b3, b4 = mat_vec(gram_t, jx)
         for y in minus2:
-            if _ip(gram, x, y) != 0 or _ip(gram, jx, y) != 0:
+            y1, y2, y3, y4 = y
+            if a1 * y1 + a2 * y2 + a3 * y3 + a4 * y4:
+                continue
+            if b1 * y1 + b2 * y2 + b3 * y3 + b4 * y4:
                 continue
             jy = mat_vec(BLOCK_J, y)
             p = [[x[i], jx[i], y[i], jy[i]] for i in range(4)]

@@ -302,6 +302,22 @@ def squarefree_decompose(p):
     return unit, out
 
 
+def _exact_int_root(m, n):
+    """The integer n-th root of an integer m >= 1, or None.  floor(m^(1/n))
+    comes from integer Newton steps started at 2^ceil(bits/n), which is
+    above the root, so no float is involved at any size."""
+    if n == 2:
+        r = math.isqrt(m)
+    else:
+        r = 1 << -(-m.bit_length() // n)
+        while True:
+            s = ((n - 1) * r + m // r ** (n - 1)) // n
+            if s >= r:
+                break
+            r = s
+    return r if r ** n == m else None
+
+
 def scalar_nth_root(c, n):
     """Exact n-th root of a scalar, or None.
 
@@ -331,29 +347,8 @@ def scalar_nth_root(c, n):
             return None
         sign = -1
         q = -q
-
-    def iroot(m):
-        if m == 1:
-            return 1
-        r = round(m ** (1.0 / n))
-        for cand in (r - 1, r, r + 1):
-            if cand > 0 and cand ** n == m:
-                return cand
-        # float guess can be off for big m; fall back to integer bisection
-        lo, hi = 1, m
-        while lo <= hi:
-            mid = (lo + hi) // 2
-            v = mid ** n
-            if v == m:
-                return mid
-            if v < m:
-                lo = mid + 1
-            else:
-                hi = mid - 1
-        return None
-
-    rn = iroot(q.numerator)
-    rd = iroot(q.denominator)
+    rn = _exact_int_root(q.numerator, n)
+    rd = _exact_int_root(q.denominator, n)
     if rn is None or rd is None:
         return None
     return Fraction(sign * rn, rd)

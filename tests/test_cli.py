@@ -85,6 +85,18 @@ class TestAnalyze:
         assert err.count("\n") == 1
 
 
+@pytest.mark.parametrize("command", ["analyze", "fibers"])
+def test_negative_alpha_forms_agree(capsys, command):
+    outs = set()
+    for argv in ((command, "-1/3"), (command, "--alpha", "-1/3"),
+                 (command, "--alpha=-1/3")):
+        code, out, err = run(capsys, *argv, "--json")
+        assert code == 0, err
+        outs.add(out)
+    assert len(outs) == 1
+    assert json.loads(outs.pop())["inputs"]["alpha"] == "-1/3"
+
+
 class TestFibers:
     def test_table(self, capsys):
         code, rep, _ = run_json(capsys, "fibers", "81/49")

@@ -1,3 +1,5 @@
+import hashlib
+import random
 from fractions import Fraction
 
 import pytest
@@ -100,6 +102,66 @@ def test_smith_normal_form_transforms():
                 assert d[i + 1] % d[i] == 0
 
 
+def _random_matrices(seed, rows_cols, count, entries=9):
+    rng = random.Random(seed)
+    for _ in range(count):
+        rows, cols = rows_cols(rng)
+        yield [[rng.randint(-entries, entries) for _ in range(cols)]
+               for _ in range(rows)]
+
+
+def _det_cases():
+    """Seeded square matrices of size 1-6, with singular ones, ones whose
+    leading pivot is zero and ones whose pivot vanishes mid-elimination."""
+    cases = list(_random_matrices(1, lambda r: (r.randint(1, 6),) * 2, 150))
+    for m in _random_matrices(2, lambda r: (r.randint(2, 6),) * 2, 90):
+        variant = len(cases) % 3
+        if variant == 0:
+            m[0][0] = 0
+        elif variant == 1:
+            m[-1] = [a + b for a, b in zip(m[0], m[1])]
+        else:
+            for row in m:
+                row[0] = 0
+        cases.append(m)
+    cases += [
+        [[0]],
+        [[0, 1], [1, 0]],
+        gaussian_block_gram(0, 0, 2, 1),
+        [[1, 1, 0], [1, 1, 1], [0, 1, 1]],
+        [[1, 2, 3], [2, 4, 7], [3, 6, 1]],
+    ]
+    return cases
+
+
+def test_mat_det_matches_sympy():
+    sympy = pytest.importorskip("sympy")
+    for m in _det_cases():
+        det = mat_det(m)
+        assert type(det) is int
+        assert det == sympy.Matrix(m).det(), m
+
+
+def test_mat_det_rejects_non_integral_entries():
+    assert mat_det([[Fraction(4), 1], [1, 2.0]]) == 7
+    with pytest.raises(ValueError):
+        mat_det([[Fraction(1, 2)]])
+    with pytest.raises(ValueError):
+        mat_det([[2, 0], [0, 2.5]])
+
+
+def test_smith_invariant_factors_match_sympy():
+    sympy = pytest.importorskip("sympy")
+    from sympy.matrices.normalforms import smith_normal_form as sympy_snf
+    mats = list(_random_matrices(3, lambda r: (r.randint(1, 5), r.randint(1, 5)), 120))
+    mats += _det_cases()[::7]
+    mats += [neron_severi_gram(), transcendental_gram(), gaussian_block_gram(-4, -1, -4, -2)]
+    for m in mats:
+        d, _, _ = smith_normal_form(m)
+        expected = sympy_snf(sympy.Matrix(m), domain=sympy.ZZ)
+        assert d == [abs(expected[i, i]) for i in range(len(d))], m
+
+
 def test_degenerate_rejected():
     with pytest.raises(ValueError):
         lattice_invariants([[0, 0], [0, 2]])
@@ -178,6 +240,10 @@ def test_rank4_classification():
     assert (1, 1, 0, 0) not in r.survivors
     # the determinant constraint forces the off-diagonal block even
     assert all(b % 2 == 0 and c % 2 == 0 for (_, _, b, c) in r.survivors)
+    # pins every certificate matrix and the enumeration order, not just counts
+    pinned = repr((r.survivors, r.delta_one, r.delta_zero, r.canonical))
+    assert hashlib.sha256(pinned.encode()).hexdigest() == (
+        "78ae34b614389b52b60b11d87d54a831950f252093cac4402076608c78507679")
 
 
 def test_certificate_is_checkable():

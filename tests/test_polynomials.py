@@ -101,6 +101,12 @@ def test_scalar_nth_root():
     assert scalar_nth_root(Fraction(5), 2) is None
     big = Fraction(10 ** 60)
     assert scalar_nth_root(big, 4) == 10 ** 15
+    big = Fraction(7 ** 400)  # above 1e308, where a float guess overflows
+    assert scalar_nth_root(big, 2) == 7 ** 200
+    assert scalar_nth_root(big, 4) == 7 ** 100
+    assert scalar_nth_root(big + 1, 4) is None
+    assert scalar_nth_root(big + 1, 2) is None
+    assert scalar_nth_root(Fraction(-7 ** 300, 11 ** 3), 3) == Fraction(-7 ** 100, 11)
 
 
 def test_rational_roots():
