@@ -89,25 +89,30 @@ def test_direct_sum_multiplicativity():
     assert combined.determinant == u.determinant * e7.determinant
 
 
+def _random_matrices(seed, rows_cols, count):
+    rng = random.Random(seed)
+    for _ in range(count):
+        rows, cols = rows_cols(rng)
+        yield [[rng.randint(-9, 9) for _ in range(cols)] for _ in range(rows)]
+
+
+def _random_rectangular():
+    return _random_matrices(3, lambda r: (r.randint(1, 5), r.randint(1, 5)), 120)
+
+
 def test_smith_normal_form_transforms():
-    for mat in (U_GRAM, E7_GRAM, transcendental_gram(), [[4, 2], [2, 4]]):
+    mats = [U_GRAM, E7_GRAM, transcendental_gram(), [[4, 2], [2, 4]]]
+    for mat in mats + list(_random_rectangular()):
         d, left, right = smith_normal_form(mat)
         prod = mat_mul(left, mat_mul(mat, right))
-        n = len(mat)
-        assert prod == [[d[i] if i == j else 0 for j in range(n)] for i in range(n)]
+        cols = len(mat[0])
+        assert prod == [[d[i] if i == j else 0 for j in range(cols)]
+                        for i in range(len(mat))]
         assert abs(mat_det(left)) == 1
         assert abs(mat_det(right)) == 1
         for i in range(len(d) - 1):
             if d[i]:
                 assert d[i + 1] % d[i] == 0
-
-
-def _random_matrices(seed, rows_cols, count, entries=9):
-    rng = random.Random(seed)
-    for _ in range(count):
-        rows, cols = rows_cols(rng)
-        yield [[rng.randint(-entries, entries) for _ in range(cols)]
-               for _ in range(rows)]
 
 
 def _det_cases():
@@ -153,8 +158,7 @@ def test_mat_det_rejects_non_integral_entries():
 def test_smith_invariant_factors_match_sympy():
     sympy = pytest.importorskip("sympy")
     from sympy.matrices.normalforms import smith_normal_form as sympy_snf
-    mats = list(_random_matrices(3, lambda r: (r.randint(1, 5), r.randint(1, 5)), 120))
-    mats += _det_cases()[::7]
+    mats = list(_random_rectangular()) + _det_cases()[::7]
     mats += [neron_severi_gram(), transcendental_gram(), gaussian_block_gram(-4, -1, -4, -2)]
     for m in mats:
         d, _, _ = smith_normal_form(m)
