@@ -412,13 +412,16 @@ def check_fricke_bundle():
 
 
 def _cayley_round_trip():
-    """The su11_samples(100) words and how many miss inverse_cayley(cayley(m)) == m."""
+    """The su11_samples(100) words, their cayley images, and how many samples
+    miss inverse_cayley(cayley(m)) == m."""
     samples = su11_samples(100)
-    return samples, sum(1 for m in samples if not m_eq(inverse_cayley(cayley(m)), m))
+    images = [cayley(m) for m in samples]
+    bad = sum(1 for m, g in zip(samples, images) if not m_eq(inverse_cayley(g), m))
+    return samples, images, bad
 
 
 def check_cayley_roundtrip():
-    samples, bad = _cayley_round_trip()
+    samples, _, bad = _cayley_round_trip()
     if bad:
         return False, "%d of %d samples failed the round trip" % (bad, len(samples))
     return True, "%d samples round-trip exactly" % len(samples)
@@ -725,13 +728,13 @@ def cmd_moduli(args):
         for name, (ok, witness) in checks.items():
             ledger.add("fricke.%s" % name, ok, witness or "")
     if which in ("all", "cayley"):
-        samples, bad = _cayley_round_trip()
+        samples, images, bad = _cayley_round_trip()
         round_trip = not bad
         pairs = list(zip(samples[:50], samples[50:]))
         multiplicative = all(
             m_eq(cayley(m_mul(a, b)), m_mul(cayley(a), cayley(b)))
             for a, b in pairs)
-        in_h0 = all(membership(cayley(m), "H0").verdict for m in samples)
+        in_h0 = all(membership(g, "H0").verdict for g in images)
         back = all(membership(inverse_cayley(g), "G0").verdict
                    for g in h0_generators())
         results["cayley"] = {

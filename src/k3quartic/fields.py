@@ -1,27 +1,42 @@
 """Exact arithmetic in small algebraic extension towers over Q.
 
 A ``FieldContext`` fixes a tower Q = K0 < K1 < K2 of at most two simple
-extensions, each given by a monic minimal polynomial over the level below.
-Elements are stored as nested coefficient tuples:
+extensions, each given by a monic minimal polynomial over the level below,
+of degrees d1 and d2 (d2 = 1 for a single extension).  The top field has the
+Q-basis t1^i t2^j (i < d1, j < d2), and an element is stored flat in it, as
+in Cohen, *A Course in Computational Algebraic Number Theory* (GTM 138,
+section 4.2) and FLINT's ``nf_elem``: a tuple of ``int`` numerators, the
+coefficient of t1^i t2^j at index j*d1 + i, over one positive ``int``
+denominator, with no common factor.  That form is canonical, so equality,
+hashing and truth are tuple comparisons.  All values are immutable;
+arithmetic never mutates.
 
-  * level 0 value: a ``Fraction``
-  * level k value: a tuple of level k-1 values of length deg(m_k)
-
-so an element of Q(t1)(t2) is a tuple (len d2) of tuples (len d1) of
-Fractions.  All values are immutable; arithmetic never mutates.
+Each context reduces, once and from the integer coefficients of its minimal
+polynomials, every monomial t1^i t2^j of the product grid (i <= 2*d1 - 2,
+j <= 2*d2 - 2) to the basis over one common denominator.  A product is one
+grid convolution of the numerators followed by one pass over that table.  An
+inverse solves the n x n integer multiplication matrix (n = d1*d2) by
+fraction-free (Bareiss) elimination.  ``coords()`` gives the nested view: a
+tuple (length d2) of tuples (length d1) of Fractions, or a tuple of
+Fractions for a single extension.
 
 Minimal polynomials are *assumed* irreducible.  The assumption is checked
-lazily: inversion runs an extended Euclid against the minimal polynomial,
-and a nontrivial gcd is reported as a ``ReducibilityError`` carrying the
-discovered factor, never silently wrong arithmetic.
+lazily: when the multiplication matrix of an element is singular, inversion
+takes the gcd of the element and the top minimal polynomial over the level
+below, and reports it as a ``ReducibilityError`` carrying the discovered
+factor, never silently wrong arithmetic.
 
 Contexts may declare the field automorphism induced by complex conjugation
-(images of the generators) and a numeric descriptor per generator so that
-elements can be embedded into arbitrary-precision complex numbers elsewhere.
+(images of the generators), applied as a precomputed linear map, and a
+numeric descriptor per generator so that elements can be embedded into
+arbitrary-precision complex numbers elsewhere.
 """
 
 from fractions import Fraction
 from functools import lru_cache
+from math import gcd, lcm
+
+from .polynomials import Poly, poly_gcd
 
 
 class ReducibilityError(ArithmeticError):
@@ -48,6 +63,69 @@ def _as_fraction(x):
     raise TypeError("expected int or Fraction, got %r" % (x,))
 
 
+def _lowest_terms(nums, den):
+    """(numerator tuple, positive denominator) with no common factor."""
+    if den < 0:
+        nums, den = [-c for c in nums], -den
+    if den != 1:
+        g = gcd(den, *nums)
+        if g != 1:
+            nums = [c // g for c in nums]
+            den //= g
+    return tuple(nums), den
+
+
+def _over_lcm(values):
+    """Fractions as (numerator tuple, denominator); already in lowest terms,
+    since no prime divides both the lcm of the denominators and every numerator."""
+    den = lcm(*(v.denominator for v in values))
+    return tuple(v.numerator * (den // v.denominator) for v in values), den
+
+
+def _add(a, ad, b, bd):
+    if ad == bd:
+        return _lowest_terms([x + y for x, y in zip(a, b)], ad)
+    return _lowest_terms([x * bd + y * ad for x, y in zip(a, b)], ad * bd)
+
+
+def _neg(a):
+    return tuple(-x for x in a)
+
+
+def _bareiss_solve(rows):
+    """Solve M y = b for the augmented integer rows [M | b], fraction-free.
+
+    Returns (N, delta) with y = N / delta and N, delta integers, or None when
+    M is singular.  Every division is exact (Bareiss 1968).
+    """
+    n = len(rows)
+    prev = 1
+    for k in range(n):
+        if not rows[k][k]:
+            for r in range(k + 1, n):
+                if rows[r][k]:
+                    rows[k], rows[r] = rows[r], rows[k]
+                    break
+            else:
+                return None
+        pivot, top = rows[k][k], rows[k]
+        for r in range(k + 1, n):
+            row = rows[r]
+            f = row[k]
+            for c in range(k + 1, n + 1):
+                row[c] = (row[c] * pivot - f * top[c]) // prev
+            row[k] = 0
+        prev = pivot
+    # U y = b' with U upper triangular; N = delta * y is integral (Cramer)
+    delta = prev
+    out = [0] * n
+    for k in range(n - 1, -1, -1):
+        row = rows[k]
+        s = delta * row[n] - sum(row[c] * out[c] for c in range(k + 1, n))
+        out[k] = s // row[k]
+    return out, delta
+
+
 class FieldContext:
     """A fixed tower of at most two simple extensions of Q."""
 
@@ -58,10 +136,15 @@ class FieldContext:
         "height",
         "dims",
         "degree",
-        "_redpow",
-        "conj_images",
         "gen_numeric",
         "_key",
+        "_hash",
+        "_zeros",
+        "_pos",
+        "_grid",
+        "_red",
+        "_tden",
+        "_conj",
     )
 
     def __init__(self, minpolys, names, label=None, conj_images=None, gen_numeric=None):
@@ -73,8 +156,8 @@ class FieldContext:
         self.names = tuple(names)
         self.label = label or "Q(%s)" % ",".join(names)
 
-        # normalize minpoly storage: minpolys[k] is a tuple of level-k values
-        # (coefficients low to high, length deg+1, leading coefficient one)
+        # minpolys[k]: coefficients low to high, length deg+1, leading one;
+        # level-2 coefficients are tuples of level-1 coordinates
         m1 = tuple(_as_fraction(c) for c in minpolys[0])
         if len(m1) < 3 or m1[-1] != 1:
             raise ValueError("level-1 minimal polynomial must be monic of degree >= 2")
@@ -82,11 +165,8 @@ class FieldContext:
         self.dims = [len(m1) - 1]
         if self.height == 2:
             d1 = self.dims[0]
-            m2 = []
-            for c in minpolys[1]:
-                m2.append(self._lift_raw(c, d1))
-            m2 = tuple(m2)
-            if len(m2) < 3 or m2[-1] != self._one_at(1):
+            m2 = tuple(self._lift_raw(c, d1) for c in minpolys[1])
+            if len(m2) < 3 or m2[-1] != (1,) + (0,) * (d1 - 1):
                 raise ValueError("level-2 minimal polynomial must be monic of degree >= 2")
             stored.append(m2)
             self.dims.append(len(m2) - 1)
@@ -95,214 +175,166 @@ class FieldContext:
         for d in self.dims:
             self.degree *= d
         self._key = (self.minpolys, self.names)
+        self._hash = hash(self._key)
+        self._zeros = (0,) * (self.degree - 1)
+        self._build_table()
 
-        # reduction table: powers gen_k^j for j = d..2d-2, per level
-        self._redpow = []
-        for k in range(1, self.height + 1):
-            self._redpow.append(self._power_table(k))
-
-        self.conj_images = None
+        self._conj = None
         if conj_images is not None:
-            # each image is a rational coordinate vector in that level's generator
-            imgs = []
-            for lvl, img in enumerate(conj_images):
-                d = self.dims[lvl]
-                vec = [self._rat_at(c, lvl) for c in img]
-                vec += [self._zero_at(lvl)] * (d - len(vec))
-                imgs.append(FieldElement(self, self._to_top(tuple(vec), lvl + 1)))
-            self.conj_images = tuple(imgs)
+            self._build_conj(conj_images)
         self.gen_numeric = tuple(gen_numeric) if gen_numeric is not None else None
 
-    # -- raw-value plumbing ------------------------------------------------
+    # -- set-up ---------------------------------------------------------------
 
     def _lift_raw(self, c, d1):
-        """Interpret c (int/Fraction or length-d1 sequence) as a level-1 value."""
+        """Interpret c (int/Fraction or length-d1 sequence) as level-1 coordinates."""
         if isinstance(c, (int, Fraction)):
-            v = [Fraction(0)] * d1
-            v[0] = _as_fraction(c)
-            return tuple(v)
-        v = [_as_fraction(x) for x in c]
+            return (_as_fraction(c),) + (Fraction(0),) * (d1 - 1)
+        v = tuple(_as_fraction(x) for x in c)
         if len(v) != d1:
             raise ValueError("level-1 coefficient of wrong length")
-        return tuple(v)
+        return v
 
-    def _zero_at(self, level):
-        if level == 0:
-            return Fraction(0)
-        return tuple(self._zero_at(level - 1) for _ in range(self.dims[level - 1]))
+    def _set_table(self, cells):
+        """Install reductions {(i, j): (nums, den)} of t1^i t2^j over one denominator."""
+        d1 = self.dims[0]
+        width = 2 * d1 - 1
+        tden = lcm(*(den for _, den in cells.values()))
+        self._red = tuple(
+            (j * width + i, tuple((p, c * (tden // den)) for p, c in enumerate(nums) if c))
+            for (i, j), (nums, den) in sorted(cells.items())
+        )
+        self._tden = tden
 
-    def _one_at(self, level):
-        if level == 0:
-            return Fraction(1)
-        inner = [self._zero_at(level - 1)] * self.dims[level - 1]
-        inner[0] = self._one_at(level - 1)
-        return tuple(inner)
+    def _build_table(self):
+        """Reduce every grid monomial outside the basis, building the table as it
+        goes: each step multiplies reduced values whose product needs only the
+        entries already installed."""
+        n = self.degree
+        d1 = self.dims[0]
+        d2 = self.dims[1] if self.height == 2 else 1
+        width = 2 * d1 - 1
+        self._pos = tuple(j * width + i for j in range(d2) for i in range(d1))
+        self._grid = width * (2 * d2 - 1)
 
-    def _rat_at(self, q, level):
-        if level == 0:
-            return _as_fraction(q)
-        inner = [self._zero_at(level - 1)] * self.dims[level - 1]
-        inner[0] = self._rat_at(q, level - 1)
-        return tuple(inner)
+        def unit(p):
+            return tuple(int(q == p) for q in range(n)), 1
 
-    def _is_zero(self, a, level):
-        if level == 0:
-            return a == 0
-        return all(self._is_zero(x, level - 1) for x in a)
+        # t1^d1 t2^j = -(m1 low) in slot j, then t1^i t2^j = t1 * t1^(i-1) t2^j
+        low, den = _over_lcm(self.minpolys[0][:d1])
+        cells = {(d1, j): ((0,) * (j * d1) + _neg(low) + (0,) * ((d2 - 1 - j) * d1), den)
+                 for j in range(d2)}
+        self._set_table(cells)
+        t1 = unit(1)
+        for i in range(d1 + 1, width):
+            for j in range(d2):
+                cells[i, j] = self._mul(*t1, *cells[i - 1, j])
+            self._set_table(cells)
+        if d2 == 1:
+            return
+        # t1^i t2^d2 = t1^i * -(m2 low); then t2^j = t2 * t2^(j-1)
+        top, den = _over_lcm([c for coeff in self.minpolys[1][:d2] for c in coeff])
+        top = _neg(top)
+        for i in range(width):
+            t1_i = cells[i, 0] if i >= d1 else unit(i)
+            cells[i, d2] = self._mul(*t1_i, top, den)
+        self._set_table(cells)
+        t2 = unit(d1)
+        for j in range(d2 + 1, 2 * d2 - 1):
+            for i in range(width):
+                cells[i, j] = self._mul(*t2, *cells[i, j - 1])
+            self._set_table(cells)
 
-    def _add(self, a, b, level):
-        if level == 0:
-            return a + b
-        return tuple(self._add(x, y, level - 1) for x, y in zip(a, b))
+    def _build_conj(self, conj_images):
+        """Conjugation as sparse integer columns over one denominator: basis
+        t1^i t2^j maps to g1^i g2^j, for g_k the declared image of t_k
+        (rational coordinates in t_k)."""
+        images = [self.element(img if level == self.height else [img])
+                  for level, img in enumerate(conj_images, 1)]
+        cols = []
+        g2_j = self.one
+        while len(cols) < self.degree:
+            g = g2_j
+            for _ in range(self.dims[0]):
+                cols.append(g)
+                g = g * images[0]
+            g2_j = g2_j * images[-1]
+        cden = lcm(*(g.den for g in cols))
+        self._conj = tuple(
+            tuple((r, c * (cden // g.den)) for r, c in enumerate(g.num) if c) for g in cols
+        ), cden
 
-    def _neg(self, a, level):
-        if level == 0:
-            return -a
-        return tuple(self._neg(x, level - 1) for x in a)
+    # -- arithmetic on (numerators, denominator) pairs ------------------------
 
-    def _sub(self, a, b, level):
-        if level == 0:
-            return a - b
-        return tuple(self._sub(x, y, level - 1) for x, y in zip(a, b))
+    def _times(self, a, b):
+        """Numerators of a*b over the table denominator, for numerator vectors a, b."""
+        pos = self._pos
+        conv = [0] * self._grid
+        nz = [(pos[q], y) for q, y in enumerate(b) if y]
+        for p, x in enumerate(a):
+            if x:
+                g = pos[p]
+                for h, y in nz:
+                    conv[g + h] += x * y
+        tden = self._tden
+        out = [conv[g] for g in pos] if tden == 1 else [conv[g] * tden for g in pos]
+        for g, row in self._red:
+            c = conv[g]
+            if c:
+                for p, r in row:
+                    out[p] += c * r
+        return out
 
-    def _mul(self, a, b, level):
-        if level == 0:
-            return a * b
-        d = self.dims[level - 1]
-        lo = level - 1
-        conv = [self._zero_at(lo)] * (2 * d - 1)
-        for i, ai in enumerate(a):
-            if self._is_zero(ai, lo):
-                continue
-            for j, bj in enumerate(b):
-                if self._is_zero(bj, lo):
-                    continue
-                conv[i + j] = self._add(conv[i + j], self._mul(ai, bj, lo), lo)
-        res = list(conv[:d])
-        table = self._redpow[level - 1]
-        for j in range(d, 2 * d - 1):
-            cj = conv[j]
-            if self._is_zero(cj, lo):
-                continue
-            red = table[j - d]
-            for i in range(d):
-                if not self._is_zero(red[i], lo):
-                    res[i] = self._add(res[i], self._mul(cj, red[i], lo), lo)
-        return tuple(res)
+    def _mul(self, a, ad, b, bd):
+        return _lowest_terms(self._times(a, b), ad * bd * self._tden)
 
-    def _power_table(self, level):
-        """gen_level^(d+j) reduced, for j = 0..d-2, as level-`level` raw values."""
-        d = self.dims[level - 1]
-        m = self.minpolys[level - 1]
-        lo = level - 1
-        # gen^d = -(m0 + m1 x + ... + m_{d-1} x^{d-1})
-        cur = tuple(self._neg(m[i], lo) for i in range(d))
-        table = [cur]
-        for _ in range(d - 2):
-            # multiply by gen: shift then fold the top coefficient
-            top = cur[d - 1]
-            shifted = [self._zero_at(lo)] + list(cur[: d - 1])
-            if not self._is_zero(top, lo):
-                first = table[0]
-                for i in range(d):
-                    if not self._is_zero(first[i], lo):
-                        shifted[i] = self._add(shifted[i], self._mul(top, first[i], lo), lo)
-            cur = tuple(shifted)
-            table.append(cur)
-        return table
-
-    # dense polynomial helpers over the level-(level) field, used by _inv
-
-    def _pl_trim(self, p, level):
-        while p and self._is_zero(p[-1], level):
-            p.pop()
-        return p
-
-    def _pl_divmod(self, a, b, level):
-        a = list(a)
-        db = len(b) - 1
-        if db < 0:
-            raise ZeroDivisionError("polynomial division by zero")
-        inv_lead = self._inv(b[-1], level)
-        q = [self._zero_at(level)] * max(0, len(a) - db)
-        while len(a) - 1 >= db and a:
-            if self._is_zero(a[-1], level):
-                a.pop()
-                continue
-            k = len(a) - 1 - db
-            f = self._mul(a[-1], inv_lead, level)
-            q[k] = f
-            for i in range(db + 1):
-                a[k + i] = self._sub(a[k + i], self._mul(f, b[i], level), level)
-            a.pop()
-        return q, self._pl_trim(a, level)
-
-    def _inv(self, a, level):
-        if level == 0:
-            if a == 0:
-                raise ZeroDivisionError("division by zero")
-            return 1 / a
-        lo = level - 1
-        if self._is_zero(a, level):
+    def _inv(self, a, ad):
+        if not any(a):
             raise ZeroDivisionError("division by zero field element")
-        m = list(self.minpolys[level - 1])
-        r_prev = m
-        r = self._pl_trim(list(a), lo)
-        s_prev = []
-        s = [self._one_at(lo)]
-        while r and len(r) > 1:
-            q, rem = self._pl_divmod(r_prev, r, lo)
-            r_prev, r = r, rem
-            # s_new = s_prev - q * s
-            prod = [self._zero_at(lo)] * (len(q) + len(s) - 1) if q and s else []
-            for i, qi in enumerate(q):
-                if self._is_zero(qi, lo):
-                    continue
-                for j, sj in enumerate(s):
-                    if self._is_zero(sj, lo):
-                        continue
-                    prod[i + j] = self._add(prod[i + j], self._mul(qi, sj, lo), lo)
-            n = max(len(s_prev), len(prod))
-            s_new = []
-            for i in range(n):
-                x = s_prev[i] if i < len(s_prev) else self._zero_at(lo)
-                y = prod[i] if i < len(prod) else self._zero_at(lo)
-                s_new.append(self._sub(x, y, lo))
-            s_prev, s = s, self._pl_trim(s_new, lo)
-        if not r:
-            # gcd = r_prev, degree >= 1: either a is a zero divisor (witness)
-            # or a was a multiple of m (impossible for reduced values)
-            lead_inv = self._inv(r_prev[-1], lo)
-            factor = tuple(self._mul(c, lead_inv, lo) for c in r_prev)
-            raise ReducibilityError(level, factor)
-        c_inv = self._inv(r[0], lo)
-        d = self.dims[level - 1]
-        out = [self._zero_at(lo)] * d
-        for i, si in enumerate(s):
-            out[i] = self._mul(si, c_inv, lo)
-        return tuple(out)
+        if not any(a[1:]):
+            return _lowest_terms((ad,) + self._zeros, a[0])
+        n = self.degree
+        # (a/ad) e_q = column q / (ad * tden); solve (columns) y = e_0
+        cols = [self._times(a, (0,) * q + (1,) + (0,) * (n - 1 - q)) for q in range(n)]
+        rows = [[cols[q][p] for q in range(n)] + [int(p == 0)] for p in range(n)]
+        solved = _bareiss_solve(rows)
+        if solved is None:
+            self._raise_reducible(a, ad)
+        y, delta = solved
+        scale = ad * self._tden
+        return _lowest_terms([scale * c for c in y], delta)
 
-    def _to_top(self, raw, level):
-        """Embed a level-`level` raw value at the top of the tower."""
-        while level < self.height:
-            inner = [self._zero_at(level)] * self.dims[level]
-            inner[0] = raw
-            raw = tuple(inner)
-            level += 1
-        return raw
+    def _raise_reducible(self, a, ad):
+        """a is a zero divisor: report gcd(a, top minimal polynomial) over the
+        level below; a zero divisor met there raises that level's error."""
+        level = self.height
+        coords = FieldElement(self, a, ad).coords()
+        if level == 1:
+            lift = unlift = Fraction
+        else:
+            base = FieldContext(self.minpolys[:1], self.names[:1])
+            lift = base.element
+
+            def unlift(c):
+                return base.coerce(c).coords()
+
+        m = Poly("x", {k: lift(c) for k, c in enumerate(self.minpolys[-1])})
+        g = poly_gcd(m, Poly("x", {k: lift(c) for k, c in enumerate(coords)}))
+        raise ReducibilityError(level, tuple(unlift(g.coeff(e)) for e in range(g.degree + 1)))
 
     # -- public construction ------------------------------------------------
 
     @property
     def zero(self):
-        return FieldElement(self, self._zero_at(self.height))
+        return FieldElement(self, (0,) + self._zeros, 1)
 
     @property
     def one(self):
-        return FieldElement(self, self._one_at(self.height))
+        return FieldElement(self, (1,) + self._zeros, 1)
 
     def from_rational(self, q):
-        return FieldElement(self, self._rat_at(q, self.height))
+        q = _as_fraction(q)
+        return FieldElement(self, (q.numerator,) + self._zeros, q.denominator)
 
     def gen(self, level=None):
         """Generator of extension `level` (1-based; default: top)."""
@@ -310,33 +342,35 @@ class FieldContext:
             level = self.height
         if not 1 <= level <= self.height:
             raise ValueError("no generator at level %d" % level)
-        d = self.dims[level - 1]
-        inner = [self._zero_at(level - 1)] * d
-        inner[1] = self._one_at(level - 1)
-        return FieldElement(self, self._to_top(tuple(inner), level))
+        index = 1 if level == 1 else self.dims[0]
+        nums = tuple(int(p == index) for p in range(self.degree))
+        return FieldElement(self, nums, 1)
 
     def element(self, coords):
         """Build an element from nested coordinate lists (ints/Fractions)."""
+        flat = [Fraction(0)] * self.degree
 
-        def build(c, level):
+        def place(c, level, index):
             if level == 0:
-                return _as_fraction(c)
-            if isinstance(c, (int, Fraction)):
-                return self._rat_at(c, level)
-            vals = [build(x, level - 1) for x in c]
-            d = self.dims[level - 1]
-            if len(vals) > d:
-                raise ValueError("too many coordinates at level %d" % level)
-            vals += [self._zero_at(level - 1)] * (d - len(vals))
-            return tuple(vals)
+                flat[index] = _as_fraction(c)
+            elif isinstance(c, (int, Fraction)):
+                place(c, level - 1, index)
+            else:
+                c = list(c)
+                if len(c) > self.dims[level - 1]:
+                    raise ValueError("too many coordinates at level %d" % level)
+                stride = 1 if level == 1 else self.dims[0]
+                for k, x in enumerate(c):
+                    place(x, level - 1, index + k * stride)
 
-        return FieldElement(self, build(coords, self.height))
+        place(coords, self.height, 0)
+        return FieldElement(self, *_over_lcm(flat))
 
     def coerce(self, x):
         """Coerce int/Fraction/FieldElement-of-self into an element, else None."""
         if isinstance(x, FieldElement):
             if x.ctx is self or x.ctx._key == self._key:
-                return FieldElement(self, x.val)
+                return FieldElement(self, x.num, x.den)
             return None
         if isinstance(x, (int, Fraction)):
             return self.from_rational(x)
@@ -344,54 +378,55 @@ class FieldContext:
 
     def conj(self, x):
         """Complex conjugation, available when the context declares it."""
-        if self.conj_images is None:
+        if self._conj is None:
             raise ValueError("context %s declares no conjugation" % self.label)
-        # evaluate coordinates at the conjugated generators
-        def ev(raw, level):
-            if level == 0:
-                return self.from_rational(raw)
-            g = self.conj_images[level - 1]
-            acc = self.zero
-            for c in reversed(raw):
-                acc = acc * g + ev(c, level - 1)
-            return acc
-
-        return ev(x.val, self.height)
+        cols, cden = self._conj
+        out = [0] * self.degree
+        for p, c in enumerate(x.num):
+            if c:
+                for r, v in cols[p]:
+                    out[r] += c * v
+        return FieldElement(self, *_lowest_terms(out, x.den * cden))
 
     def __eq__(self, other):
         return isinstance(other, FieldContext) and self._key == other._key
 
     def __hash__(self):
-        return hash(self._key)
+        return self._hash
 
     def __repr__(self):
         return "FieldContext(%s)" % self.label
 
 
 class FieldElement:
-    """An element of a ``FieldContext`` tower; immutable, operator-overloaded."""
+    """An element of a ``FieldContext`` tower; immutable, operator-overloaded.
 
-    __slots__ = ("ctx", "val")
+    ``num`` is the tuple of integer numerators (index j*d1 + i for t1^i t2^j)
+    and ``den`` the positive common denominator, in lowest terms.
+    """
 
-    def __init__(self, ctx, val):
+    __slots__ = ("ctx", "num", "den")
+
+    def __init__(self, ctx, num, den):
         self.ctx = ctx
-        self.val = val
+        self.num = num
+        self.den = den
 
-    # coercion helper: raw value of other, or None
+    # coercion helper: (numerators, denominator) of other, or None
     def _other(self, x):
         if isinstance(x, FieldElement):
             if x.ctx is self.ctx or x.ctx._key == self.ctx._key:
-                return x.val
+                return x.num, x.den
             return None
         if isinstance(x, (int, Fraction)):
-            return self.ctx._rat_at(x, self.ctx.height)
+            return (x.numerator,) + self.ctx._zeros, x.denominator
         return None
 
     def __add__(self, other):
         o = self._other(other)
         if o is None:
             return NotImplemented
-        return FieldElement(self.ctx, self.ctx._add(self.val, o, self.ctx.height))
+        return FieldElement(self.ctx, *_add(self.num, self.den, *o))
 
     __radd__ = __add__
 
@@ -399,44 +434,44 @@ class FieldElement:
         o = self._other(other)
         if o is None:
             return NotImplemented
-        return FieldElement(self.ctx, self.ctx._sub(self.val, o, self.ctx.height))
+        return FieldElement(self.ctx, *_add(self.num, self.den, _neg(o[0]), o[1]))
 
     def __rsub__(self, other):
         o = self._other(other)
         if o is None:
             return NotImplemented
-        return FieldElement(self.ctx, self.ctx._sub(o, self.val, self.ctx.height))
+        return FieldElement(self.ctx, *_add(o[0], o[1], _neg(self.num), self.den))
 
     def __mul__(self, other):
         o = self._other(other)
         if o is None:
             return NotImplemented
-        return FieldElement(self.ctx, self.ctx._mul(self.val, o, self.ctx.height))
+        return FieldElement(self.ctx, *self.ctx._mul(self.num, self.den, *o))
 
     __rmul__ = __mul__
 
     def __neg__(self):
-        return FieldElement(self.ctx, self.ctx._neg(self.val, self.ctx.height))
+        return FieldElement(self.ctx, _neg(self.num), self.den)
 
     def __pos__(self):
         return self
 
     def inverse(self):
-        return FieldElement(self.ctx, self.ctx._inv(self.val, self.ctx.height))
+        return FieldElement(self.ctx, *self.ctx._inv(self.num, self.den))
 
     def __truediv__(self, other):
         o = self._other(other)
         if o is None:
             return NotImplemented
-        h = self.ctx.height
-        return FieldElement(self.ctx, self.ctx._mul(self.val, self.ctx._inv(o, h), h))
+        ctx = self.ctx
+        return FieldElement(ctx, *ctx._mul(self.num, self.den, *ctx._inv(*o)))
 
     def __rtruediv__(self, other):
         o = self._other(other)
         if o is None:
             return NotImplemented
-        h = self.ctx.height
-        return FieldElement(self.ctx, self.ctx._mul(o, self.ctx._inv(self.val, h), h))
+        ctx = self.ctx
+        return FieldElement(ctx, *ctx._mul(*o, *ctx._inv(self.num, self.den)))
 
     def __pow__(self, n):
         if not isinstance(n, int):
@@ -457,36 +492,35 @@ class FieldElement:
         o = self._other(other)
         if o is None:
             return NotImplemented
-        return self.ctx._is_zero(self.ctx._sub(self.val, o, self.ctx.height), self.ctx.height)
+        return self.den == o[1] and self.num == o[0]
 
     def __hash__(self):
-        return hash((self.ctx._key, self.val))
+        # a rational element equals its Fraction, so it must hash like it
+        if self.is_rational:
+            return hash(Fraction(self.num[0], self.den))
+        return hash((self.ctx._hash, self.num, self.den))
 
     def __bool__(self):
-        return not self.ctx._is_zero(self.val, self.ctx.height)
+        return any(self.num)
 
     @property
     def is_rational(self):
-        def chk(raw, level):
-            if level == 0:
-                return True
-            if not all(self.ctx._is_zero(x, level - 1) for x in raw[1:]):
-                return False
-            return chk(raw[0], level - 1)
-
-        return chk(self.val, self.ctx.height)
+        return not any(self.num[1:])
 
     def rational(self):
         """The element as a Fraction; raises if it is not rational."""
         if not self.is_rational:
             raise ValueError("element is not rational: %r" % self)
-        raw = self.val
-        for _ in range(self.ctx.height):
-            raw = raw[0]
-        return raw
+        return Fraction(self.num[0], self.den)
 
     def coords(self):
-        return self.val
+        """Nested coordinates: Fractions of t1^i (one level), or per power of t2
+        a tuple of the Fractions of t1^i (two levels)."""
+        flat = tuple(Fraction(c, self.den) for c in self.num)
+        if self.ctx.height == 1:
+            return flat
+        d1 = self.ctx.dims[0]
+        return tuple(flat[k:k + d1] for k in range(0, len(flat), d1))
 
     def conj(self):
         return self.ctx.conj(self)
@@ -514,7 +548,7 @@ class FieldElement:
             name = ctx.names[level - 1]
             parts = []
             for e, c in enumerate(raw):
-                if ctx._is_zero(c, level - 1):
+                if not (any(c) if level > 1 else c):
                     continue
                 cs = rend(c, level - 1)
                 if e == 0:
@@ -536,7 +570,7 @@ class FieldElement:
                 out += " - " + p[1:] if p.startswith("-") else " + " + p
             return out
 
-        return rend(self.val, ctx.height)
+        return rend(self.coords(), ctx.height)
 
 
 def imaginary_unit(ctx):

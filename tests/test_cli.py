@@ -260,10 +260,22 @@ class TestModuli:
             "j_is_isometry": True,
         }
 
-    def test_cayley(self, capsys):
+    def test_cayley(self, capsys, monkeypatch):
+        import k3quartic.cli as cli
+
+        calls = []
+        real_cayley = cli.cayley
+
+        def counted(m):
+            calls.append(m)
+            return real_cayley(m)
+
+        monkeypatch.setattr(cli, "cayley", counted)
         code, rep, _ = run_json(capsys, "moduli", "--check", "cayley")
         assert code == 0
         assert rep["results"]["cayley"]["roundTripExact"] is True
+        # one image per sample, reused for integralImagesInH0, plus 3 per product pair
+        assert len(calls) == 100 + 3 * 50
 
 
 # sha256 of the --json stdout of each call: report bytes must not drift.

@@ -145,3 +145,96 @@ def test_context_caching_and_equality():
                          gen_numeric=[("root_of_unity", 4)])
     assert gaussian_field() == other
     assert gaussian_field().gen() + other.gen() == other.gen() * 2
+
+
+def _random_coords(rng, count):
+    return [Fraction(rng.randint(-6, 6), rng.randint(1, 4)) if rng.random() < 0.8 else Fraction(0)
+            for _ in range(count)]
+
+
+def test_mul_and_inverse_match_sympy():
+    sympy = pytest.importorskip("sympy")
+    import random
+
+    QQ = sympy.QQ
+    z, t, i = sympy.symbols("z t i")
+    rng = random.Random(20261018)
+
+    def as_dict(c):
+        """coords() as a sympy monomial dict: exponents (of z) or (of t, of i)."""
+        if isinstance(c[0], Fraction):
+            return {(k,): QQ(x.numerator, x.denominator) for k, x in enumerate(c) if x}
+        return {(a, b): QQ(x.numerator, x.denominator)
+                for b, row in enumerate(c) for a, x in enumerate(row) if x}
+
+    cases = [
+        (eighth_root_field(), lambda: _random_coords(rng, 4), (z,), [z ** 4 + 1]),
+        (with_imaginary_unit("quartic_root", 7),
+         lambda: [_random_coords(rng, 4), _random_coords(rng, 4)], (t, i), [t ** 4 - 7, i ** 2 + 1]),
+        # a non-integral minimal polynomial: the reduction table has a denominator
+        (with_imaginary_unit("quartic_root", Fraction(7, 9)),
+         lambda: [_random_coords(rng, 4), _random_coords(rng, 4)], (t, i),
+         [t ** 4 - sympy.Rational(7, 9), i ** 2 + 1]),
+    ]
+    for ctx, draw, gens, minpolys in cases:
+        # each minimal polynomial is monic in its own generator, so a remainder
+        # with that generator as the main variable reduces it
+        ideal = [(k, sympy.Poly(m, *gens[k:], *gens[:k], domain=QQ)) for k, m in enumerate(minpolys)]
+
+        def oracle(x, y):
+            """x*y reduced modulo the minimal polynomials, as a monomial dict."""
+            p = sympy.Poly(as_dict(x.coords()), *gens, domain=QQ)
+            p = p * sympy.Poly(as_dict(y.coords()), *gens, domain=QQ)
+            for k, m in ideal:
+                p = p.reorder(*gens[k:], *gens[:k]).rem(m).reorder(*gens)
+            return p.as_dict()
+
+        for _ in range(70):
+            x, y = ctx.element(draw()), ctx.element(draw())
+            assert as_dict((x * y).coords()) == oracle(x, y), (x, y)
+            if x:
+                assert oracle(x, x.inverse()) == {(0,) * len(gens): 1}, x
+
+
+def test_equal_values_share_one_canonical_form():
+    for ctx in (gaussian_field(), with_imaginary_unit("quartic_root", 7)):
+        i = imaginary_unit(ctx)
+        x = ctx.element([Fraction(3, 2), -1]) + Fraction(1, 3) * ctx.gen(1)
+        pairs = [
+            (x / x, ctx.one),
+            ((1 + i) ** 2, 2 * i),
+            (ctx.from_rational(Fraction(2, 4)), ctx.element([Fraction(1, 2)])),
+            (x * x.inverse() - 1, ctx.zero),
+        ]
+        for a, b in pairs:
+            assert a == b
+            assert hash(a) == hash(b)
+            assert {a: "slot"}[b] == "slot"
+            assert len({a, b}) == 1
+        assert ctx.one / 2 != ctx.one
+
+
+def test_rational_element_hashes_like_its_fraction():
+    # x == 2 holds, so x must find the dict slot of 2
+    for ctx in (gaussian_field(), with_imaginary_unit("quartic_root", 7)):
+        for q in (2, Fraction(-3, 4), 0):
+            x = ctx.from_rational(q)
+            assert x == q and hash(x) == hash(q)
+            assert {q: "slot"}[x] == "slot"
+            assert len({x, q}) == 1
+
+
+def test_two_level_reducibility_is_witnessed():
+    # over Q(sqrt(-1)), i^2 + 1 has the root sqrt(-1): i - sqrt(-1) is a zero divisor
+    T = with_imaginary_unit("sqrt", -1)
+    with pytest.raises(ReducibilityError) as exc:
+        (T.gen(2) - T.gen(1)).inverse()
+    assert exc.value.level == 2
+    factor = exc.value.factor
+    assert len(factor) - 1 == 1
+    assert tuple(factor[-1]) == (1, 0)  # monic over the level below
+    base = sqrt_field(-1)
+    root = -base.element(list(factor[0]))
+    assert root * root == -1
+    with pytest.raises(ZeroDivisionError):
+        T.zero.inverse()
