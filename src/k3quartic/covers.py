@@ -25,6 +25,7 @@ from .polynomials import (
     Poly,
     RationalFunction,
     certified_factors,
+    factor_int,
     scalar_nth_root,
     squarefree_decompose,
 )
@@ -234,20 +235,6 @@ def quartic_factor_check():
 # -- lifting a split curve to a two-section ------------------------------------
 
 
-def _factor_small(n):
-    """Prime factorization by trial division; n a positive integer."""
-    out = {}
-    d = 2
-    while d * d <= n:
-        while n % d == 0:
-            out[d] = out.get(d, 0) + 1
-            n //= d
-        d += 1
-    if n > 1:
-        out[n] = out.get(n, 0) + 1
-    return out
-
-
 def split_fourth_power(c):
     """c = t^4 * s with rational t maximal: returns (t, s), s a squarefree-ish
     integer-supported remainder with all prime exponents in {0,..,3}."""
@@ -256,11 +243,11 @@ def split_fourth_power(c):
         raise ValueError("zero has no useful fourth-power split")
     sign = -1 if c < 0 else 1
     t_num, s_num = 1, 1
-    for p, e in _factor_small(abs(c.numerator)).items():
+    for p, e in factor_int(abs(c.numerator)).items():
         t_num *= p ** (e // 4)
         s_num *= p ** (e % 4)
     t_den, s_den = 1, 1
-    for p, e in _factor_small(c.denominator).items():
+    for p, e in factor_int(c.denominator).items():
         t_den *= p ** (e // 4)
         s_den *= p ** (e % 4)
     # pull the leftover denominator into the numerator remainder: 1/p = p^3/p^4
@@ -303,8 +290,7 @@ def _fourth_root_in_theta_field(s, root_choice):
     field = (quartic_root_field(7) if root_choice % 2 == 0
              else with_imaginary_unit("quartic_root", 7))
     sign = -1 if s < 0 else 1
-    mag = abs(s)
-    f = _factor_small(mag) if mag != 1 else {}
+    f = factor_int(abs(s))
     if set(f) - {7} or f.get(7, 0) >= 4:
         raise ValueError("constant remainder %r is not +/- a power of 7 below 7^4" % (s,))
     j = f.get(7, 0)

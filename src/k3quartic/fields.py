@@ -36,7 +36,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
 
-from .polynomials import Poly, poly_gcd
+from .polynomials import Poly, poly_gcd, power, render_terms
 
 
 class ReducibilityError(ArithmeticError):
@@ -476,17 +476,9 @@ class FieldElement:
     def __pow__(self, n):
         if not isinstance(n, int):
             return NotImplemented
-        base = self
         if n < 0:
-            base = self.inverse()
-            n = -n
-        result = self.ctx.one
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base if n > 1 else base
-            n >>= 1
-        return result
+            return power(self.inverse(), -n, self.ctx.one)
+        return power(self, n, self.ctx.one)
 
     def __eq__(self, other):
         o = self._other(other)
@@ -537,40 +529,17 @@ class FieldElement:
         return self * self.conj()
 
     def __repr__(self):
-        return self._render()
-
-    def _render(self):
-        ctx = self.ctx
+        names = self.ctx.names
 
         def rend(raw, level):
             if level == 0:
                 return str(raw)
-            name = ctx.names[level - 1]
-            parts = []
-            for e, c in enumerate(raw):
-                if not (any(c) if level > 1 else c):
-                    continue
-                cs = rend(c, level - 1)
-                if e == 0:
-                    parts.append(cs)
-                else:
-                    mono = name if e == 1 else "%s^%d" % (name, e)
-                    if cs == "1":
-                        parts.append(mono)
-                    elif cs == "-1":
-                        parts.append("-" + mono)
-                    else:
-                        if ("+" in cs[1:]) or (" " in cs) or ("-" in cs[1:]):
-                            cs = "(%s)" % cs
-                        parts.append("%s*%s" % (cs, mono))
-            if not parts:
-                return "0"
-            out = parts[0]
-            for p in parts[1:]:
-                out += " - " + p[1:] if p.startswith("-") else " + " + p
-            return out
+            name = names[level - 1]
+            return render_terms(
+                (rend(c, level - 1), "" if e == 0 else name if e == 1 else "%s^%d" % (name, e))
+                for e, c in enumerate(raw) if (any(c) if level > 1 else c))
 
-        return rend(self.coords(), ctx.height)
+        return rend(self.coords(), self.ctx.height)
 
 
 def imaginary_unit(ctx):

@@ -10,7 +10,7 @@ citation.
 """
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, isqrt
 
 
 # -- exact matrix helpers ------------------------------------------------------
@@ -436,20 +436,25 @@ _OBSTRUCTION_TRANSCRIPT = (
 
 def tn_obstruction_evidence(n, bound=12):
     """Exhaustive search report: no primitive vector with form value n and
-    coordinates bounded by `bound`."""
+    coordinates bounded by `bound`.  For each (a1, a2, a3) the only
+    candidates are a4 = +/- isqrt(a1^2 + a2^2 - a3^2 - n)."""
     candidates = 0
     primitive = 0
     rng = range(-bound, bound + 1)
     for a1 in rng:
         for a2 in rng:
-            h = a1 * a1 + a2 * a2
+            h = a1 * a1 + a2 * a2 - n
             for a3 in rng:
-                hh = h - a3 * a3
-                for a4 in rng:
-                    if hh - a4 * a4 == n:
-                        candidates += 1
-                        if minor_gcd((a1, a2, a3, a4)) == 1:
-                            primitive += 1
+                sq = h - a3 * a3
+                if sq < 0:
+                    continue
+                a4 = isqrt(sq)
+                if a4 * a4 != sq or a4 > bound:
+                    continue
+                for a in ((a1, a2, a3, a4), (a1, a2, a3, -a4)) if a4 else ((a1, a2, a3, 0),):
+                    candidates += 1
+                    if minor_gcd(a) == 1:
+                        primitive += 1
     return {"bound": bound, "candidates": candidates,
             "primitive_found": primitive}
 

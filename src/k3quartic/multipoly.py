@@ -13,6 +13,7 @@ domains for the relations we use.
 from fractions import Fraction
 
 from . import polynomials as _polynomials
+from .polynomials import FractionArithmetic, power, render_terms
 
 
 def _is_scalar(x):
@@ -155,15 +156,7 @@ class MultiPoly:
     def __pow__(self, n):
         if not isinstance(n, int) or n < 0:
             return NotImplemented
-        result = MultiPoly.const(self.vars, 1)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            n >>= 1
-            if n:
-                base = base * base
-        return result
+        return power(self, n, MultiPoly.const(self.vars, 1))
 
     def __truediv__(self, other):
         if _is_scalar(other):
@@ -185,6 +178,9 @@ class MultiPoly:
         return not self.is_zero
 
     def __hash__(self):
+        # a constant equals its scalar, so it must hash like it
+        if self.total_degree() <= 0:
+            return hash(self.terms.get((0,) * len(self.vars), 0))
         return hash((self.vars, tuple(sorted(self.terms.items()))))
 
     # -- substitution and division ---------------------------------------------
@@ -273,31 +269,10 @@ class MultiPoly:
         return out
 
     def __repr__(self):
-        if self.is_zero:
-            return "0"
-        parts = []
-        for e in sorted(self.terms, reverse=True):
-            c = self.terms[e]
-            mono = "*".join(
-                (v if k == 1 else "%s^%d" % (v, k))
-                for v, k in zip(self.vars, e)
-                if k
-            )
-            cs = str(c)
-            if not mono:
-                parts.append(cs)
-            elif cs == "1":
-                parts.append(mono)
-            elif cs == "-1":
-                parts.append("-" + mono)
-            else:
-                if any(ch in cs[1:] for ch in "+- "):
-                    cs = "(%s)" % cs
-                parts.append("%s*%s" % (cs, mono))
-        out = parts[0]
-        for p in parts[1:]:
-            out += " - " + p[1:] if p.startswith("-") else " + " + p
-        return out
+        return render_terms(
+            (str(self.terms[e]),
+             "*".join(v if k == 1 else "%s^%d" % (v, k) for v, k in zip(self.vars, e) if k))
+            for e in sorted(self.terms, reverse=True))
 
 
 class QuotientContext:
@@ -368,7 +343,7 @@ class QuotientContext:
         return "QuotientContext(%s | %s)" % (",".join(self.vars), rels)
 
 
-class QuotientFraction:
+class QuotientFraction(FractionArithmetic):
     """num/den in a quotient ring, with equality by cross-multiplication."""
 
     __slots__ = ("qctx", "num", "den")
@@ -401,53 +376,8 @@ class QuotientFraction:
             return other
         return QuotientFraction(self.qctx, other)
 
-    def __add__(self, other):
-        o = self._lift(other)
-        return QuotientFraction(
-            self.qctx, self.num * o.den + o.num * self.den, self.den * o.den
-        )
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        o = self._lift(other)
-        return QuotientFraction(
-            self.qctx, self.num * o.den - o.num * self.den, self.den * o.den
-        )
-
-    def __rsub__(self, other):
-        return self._lift(other) - self
-
-    def __mul__(self, other):
-        o = self._lift(other)
-        return QuotientFraction(self.qctx, self.num * o.num, self.den * o.den)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        o = self._lift(other)
-        if o.num.is_zero:
-            raise ZeroDivisionError("division by zero in quotient ring")
-        return QuotientFraction(self.qctx, self.num * o.den, self.den * o.num)
-
-    def __rtruediv__(self, other):
-        return self._lift(other) / self
-
-    def __neg__(self):
-        return QuotientFraction(self.qctx, -self.num, self.den)
-
-    def __pow__(self, n):
-        if not isinstance(n, int):
-            return NotImplemented
-        if n < 0:
-            if self.num.is_zero:
-                raise ZeroDivisionError("negative power of zero")
-            return QuotientFraction(self.qctx, self.den ** (-n), self.num ** (-n))
-        return QuotientFraction(self.qctx, self.num ** n, self.den ** n)
-
-    @property
-    def is_zero(self):
-        return self.num.is_zero
+    def _new(self, num, den):
+        return QuotientFraction(self.qctx, num, den)
 
     def __eq__(self, other):
         try:
@@ -455,9 +385,6 @@ class QuotientFraction:
         except TypeError:
             return NotImplemented
         return self.qctx.is_zero(self.num * o.den - o.num * self.den)
-
-    def __bool__(self):
-        return not self.is_zero
 
     def __repr__(self):
         if self.den == MultiPoly.const(self.qctx.vars, 1):

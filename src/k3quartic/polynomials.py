@@ -8,6 +8,11 @@ comparisons behave without special-casing.
 ``RationalFunction`` keeps a reduced num/den pair with a monic denominator,
 which makes equality structural.  Division of polynomials that does not come
 out even lands there automatically via ``__truediv__``.
+
+As the lowest module, this one also holds what the scalar and polynomial
+classes share: ``render_terms`` prints every sum of terms, ``power`` is the
+one square-and-multiply loop, and ``FractionArithmetic`` carries the field
+operations of ``RationalFunction`` and ``multipoly.QuotientFraction``.
 """
 
 import math
@@ -27,6 +32,44 @@ def register_higher(*types):
 
 def _is_scalar(x):
     return not isinstance(x, (Poly, RationalFunction))
+
+
+def render_terms(pairs):
+    """A sum printed from (coefficient text, monomial text) pairs in display
+    order; the monomial text of a constant term is empty.  A coefficient of 1
+    or -1 folds into its monomial, one with an inner sign is parenthesized,
+    "+ -" reads " - ", and the empty sum is "0"."""
+    parts = []
+    for cs, mono in pairs:
+        if not mono:
+            parts.append(cs)
+        elif cs == "1":
+            parts.append(mono)
+        elif cs == "-1":
+            parts.append("-" + mono)
+        else:
+            if any(ch in cs[1:] for ch in "+- "):
+                cs = "(%s)" % cs
+            parts.append("%s*%s" % (cs, mono))
+    if not parts:
+        return "0"
+    out = parts[0]
+    for p in parts[1:]:
+        out += " - " + p[1:] if p.startswith("-") else " + " + p
+    return out
+
+
+def power(base, n, one):
+    """base ** n for an integer n >= 0 by square-and-multiply; `one` is the
+    multiplicative identity of base's ring."""
+    result = one
+    while n:
+        if n & 1:
+            result = result * base
+        n >>= 1
+        if n:
+            base = base * base
+    return result
 
 
 class Poly:
@@ -144,15 +187,7 @@ class Poly:
     def __pow__(self, n):
         if not isinstance(n, int) or n < 0:
             return NotImplemented
-        result = Poly.constant(self.var, 1)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            n >>= 1
-            if n:
-                base = base * base
-        return result
+        return power(self, n, Poly.constant(self.var, 1))
 
     def __divmod__(self, other):
         o = self._check(other)
@@ -234,31 +269,16 @@ class Poly:
         return not self.is_zero
 
     def __hash__(self):
-        return hash((self.var, tuple(sorted(self.coeffs.items(), key=lambda t: t[0]))))
+        # a constant equals its scalar, so it must hash like it
+        if self.degree <= 0:
+            return hash(self.coeff(0))
+        return hash((self.var, tuple(sorted(self.coeffs.items()))))
 
     def __repr__(self):
-        if self.is_zero:
-            return "0"
-        parts = []
-        for e in sorted(self.coeffs, reverse=True):
-            c = self.coeffs[e]
-            if e == 0:
-                parts.append(str(c))
-                continue
-            mono = self.var if e == 1 else "%s^%d" % (self.var, e)
-            cs = str(c)
-            if cs == "1":
-                parts.append(mono)
-            elif cs == "-1":
-                parts.append("-" + mono)
-            else:
-                if any(ch in cs[1:] for ch in "+- ") :
-                    cs = "(%s)" % cs
-                parts.append("%s*%s" % (cs, mono))
-        out = parts[0]
-        for p in parts[1:]:
-            out += " - " + p[1:] if p.startswith("-") else " + " + p
-        return out
+        var = self.var
+        return render_terms(
+            (str(self.coeffs[e]), "" if e == 0 else var if e == 1 else "%s^%d" % (var, e))
+            for e in sorted(self.coeffs, reverse=True))
 
 
 def poly_gcd(a, b):
@@ -374,17 +394,26 @@ def poly_nth_root(p, n):
     return root
 
 
-def _int_divisors(n):
-    n = abs(n)
-    small, large = [], []
-    d = 1
+def factor_int(n):
+    """Prime factorization {p: e} of a positive integer by trial division."""
+    out = {}
+    d = 2
     while d * d <= n:
-        if n % d == 0:
-            small.append(d)
-            if d * d != n:
-                large.append(n // d)
+        while n % d == 0:
+            out[d] = out.get(d, 0) + 1
+            n //= d
         d += 1
-    return small + large[::-1]
+    if n > 1:
+        out[n] = 1
+    return out
+
+
+def _int_divisors(n):
+    """The positive divisors of a nonzero integer, ascending."""
+    divisors = [1]
+    for p, e in factor_int(abs(n)).items():
+        divisors = [d * p ** k for d in divisors for k in range(e + 1)]
+    return sorted(divisors)
 
 
 def rational_roots(p):
@@ -458,7 +487,80 @@ def certified_factors(p):
     return factors, work
 
 
-class RationalFunction:
+class FractionArithmetic:
+    """Field operations on a ``num``/``den`` pair, shared by the fraction classes.
+
+    A subclass supplies ``_lift(other)``, the other operand as an instance of
+    its own, or None to defer to the other operand, and ``_new(num, den)``, an
+    instance built from a numerator and a nonzero denominator.
+    """
+
+    __slots__ = ()
+
+    @property
+    def is_zero(self):
+        return self.num.is_zero
+
+    def __bool__(self):
+        return not self.is_zero
+
+    def __add__(self, other):
+        o = self._lift(other)
+        if o is None:
+            return NotImplemented
+        return self._new(self.num * o.den + o.num * self.den, self.den * o.den)
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        o = self._lift(other)
+        if o is None:
+            return NotImplemented
+        return self._new(self.num * o.den - o.num * self.den, self.den * o.den)
+
+    def __rsub__(self, other):
+        o = self._lift(other)
+        if o is None:
+            return NotImplemented
+        return o - self
+
+    def __mul__(self, other):
+        o = self._lift(other)
+        if o is None:
+            return NotImplemented
+        return self._new(self.num * o.num, self.den * o.den)
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, other):
+        o = self._lift(other)
+        if o is None:
+            return NotImplemented
+        if o.is_zero:
+            raise ZeroDivisionError("division by a zero fraction")
+        return self._new(self.num * o.den, self.den * o.num)
+
+    def __rtruediv__(self, other):
+        o = self._lift(other)
+        if o is None:
+            return NotImplemented
+        return o / self
+
+    def __neg__(self):
+        return self._new(-self.num, self.den)
+
+    def __pow__(self, n):
+        if not isinstance(n, int):
+            return NotImplemented
+        num, den = self.num, self.den
+        if n < 0:
+            if self.is_zero:
+                raise ZeroDivisionError("negative power of zero")
+            num, den, n = den, num, -n
+        return self._new(num ** n, den ** n)
+
+
+class RationalFunction(FractionArithmetic):
     """Quotient of two polynomials in one variable, kept reduced.
 
     The denominator is monic and coprime to the numerator, so equality is
@@ -510,10 +612,6 @@ class RationalFunction:
             raise ValueError("%r is not polynomial" % self)
         return self.num
 
-    @property
-    def is_zero(self):
-        return self.num.is_zero
-
     def _lift(self, other):
         if isinstance(other, RationalFunction):
             if other.var != self.var:
@@ -527,62 +625,11 @@ class RationalFunction:
             return None
         return RationalFunction(Poly.constant(self.var, other))
 
-    def __add__(self, other):
-        o = self._lift(other)
-        if o is None:
-            return NotImplemented
-        return RationalFunction(self.num * o.den + o.num * self.den, self.den * o.den)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        o = self._lift(other)
-        if o is None:
-            return NotImplemented
-        return RationalFunction(self.num * o.den - o.num * self.den, self.den * o.den)
-
-    def __rsub__(self, other):
-        o = self._lift(other)
-        if o is None:
-            return NotImplemented
-        return o - self
-
-    def __mul__(self, other):
-        o = self._lift(other)
-        if o is None:
-            return NotImplemented
-        return RationalFunction(self.num * o.num, self.den * o.den)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        o = self._lift(other)
-        if o is None:
-            return NotImplemented
-        if o.is_zero:
-            raise ZeroDivisionError("division by zero rational function")
-        return RationalFunction(self.num * o.den, self.den * o.num)
-
-    def __rtruediv__(self, other):
-        o = self._lift(other)
-        if o is None:
-            return NotImplemented
-        return o / self
+    def _new(self, num, den):
+        return RationalFunction(num, den)
 
     def __neg__(self):
         return RationalFunction(-self.num, self.den, _reduced=True)
-
-    def __pow__(self, n):
-        if not isinstance(n, int):
-            return NotImplemented
-        if n < 0:
-            if self.is_zero:
-                raise ZeroDivisionError("negative power of zero")
-            base = RationalFunction(self.den, self.num)
-            n = -n
-        else:
-            base = self
-        return RationalFunction(base.num ** n, base.den ** n)
 
     def __eq__(self, other):
         try:
@@ -593,10 +640,10 @@ class RationalFunction:
             return NotImplemented
         return self.num == o.num and self.den == o.den
 
-    def __bool__(self):
-        return not self.is_zero
-
     def __hash__(self):
+        # a polynomial equals its numerator, so it must hash like it
+        if self.is_polynomial:
+            return hash(self.num)
         return hash((self.num, self.den))
 
     def substitute(self, value):

@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import random
 from fractions import Fraction
 
@@ -22,6 +23,7 @@ from k3quartic.lattices import (
     mat_det,
     mat_mul,
     mat_transpose,
+    minor_gcd,
     neron_severi_gram,
     pair_gram,
     rank4_classification_check,
@@ -191,6 +193,21 @@ def test_tn_obstruction():
     assert r.evidence == {"bound": 12, "candidates": 756, "primitive_found": 0}
     assert isinstance(tn_search(6), Obstructed)
     assert tn_search(6).evidence is None
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 4, 6, 7, 10, 14, 15, -3])
+@pytest.mark.parametrize("bound", [0, 1, 4])
+def test_tn_obstruction_evidence_matches_brute_force(n, bound):
+    rng = range(-bound, bound + 1)
+    candidates = primitive = 0
+    for a in itertools.product(rng, repeat=4):
+        if a[0] ** 2 + a[1] ** 2 - a[2] ** 2 - a[3] ** 2 == n:
+            candidates += 1
+            primitive += minor_gcd(a) == 1
+    assert tn_obstruction_evidence(n, bound) == {
+        "bound": bound, "candidates": candidates, "primitive_found": primitive}
+    if bound == 4 and n in (1, 3, 7, 15, -3):
+        assert primitive > 0
 
 
 def test_tn_input_validation():

@@ -113,3 +113,11 @@ def test_two_relation_context():
     red = ctx.reduce(t ** 2 * w ** 5)
     assert red == (r ** 2 + 1) * (r - 1) * w
     assert ctx.is_zero((t ** 2 - r ** 2 - 1) * w ** 3)
+
+
+def test_constant_hashes_like_the_value_it_equals():
+    c = MultiPoly.const(V, Fraction(3, 2))
+    assert c == Fraction(3, 2) and hash(c) == hash(Fraction(3, 2))
+    assert len({c, Fraction(3, 2), Poly.constant("x", Fraction(3, 2))}) == 1
+    assert hash(MultiPoly.zero(V)) == hash(0)
+    assert len({x + 1, x + 1}) == 1

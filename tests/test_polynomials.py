@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -6,7 +7,9 @@ from k3quartic.fields import gaussian_field
 from k3quartic.polynomials import (
     Poly,
     RationalFunction,
+    _int_divisors,
     certified_factors,
+    factor_int,
     poly_gcd,
     poly_nth_root,
     rational_roots,
@@ -171,3 +174,29 @@ def test_poly_substitute_negative_power_via_rf():
     p = lam ** 2 + 3
     mu_inv = 1 / Poly.x("lam")
     assert p(mu_inv) == (1 + 3 * lam ** 2) / lam ** 2
+
+
+def test_constants_hash_like_the_values_they_equal():
+    two = Poly.constant("lam", 2)
+    assert two == 2 and hash(two) == hash(2)
+    assert len({two, 2}) == 1
+    assert hash(Poly("lam")) == hash(0)
+    K = gaussian_field()
+    i_const = Poly.constant("lam", K.gen())
+    assert i_const == K.gen() and hash(i_const) == hash(K.gen())
+    p = lam ** 2 + 1
+    assert RationalFunction(p) == p and hash(RationalFunction(p)) == hash(p)
+    half = RationalFunction(Poly.constant("lam", Fraction(1, 2)))
+    assert len({half, Fraction(1, 2), Poly.constant("lam", Fraction(1, 2))}) == 1
+
+
+def test_divisors_from_the_prime_factorization():
+    for n in range(1, 501):
+        assert _int_divisors(n) == [d for d in range(1, n + 1) if n % d == 0]
+        assert _int_divisors(-n) == _int_divisors(n)
+        f = factor_int(n)
+        assert math.prod(p ** e for p, e in f.items()) == n
+        assert all(e > 0 and p > 1 and all(p % q for q in range(2, p)) for p, e in f.items())
+    for p, q in ((101, 103), (7919, 104729), (2, 2147483647), (65537, 65537)):
+        assert factor_int(p * q) == ({p: 2} if p == q else {p: 1, q: 1})
+        assert _int_divisors(p * q) == sorted({1, p, q, p * q})
