@@ -290,10 +290,12 @@ def _fourth_root_in_theta_field(s, root_choice):
     field = (quartic_root_field(7) if root_choice % 2 == 0
              else with_imaginary_unit("quartic_root", 7))
     sign = -1 if s < 0 else 1
-    f = factor_int(abs(s))
-    if set(f) - {7} or f.get(7, 0) >= 4:
+    j, rest = 0, abs(s)
+    while j < 4 and rest % 7 == 0:
+        rest //= 7
+        j += 1
+    if rest != 1 or j == 4:
         raise ValueError("constant remainder %r is not +/- a power of 7 below 7^4" % (s,))
-    j = f.get(7, 0)
     w0 = _theta_power(field, j)
     if sign < 0:
         # need a fourth root of -1: i^(1/2) does not exist here, but

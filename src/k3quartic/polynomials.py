@@ -408,19 +408,129 @@ def factor_int(n):
     return out
 
 
-def _int_divisors(n):
-    """The positive divisors of a nonzero integer, ascending."""
-    divisors = [1]
-    for p, e in factor_int(abs(n)).items():
-        divisors = [d * p ** k for d in divisors for k in range(e + 1)]
-    return sorted(divisors)
+def _int_horner(c, x):
+    """c(x) for integer coefficients c, lowest degree first."""
+    acc = 0
+    for a in reversed(c):
+        acc = acc * x + a
+    return acc
+
+
+def _taylor_shift(c, s):
+    """The coefficients of c(x + s), lowest degree first."""
+    c = list(c)
+    n = len(c)
+    for i in range(n - 1):
+        for j in range(n - 2, i - 1, -1):
+            c[j] += s * c[j + 1]
+    return c
+
+
+def _descartes_count(c, a, b):
+    """Descartes' bound on the roots of c in the open interval (a, b): the
+    sign variations of (x + 1)^n c((a + b x) / (x + 1)).  It is exact when
+    it reads 0 or 1."""
+    w = b - a
+    shifted = [ci * w ** i for i, ci in enumerate(_taylor_shift(c, a))]
+    signs = [v > 0 for v in _taylor_shift(shifted[::-1], 1) if v]
+    return sum(s != t for s, t in zip(signs, signs[1:]))
+
+
+def _integer_root_in(c, a, b):
+    """The integer root of c strictly between a and b, or None, when c has
+    exactly one (simple) real root there: bisection on the sign of c."""
+    lo, hi = a + 1, b - 1
+    if lo > hi:
+        return None
+    s_lo, s_hi = _int_horner(c, lo), _int_horner(c, hi)
+    if s_lo == 0:
+        return lo
+    if s_hi == 0:
+        return hi
+    if (s_lo > 0) == (s_hi > 0):
+        return None
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        v = _int_horner(c, mid)
+        if v == 0:
+            return mid
+        if (v > 0) == (s_lo > 0):
+            lo = mid
+        else:
+            hi = mid
+    return None
+
+
+def _monic_integer_roots(c):
+    """The integer roots of a monic integer polynomial with c[0] != 0.
+
+    Every real root lies strictly inside (-B, B) for the power of two B from
+    Fujiwara's bound, so Descartes' rule on integer subintervals, bisected
+    at integer midpoints, misses none; an interval of width 1 holds no
+    integer in its interior and is dropped."""
+    n = len(c) - 1
+    e = max(-(-abs(ci).bit_length() // (n - i)) for i, ci in enumerate(c[:-1]))
+    bound = 1 << (e + 1)
+    roots = []
+    stack = [(-bound, bound)]
+    while stack:
+        a, b = stack.pop()
+        if b - a < 2:
+            continue
+        v = _descartes_count(c, a, b)
+        if v == 1:
+            r = _integer_root_in(c, a, b)
+            if r is not None:
+                roots.append(r)
+        elif v > 1:
+            mid = (a + b) // 2
+            if _int_horner(c, mid) == 0:
+                roots.append(mid)
+            stack.append((a, mid))
+            stack.append((mid, b))
+    return roots
+
+
+def _root_candidates(ints):
+    """Rational numbers that include every rational root of the integer
+    polynomial {exponent: coefficient} whose constant term is nonzero."""
+    n = max(ints)
+    if n == 1:
+        return [Fraction(-ints[0], ints[1])]
+    if n == 2:
+        a, b, c = ints[2], ints.get(1, 0), ints[0]
+        disc = b * b - 4 * a * c
+        s = math.isqrt(disc) if disc >= 0 else -1
+        if s * s != disc:
+            return []
+        return [Fraction(-b + s, 2 * a), Fraction(-b - s, 2 * a)]
+    # the squarefree part h has the same roots; a rational root x of h
+    # gives the integer root y = h_n x of h_n^(n-1) h(y / h_n)
+    f = Poly("x", ints)
+    h = f // poly_gcd(f, f.derivative())
+    den = 1
+    for ci in h.coeffs.values():
+        den = den * ci.denominator // math.gcd(den, ci.denominator)
+    h = [int(h.coeff(i) * den) for i in range(h.degree + 1)]
+    content = math.gcd(*h)
+    h = [ci // content for ci in h]
+    lead = h[-1]
+    monic = [ci * lead ** (len(h) - 2 - i) for i, ci in enumerate(h[:-1])] + [1]
+    return [Fraction(y, lead) for y in _monic_integer_roots(monic)]
 
 
 def rational_roots(p):
     """All rational roots with multiplicities: [(Fraction root, mult)].
 
-    Requires Fraction (or int) coefficients.  The classic numerator/denominator
-    divisor test, then multiplicity by repeated division.
+    Requires Fraction (or int) coefficients.  No integer is factored, so the
+    cost is polynomial in the bit size of the coefficients.  After clearing
+    denominators and splitting off the root 0, a linear or quadratic
+    polynomial gives its candidates in closed form (``math.isqrt`` of the
+    discriminant); a higher degree isolates the integer roots of the monic
+    transform of its squarefree part by Descartes' rule of signs.  Each
+    candidate is confirmed by exact evaluation and its multiplicity counted
+    by exact division.  Roots come out as 0 first, then by (|numerator|,
+    denominator), positive before negative.
     """
     if p.is_zero:
         raise ValueError("every rational is a root of the zero polynomial")
@@ -437,17 +547,10 @@ def rational_roots(p):
     if lo > 0:
         out.append((Fraction(0), lo))
         ints = {e - lo: c for e, c in ints.items()}
-    a0 = ints[0]
-    an = ints[max(ints)]
-    seen = set()
-    cands = []
-    for pn in _int_divisors(a0):
-        for pd in _int_divisors(an):
-            for s in (1, -1):
-                q = Fraction(s * pn, pd)
-                if q not in seen:
-                    seen.add(q)
-                    cands.append(q)
+    if max(ints) == 0:
+        return out
+    cands = sorted(set(_root_candidates(ints)),
+                   key=lambda q: (abs(q.numerator), q.denominator, q < 0))
     work = Poly(p.var, {e: Fraction(c) for e, c in ints.items()})
     for r in cands:
         if work.degree <= 0:

@@ -1,5 +1,8 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -96,6 +99,27 @@ def test_negative_alpha_forms_agree(capsys, command):
     assert len(outs) == 1
     assert json.loads(outs.pop())["inputs"]["alpha"] == "-1/3"
 
+
+
+# numerator and denominator are each a product of two 8-digit primes
+SEMIPRIME_ALPHA = "10000004400000259/10000003799999461"
+
+
+@pytest.mark.parametrize("argv,expected", [(("analyze",), 0), (("fibers",), 0),
+                                           (("cm", "--beta4"), 2)],
+                         ids=["analyze", "fibers", "cm"])
+def test_semiprime_alpha_finishes(argv, expected):
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run([sys.executable, "-m", "k3quartic.cli", *argv, SEMIPRIME_ALPHA, "--json"],
+                          capture_output=True, text=True, timeout=10, env=env)
+    assert proc.returncode == expected, proc.stderr
+    if expected:
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+    else:
+        assert json.loads(proc.stdout)["inputs"]["alpha"] == SEMIPRIME_ALPHA
 
 class TestFibers:
     def test_table(self, capsys):

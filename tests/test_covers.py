@@ -9,6 +9,7 @@ from k3quartic.covers import (
     Parametrization,
     SPLIT_PARAM_QUARTIC,
     SPLIT_PARAM_SEXTIC,
+    _fourth_root_in_theta_field,
     even_descend,
     fourth_power_test,
     lift_two_section,
@@ -150,6 +151,18 @@ def test_split_fourth_power():
     for c in (Fraction(1), Fraction(-7, 48), Fraction(625, 16)):
         t, s = split_fourth_power(c)
         assert t ** 4 * s == c
+
+
+
+def test_fourth_root_of_a_power_of_seven():
+    for j in range(4):
+        field, w0 = _fourth_root_in_theta_field(7 ** j, 0)
+        assert w0 ** 4 == field.from_rational(7 ** j)
+    for s in (7 ** 4, 7 ** 5, 2 * 7, 49 * 3, 0):
+        with pytest.raises(ValueError, match="not \\+/- a power of 7 below 7\\^4"):
+            _fourth_root_in_theta_field(s, 0)
+    with pytest.raises(ValueError, match="negative"):
+        _fourth_root_in_theta_field(-7, 0)
 
 
 def test_even_descend():

@@ -1,4 +1,5 @@
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -7,7 +8,6 @@ from k3quartic.fields import gaussian_field
 from k3quartic.polynomials import (
     Poly,
     RationalFunction,
-    _int_divisors,
     certified_factors,
     factor_int,
     poly_gcd,
@@ -119,6 +119,69 @@ def test_rational_roots():
     assert rational_roots(lam ** 3) == [(Fraction(0), 3)]
 
 
+
+def _root_order(q):
+    # root 0 first, then (|numerator|, denominator), positive before negative
+    return abs(q.numerator), q.denominator, q < 0
+
+
+def _random_rooted_poly(rng):
+    """A seeded polynomial of degree 1-8 over Fraction mixing rational roots
+    (some with 20- to 60-digit numerators and denominators, some repeated,
+    0 and +/- pairs among them) with irreducible quadratic and cubic factors."""
+    t = Poly.x("t")
+    p = Poly.constant("t", Fraction(rng.choice([-1, 1]) * rng.randint(1, 9), rng.randint(1, 9)))
+    while p.degree < 1 or rng.random() < 0.6:
+        kind = rng.random()
+        if kind < 0.35:
+            f = t - Fraction(rng.randint(-40, 40), rng.randint(1, 12))
+        elif kind < 0.55:
+            digits = rng.randint(20, 60)
+            f = t - Fraction(rng.choice([-1, 1]) * rng.randint(10 ** (digits - 1), 10 ** digits),
+                             rng.randint(10 ** (digits - 1), 10 ** digits))
+        elif kind < 0.6:
+            f = t
+        elif kind < 0.7:
+            f = t ** 2 - Fraction(rng.randint(1, 20), rng.randint(1, 6)) ** 2
+        elif kind < 0.85:
+            f = rng.randint(1, 5) * t ** 2 + rng.randint(-9, 9) * t + rng.choice([1, 2, 3, 5, 7])
+        else:
+            f = t ** 3 - rng.choice([2, 3, 5, 7, 10])
+        m = rng.choice([1, 1, 2, 3])
+        if p.degree + m * f.degree <= 8:
+            p = p * f ** m
+    return p
+
+
+def test_rational_roots_match_sympy():
+    sympy = pytest.importorskip("sympy")
+    x = sympy.Symbol("x")
+    rng = random.Random(20240611)
+    for _ in range(320):
+        p = _random_rooted_poly(rng)
+        coeffs = [sympy.Rational(c.numerator, c.denominator) for c in
+                  (p.coeff(e) for e in range(p.degree, -1, -1))]
+        oracle = sympy.Poly(coeffs, x, domain=sympy.QQ).ground_roots()
+        expected = sorted(((Fraction(int(r.p), int(r.q)), m) for r, m in oracle.items()),
+                          key=lambda rm: _root_order(rm[0]))
+        assert rational_roots(p) == expected, p
+
+
+def test_squarefree_decompose_matches_sympy():
+    sympy = pytest.importorskip("sympy")
+    x = sympy.Symbol("x")
+    rng = random.Random(20240612)
+    for _ in range(120):
+        p = _random_rooted_poly(rng)
+        coeffs = [sympy.Rational(c.numerator, c.denominator) for c in
+                  (p.coeff(e) for e in range(p.degree, -1, -1))]
+        unit, factors = sympy.Poly(coeffs, x, domain=sympy.QQ).sqf_list()
+        expected = [([Fraction(int(c.p), int(c.q)) for c in reversed(f.all_coeffs())], m)
+                    for f, m in factors]
+        got_unit, got = squarefree_decompose(p)
+        assert got_unit == Fraction(int(unit.p), int(unit.q))
+        assert [([f.coeff(e) for e in range(f.degree + 1)], m) for f, m in got] == expected
+
 def test_certified_factors():
     p = (lam - 2) * (lam ** 2 + 3)
     factors, residual = certified_factors(p)
@@ -190,13 +253,10 @@ def test_constants_hash_like_the_values_they_equal():
     assert len({half, Fraction(1, 2), Poly.constant("lam", Fraction(1, 2))}) == 1
 
 
-def test_divisors_from_the_prime_factorization():
+def test_factor_int_is_the_prime_factorization():
     for n in range(1, 501):
-        assert _int_divisors(n) == [d for d in range(1, n + 1) if n % d == 0]
-        assert _int_divisors(-n) == _int_divisors(n)
         f = factor_int(n)
         assert math.prod(p ** e for p, e in f.items()) == n
         assert all(e > 0 and p > 1 and all(p % q for q in range(2, p)) for p, e in f.items())
     for p, q in ((101, 103), (7919, 104729), (2, 2147483647), (65537, 65537)):
         assert factor_int(p * q) == ({p: 2} if p == q else {p: 1, q: 1})
-        assert _int_divisors(p * q) == sorted({1, p, q, p * q})

@@ -6,9 +6,10 @@ one run stays fast and reproducible.
 """
 
 import random
+from datetime import timedelta
 from fractions import Fraction
 
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from k3quartic.covers import (
@@ -120,6 +121,36 @@ def test_classification_survives_fourth_power_twists():
         assert scaled.type_multiset() == base.type_multiset()
         assert scaled.total_euler == base.total_euler == 24
 
+
+
+@st.composite
+def _tall_alphas(draw):
+    """(alpha, 1 - alpha is a square) with 20- to 60-digit numerator and
+    denominator; half the draws are members with a square 1 - alpha."""
+    digits = draw(st.integers(20, 60))
+    sign = draw(st.sampled_from([-1, 1]))
+    if draw(st.booleans()):
+        half = digits // 2
+        r = Fraction(sign * draw(st.integers(10 ** (half - 1), 10 ** half)),
+                     draw(st.integers(10 ** (half - 1), 10 ** half)))
+        assume(r * r != 1)
+        return 1 - r * r, True
+    alpha = Fraction(sign * draw(st.integers(10 ** (digits - 1), 10 ** digits)),
+                     draw(st.integers(10 ** (digits - 1), 10 ** digits)))
+    assume(alpha != 1)
+    return alpha, False
+
+
+@given(_tall_alphas())
+@settings(max_examples=40, deadline=timedelta(milliseconds=500))
+def test_tall_alphas_classify_in_time(drawn):
+    alpha, square = drawn
+    cfg = classify_fibers(standard_family(alpha))
+    assert cfg.total_euler == 24
+    assert cfg.type_multiset() == ["I0*", "I0*", "III", "III*"]
+    assert all(fb.certified for fb in cfg.fibers)
+    # a square 1 - alpha splits lam^2 + 2 lam + alpha into two rational places
+    assert len([fb for fb in cfg.fibers if fb.type == "I0*"]) == (2 if square else 1)
 
 # -- the group law on a rank-one curve ----------------------------------------
 
