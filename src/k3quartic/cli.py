@@ -15,8 +15,6 @@ import re
 import sys
 from fractions import Fraction
 
-import mpmath
-
 from .covers import (
     ContainedInBranch,
     CoverSplits,
@@ -174,6 +172,7 @@ def _encode_split_verdict(verdict):
 
 
 def _encode_cm_verdict(res):
+    import mpmath
     if isinstance(res, IsogenousToE):
         return {
             "kind": "IsogenousToE",
@@ -440,6 +439,7 @@ def check_period_examples():
 
 
 def check_cm_square_lattice():
+    import mpmath
     pr = period_ratio_numeric(1, 0, -1, precision_bits=128)
     dist = abs(pr.tau - mpmath.mpc(0, 1))
     close = dist < mpmath.mpf("1e-12")
@@ -684,11 +684,19 @@ def cmd_split(args):
     return build_report("split", inputs, results, ledger)
 
 
+# keeps cm interactive: 2^16 bits take under half a second, 2^20 bits took
+# about half a minute
+MAX_PRECISION_BITS = 2 ** 16
+
+
 def cmd_cm(args):
+    import mpmath
     beta4 = _parse_rational_flag(args.beta4, "--beta4")
     precision = args.precision
     if precision < 32:
         raise UsageError("--precision must be at least 32 bits")
+    if precision > MAX_PRECISION_BITS:
+        raise UsageError("--precision must be at most %d bits" % MAX_PRECISION_BITS)
     try:
         rhs = base_elliptic_rhs(beta4)
         j = j_invariant(rhs)

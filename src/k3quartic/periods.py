@@ -5,23 +5,23 @@ numeric generators); what comes out is a period ratio with a stated error
 bound and, from that, an integer quadratic relation detected at a threshold
 far above the noise floor, so a positive identification is never an artifact
 of rounding.  Everything numeric runs through mpmath at a caller-chosen
-precision with guard bits.
+precision with guard bits.  mpmath is imported on the first numeric call, not
+with this module, so the exact commands never load it.
 """
 
 import math
 from collections import namedtuple
 from fractions import Fraction
 
-import mpmath
-from mpmath import mp
-
 from .fields import FieldElement
 from .polynomials import rational_roots
+from .serialize import rat_str
 
 GUARD_BITS = 16
 
 
 def _gen_value(desc):
+    import mpmath
     kind = desc[0]
     if kind == "root_of_unity":
         return mpmath.expjpi(mpmath.mpf(2) / desc[1])
@@ -35,6 +35,7 @@ def _gen_value(desc):
 
 
 def _frac_to_mp(q):
+    import mpmath
     q = Fraction(q)
     return mpmath.mpf(q.numerator) / q.denominator
 
@@ -45,7 +46,8 @@ def embed(x, precision_bits=128):
     Field contexts carry numeric descriptors for their generators; an element
     of a context without them cannot be embedded.
     """
-    with mp.workprec(precision_bits + GUARD_BITS):
+    import mpmath
+    with mpmath.mp.workprec(precision_bits + GUARD_BITS):
         if isinstance(x, (int, Fraction)):
             return _frac_to_mp(x)
         if not isinstance(x, FieldElement):
@@ -68,6 +70,7 @@ def embed(x, precision_bits=128):
 
 
 def _real_embed(x, precision_bits):
+    import mpmath
     v = embed(x, precision_bits)
     if isinstance(v, mpmath.mpc):
         if abs(v.imag) > mpmath.mpf(2) ** (8 - precision_bits):
@@ -87,7 +90,8 @@ def period_ratio_numeric(e1, e2, e3, precision_bits=128):
     of e1-e3, e1-e2, e2-e3.  The returned error bound 2^(8-precision_bits)
     dominates the AGM truncation error at the working precision.
     """
-    with mp.workprec(precision_bits + GUARD_BITS):
+    import mpmath
+    with mpmath.mp.workprec(precision_bits + GUARD_BITS):
         vals = sorted((_real_embed(e, precision_bits) for e in (e1, e2, e3)),
                       reverse=True)
         r1, r2, r3 = vals
@@ -108,7 +112,8 @@ def tau_from_cubic(rhs, precision_bits=128):
     for r, m in rational_roots(rhs):
         roots.extend([r] * m)
     if len(roots) != 3:
-        raise ValueError("cubic does not split rationally: roots %r" % roots)
+        raise ValueError("cubic does not split rationally: roots [%s]"
+                         % ", ".join(rat_str(r) for r in roots))
     return period_ratio_numeric(*roots, precision_bits=precision_bits)
 
 
@@ -163,7 +168,8 @@ def cm_isogeny_check(tau, max_conductor=10, precision_bits=128):
     """
     if max_conductor < 1:
         raise ValueError("max_conductor must be >= 1")
-    with mp.workprec(precision_bits + GUARD_BITS):
+    import mpmath
+    with mpmath.mp.workprec(precision_bits + GUARD_BITS):
         tau = mpmath.mpc(tau)
         if tau.imag <= 0:
             raise ValueError("tau must lie in the upper half plane")

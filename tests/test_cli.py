@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from k3quartic.cli import SUITES, main
+from k3quartic.cli import MAX_PRECISION_BITS, SUITES, main
 
 
 def run(capsys, *argv):
@@ -18,6 +18,15 @@ def run(capsys, *argv):
 def run_json(capsys, *argv):
     code, out, err = run(capsys, *argv, "--json")
     return code, json.loads(out), err
+
+
+def run_subprocess(*argv, timeout):
+    """One cold ``python -m k3quartic.cli`` process on this checkout's src."""
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    return subprocess.run([sys.executable, "-m", "k3quartic.cli", *argv],
+                          capture_output=True, text=True, timeout=timeout, env=env)
 
 
 class TestAnalyze:
@@ -109,11 +118,7 @@ SEMIPRIME_ALPHA = "10000004400000259/10000003799999461"
                                            (("cm", "--beta4"), 2)],
                          ids=["analyze", "fibers", "cm"])
 def test_semiprime_alpha_finishes(argv, expected):
-    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p))
-    proc = subprocess.run([sys.executable, "-m", "k3quartic.cli", *argv, SEMIPRIME_ALPHA, "--json"],
-                          capture_output=True, text=True, timeout=10, env=env)
+    proc = run_subprocess(*argv, SEMIPRIME_ALPHA, "--json", timeout=10)
     assert proc.returncode == expected, proc.stderr
     if expected:
         assert proc.stdout == ""
@@ -260,9 +265,31 @@ class TestCm:
         assert code == 2
         assert "degenerate" in err
 
+    def test_unsplit_cubic_prints_rationals(self, capsys):
+        code, out, err = run(capsys, "cm", "--beta4", "81/49")
+        assert code == 2
+        assert out == ""
+        assert err == ("error: degenerate member: cubic does not split "
+                       "rationally: roots [0]\n")
+        assert "Fraction(" not in err
+
     def test_precision_floor(self, capsys):
         code, _, err = run(capsys, "cm", "--beta4", "7/9", "--precision", "16")
         assert code == 2
+
+    def test_precision_ceiling_is_inclusive(self, capsys):
+        code, rep, _ = run_json(capsys, "cm", "--beta4", "1/2",
+                                "--precision", str(MAX_PRECISION_BITS))
+        assert code == 0
+        assert rep["inputs"]["precision"] == MAX_PRECISION_BITS
+
+    def test_precision_above_ceiling_exits_at_once(self):
+        # uncapped, 5000000 bits ran for longer than 20 s
+        proc = run_subprocess("cm", "--beta4=1/2", "--precision", "5000000",
+                              timeout=10)
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr == "error: --precision must be at most 65536 bits\n"
 
 
 class TestModuli:
