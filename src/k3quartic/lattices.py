@@ -1,15 +1,13 @@
 """Even integral lattices given by Gram matrices: constructors, exact
 invariants, and the rank-two realization search inside diag(2,2,-2,-2).
 
-The determinant (Bareiss fraction-free elimination), the Smith normal form,
-delta and the rank-4 certificate search run on Python ints only; signature
-alone uses congruent diagonalization over Q.  Discriminant data comes from
-the Smith normal form with unimodular transforms, and the realization
-results are certified by explicit vectors and minor gcds rather than by
-citation.
+The determinant and the signature (one Bareiss fraction-free elimination
+step), the Smith normal form, delta and the rank-4 certificate search run
+on Python ints only.  Discriminant data comes from the Smith normal form
+with unimodular transforms, and the realization results are certified by
+explicit vectors and minor gcds rather than by citation.
 """
 
-from fractions import Fraction
 from math import gcd, isqrt
 
 
@@ -46,9 +44,24 @@ def _int_matrix(a):
     return m
 
 
+def _bareiss_step(m, k, prev):
+    """Eliminate below and right of the pivot m[k][k] in place and return
+    the pivot.  If every trailing entry was a k-minor bordering the leading
+    k x k block, whose determinant is `prev`, each becomes the (k+1)-minor
+    bordering the leading (k+1) x (k+1) block, so the division is exact."""
+    pivot_row = m[k]
+    pivot = pivot_row[k]
+    cols = range(k + 1, len(m))
+    for row in m[k + 1:]:
+        f = row[k]
+        for j in cols:
+            row[j] = (pivot * row[j] - f * pivot_row[j]) // prev
+    return pivot
+
+
 def mat_det(a):
-    """Determinant of an integer matrix by Bareiss elimination: after step k
-    each trailing entry is a (k+1)-minor, so every division is exact."""
+    """Determinant of an integer matrix by Bareiss elimination, swapping in
+    a row with a nonzero entry for a zero pivot."""
     m = _int_matrix(a)
     n = len(m)
     sign, prev = 1, 1
@@ -59,14 +72,7 @@ def mat_det(a):
                 return 0
             m[k], m[piv] = m[piv], m[k]
             sign = -sign
-        pivot_row = m[k]
-        pivot = pivot_row[k]
-        for i in range(k + 1, n):
-            row = m[i]
-            f = row[k]
-            for j in range(k + 1, n):
-                row[j] = (pivot * row[j] - f * pivot_row[j]) // prev
-        prev = pivot
+        prev = _bareiss_step(m, k, prev)
     return sign * m[n - 1][n - 1] if n else 1
 
 
@@ -163,10 +169,19 @@ def _validate_gram(gram):
 
 
 def signature(gram):
-    """(s_plus, s_minus) by symmetric Gaussian elimination over Q."""
+    """(s_plus, s_minus) by symmetric Bareiss elimination in integers.
+
+    Pivots stay on the diagonal: a zero pivot is swapped (rows and columns)
+    with a later nonzero diagonal entry, or, when the trailing diagonal is
+    all zero, row and column j are added onto k to make the pivot
+    2*m[k][j].  Both are congruences, so each pivot is the leading minor d_k
+    of a matrix congruent to the Gram, and the sign of d_k / d_(k-1), the
+    k-th diagonal entry of its LDL^T form, counts toward s_plus or s_minus
+    (Sylvester's law of inertia)."""
     n = _validate_gram(gram)
-    m = [[Fraction(x) for x in row] for row in gram]
+    m = _int_matrix(gram)
     plus = minus = 0
+    prev = 1
     for k in range(n):
         if m[k][k] == 0:
             j = next((j for j in range(k + 1, n) if m[j][j] != 0), None)
@@ -178,23 +193,16 @@ def signature(gram):
                 j = next((j for j in range(k + 1, n) if m[k][j] != 0), None)
                 if j is None:
                     raise ValueError("degenerate lattice")
-                # zero diagonal block: add row/col j onto k to expose 2*m[k][j]
-                for t in range(n):
+                for t in range(k, n):
                     m[k][t] += m[j][t]
-                for t in range(n):
+                for t in range(k, n):
                     m[t][k] += m[t][j]
-        pivot = m[k][k]
-        if pivot > 0:
+        pivot = _bareiss_step(m, k, prev)
+        if (pivot > 0) == (prev > 0):
             plus += 1
         else:
             minus += 1
-        for i in range(k + 1, n):
-            if m[i][k]:
-                f = m[i][k] / pivot
-                for t in range(k, n):
-                    m[i][t] -= f * m[k][t]
-                for t in range(k, n):
-                    m[t][i] -= f * m[t][k]
+        prev = pivot
     return (plus, minus)
 
 
@@ -459,29 +467,16 @@ def tn_obstruction_evidence(n, bound=12):
             "primitive_found": primitive}
 
 
-def _brute_force_vector(n):
-    """First primitive vector of form value n with coordinates in [0, 12]."""
-    for a1 in range(13):
-        for a2 in range(a1 + 1):
-            h = a1 * a1 + a2 * a2
-            for a3 in range(13):
-                for a4 in range(a3 + 1):
-                    if h - a3 * a3 - a4 * a4 == n:
-                        for cand in ((a1, a2, a3, a4), (a1, a2, a4, a3),
-                                     (a2, a1, a3, a4), (a2, a1, a4, a3)):
-                            if minor_gcd(cand) == 1:
-                                return cand
-    return None
-
-
 def tn_search(n, evidence_bound=0):
     """A primitive realization vector for n != 2 mod 4, or the obstruction.
 
     Odd n = 2k+1 uses consecutive integers a = (k+1, 0, k, 0); n = 0 mod 4
-    uses a = (k+1, 1, k, 0) with the odd k = n/2 - 1.  Both are verified on
-    the spot (form value, minor gcd); a bounded brute-force search backs
-    them up if verification ever failed.  n = 2 mod 4 returns the residue
-    argument, plus an exhaustive search report when evidence_bound > 0.
+    uses a = (k+1, 1, k, 0) with the odd k = n/2 - 1.  Both have form value
+    n and minor gcd 1: the minors include the coprime (k+1)^2 and k^2 in the
+    odd case, and k and (k+1)^2 + 1, with gcd(k, 2) = 1, in the other.  Both
+    facts are verified on the spot, and a failure raises AssertionError.
+    n = 2 mod 4 returns the residue argument, plus an exhaustive search
+    report when evidence_bound > 0.
     """
     n = int(n)
     if n < 1:
@@ -496,9 +491,7 @@ def tn_search(n, evidence_bound=0):
         k = n // 2 - 1
         a = (k + 1, 1, k, 0)
     if form_value(a) != n or minor_gcd(a) != 1:
-        a = _brute_force_vector(n)
-        if a is None:
-            raise AssertionError("no realization found for n=%d" % n)
+        raise AssertionError("closed-form realization %r fails for n=%d" % (a, n))
     return RealizationVector(a)
 
 

@@ -595,7 +595,9 @@ class FractionArithmetic:
 
     A subclass supplies ``_lift(other)``, the other operand as an instance of
     its own, or None to defer to the other operand, and ``_new(num, den)``, an
-    instance built from a numerator and a nonzero denominator.
+    instance built from a numerator and a nonzero denominator.  A subclass
+    that keeps its fractions reduced overrides ``_product`` and
+    ``_new_coprime`` to skip the cancellation its invariant makes redundant.
     """
 
     __slots__ = ()
@@ -631,7 +633,7 @@ class FractionArithmetic:
         o = self._lift(other)
         if o is None:
             return NotImplemented
-        return self._new(self.num * o.num, self.den * o.den)
+        return self._product(o.num, o.den)
 
     __rmul__ = __mul__
 
@@ -641,7 +643,7 @@ class FractionArithmetic:
             return NotImplemented
         if o.is_zero:
             raise ZeroDivisionError("division by a zero fraction")
-        return self._new(self.num * o.den, self.den * o.num)
+        return self._product(o.den, o.num)
 
     def __rtruediv__(self, other):
         o = self._lift(other)
@@ -650,7 +652,7 @@ class FractionArithmetic:
         return o / self
 
     def __neg__(self):
-        return self._new(-self.num, self.den)
+        return self._new_coprime(-self.num, self.den)
 
     def __pow__(self, n):
         if not isinstance(n, int):
@@ -660,7 +662,27 @@ class FractionArithmetic:
             if self.is_zero:
                 raise ZeroDivisionError("negative power of zero")
             num, den, n = den, num, -n
-        return self._new(num ** n, den ** n)
+        return self._new_coprime(num ** n, den ** n)
+
+    def _product(self, num, den):
+        """self * (num/den), where num/den is the pair of an operand of this
+        class, swapped for a quotient.  Every product goes through here."""
+        return self._new(self.num * num, self.den * den)
+
+    def _new_coprime(self, num, den):
+        """An instance from a pair with no common factor, as powers and
+        negations of one fraction give."""
+        return self._new(num, den)
+
+
+def _cancel_common(p, q):
+    """(p/g, q/g) for g = gcd(p, q); a constant or zero on either side is
+    left as it is, at the cost of no division."""
+    if p.degree > 0 and q.degree > 0:
+        g = poly_gcd(p, q)
+        if g.degree > 0:
+            return p // g, q // g
+    return p, q
 
 
 class RationalFunction(FractionArithmetic):
@@ -668,6 +690,15 @@ class RationalFunction(FractionArithmetic):
 
     The denominator is monic and coprime to the numerator, so equality is
     literal structural equality of the pairs.
+
+    Arithmetic keeps that invariant without a gcd of the full products.  For
+    reduced a/b and c/d the only common factors of ac and bd are
+    g1 = gcd(a, d) and g2 = gcd(c, b), so
+    (a/b)(c/d) = ((a/g1)(c/g2)) / ((b/g2)(d/g1)) is reduced (Henrici; Knuth,
+    TAOCP vol. 2, 4.5.1); a quotient is the product with d/c.  A power or
+    negation of a reduced pair is reduced, and a lifted polynomial or scalar
+    has denominator 1.  Only the denominator's leading coefficient is then
+    scaled out.  Sums still cancel their full gcd.
     """
 
     __slots__ = ("num", "den")
@@ -687,18 +718,15 @@ class RationalFunction(FractionArithmetic):
             raise TypeError("numerator and denominator variables differ")
         if den.is_zero:
             raise ZeroDivisionError("zero denominator")
-        if not _reduced:
-            if num.is_zero:
-                den = Poly.constant(num.var, 1)
-            else:
-                g = poly_gcd(num, den)
-                if g.degree > 0:
-                    num = num // g
-                    den = den // g
-                lead = den.leading_coefficient()
-                if lead != 1:
-                    num = num.map_coeffs(lambda c: c / lead)
-                    den = den.map_coeffs(lambda c: c / lead)
+        # _reduced: the caller knows num and den are coprime
+        if num.is_zero:
+            den = Poly.constant(num.var, 1)
+        elif not _reduced:
+            num, den = _cancel_common(num, den)
+        lead = den.leading_coefficient()
+        if lead != 1:
+            num = num.map_coeffs(lambda c: c / lead)
+            den = den.map_coeffs(lambda c: c / lead)
         self.num = num
         self.den = den
 
@@ -723,16 +751,21 @@ class RationalFunction(FractionArithmetic):
         if isinstance(other, Poly):
             if other.var != self.var:
                 raise TypeError("mixed variables %r and %r" % (self.var, other.var))
-            return RationalFunction(other)
+            return RationalFunction(other, _reduced=True)
         if isinstance(other, _HIGHER):
             return None
-        return RationalFunction(Poly.constant(self.var, other))
+        return RationalFunction(Poly.constant(self.var, other), _reduced=True)
 
     def _new(self, num, den):
         return RationalFunction(num, den)
 
-    def __neg__(self):
-        return RationalFunction(-self.num, self.den, _reduced=True)
+    def _new_coprime(self, num, den):
+        return RationalFunction(num, den, _reduced=True)
+
+    def _product(self, c, d):
+        a, d = _cancel_common(self.num, d)
+        c, b = _cancel_common(c, self.den)
+        return RationalFunction(a * c, b * d, _reduced=True)
 
     def __eq__(self, other):
         try:

@@ -149,6 +149,54 @@ def test_mat_det_matches_sympy():
         assert det == sympy.Matrix(m).det(), m
 
 
+def _signature_cases():
+    """Seeded symmetric matrices of size 1-8, with a diagonal that is kept,
+    partly zeroed or all zero, plus the stock Grams and every |det| = 16
+    block Gram of the rank-4 search."""
+    rng = random.Random(4)
+    cases = []
+    for size in range(1, 9):
+        for variant in range(9):
+            m = [[0] * size for _ in range(size)]
+            for i in range(size):
+                for j in range(i + 1):
+                    m[i][j] = m[j][i] = rng.randint(-3, 3)
+            for i in range(size):
+                if variant % 3 == 2 or (variant % 3 == 1 and rng.random() < 0.5):
+                    m[i][i] = 0
+            cases.append(m)
+    cases += [neron_severi_gram(), transcendental_gram(), E7_GRAM, gram_build("U(2)"),
+              [[0, 1, 1], [1, 0, 1], [1, 1, 0]]]
+    r = range(-4, 5)
+    blocks = [gaussian_block_gram(*t) for t in itertools.product(r, r, r, r)]
+    blocks = [g for g in blocks if abs(mat_det(g)) == 16]
+    assert len(blocks) == 216
+    return cases + blocks
+
+
+def test_signature_matches_sympy_charpoly():
+    sympy = pytest.importorskip("sympy")
+
+    def variations(coeffs):
+        signs = [c > 0 for c in coeffs if c]
+        return sum(x != y for x, y in zip(signs, signs[1:]))
+
+    degenerate = 0
+    for m in _signature_cases():
+        # a symmetric matrix has only real eigenvalues, so Descartes' rule of
+        # signs counts the positive ones exactly, and p(-x) the negative ones
+        coeffs = sympy.Matrix(m).charpoly().all_coeffs()
+        if coeffs[-1] == 0:
+            degenerate += 1
+            with pytest.raises(ValueError, match="degenerate lattice"):
+                signature(m)
+            continue
+        n = len(m)
+        flipped = [c * (-1) ** (n - i) for i, c in enumerate(coeffs)]
+        assert signature(m) == (variations(coeffs), variations(flipped)), m
+    assert degenerate > 5
+
+
 def test_mat_det_rejects_non_integral_entries():
     assert mat_det([[Fraction(4), 1], [1, 2.0]]) == 7
     with pytest.raises(ValueError):

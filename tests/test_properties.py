@@ -9,6 +9,7 @@ import random
 from datetime import timedelta
 from fractions import Fraction
 
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -21,11 +22,11 @@ from k3quartic.covers import (
 )
 from k3quartic.curves import EC_INFINITY, ec_add, ec_neg, on_curve
 from k3quartic.fibration import classify_fibers, standard_family
-from k3quartic.fields import gaussian_field
+from k3quartic.fields import gaussian_field, with_imaginary_unit
 from k3quartic.lattices import Obstructed, RealizationVector, tn_gram, tn_search
 from k3quartic.moduli import cayley, inverse_cayley, m_adj, m_mul, membership, period_point, su11_samples
 from k3quartic.multipoly import MultiPoly, QuotientContext
-from k3quartic.polynomials import Poly, poly_gcd, squarefree_decompose
+from k3quartic.polynomials import Poly, RationalFunction, poly_gcd, squarefree_decompose
 
 
 # -- polynomial factor bookkeeping --------------------------------------------
@@ -70,6 +71,120 @@ def test_squarefree_parts_are_monic_squarefree_coprime(factors):
     for i in range(len(parts)):
         for j in range(i + 1, len(parts)):
             assert poly_gcd(parts[i][0], parts[j][0]).degree == 0
+
+
+# -- rational-function products, quotients and powers --------------------------
+
+_K = with_imaginary_unit("quartic_root", 7)
+
+
+@st.composite
+def _scalars(draw, field):
+    """A small rational, or an element of Q(7^(1/4), i) when field is set."""
+    if not field:
+        return Fraction(draw(st.integers(-3, 3)), draw(st.integers(1, 3)))
+    coords = draw(st.lists(st.lists(st.integers(-2, 2), min_size=4, max_size=4),
+                           min_size=2, max_size=2))
+    return _K.element(coords) * Fraction(1, draw(st.integers(1, 2)))
+
+
+@st.composite
+def _rf_polys(draw, field, max_degree=2, nonzero=False):
+    deg = draw(st.integers(0 if nonzero else -1, max_degree))
+    lead = _scalars(field).filter(bool) if nonzero else _scalars(field)
+    return Poly("t", {e: draw(lead if e == deg else _scalars(field)) for e in range(deg + 1)})
+
+
+@st.composite
+def _rf_operands(draw, field):
+    """A rational function, a Poly or a scalar, possibly zero."""
+    kind = draw(st.sampled_from(("rf", "rf", "poly", "scalar")))
+    if kind == "scalar":
+        return draw(_scalars(field))
+    num = draw(_rf_polys(field))
+    if kind == "poly":
+        return num
+    den = draw(_rf_polys(field, nonzero=True))
+    # a shared factor makes the constructor cancel before the product does
+    shared = draw(_rf_polys(field, 1, nonzero=True))
+    return RationalFunction(num * shared, den * shared)
+
+
+def _pair(x):
+    """(num, den) of x read as a fraction with denominator 1 if need be."""
+    if isinstance(x, RationalFunction):
+        return x.num, x.den
+    return (x if isinstance(x, Poly) else Poly.constant("t", x)), Poly.constant("t", 1)
+
+
+def _assert_reduced_equal(got, num, den):
+    """got has exactly the pair of the reducing constructor on num/den."""
+    want = RationalFunction(num, den)
+    assert isinstance(got, RationalFunction)
+    assert (got.num, got.den) == (want.num, want.den)
+    assert got.den.leading_coefficient() == 1
+
+
+@given(st.booleans().flatmap(lambda f: st.tuples(_rf_operands(f), _rf_operands(f))))
+@settings(max_examples=100, deadline=None)
+def test_rf_products_and_quotients_match_the_reducing_constructor(ops):
+    a, c = ops
+    assume(isinstance(a, RationalFunction) or isinstance(c, RationalFunction))
+    (an, ad), (cn, cd) = _pair(a), _pair(c)
+    _assert_reduced_equal(a * c, an * cn, ad * cd)
+    if cn.is_zero:
+        with pytest.raises(ZeroDivisionError, match="division by a zero fraction"):
+            a / c
+    else:
+        _assert_reduced_equal(a / c, an * cd, ad * cn)
+
+
+@given(st.booleans().flatmap(_rf_operands), st.integers(-3, 3))
+@settings(max_examples=80, deadline=None)
+def test_rf_powers_match_the_reducing_constructor(a, n):
+    a = RationalFunction(*_pair(a))
+    if n < 0 and a.is_zero:
+        with pytest.raises(ZeroDivisionError, match="negative power of zero"):
+            a ** n
+        return
+    num, den = (a.num, a.den) if n >= 0 else (a.den, a.num)
+    _assert_reduced_equal(a ** n, num ** abs(n), den ** abs(n))
+
+
+def test_rf_zero_denominator_rejected():
+    with pytest.raises(ZeroDivisionError, match="zero denominator"):
+        RationalFunction(Poly.x("t"), Poly("t"))
+
+
+@given(_rf_operands(False), _rf_operands(False), st.integers(-2, 2))
+@settings(max_examples=50, deadline=None)
+def test_rf_arithmetic_matches_sympy_cancel(a, c, n):
+    sympy = pytest.importorskip("sympy")
+    t = sympy.Symbol("t")
+
+    def expr(p):
+        return sum(sympy.Rational(x.numerator, x.denominator) * t ** e
+                   for e, x in p.coeffs.items())
+
+    def coeffs(p):
+        return sympy.Poly(expr(p), t, domain=sympy.QQ).all_coeffs()
+
+    def canonical(e):
+        # sympy's reduced p/q over Q with q made monic
+        p, q = (sympy.Poly(x, t, domain=sympy.QQ) for x in sympy.fraction(sympy.cancel(e)))
+        return (p * (1 / q.LC())).all_coeffs(), (q * (1 / q.LC())).all_coeffs()
+
+    assume(isinstance(a, RationalFunction) or isinstance(c, RationalFunction))
+    (an, ad), (cn, cd) = _pair(a), _pair(c)
+    ea, ec = expr(an) / expr(ad), expr(cn) / expr(cd)
+    results = [(a * c, ea * ec)]
+    if not cn.is_zero:
+        results.append((a / c, ea / ec))
+    a = RationalFunction(an, ad)
+    if n >= 0 or not a.is_zero:
+        results.append((a ** n, ea ** n))
+    for got, e in results:
+        assert (coeffs(got.num), coeffs(got.den)) == canonical(e)
 
 
 # -- quotient-ring normalization ----------------------------------------------
@@ -259,13 +374,14 @@ def test_splitting_survives_common_coordinate_rescaling():
 
 
 def test_tn_search_buckets_by_residue_mod_4():
-    for n in range(1, 61):
+    # no search backs the closed-form vectors up, so sweep every n they serve
+    for n in range(1, 20000):
         verdict = tn_search(n)
         if n % 4 == 2:
             assert isinstance(verdict, Obstructed)
         else:
             assert isinstance(verdict, RealizationVector)
-            assert verdict.gcd == 1
+            assert verdict.n == n and verdict.gcd == 1
 
 
 @given(st.integers(1, 200))
