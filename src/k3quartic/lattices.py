@@ -5,10 +5,15 @@ The determinant and the signature (one Bareiss fraction-free elimination
 step), the Smith normal form, delta and the rank-4 certificate search run
 on Python ints only.  Discriminant data comes from the Smith normal form
 with unimodular transforms, and the realization results are certified by
-explicit vectors and minor gcds rather than by citation.
+explicit vectors and minor gcds rather than by citation.  The certificate
+search streams the norm-2 vectors x of its box and solves the two
+orthogonality equations of each partner y for its last two coordinates,
+so a block Gram costs a few hundred candidates, not the whole box.
 """
 
+from itertools import chain
 from math import gcd, isqrt
+from operator import mul, ne
 
 
 # -- exact matrix helpers ------------------------------------------------------
@@ -39,7 +44,9 @@ def mat_vec(a, v):
 def _int_matrix(a):
     """A copy of `a` with int entries; ValueError on a non-integral entry."""
     m = [list(map(int, row)) for row in a]
-    if m != list(map(list, a)):
+    # list rows compare with the input row by row; tuple rows never equal
+    # lists, so those are compared entry by entry
+    if m != a and any(map(ne, chain.from_iterable(m), chain.from_iterable(a))):
         raise ValueError("matrix entries must be integers")
     return m
 
@@ -522,17 +529,12 @@ def hermitian_det_identity(n, m, b, c):
     return mat_det(gaussian_block_gram(n, m, b, c)) == (4 * n * m - b * b - c * c) ** 2
 
 
-def certificate_basis(gram, coord_bound=4):
-    """A unimodular basis (x, Jx, y, Jy) with Gram diag(2,2,-2,-2), or None.
-
-    Existence certifies the lattice is the standard one as a Z[i]-module,
-    since the new basis intertwines the block J action.  The vectors are
-    tried in lexicographic order, so the first certificate is canonical."""
+def _norm_vectors(gram, coord_bound, value):
+    """The vectors v with |v_i| <= coord_bound and v^T G v == value, lazily
+    and in lexicographic order."""
     rng = range(-coord_bound, coord_bound + 1)
     (g11, g12, g13, g14), (g21, g22, g23, g24), \
         (g31, g32, g33, g34), (g41, g42, g43, g44) = gram
-    plus2 = []
-    minus2 = []
     # q(v) = v^T G v, one coordinate at a time
     for x1 in rng:
         q1 = g11 * x1 * x1
@@ -542,23 +544,64 @@ def certificate_basis(gram, coord_bound=4):
                 q3 = q2 + ((g13 + g31) * x1 + (g23 + g32) * x2 + g33 * x3) * x3
                 lin4 = (g14 + g41) * x1 + (g24 + g42) * x2 + (g34 + g43) * x3
                 for x4 in rng:
-                    q = q3 + (lin4 + g44 * x4) * x4
-                    if q == 2:
-                        plus2.append((x1, x2, x3, x4))
-                    elif q == -2:
-                        minus2.append((x1, x2, x3, x4))
+                    if q3 + (lin4 + g44 * x4) * x4 == value:
+                        yield (x1, x2, x3, x4)
+
+
+def _solved_partners(gram, coord_bound, a, b, det):
+    """The vectors y with |y_i| <= coord_bound, a.y == b.y == 0 and
+    y^T G y == -2, in lexicographic order, given det = a3 b4 - a4 b3 != 0:
+    each (y1, y2) fixes (y3, y4) by Cramer's rule."""
+    rng = range(-coord_bound, coord_bound + 1)
+    a1, a2, a3, a4 = a
+    b1, b2, b3, b4 = b
+    # the Cramer numerators of y3 and y4 are linear in (y1, y2)
+    c31, c32 = a4 * b1 - a1 * b4, a4 * b2 - a2 * b4
+    c41, c42 = a1 * b3 - a3 * b1, a2 * b3 - a3 * b2
+    for y1 in rng:
+        for y2 in rng:
+            y3, r3 = divmod(c31 * y1 + c32 * y2, det)
+            y4, r4 = divmod(c41 * y1 + c42 * y2, det)
+            if r3 or r4 or abs(y3) > coord_bound or abs(y4) > coord_bound:
+                continue
+            y = (y1, y2, y3, y4)
+            if sum(map(mul, mat_vec(gram, y), y)) == -2:
+                yield y
+
+
+def certificate_basis(gram, coord_bound=4):
+    """A unimodular basis (x, Jx, y, Jy) with Gram diag(2,2,-2,-2), or None.
+
+    Existence certifies the lattice is the standard one as a Z[i]-module,
+    since the new basis intertwines the block J action.  The Gram must have
+    integer entries (ValueError otherwise), and every coordinate of x and y
+    lies in [-coord_bound, coord_bound].
+
+    The norm-2 vectors x are streamed in lexicographic order and the search
+    stops at the first certificate.  For each x, y must satisfy a.y = b.y = 0
+    with a = G^T x and b = G^T Jx, so each (y1, y2) fixes (y3, y4) by
+    Cramer's rule: 81 candidates at bound 4 instead of 9^4.  When that 2x2
+    system is singular (on the block Grams, where b = Ja, only if
+    a3 = a4 = 0) the norm -2 vectors of the box are filtered instead.
+    Either way the y are tried in lexicographic order and every pair is
+    checked in full, so the first certificate is canonical."""
+    gram = _int_matrix(gram)
     gram_t = mat_transpose(gram)
-    for x in plus2:
+    minus2 = None
+    for x in _norm_vectors(gram, coord_bound, 2):
         jx = mat_vec(BLOCK_J, x)
         # x^T G y and (Jx)^T G y become 4-term dot products with y
-        a1, a2, a3, a4 = mat_vec(gram_t, x)
-        b1, b2, b3, b4 = mat_vec(gram_t, jx)
-        for y in minus2:
-            y1, y2, y3, y4 = y
-            if a1 * y1 + a2 * y2 + a3 * y3 + a4 * y4:
-                continue
-            if b1 * y1 + b2 * y2 + b3 * y3 + b4 * y4:
-                continue
+        a = mat_vec(gram_t, x)
+        b = mat_vec(gram_t, jx)
+        det = a[2] * b[3] - a[3] * b[2]
+        if det:
+            partners = _solved_partners(gram, coord_bound, a, b, det)
+        else:
+            if minus2 is None:
+                minus2 = list(_norm_vectors(gram, coord_bound, -2))
+            partners = (y for y in minus2
+                        if not sum(map(mul, a, y)) and not sum(map(mul, b, y)))
+        for y in partners:
             jy = mat_vec(BLOCK_J, y)
             p = [[x[i], jx[i], y[i], jy[i]] for i in range(4)]
             if abs(mat_det(p)) != 1:
@@ -594,9 +637,11 @@ def rank4_classification_check():
     All survivors are 2-elementary of length 4 (entries are even once the
     determinant forces b, c even).  The ones with delta = 1 each get an
     explicit change-of-basis certificate onto diag(2,2,-2,-2), searched with
-    coordinates up to 4 and, failing that, up to 6; the delta = 0
-    ones have an integral discriminant form and are excluded from being the
-    transcendental form.  The b = c = 0 survivors are exactly nm = -1.
+    coordinates up to 4 and, failing that, up to 6 (`certificate_basis`
+    streams x and solves each y from its orthogonality to x and Jx); the
+    delta = 0 ones have an integral discriminant form and are excluded from
+    being the transcendental form.  The b = c = 0 survivors are exactly
+    nm = -1.
     """
     survivors = []
     det_identity = True

@@ -7,6 +7,8 @@ import pytest
 
 from k3quartic.lattices import (
     A1_GRAM,
+    AMBIENT_GRAM,
+    BLOCK_J,
     E7_GRAM,
     Obstructed,
     RealizationVector,
@@ -17,12 +19,14 @@ from k3quartic.lattices import (
     gaussian_block_gram,
     gram_build,
     hermitian_det_identity,
+    _int_matrix,
     j_apply,
     kummer_tn,
     lattice_invariants,
     mat_det,
     mat_mul,
     mat_transpose,
+    mat_vec,
     minor_gcd,
     neron_severi_gram,
     pair_gram,
@@ -328,3 +332,133 @@ def test_twist_and_build_consistency():
     assert twist(A1_GRAM, -1) == [[-2]]
     assert gram_build("T") == transcendental_gram()
     assert gram_build("N") == neron_severi_gram()
+
+
+# The full-box search that certificate_basis replaced, kept verbatim as the
+# oracle: it lists every norm +-2 vector of the 9^4 box before the first pair.
+def _full_box_certificate_basis(gram, coord_bound=4):
+    """A unimodular basis (x, Jx, y, Jy) with Gram diag(2,2,-2,-2), or None.
+
+    Existence certifies the lattice is the standard one as a Z[i]-module,
+    since the new basis intertwines the block J action.  The vectors are
+    tried in lexicographic order, so the first certificate is canonical."""
+    rng = range(-coord_bound, coord_bound + 1)
+    (g11, g12, g13, g14), (g21, g22, g23, g24), \
+        (g31, g32, g33, g34), (g41, g42, g43, g44) = gram
+    plus2 = []
+    minus2 = []
+    # q(v) = v^T G v, one coordinate at a time
+    for x1 in rng:
+        q1 = g11 * x1 * x1
+        for x2 in rng:
+            q2 = q1 + ((g12 + g21) * x1 + g22 * x2) * x2
+            for x3 in rng:
+                q3 = q2 + ((g13 + g31) * x1 + (g23 + g32) * x2 + g33 * x3) * x3
+                lin4 = (g14 + g41) * x1 + (g24 + g42) * x2 + (g34 + g43) * x3
+                for x4 in rng:
+                    q = q3 + (lin4 + g44 * x4) * x4
+                    if q == 2:
+                        plus2.append((x1, x2, x3, x4))
+                    elif q == -2:
+                        minus2.append((x1, x2, x3, x4))
+    gram_t = mat_transpose(gram)
+    for x in plus2:
+        jx = mat_vec(BLOCK_J, x)
+        # x^T G y and (Jx)^T G y become 4-term dot products with y
+        a1, a2, a3, a4 = mat_vec(gram_t, x)
+        b1, b2, b3, b4 = mat_vec(gram_t, jx)
+        for y in minus2:
+            y1, y2, y3, y4 = y
+            if a1 * y1 + a2 * y2 + a3 * y3 + a4 * y4:
+                continue
+            if b1 * y1 + b2 * y2 + b3 * y3 + b4 * y4:
+                continue
+            jy = mat_vec(BLOCK_J, y)
+            p = [[x[i], jx[i], y[i], jy[i]] for i in range(4)]
+            if abs(mat_det(p)) != 1:
+                continue
+            check = mat_mul(mat_transpose(p), mat_mul(gram, p))
+            if check == AMBIENT_GRAM:
+                return p
+    return None
+
+
+def _singular_x_count(gram, coord_bound):
+    """How many norm-2 x of the box leave y3, y4 unsolvable from a.y = b.y = 0
+    (a = G^T x, b = G^T Jx), so that certificate_basis filters the box."""
+    gram_t = mat_transpose(gram)
+    count = 0
+    for x in itertools.product(range(-coord_bound, coord_bound + 1), repeat=4):
+        if sum(map(int.__mul__, mat_vec(gram, x), x)) == 2:
+            a = mat_vec(gram_t, x)
+            b = mat_vec(gram_t, mat_vec(BLOCK_J, x))
+            count += a[2] * b[3] == a[3] * b[2]
+    return count
+
+
+def _assert_matches_full_box(grams):
+    found = 0
+    for gram in grams:
+        for bound in (1, 2, 3, 4):
+            expected = _full_box_certificate_basis(gram, bound)
+            assert certificate_basis(gram, bound) == expected, (gram, bound)
+            found += expected is not None
+    return found
+
+
+def test_certificate_basis_matches_full_box_on_block_grams():
+    rng = random.Random(12)
+    r = range(-6, 7)
+    tuples = list(itertools.product(r, r, r, r))
+    # |det| 16 and signature (2, 2), as in the rank-4 search, so that many
+    # have a certificate; the uniform draws mostly have none
+    candidates = [t for t in tuples if abs(mat_det(gaussian_block_gram(*t))) == 16
+                  and signature(gaussian_block_gram(*t)) == (2, 2)]
+    picked = rng.sample(candidates, 30) + rng.sample(tuples, 30)
+    found = _assert_matches_full_box([gaussian_block_gram(*t) for t in picked])
+    assert found > 50
+
+
+def test_certificate_basis_matches_full_box_on_general_grams():
+    rng = random.Random(13)
+    grams = []
+    for _ in range(30):
+        g = [[0] * 4 for _ in range(4)]
+        for i in range(4):
+            for j in range(i + 1):
+                g[i][j] = g[j][i] = rng.randint(-3, 3)
+        grams.append(g)
+    assert sum(_singular_x_count(g, 2) > 0 for g in grams) > 5
+    _assert_matches_full_box(grams)
+
+
+def test_certificate_basis_from_the_singular_fallback():
+    # the first certificate's x has a3 = a4 = 0, so its y comes from the
+    # filtered box, not from Cramer's rule
+    for b in (-4, 4):
+        for c in (-4, 4):
+            gram = gaussian_block_gram(-7, -1, b, c)
+            p = certificate_basis(gram, 2)
+            assert p is not None
+            assert p == _full_box_certificate_basis(gram, 2)
+            a = mat_vec(gram, [row[0] for row in p])
+            assert a[2] == a[3] == 0
+
+
+def test_certificate_basis_rejects_non_integral_gram():
+    gram = [[Fraction(v) for v in row] for row in transcendental_gram()]
+    assert certificate_basis(gram, 1) == certificate_basis(transcendental_gram(), 1)
+    gram[0][0] = Fraction(5, 2)
+    with pytest.raises(ValueError, match="matrix entries must be integers"):
+        certificate_basis(gram)
+    with pytest.raises(ValueError, match="matrix entries must be integers"):
+        certificate_basis([[2, 0, 0, 0], [0, 2, 0, 0], [0, 0, -2, 0], [0, 0, 0, -2.5]])
+
+
+def test_int_matrix_accepts_integral_values_only():
+    m = _int_matrix(((1, Fraction(2)), [3, 4]))
+    assert m == [[1, 2], [3, 4]]
+    assert all(type(v) is int for row in m for v in row)
+    for bad in (Fraction(1, 2), 0.5):
+        with pytest.raises(ValueError, match="matrix entries must be integers"):
+            _int_matrix([[1, 0], [0, bad]])
