@@ -626,6 +626,38 @@ def cmd_lattice(args):
     return build_report("lattice tn", inputs, results, ledger)
 
 
+# keeps split interactive: on a shared two-core host a dense degree-32
+# parametrization takes about 3 s and degree 64 took 25 s (the composed
+# quartic has four times the degree)
+MAX_PARAM_DEGREE = 32
+
+
+def _is_int(value):
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _param_coeffs(key, terms):
+    """The {exponent: Fraction} map of one coordinate of a parametrization
+    file: [exponent, coefficient] pairs, an exponent an integer in
+    [0, MAX_PARAM_DEGREE], a coefficient an integer or a rational string."""
+    if not isinstance(terms, list) or not all(
+            isinstance(t, list) and len(t) == 2 for t in terms):
+        raise UsageError("%r must be a list of [exponent, coefficient] pairs" % key)
+    coeffs = {}
+    for e, c in terms:
+        if not (_is_int(e) and 0 <= e <= MAX_PARAM_DEGREE):
+            raise UsageError("%r: exponent %s is not an integer from 0 to %d"
+                             % (key, json.dumps(e), MAX_PARAM_DEGREE))
+        try:
+            if not (_is_int(c) or isinstance(c, str)):
+                raise ValueError
+            coeffs[e] = parse_rat(c)
+        except (ValueError, ZeroDivisionError):
+            raise UsageError("%r: coefficient %s is not an integer or a rational "
+                             "string p/q" % (key, json.dumps(c)))
+    return coeffs
+
+
 def _load_parametrization(path):
     if path == "sextic":
         return SPLIT_PARAM_SEXTIC
@@ -638,17 +670,16 @@ def _load_parametrization(path):
         raise UsageError("cannot read parametrization file: %s" % exc)
     except ValueError as exc:
         raise UsageError("parametrization file is not valid JSON: %s" % exc)
+    if not isinstance(data, dict):
+        raise UsageError("parametrization file must hold a JSON object")
     var = data.get("var", "r")
+    if not isinstance(var, str):
+        raise UsageError("'var' must be a string")
     coords = []
     for key in ("x", "y", "z"):
         if key not in data:
             raise UsageError("parametrization file must define %r" % key)
-        try:
-            coeffs = {int(e): parse_rat(c) for e, c in data[key]}
-        except (TypeError, ValueError):
-            raise UsageError(
-                "%r must be a list of [exponent, coefficient] pairs" % key)
-        coords.append(Poly(var, coeffs))
+        coords.append(Poly(var, _param_coeffs(key, data[key])))
     return Parametrization(*coords, name=path)
 
 

@@ -1,457 +1,105 @@
-"""End-to-end acceptance checklist.
+"""End-to-end acceptance checklist, read off the ``verify all`` ledger.
 
-Eleven tests, one per headline result.  Each prints a single PASS or FAIL
-line so `pytest -v -s tests/test_acceptance.py` reads as a checklist.  All
-symbolic identities are exact with zero tolerance; the one floating-point
-comparison (the square period ratio) is pinned at 1e-12 with 128 working
-bits.
+Each headline result of the paper is one criterion: a number, a label and
+the names of the ``cli.CHECKS`` entries that certify it.  The ledger is
+built once per module through ``cli.cmd_verify``, so a check that raises is
+recorded as a failure with the exception as its detail, exactly as
+``k3quartic verify`` reports it.  Every ledger entry is claimed by some
+criterion.  Each criterion prints one PASS or FAIL line, so
+`pytest -v -s tests/test_acceptance.py` reads as a checklist.
+
+The checks themselves are defined once, in ``cli``; their detail strings
+are pinned by the golden ``verify all --json`` hash in ``tests/test_cli.py``.
 """
 
-import random
-from fractions import Fraction
+import argparse
 
-import mpmath
+import pytest
 
-from k3quartic.covers import (
-    CoverSplits,
-    Parametrization,
-    SPLIT_PARAM_QUARTIC,
-    SPLIT_PARAM_SEXTIC,
-    STANDARD_ALPHA,
-    displayed_section,
-    fourth_power_test,
-    lift_two_section,
-    sum_sections,
-    verify_cover_map,
-)
-from k3quartic.curves import (
-    EC_INFINITY,
-    automorphism_order,
-    base_elliptic_rhs,
-    cubic_to_exponent_four,
-    ec_add,
-    ec_neg,
-    exponent_four_model,
-    genus2_curve,
-    j_invariant,
-    on_curve,
-    order_four_twist,
-    quarter_turn,
-    quotient_map,
-    quotient_negation_check,
-    rescale_genus2_check,
-    rho_inversion,
-    verify_involution,
-)
-from k3quartic.fibration import (
-    classify_fibers,
-    degeneration_model,
-    form_scaling_order,
-    parity_refine,
-    shioda_tate_bound,
-    standard_family,
-    verify_reduction_chain,
-)
-from k3quartic.fields import eighth_root_field, quartic_root_field
-from k3quartic.lattices import (
-    Obstructed,
-    RealizationVector,
-    kummer_tn,
-    lattice_invariants,
-    neron_severi_gram,
-    rank4_classification_check,
-    tn_gram,
-    tn_search,
-    transcendental_gram,
-)
-from k3quartic.moduli import cayley, fricke_checks, inverse_cayley, su11_samples
-from k3quartic.multipoly import MultiPoly, QuotientContext
-from k3quartic.periods import IsogenousToE, cm_isogeny_check, period_ratio_numeric, tau_from_cubic
-from k3quartic.polynomials import Poly, RationalFunction, squarefree_decompose
-from k3quartic.quartic import ALPHA, pencil_substitution_check
+from k3quartic import cli
 
-GENERIC_TABLE = ["I0*", "I0*", "III", "III*"]
+# criterion number -> (label, the ledger entries that certify it)
+CRITERIA = {
+    1: ("generic fiber table, Euler number 24",
+        ["generic_fiber_table", "generic_euler_number"]),
+    2: ("both degenerations verified, form scaling has order 8",
+        ["degeneration_at_infinity", "degeneration_at_zero", "form_scaling_order_eight"]),
+    3: ("Picard bounds 18, 19, 20", ["picard_bound_chain"]),
+    4: ("both parametrizations split with profile {4,4,4}",
+        ["sextic_parametrization_splits", "quartic_parametrization_splits"]),
+    5: ("two-section sum matches the displayed section",
+        ["section_matches_closed_form", "section_all_root_choices"]),
+    6: ("symbolic identity suite, all residuals zero",
+        ["pencil_substitution", "chart_sign_convention", "weierstrass_reduction_chain",
+         "cover_map_identity", "curve_identity_suite"]),
+    7: ("lattice invariants and rank-4 classification",
+        ["neron_severi_invariants", "transcendental_invariants",
+         "rank_four_classification"]),
+    8: ("transcendental realizations for n <= 100",
+        ["tn_instances", "tn_residue_sweep", "tn_obstruction_evidence",
+         "kummer_products"]),
+    9: ("modular group identities, exact Cayley round-trip, period domain examples",
+        ["fricke_identities", "cayley_round_trip", "period_domain_examples"]),
+    10: ("square period ratio, j = 1728, conductor-1 isogeny", ["cm_square_lattice"]),
+}
 
 
-def _report(num, label, results):
-    """Print one checklist line, then fail loudly on any bad sub-check."""
-    bad = [name for name, ok in results if not ok]
+@pytest.fixture(scope="module")
+def ledger():
+    report = cli.cmd_verify(argparse.Namespace(suite="all"))
+    return {e["checkName"]: e for e in report["verificationLedger"]}
+
+
+def _check(ledger, num):
+    """Print the criterion's checklist line; fail naming each entry that is
+    missing or failed, with its detail."""
+    label, names = CRITERIA[num]
+    bad = ["%s: %s" % (n, ledger[n]["detail"] if n in ledger else "not in the ledger")
+           for n in names if not (n in ledger and ledger[n]["pass"])]
     print("criterion %02d %s  %s" % (num, "FAIL" if bad else "PASS", label))
-    assert not bad, "criterion %d failed: %s" % (num, ", ".join(bad))
+    assert not bad, "criterion %d failed: %s" % (num, "; ".join(bad))
 
 
-def test_01_generic_fiber_table():
-    lam = Poly.x("lam")
-    quad = Poly("lam", {2: 1, 1: 2, 0: ALPHA})
-    cfg = classify_fibers(lam ** 3 * quad ** 2)
-
-    def fiber_at(loc):
-        for fb in cfg.fibers:
-            if fb.location == loc:
-                return fb
-        return None
-
-    at_zero = fiber_at(lam)
-    at_quad = fiber_at(quad)
-    at_inf = fiber_at("infinity")
-    results = [
-        ("three fibers", len(cfg.fibers) == 3),
-        ("III* at lam = 0", at_zero is not None and at_zero.type == "III*"),
-        ("I0* at the quadratic", at_quad is not None and at_quad.type == "I0*"),
-        ("quadratic place has degree 2", at_quad is not None and at_quad.degree == 2),
-        ("III at infinity", at_inf is not None and at_inf.type == "III"),
-        ("all fibers certified", all(fb.certified for fb in cfg.fibers)),
-        ("Euler number 24 exactly", cfg.total_euler == 24),
-        ("multiset frozen", cfg.type_multiset() == GENERIC_TABLE),
-        ("family constructor agrees",
-         classify_fibers(standard_family()).type_multiset() == GENERIC_TABLE),
-    ]
-    _report(1, "generic fiber table, Euler number 24", results)
+def test_01_generic_fiber_table(ledger):
+    _check(ledger, 1)
 
 
-def test_02_degenerations_and_form_scaling():
-    at_inf = degeneration_model("AtInfinity")
-    at_zero = degeneration_model("AtZero")
-    generic = classify_fibers(standard_family()).type_multiset()
-
-    cfg_inf = classify_fibers(at_inf["beta_zero_member"])
-    cfg_zero = classify_fibers(at_zero["beta_zero_member"])
-
-    K = eighth_root_field()
-    z8 = K.gen()
-    scale, order = form_scaling_order(
-        z8 ** 2, z8 ** 3, K.from_rational(-1), at_inf["beta_zero_member"])
-
-    results = [
-        ("rescaling chain exact at infinity", at_inf["chain_residual_zero"]),
-        ("rescaling chain exact at zero", at_zero["chain_residual_zero"]),
-        ("beta = 0 at infinity reproduces the generic table",
-         cfg_inf.type_multiset() == generic),
-        ("beta = 0 at zero gives {III*, I0*, III*}",
-         cfg_zero.type_multiset() == ["I0*", "III*", "III*"]),
-        ("beta = 0 at zero keeps Euler number 24", cfg_zero.total_euler == 24),
-        ("beta = 0 at zero reaches bound 20", shioda_tate_bound(cfg_zero) == 20),
-        ("2-form scale factor has order exactly 8", order == 8),
-        ("scale factor is the expected eighth root", scale == z8 ** 3),
-    ]
-    _report(2, "both degenerations verified, form scaling has order 8", results)
+def test_02_degenerations_and_form_scaling(ledger):
+    _check(ledger, 2)
 
 
-def test_03_picard_bound_chain():
-    special = Fraction(81, 49)
-    cfg = classify_fibers(standard_family())
-    cfg_special = classify_fibers(standard_family(special))
-    with_section = shioda_tate_bound(cfg_special, mw_rank=1)
-    results = [
-        ("generic bound 18", shioda_tate_bound(cfg) == 18),
-        ("special member keeps the generic table",
-         cfg_special.type_multiset() == GENERIC_TABLE),
-        ("bound 19 with one independent section", with_section == 19),
-        ("parity refinement gives 20", parity_refine(with_section) == 20),
-    ]
-    _report(3, "Picard bounds 18, 19, 20", results)
+def test_03_picard_bound_chain(ledger):
+    _check(ledger, 3)
 
 
-def test_04_both_splitting_curves():
-    r = Poly.x("r")
-    sextic = fourth_power_test(SPLIT_PARAM_SEXTIC)
-    quartic = fourth_power_test(SPLIT_PARAM_QUARTIC)
-
-    expected_sextic = {r, r - 1, r ** 2 - Fraction(2, 3) * r + 1}
-    expected_quartic = {r, r - 9, r + 3}
-
-    def splits_as(verdict, expected_factors):
-        if not isinstance(verdict, CoverSplits):
-            return False
-        if tuple(verdict.profile) != (4, 4, 4):
-            return False
-        if any(m != 4 for _, m in verdict.places):
-            return False
-        return {p for p, _ in verdict.places} == expected_factors
-
-    results = [
-        ("sextic parametrization splits with profile {4,4,4}",
-         splits_as(sextic, expected_sextic)),
-        ("quartic parametrization splits with profile {4,4,4}",
-         splits_as(quartic, expected_quartic)),
-        ("sextic unit frozen", sextic.constant == Fraction(-36006768)),
-        ("quartic unit frozen", quartic.constant == Fraction(-576108288)),
-    ]
-    _report(4, "both parametrizations split with profile {4,4,4}", results)
+def test_04_both_splitting_curves(ledger):
+    _check(ledger, 4)
 
 
-def test_05_two_section_sum_matches_display():
-    lift = lift_two_section(SPLIT_PARAM_SEXTIC, root_choice=2)
-    total = sum_sections(lift)
-    shown = displayed_section()
-
-    # independent residual check against the special member of the family
-    K = quartic_root_field(7)
-    f = standard_family(Fraction(81, 49)).f.map_coeffs(K.from_rational)
-    u, v = total["u"], total["v"]
-    residual = v * v - (u ** 3 - RationalFunction(f) * u)
-
-    results = [
-        ("u matches the displayed section exactly", total["u"] == shown["u"]),
-        ("v matches the displayed section exactly", total["v"] == shown["v"]),
-        ("recorded on-curve check passed", total["on_curve"]),
-        ("Weierstrass residual identically zero", residual.is_zero),
-    ]
-    _report(5, "two-section sum matches the displayed section", results)
+def test_05_two_section_sum_matches_display(ledger):
+    _check(ledger, 5)
 
 
-def test_06_symbolic_identity_suite():
-    pencil_ok, pencil_res = pencil_substitution_check()
-    chain = verify_reduction_chain()
-    cover_ok, cover_res = verify_cover_map()
-    quot_ok, quot_res = quotient_map().verify()
-    inv_ok, _ = verify_involution(genus2_curve(), rho_inversion().images)
-    iso_ok, iso_res = cubic_to_exponent_four().verify()
-
-    results = [
-        ("pencil substitution residual zero", pencil_ok and pencil_res.is_zero),
-        ("full reduction chain exact", all(chain.values())),
-        ("cover map residual zero", cover_ok and cover_res.is_zero),
-        ("quotient map residual zero", quot_ok and quot_res.is_zero),
-        ("rho-inversion is an involution", inv_ok),
-        ("twist map has order 4",
-         automorphism_order(genus2_curve(), order_four_twist().images) == 4),
-        ("quarter turn has order 4",
-         automorphism_order(exponent_four_model(), quarter_turn().images) == 4),
-        ("cubic-to-exponent-4 isomorphism residual zero",
-         iso_ok and iso_res.is_zero),
-        ("degeneration rescaling identity", rescale_genus2_check()),
-        ("quotient intertwines inversion with negation", quotient_negation_check()),
-    ]
-    _report(6, "symbolic identity suite, all residuals zero", results)
+def test_06_symbolic_identity_suite(ledger):
+    _check(ledger, 6)
 
 
-def test_07_lattice_invariants_and_rank4():
-    big = lattice_invariants(neron_severi_gram())
-    small = lattice_invariants(transcendental_gram())
-    cls = rank4_classification_check()
-    results = [
-        ("rank-18 lattice invariants",
-         (big.rank, big.signature, abs(big.determinant), big.ell, big.delta)
-         == (18, (1, 17), 16, 4, 1)),
-        ("rank-18 lattice is 2-elementary", big.two_elementary),
-        ("rank-4 lattice signature (2, 2)", small.signature == (2, 2)),
-        ("rank-4 lattice invariants",
-         (small.rank, abs(small.determinant), small.ell, small.delta)
-         == (4, 16, 4, 1)),
-        ("rank-4 lattice is 2-elementary", small.two_elementary),
-        ("search bound 4", cls.bound == 4),
-        ("canonical solutions are exactly (n, m) = (-1, 1), (1, -1)",
-         cls.canonical == [(-1, 1), (1, -1)]),
-        ("both canonical pairs satisfy nm = -1",
-         all(n * m == -1 for n, m in cls.canonical)),
-        ("determinant identity verified on every survivor", cls.det_identity),
-        ("all survivors certified", cls.all_certified),
-    ]
-    _report(7, "lattice invariants and rank-4 classification", results)
+def test_07_lattice_invariants_and_rank4(ledger):
+    _check(ledger, 7)
 
 
-def test_08_transcendental_realizations():
-    results = []
-
-    realized = []
-    for n in range(1, 101):
-        if n % 4 == 2:
-            continue
-        found = tn_search(n)
-        realized.append(
-            isinstance(found, RealizationVector)
-            and found.gram() == [[2 * n, 0], [0, 2 * n]]
-            and found.gcd == 1)
-    results.append(("every n <= 100 with n not 2 mod 4 realized primitively",
-                    all(realized) and len(realized) == 75))
-
-    obstructed = []
-    for n in (2, 6, 10, 14):
-        verdict = tn_search(n, evidence_bound=12)
-        obstructed.append(
-            isinstance(verdict, Obstructed)
-            and verdict.evidence is not None
-            and verdict.evidence["bound"] == 12
-            and verdict.evidence["primitive_found"] == 0
-            and any("mod 4" in line for line in verdict.transcript))
-    results.append(("n in {2, 6, 10, 14} obstructed with exhaustive evidence",
-                    all(obstructed)))
-
-    instances = {1: (1, 0, 0, 0), 3: (2, 0, 1, 0), 4: (2, 1, 1, 0), 7: (4, 0, 3, 0)}
-    results.append(("frozen witness vectors for n = 1, 3, 4, 7",
-                    all(tn_search(n).a == a for n, a in instances.items())))
-
-    results.append(("Kummer pairing matches the n = 2 target",
-                    kummer_tn(1) == tn_gram(2)))
-    results.append(("the n = 2 target itself is excluded",
-                    isinstance(tn_search(2), Obstructed)))
-    _report(8, "transcendental realizations for n <= 100", results)
+def test_08_transcendental_realizations(ledger):
+    _check(ledger, 8)
 
 
-def test_09_modular_identities_and_cayley():
-    checks = fricke_checks()
-    samples = su11_samples(100)
-    round_trips = [inverse_cayley(cayley(m)) == m for m in samples]
-    results = [
-        ("ten recorded identities", len(checks) == 10),
-        ("all identities pass exactly", all(ok for ok, _ in checks.values())),
-        ("one hundred samples", len(samples) == 100),
-        ("Cayley round-trip exact on every sample", all(round_trips)),
-    ]
-    _report(9, "modular group identities and exact Cayley round-trip", results)
+def test_09_modular_identities_and_cayley(ledger):
+    _check(ledger, 9)
 
 
-def test_10_square_period_and_cm():
-    ratio = period_ratio_numeric(1, 0, -1, precision_bits=128)
-    distance = abs(ratio.tau - mpmath.mpc(0, 1))
-
-    rhs = base_elliptic_rhs(Fraction(7, 9))
-    tau = tau_from_cubic(rhs, precision_bits=128).tau
-    verdict = cm_isogeny_check(tau, precision_bits=128)
-
-    results = [
-        ("square period ratio within 1e-12 of i", distance < mpmath.mpf("1e-12")),
-        ("j-invariant is exactly 1728", j_invariant(rhs) == 1728),
-        ("isogeny detected", isinstance(verdict, IsogenousToE)),
-        ("conductor 1", isinstance(verdict, IsogenousToE) and verdict.conductor == 1),
-        ("square-lattice witness", isinstance(verdict, IsogenousToE)
-         and tuple(verdict.witness) == (1, 0, 1)),
-    ]
-    _report(10, "square period ratio, j = 1728, conductor-1 isogeny", results)
+def test_10_square_period_and_cm(ledger):
+    _check(ledger, 10)
 
 
-# -- randomized property suites ------------------------------------------------
-
-
-def _squarefree_round_trip(rng, cases):
-    for _ in range(cases):
-        p = Poly("t", {0: Fraction(rng.randint(1, 5))})
-        for _ in range(rng.randint(1, 3)):
-            deg = rng.randint(1, 3)
-            coeffs = {deg: Fraction(rng.randint(1, 3))}
-            for e in range(deg):
-                c = rng.randint(-4, 4)
-                if c:
-                    coeffs[e] = Fraction(c)
-            p = p * Poly("t", coeffs) ** rng.randint(1, 3)
-        unit, factors = squarefree_decompose(p)
-        recomposed = Poly("t", {0: unit})
-        for factor, mult in factors:
-            recomposed = recomposed * factor ** mult
-        if recomposed != p:
-            return False
-    return True
-
-
-def _quotient_reduce_idempotent(rng, cases):
-    vars2 = ("r", "tau")
-    r = MultiPoly.gen(vars2, "r")
-    ctx = QuotientContext(vars2, [("tau", 2, r ** 3 - r)])
-    for _ in range(cases):
-        terms = {}
-        for _ in range(rng.randint(1, 6)):
-            e = (rng.randint(0, 5), rng.randint(0, 6))
-            terms[e] = Fraction(rng.choice([-1, 1]) * rng.randint(1, 9),
-                                rng.randint(1, 9))
-        reduced = ctx.reduce(MultiPoly(vars2, terms))
-        if ctx.reduce(reduced) != reduced or reduced.degree_in("tau") >= 2:
-            return False
-    return True
-
-
-def _twist_invariance(rng, cases):
-    for _ in range(cases):
-        alpha = Fraction(rng.randint(2, 50), rng.randint(1, 20))
-        if alpha == 1:
-            alpha += 1
-        f = standard_family(alpha).f
-        base = classify_fibers(f)
-        s4 = (Fraction(rng.choice([-1, 1]) * rng.randint(1, 9), rng.randint(1, 9))) ** 4
-        scaled = classify_fibers(Poly(f.var, {e: c * s4 for e, c in f.coeffs.items()}))
-        if scaled.type_multiset() != base.type_multiset():
-            return False
-        if scaled.total_euler != base.total_euler:
-            return False
-    return True
-
-
-def _ec_add_associative(rng, cases):
-    a4 = Fraction(-36)
-    generator = (Fraction(-3), Fraction(9))
-    pool = [EC_INFINITY, (Fraction(0), Fraction(0))]
-    acc = generator
-    for _ in range(5):
-        pool.append(acc)
-        pool.append(ec_neg(acc))
-        acc = ec_add(acc, generator, a4)
-    pool.append(ec_add(pool[1], generator, a4))
-    if not all(on_curve(p, a4) for p in pool):
-        return False
-    for _ in range(cases):
-        a, b, c = (rng.choice(pool) for _ in range(3))
-        left = ec_add(ec_add(a, b, a4), c, a4)
-        right = ec_add(a, ec_add(b, c, a4), a4)
-        if left != right:
-            return False
-    return True
-
-
-def _affine_substitute(p, a, b):
-    image = Poly(p.var, {1: a, 0: b})
-    out = Poly(p.var, {})
-    for e, c in p.coeffs.items():
-        out = out + c * image ** e
-    return out
-
-
-def _reparametrization_invariance(rng, cases):
-    builtins = [SPLIT_PARAM_SEXTIC, SPLIT_PARAM_QUARTIC]
-    base_verdicts = [fourth_power_test(p) for p in builtins]
-    done = 0
-    while done < cases:
-        if done < 10:
-            param, base = builtins[done % 2], base_verdicts[done % 2]
-        else:
-            param = Parametrization(
-                Poly("r", {0: Fraction(rng.randint(1, 9))}),
-                Poly("r", {1: Fraction(rng.randint(1, 5)), 0: Fraction(rng.randint(-4, 4))}),
-                Poly("r", {2: Fraction(rng.randint(1, 3)), 0: Fraction(rng.randint(1, 6))}),
-                name="random probe")
-            base = fourth_power_test(param)
-        a = Fraction(rng.choice([-1, 1]) * rng.randint(1, 6), rng.randint(1, 4))
-        b = Fraction(rng.randint(-5, 5))
-        moved_param = Parametrization(
-            _affine_substitute(param.x, a, b),
-            _affine_substitute(param.y, a, b),
-            _affine_substitute(param.z, a, b),
-            name="reparametrized")
-        moved = fourth_power_test(moved_param)
-        if type(moved) is not type(base):
-            return False
-        if isinstance(base, CoverSplits):
-            if tuple(moved.profile) != tuple(base.profile):
-                return False
-            if moved.degree_mod_4 != base.degree_mod_4:
-                return False
-            if len(moved.places) != len(base.places):
-                return False
-        done += 1
-    return True
-
-
-def test_11_property_suites():
-    rng = random.Random(20260819)
-    results = [
-        ("squarefree decomposition round-trips, 50 cases",
-         _squarefree_round_trip(rng, 50)),
-        ("quotient reduction is idempotent, 50 cases",
-         _quotient_reduce_idempotent(rng, 50)),
-        ("classification survives fourth-power twists, 50 cases",
-         _twist_invariance(rng, 50)),
-        ("curve addition is associative, 50 cases",
-         _ec_add_associative(rng, 50)),
-        ("splitting verdict survives reparametrization, 50 cases",
-         _reparametrization_invariance(rng, 50)),
-    ]
-    _report(11, "five property suites, 50 randomized cases each", results)
+def test_every_ledger_entry_is_claimed():
+    claimed = {n for _, names in CRITERIA.values() for n in names}
+    assert claimed == {name for name, _ in cli.CHECKS}

@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from k3quartic.cli import MAX_PRECISION_BITS, SUITES, main
+from k3quartic.cli import MAX_PARAM_DEGREE, MAX_PRECISION_BITS, SUITES, main
 
 
 def run(capsys, *argv):
@@ -195,6 +195,23 @@ class TestLattice:
         assert code == 2
 
 
+# each file breaks one rule of the parametrization format; unchecked, a
+# negative exponent hangs in Poly.__divmod__ and exponent 800 runs for
+# over a minute
+_PARAM = {"x": [[0, "1"]], "y": [[1, "1"]], "z": [[2, "1"], [0, "3"]]}
+MALFORMED_PARAMS = {
+    "not-json": "{not json",
+    "top-level-list": json.dumps([_PARAM]),
+    "var-not-string": json.dumps(dict(_PARAM, var=5)),
+    "float-coefficient": json.dumps(dict(_PARAM, x=[[0, 1.5]])),
+    "zero-denominator": json.dumps(dict(_PARAM, x=[[0, "1/0"]])),
+    "bool-coefficient": json.dumps(dict(_PARAM, x=[[0, True]])),
+    "negative-exponent": json.dumps(dict(_PARAM, x=[[-1, "1"]])),
+    "exponent-800": json.dumps(dict(_PARAM, x=[[800, "1"]])),
+    "exponent-above-ceiling": json.dumps(dict(_PARAM, x=[[MAX_PARAM_DEGREE + 1, "1"]])),
+}
+
+
 class TestSplit:
     def test_builtins(self, capsys):
         code, rep, _ = run_json(capsys, "split")
@@ -235,11 +252,15 @@ class TestSplit:
         code, _, err = run(capsys, "split", "--param", "/nonexistent/f.json")
         assert code == 2
 
-    def test_malformed_file(self, capsys, tmp_path):
+    @pytest.mark.parametrize("text", MALFORMED_PARAMS.values(),
+                             ids=MALFORMED_PARAMS.keys())
+    def test_malformed_file(self, capsys, tmp_path, text):
         f = tmp_path / "bad.json"
-        f.write_text("{not json")
-        code, _, err = run(capsys, "split", "--param", str(f))
+        f.write_text(text)
+        code, out, err = run(capsys, "split", "--param", str(f))
         assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
 
     def test_missing_coordinate(self, capsys, tmp_path):
         f = tmp_path / "partial.json"

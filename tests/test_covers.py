@@ -19,6 +19,7 @@ from k3quartic.covers import (
     sum_sections,
     verify_cover_map,
 )
+from k3quartic.fibration import standard_family
 from k3quartic.fields import quartic_root_field
 from k3quartic.polynomials import Poly, RationalFunction
 
@@ -106,6 +107,10 @@ def test_section_sum_reproduces_display():
     assert total["on_curve"]
     assert total["u"] == _display_u(lift.field)
     assert total["v"] == _display_v(lift.field)
+    # on_curve again, against the fibration module's model of the 81/49 member
+    f = standard_family(Fraction(81, 49)).f.map_coeffs(lift.field.from_rational)
+    u, v = total["u"], total["v"]
+    assert (v * v - (u ** 3 - RationalFunction(f) * u)).is_zero
 
 
 def test_section_sum_root_zero_flips_v():

@@ -131,6 +131,10 @@ def test_degeneration_at_infinity():
     assert cfg.type_multiset() == sorted(["III*", "I0*", "I0*", "III"])
     quad = [fb for fb in cfg.fibers if fb.degree == 2][0]
     assert quad.certified
+    # the 2-form scales by z8^3, of order 8, on the member itself
+    K = eighth_root_field()
+    z8 = K.gen()
+    assert form_scaling_order(z8 ** 2, z8 ** 3, K.from_rational(-1), member) == (z8 ** 3, 8)
     # the generic member of the degenerate family still totals 24
     assert classify_fibers(d["family"]).total_euler == 24
 

@@ -304,6 +304,7 @@ def test_hermitian_det_identity():
 
 def test_rank4_classification():
     r = rank4_classification_check()
+    assert r.bound == 4
     assert len(r.survivors) == 142
     assert len(r.delta_one) == 90
     assert len(r.delta_zero) == 52
