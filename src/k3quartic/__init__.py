@@ -42,7 +42,6 @@ from .fibration import (
     shioda_tate_bound,
     standard_family,
     twist_minimize,
-    weierstrass_reduce,
 )
 from .curves import (
     CurveMap,

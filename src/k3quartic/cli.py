@@ -639,7 +639,8 @@ def _is_int(value):
 def _param_coeffs(key, terms):
     """The {exponent: Fraction} map of one coordinate of a parametrization
     file: [exponent, coefficient] pairs, an exponent an integer in
-    [0, MAX_PARAM_DEGREE], a coefficient an integer or a rational string."""
+    [0, MAX_PARAM_DEGREE] given at most once, a coefficient an integer or a
+    rational string."""
     if not isinstance(terms, list) or not all(
             isinstance(t, list) and len(t) == 2 for t in terms):
         raise UsageError("%r must be a list of [exponent, coefficient] pairs" % key)
@@ -648,6 +649,8 @@ def _param_coeffs(key, terms):
         if not (_is_int(e) and 0 <= e <= MAX_PARAM_DEGREE):
             raise UsageError("%r: exponent %s is not an integer from 0 to %d"
                              % (key, json.dumps(e), MAX_PARAM_DEGREE))
+        if e in coeffs:
+            raise UsageError("%r: exponent %d is repeated" % (key, e))
         try:
             if not (_is_int(c) or isinstance(c, str)):
                 raise ValueError

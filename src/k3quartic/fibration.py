@@ -8,6 +8,11 @@ counts 2, 5, 8.  The place at infinity carries k = (-deg f) mod 4.
 Locations are kept as polynomials over the base field; a degree-d squarefree
 location stands for d geometric places of the same type, so Euler numbers and
 Shioda-Tate sums are exact without ever adjoining roots.
+
+The standard family's derivation is certified in two places: the coordinate
+chain down to v^2 = u^3 - 4 beta u, beta symbolic, by the ledger entry
+weierstrass_reduction_chain; the twist to f = lam^3 A^2 by standard_family, on
+every call.
 """
 
 from fractions import Fraction
@@ -37,15 +42,14 @@ class NotTwistMinimalError(ValueError):
 class WeierstrassFibration:
     """The family y^2 = x^3 - f(lam) x over the base line."""
 
-    __slots__ = ("f", "provenance")
+    __slots__ = ("f",)
 
-    def __init__(self, f, provenance=None):
+    def __init__(self, f):
         if isinstance(f, RationalFunction):
             f = f.as_poly()
         if f.is_zero:
             raise ValueError("f must be nonzero")
         self.f = f
-        self.provenance = provenance
 
     @property
     def var(self):
@@ -231,29 +235,6 @@ def verify_reduction_chain():
     }
 
 
-def weierstrass_reduce(beta_expr):
-    """Model v^2 = u^3 - 4*beta*u for a concrete beta in the base field.
-
-    beta_expr is a nonzero RationalFunction (or Poly) in the base variable.
-    The symbolic chain is re-verified and shipped as provenance; the returned
-    record holds the (possibly non-polynomial) coefficient 4*beta.
-    """
-    if isinstance(beta_expr, Poly):
-        beta_expr = RationalFunction(beta_expr)
-    if beta_expr.is_zero:
-        raise ZeroDivisionError("beta must be nonzero")
-    chain = verify_reduction_chain()
-    return {
-        "coefficient": 4 * beta_expr,
-        "model": "v^2 = u^3 - coefficient*u",
-        "chain_residuals_zero": chain,
-        "maps": {
-            "u": "2*(z1+1)/w^2",
-            "v": "4*(z1+1)/w^3",
-        },
-    }
-
-
 def _pencil_poly(alpha):
     """lam^2 + 2*lam + alpha with alpha living in the coefficient domain."""
     return Poly("lam", {2: 1, 1: 2, 0: alpha})
@@ -278,27 +259,16 @@ def quartic_twist(f_rf, s):
 def standard_family(alpha=ALPHA):
     """The polynomial family v^2 = u^3 - lam^3 (lam^2+2 lam+alpha)^2 u.
 
-    Built from the reduction output by the twist s = 2/(lam*A), and the twist
-    equivalence is checked exactly before returning.
+    f = lam^3 A^2 is built directly.  The reduction chain is certified by the
+    ledger entry weierstrass_reduction_chain, not here; the twist s = 2/(lam*A)
+    taking 4*standard_beta(alpha) to f is checked exactly on every call.
     """
     lam = Poly.x("lam")
     A = _pencil_poly(alpha)
-    beta = standard_beta(alpha)
-    base = weierstrass_reduce(beta)
-    g = base["coefficient"]          # 16/(lam*A^2)
-    s = 2 / (lam * A)                # (u,v) -> (s^2 u, s^3 v) scales f by s^-4
-    f = quartic_twist(g, s)
-    target = lam ** 3 * A ** 2
-    if f != target:
+    f = lam ** 3 * A ** 2
+    if quartic_twist(4 * standard_beta(alpha), 2 / (lam * A)) != f:
         raise AssertionError("twist transport failed to reach the standard family")
-    return WeierstrassFibration(
-        target,
-        provenance={
-            "beta": beta,
-            "twist": s,
-            "chain_residuals_zero": base["chain_residuals_zero"],
-        },
-    )
+    return WeierstrassFibration(f)
 
 
 # -- degenerations ----------------------------------------------------------

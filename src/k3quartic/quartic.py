@@ -43,26 +43,6 @@ class AlphaInfinity:
 ALPHA_INFINITY = AlphaInfinity()
 
 
-def conic():
-    y = MultiPoly.gen(PLANE_VARS, "y")
-    x = MultiPoly.gen(PLANE_VARS, "x")
-    z = MultiPoly.gen(PLANE_VARS, "z")
-    return y * y - x * z
-
-
-def line1():
-    return MultiPoly.gen(PLANE_VARS, "y")
-
-
-def line2(alpha):
-    x = MultiPoly.gen(PLANE_VARS, "x")
-    y = MultiPoly.gen(PLANE_VARS, "y")
-    z = MultiPoly.gen(PLANE_VARS, "z")
-    if alpha is ALPHA_INFINITY:
-        return x
-    return alpha * x + 2 * y + z
-
-
 def conic_at(x, y, z):
     return y * y - x * z
 
@@ -79,27 +59,42 @@ def quartic_at(x, y, z, alpha):
     return conic_at(x, y, z) * line1_at(x, y, z) * line2_at(x, y, z, alpha)
 
 
+def _plane_gens():
+    return [MultiPoly.gen(PLANE_VARS, v) for v in PLANE_VARS]
+
+
+def conic():
+    return conic_at(*_plane_gens())
+
+
+def line1():
+    return line1_at(*_plane_gens())
+
+
+def line2(alpha):
+    if alpha is ALPHA_INFINITY:
+        return MultiPoly.gen(PLANE_VARS, "x")
+    return line2_at(*_plane_gens(), alpha)
+
+
 class QuarticFamily:
     """One member (or the symbolic member) of the quartic family."""
 
-    __slots__ = ("alpha", "equation")
+    __slots__ = ("alpha",)
 
     def __init__(self, alpha):
         self.alpha = alpha
-        self.equation = conic() * line1() * line2(alpha)
-
-    def components(self):
-        return {"conic": conic(), "line1": line1(), "line2": line2(self.alpha)}
 
     def component_recovery_check(self):
         """Exact division of the expanded quartic back into its components."""
-        rest = self.equation.try_exact_div(conic())
+        Q, L1, L2 = conic(), line1(), line2(self.alpha)
+        rest = (Q * L1 * L2).try_exact_div(Q)
         if rest is None:
             return False
-        rest = rest.try_exact_div(line1())
+        rest = rest.try_exact_div(L1)
         if rest is None:
             return False
-        return rest == line2(self.alpha)
+        return rest == L2
 
     def __repr__(self):
         return "QuarticFamily(alpha=%r)" % (self.alpha,)

@@ -209,6 +209,7 @@ MALFORMED_PARAMS = {
     "negative-exponent": json.dumps(dict(_PARAM, x=[[-1, "1"]])),
     "exponent-800": json.dumps(dict(_PARAM, x=[[800, "1"]])),
     "exponent-above-ceiling": json.dumps(dict(_PARAM, x=[[MAX_PARAM_DEGREE + 1, "1"]])),
+    "repeated-exponent": json.dumps(dict(_PARAM, x=[[0, "1"], [0, "5"]])),
 }
 
 

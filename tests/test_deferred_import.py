@@ -1,4 +1,5 @@
-"""mpmath is loaded only by the code that computes a period.
+"""mpmath is loaded only by the code that computes a period, and the test-only
+oracles sympy and hypothesis by no command at all.
 
 Each case runs in a fresh interpreter: this test process has already imported
 mpmath through the periods tests.
@@ -25,7 +26,7 @@ PACKAGE_NAMES = (
     "singular_points", "stability",
     "WeierstrassFibration", "classify_fibers", "degeneration_model",
     "form_scaling_order", "parity_refine", "shioda_tate_bound", "standard_family",
-    "twist_minimize", "weierstrass_reduce",
+    "twist_minimize",
     "CurveMap", "CurveModel", "base_elliptic_rhs", "ec_add", "ec_neg",
     "j_invariant", "on_curve", "quotient_map", "verify_involution", "verify_map",
     "Inconclusive", "IsogenousToE", "NotDetected", "cm_isogeny_check",
@@ -40,12 +41,15 @@ PACKAGE_NAMES = (
     "inverse_cayley", "membership", "period_point", "su11_samples",
 )
 
-# runs cli.main(argv) and reports on stderr whether mpmath got loaded
+# runs cli.main(argv) and reports on stderr whether mpmath and the test-only
+# oracles got loaded
 MAIN_SCRIPT = """\
 import sys
 from k3quartic.cli import main
 code = main(sys.argv[1:] + ["--json"])
 sys.stderr.write("mpmath loaded: %s\\n" % ("mpmath" in sys.modules))
+sys.stderr.write("oracles loaded: %s\\n"
+                 % [m for m in ("sympy", "hypothesis") if m in sys.modules])
 sys.exit(code)
 """
 
@@ -94,11 +98,11 @@ def test_package_names_import_without_mpmath():
 def test_exact_command_leaves_mpmath_unloaded(argv):
     proc = python("-c", MAIN_SCRIPT, *argv)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stderr == "mpmath loaded: False\n"
+    assert proc.stderr == "mpmath loaded: False\noracles loaded: []\n"
 
 
 @pytest.mark.parametrize("argv", NUMERIC_COMMANDS, ids=" ".join)
 def test_numeric_command_loads_mpmath(argv):
     proc = python("-c", MAIN_SCRIPT, *argv)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stderr == "mpmath loaded: True\n"
+    assert proc.stderr == "mpmath loaded: True\noracles loaded: []\n"

@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from k3quartic import fibration
 from k3quartic.fibration import (
     NotTwistMinimalError,
     classify_fibers,
@@ -15,10 +16,9 @@ from k3quartic.fibration import (
     standard_family,
     twist_minimize,
     verify_reduction_chain,
-    weierstrass_reduce,
 )
 from k3quartic.fields import eighth_root_field, gaussian_field
-from k3quartic.polynomials import Poly, RationalFunction
+from k3quartic.polynomials import Poly
 from k3quartic.quartic import ALPHA
 
 LAM = Poly.x("lam")
@@ -37,19 +37,29 @@ def test_reduction_chain_residuals():
 
 
 def test_weierstrass_reduce_standard_beta():
-    red = weierstrass_reduce(standard_beta())
-    assert red["coefficient"] == 16 / (LAM * A_SYM ** 2)
-
-
-def test_weierstrass_reduce_rejects_zero():
-    with pytest.raises(ZeroDivisionError):
-        weierstrass_reduce(RationalFunction(Poly.constant("lam", 0)))
+    assert 4 * standard_beta() == 16 / (LAM * A_SYM ** 2)
 
 
 def test_standard_family_polynomial_model():
-    fib = standard_family()
-    assert fib.f == LAM ** 3 * A_SYM ** 2
-    assert fib.provenance["twist"] == 2 / (LAM * A_SYM)
+    assert standard_family().f == LAM ** 3 * A_SYM ** 2
+    # the 17-digit semiprime alpha is the one of the CI console-script step
+    for alpha in (Fraction(81, 49), Fraction(3, 4), Fraction(-1, 3),
+                  Fraction(10000004400000259, 10000003799999461)):
+        A = Poly("lam", {2: 1, 1: 2, 0: alpha})
+        assert standard_family(alpha).f == LAM ** 3 * A ** 2
+
+
+def test_standard_family_checks_the_twist_not_the_chain(monkeypatch):
+    def chain():
+        raise RuntimeError("standard_family re-ran the reduction chain")
+
+    monkeypatch.setattr(fibration, "verify_reduction_chain", chain)
+    assert standard_family(Fraction(81, 49)).f.degree == 7
+    monkeypatch.setattr(fibration, "quartic_twist", lambda f_rf, s: 2 * f_rf)
+    with pytest.raises(AssertionError):
+        standard_family(Fraction(81, 49))
+    with pytest.raises(AssertionError):
+        standard_family()
 
 
 def test_quartic_twist_transport():
