@@ -24,10 +24,11 @@ from .covers import (
     STANDARD_ALPHA,
     displayed_section,
     fourth_power_test,
-    lift_two_section,
     quartic_factor_check,
     sextic_factor_check,
-    sum_sections,
+    sum_at_root_choice,
+    twist_lift,
+    twist_sum,
     verify_cover_map,
 )
 from .curves import (
@@ -299,16 +300,19 @@ def check_quartic_split():
 
 
 def check_section_display():
-    s = sum_sections(lift_two_section(SPLIT_PARAM_SEXTIC, root_choice=2))
+    twist = twist_lift(SPLIT_PARAM_SEXTIC)
+    s = sum_at_root_choice(twist_sum(twist), twist.s, 2)
     d = displayed_section()
     ok = s["on_curve"] and s["u"] == d["u"] and s["v"] == d["v"]
     return ok, "closed form matched, residual 0" if ok else "section differs"
 
 
 def check_section_roots():
+    # the Q-level lift and sum once, then one scaling per fourth-root choice
+    twist = twist_lift(SPLIT_PARAM_SEXTIC)
+    total = twist_sum(twist)
     bad = [k for k in range(4)
-           if not sum_sections(lift_two_section(SPLIT_PARAM_SEXTIC,
-                                                root_choice=k))["on_curve"]]
+           if not sum_at_root_choice(total, twist.s, k)["on_curve"]]
     if bad:
         return False, "off-curve at root choices %s" % bad
     return True, "all 4 fourth-root choices land on the curve"

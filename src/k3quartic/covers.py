@@ -6,11 +6,24 @@ rational curve P : r -> (x(r), y(r), z(r)) splits the cover when F composed
 with P is a fourth power in the function field up to a constant, which is
 read off the squarefree decomposition: every multiplicity divisible by 4.
 A split curve with even fiber coordinate lam(r) then carries a two-section
-of the associated Weierstrass family, and the sum of its two branches
-descends to a genuine section over the lam-line; all of that is carried out
-exactly over Q(theta), theta^4 = 7, or its extension by i.
+of the associated Weierstrass family v^2 = u^3 - f u, f = lam^3 A^2, and
+the sum of its two branches descends to a genuine section over the
+lam-line.
+
+The two-section is a quartic twist of one defined over Q: with
+H = -F(1, lam, Z) = c g^4 and c = t^4 s, s fourth-power free, the pair
+(U, V) built from t g instead of a fourth root of H lies on the twist
+V^2 = U^3 - s f U over Q(r), and each fourth root w0 of s in Q(theta),
+theta^4 = 7, or in Q(theta, i), gives the isomorphism
+(U, V) -> (U / w0^2, V / w0^3) onto the standard curve.  So the lift, the
+branch sum and its descent are computed once over Q (`twist_lift`,
+`twist_sum`), and a root choice only scales by powers of w0.  Certificates:
+the chart identity H == -F(1, lam, Z) and (t g)^4 s == H over Q, w0^4 == s
+in the root choice's field, and the exact Weierstrass residual of the
+scaled sum over that field.
 """
 
+from collections import namedtuple
 from fractions import Fraction
 
 from .curves import EC_INFINITY, ec_add
@@ -309,11 +322,25 @@ def _fourth_root_in_theta_field(s, root_choice):
     return field, w0
 
 
+class TwistLift(namedtuple("TwistLift", "lam_of_r r_squared_in_lam z1 tg s u v")):
+    """The two-section of a split curve over Q, on the quartic twist
+    V^2 = U^3 - s f U of the standard member, f = lam^3 A^2.
+
+    `tg` is t g with H = (t g)^4 s, and (u, v) = (U, V) are Q(r)-rational.
+    Every fourth-root choice w0 of s carries (U, V) to (U / w0^2, V / w0^3)
+    on v^2 = u^3 - f u (Silverman, *The Arithmetic of Elliptic Curves*,
+    X.5).
+    """
+
+    __slots__ = ()
+
+
 class SectionLift:
-    """A two-section of the Weierstrass family carried by a split curve."""
+    """A two-section of the Weierstrass family carried by a split curve:
+    one root choice's scaling of `twist`."""
 
     __slots__ = ("param", "alpha", "root_choice", "field", "lam_of_r",
-                 "r_squared_in_lam", "z1", "w", "u", "v")
+                 "r_squared_in_lam", "z1", "w", "u", "v", "twist")
 
     def __init__(self, **kw):
         for k in self.__slots__:
@@ -323,23 +350,20 @@ class SectionLift:
         return "SectionLift(u=%s, v=%s)" % (self.u, self.v)
 
 
-def lift_two_section(param, root_choice=0):
-    """Lift a split curve with even fiber coordinate to a two-section of the
-    standard member alpha = STANDARD_ALPHA.
+def twist_lift(param):
+    """The part of `lift_two_section` that does not depend on the root
+    choice, over Q.
 
     Writes lam(r) = y/x (must be even in r), Z(r) = z/x, converts to the
-    normalized fiber coordinate z1 = (2Z - (lam^2 - 2 lam - alpha))/A, forms
-    H = (1/4) lam A^2 (z1^2 - 1) (which equals -F(1, lam, Z)), extracts an
-    exact fourth root w of H over Q(theta), theta^4 = 7, and transports
-    through the twist to
+    normalized fiber coordinate z1 = (2Z - (lam^2 - 2 lam - alpha))/A and
+    forms H = (1/4) lam A^2 (z1^2 - 1), certified equal to -F(1, lam, Z).
+    Then H = c g^4 and c = t^4 s with s fourth-power free, certified as
+    (t g)^4 s == H, and
 
-        u = lam^2 A^2 (z1 + 1) / (2 w^2),  v = lam^3 A^3 (z1 + 1) / (2 w^3).
+        U = lam^2 A^2 (z1 + 1) / (2 (t g)^2),  V = lam^3 A^3 (z1 + 1) / (2 (t g)^3)
 
-    root_choice k rotates w by i^k (odd k forces the Q(theta, i) tower).
-    Both (u, v) satisfy v^2 = u^3 - lam^3 A^2 u exactly; the r -> -r image is
-    the other branch of the two-section.
+    lie on V^2 = U^3 - s lam^3 A^2 U.
     """
-    rvar = param.var
     x_rf = RationalFunction(param.x)
     lam = RationalFunction(param.y) / x_rf
     if lam != _negate_variable_rf(lam):
@@ -352,7 +376,7 @@ def lift_two_section(param, root_choice=0):
     h = Fraction(1, 4) * lam * a_of ** 2 * (z1 ** 2 - 1)
 
     # cross-check: H must be -F(1, lam, Z)
-    neg_f = -quartic_at(RationalFunction(Poly.constant(rvar, 1)), lam, zc, alpha)
+    neg_f = -quartic_at(RationalFunction(Poly.constant(param.var, 1)), lam, zc, alpha)
     if h != neg_f:
         raise AssertionError("normalized fiber coordinate does not match the chart")
 
@@ -361,26 +385,60 @@ def lift_two_section(param, root_choice=0):
         raise ValueError("curve does not split: H is not a fourth power up to constant")
     c, g = data
     t, s = split_fourth_power(c)
-    field, w0 = _fourth_root_in_theta_field(s, root_choice)
-    w = (t * w0) * g.map_coeffs(field.from_rational)
-    if w ** 4 != h.map_coeffs(field.from_rational):
+    tg = t * g
+    if tg ** 4 * s != h:
         raise AssertionError("fourth root reconstruction failed")
-
-    lam_f = lam.map_coeffs(field.from_rational)
-    a_f = a_of.map_coeffs(field.from_rational)
-    z1_f = z1.map_coeffs(field.from_rational)
-    u = lam_f ** 2 * a_f ** 2 * (z1_f + 1) / (2 * w ** 2)
-    v = lam_f ** 3 * a_f ** 3 * (z1_f + 1) / (2 * w ** 3)
+    u = lam ** 2 * a_of ** 2 * (z1 + 1) / (2 * tg ** 2)
+    v = u * lam * a_of / tg
 
     # lam = (y/x)(r) must be a monomial c r^2 for the descent r^2 -> lam/c
     if not lam.is_polynomial or lam.num.degree != 2 or lam.num.coeff(1) != 0 or lam.num.coeff(0) != 0:
         raise ValueError("descent needs lam(r) to be a pure multiple of r^2")
-    r_squared_in_lam = 1 / lam.num.coeff(2)
+    return TwistLift(lam, 1 / lam.num.coeff(2), z1, tg, s, u, v)
 
+
+def _twist_root(s, root_choice):
+    """The root choice's field and w0, certified w0^4 == s there."""
+    field, w0 = _fourth_root_in_theta_field(s, root_choice)
+    if w0 ** 4 != s:
+        raise AssertionError("fourth root reconstruction failed")
+    return field, w0
+
+
+def _untwist(scaled, field, w0):
+    """(U / w0^2, V / w0^3) over `field` from (U / s, V / s) over Q: with
+    w0^4 = s these are w0^2 U / s and w0 V / s, so w0 is never inverted.
+    The embedding is gcd-free and the field scalar multiplies the numerator
+    only."""
+    u, v = scaled
+    emb = field.from_rational
+    return u.map_coeffs(emb) * w0 ** 2, v.map_coeffs(emb) * w0
+
+
+def lift_two_section(param, root_choice=0):
+    """Lift a split curve with even fiber coordinate to a two-section of the
+    standard member alpha = STANDARD_ALPHA.
+
+    The Q-level `twist_lift` gives (U, V) on V^2 = U^3 - s f U, f = lam^3
+    A^2, with the chart and (t g)^4 s == H certificates.  The root choice k
+    picks w0 = i^k theta^j, theta^4 = 7, with w0^4 = s certified in Q(theta)
+    (odd k forces the Q(theta, i) tower).  Through the twist's isomorphism,
+    w = t g w0 is an exact fourth root of H and
+
+        u = U / w0^2 = lam^2 A^2 (z1 + 1) / (2 w^2),
+        v = V / w0^3 = lam^3 A^3 (z1 + 1) / (2 w^3)
+
+    satisfy v^2 = u^3 - lam^3 A^2 u exactly; the r -> -r image is the other
+    branch of the two-section.
+    """
+    twist = twist_lift(param)
+    field, w0 = _twist_root(twist.s, root_choice)
+    u, v = _untwist((twist.u / twist.s, twist.v / twist.s), field, w0)
     return SectionLift(
-        param=param, alpha=alpha, root_choice=root_choice, field=field,
-        lam_of_r=lam, r_squared_in_lam=r_squared_in_lam,
-        z1=z1_f, w=w, u=u, v=v,
+        param=param, alpha=STANDARD_ALPHA, root_choice=root_choice, field=field,
+        lam_of_r=twist.lam_of_r, r_squared_in_lam=twist.r_squared_in_lam,
+        z1=twist.z1.map_coeffs(field.from_rational),
+        w=twist.tg.map_coeffs(field.from_rational) * w0, u=u, v=v, twist=twist,
     )
 
 
@@ -415,32 +473,52 @@ def even_descend(rf, scale):
     )
 
 
+def twist_sum(twist):
+    """The sum of the two branches of the twist's two-section, over Q.
+
+    Adds (U, V) and its r -> -r image on V^2 = U^3 - s f U, descends the
+    invariant sum to the lam-line and divides it by s: the standard-curve
+    sum over a root choice's field is then (w0^2 u, w0 v) for the returned
+    (u, v).  EC_INFINITY when the branches are opposite.
+    """
+    u_p, v_p = twist.u, twist.v
+    u_m, v_m = _negate_variable_rf(u_p), _negate_variable_rf(v_p)
+    lam = twist.lam_of_r
+    f_r = lam ** 3 * (lam ** 2 + 2 * lam + STANDARD_ALPHA) ** 2
+    total = ec_add((u_p, v_p), (u_m, v_m), -twist.s * f_r)
+    if total is EC_INFINITY:
+        return total
+    return tuple(even_descend(x, twist.r_squared_in_lam) / twist.s for x in total)
+
+
+def sum_at_root_choice(total, s, root_choice):
+    """A `twist_sum` result scaled to one root choice's field, with the
+    exact Weierstrass residual against v^2 = u^3 - lam^3 (lam^2 + 2 lam +
+    alpha)^2 u over that field.  Returns {"u", "v", "on_curve",
+    "residual"}."""
+    if total is EC_INFINITY:
+        return {"u": None, "v": None, "on_curve": True, "residual": None}
+    field, w0 = _twist_root(s, root_choice)
+    u_lam, v_lam = _untwist(total, field, w0)
+    lam = Poly.x("lam")
+    f_lam = (lam ** 3 * (lam ** 2 + 2 * lam + STANDARD_ALPHA) ** 2).map_coeffs(
+        field.from_rational
+    )
+    residual = v_lam ** 2 - u_lam * (u_lam ** 2 - f_lam)
+    return {"u": u_lam, "v": v_lam, "on_curve": residual.is_zero,
+            "residual": residual}
+
+
 def sum_sections(lift):
     """Add the two branches of a two-section; the sum descends to the lam-line.
 
-    Returns {"u", "v", "on_curve"}: coordinates as rational functions of lam
-    over the lift's coefficient field, plus the exact Weierstrass residual
-    check against v^2 = u^3 - lam^3 (lam^2 + 2 lam + alpha)^2 u.
+    Returns {"u", "v", "on_curve", "residual"}: coordinates as rational
+    functions of lam over the lift's coefficient field, plus the exact
+    Weierstrass residual check against v^2 = u^3 - lam^3 (lam^2 + 2 lam +
+    alpha)^2 u.  The sum is taken over Q (`twist_sum`) and scaled to the
+    lift's root choice.
     """
-    u_p, v_p = lift.u, lift.v
-    u_m, v_m = _negate_variable_rf(u_p), _negate_variable_rf(v_p)
-    f_r = (lift.lam_of_r ** 3 * (lift.lam_of_r ** 2 + 2 * lift.lam_of_r + lift.alpha) ** 2)
-    f_r = f_r.map_coeffs(lift.field.from_rational)
-    total = ec_add((u_p, v_p), (u_m, v_m), -f_r)
-    if total is EC_INFINITY:
-        return {"u": None, "v": None, "on_curve": True, "residual": None}
-    su, sv = total
-    scale = lift.r_squared_in_lam
-    u_lam = even_descend(su, scale)
-    v_lam = even_descend(sv, scale)
-
-    lam = Poly.x("lam")
-    f_lam = (lam ** 3 * (lam ** 2 + 2 * lam + lift.alpha) ** 2).map_coeffs(
-        lift.field.from_rational
-    )
-    residual = v_lam ** 2 - u_lam ** 3 + f_lam * u_lam
-    return {"u": u_lam, "v": v_lam, "on_curve": residual.is_zero,
-            "residual": residual}
+    return sum_at_root_choice(twist_sum(lift.twist), lift.twist.s, lift.root_choice)
 
 
 def displayed_section():

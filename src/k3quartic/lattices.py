@@ -3,7 +3,9 @@ invariants, and the rank-two realization search inside diag(2,2,-2,-2).
 
 The determinant and the signature (one Bareiss fraction-free elimination
 step), the Smith normal form, delta and the rank-4 certificate search run
-on Python ints only.  Discriminant data comes from the Smith normal form
+on Python ints only.  The same Bareiss elimination over `MultiPoly`
+certifies the rank-4 block determinant identity once, symbolically.
+Discriminant data comes from the Smith normal form
 with unimodular transforms, and the realization results are certified by
 explicit vectors and minor gcds rather than by citation.  The certificate
 search streams the norm-2 vectors x of its box and solves the two
@@ -14,6 +16,8 @@ so a block Gram costs a few hundred candidates, not the whole box.
 from itertools import chain
 from math import gcd, isqrt
 from operator import mul, ne
+
+from .multipoly import MultiPoly
 
 
 # -- exact matrix helpers ------------------------------------------------------
@@ -69,7 +73,13 @@ def _bareiss_step(m, k, prev):
 def mat_det(a):
     """Determinant of an integer matrix by Bareiss elimination, swapping in
     a row with a nonzero entry for a zero pivot."""
-    m = _int_matrix(a)
+    return _bareiss_det(_int_matrix(a))
+
+
+def _bareiss_det(m):
+    """Determinant of the square matrix m, eliminated in place.  Entries are
+    ints or exact-division polynomials (`MultiPoly`, whose `//` raises on a
+    remainder): Bareiss' divisions are exact over any integral domain."""
     n = len(m)
     sign, prev = 1, 1
     for k in range(n - 1):
@@ -529,6 +539,16 @@ def hermitian_det_identity(n, m, b, c):
     return mat_det(gaussian_block_gram(n, m, b, c)) == (4 * n * m - b * b - c * c) ** 2
 
 
+def block_gram_det_identity():
+    """det(gaussian_block_gram(n, m, b, c)) == (4nm - b^2 - c^2)^2 as
+    polynomials in (n, m, b, c): the Bareiss determinant over `MultiPoly`,
+    so the identity holds at every integer point, not only in a box."""
+    names = ("n", "m", "b", "c")
+    n, m, b, c = (MultiPoly.gen(names, v) for v in names)
+    det = _bareiss_det(gaussian_block_gram(n, m, b, c))
+    return det == (4 * n * m - b * b - c * c) ** 2
+
+
 def _norm_vectors(gram, coord_bound, value):
     """The vectors v with |v_i| <= coord_bound and v^T G v == value, lazily
     and in lexicographic order."""
@@ -634,6 +654,10 @@ def rank4_classification_check():
     """Enumerate J-invariant block Grams with |n|,|m|,|b|,|c| <= RANK4_BOUND
     and keep those with |det| = 16 and signature (2,2).
 
+    `det_identity` is the symbolic identity det = (4nm - b^2 - c^2)^2
+    (`block_gram_det_identity`), so the grid is filtered on the integer
+    4nm - b^2 - c^2 = +/-4 and no determinant is taken per point.
+
     All survivors are 2-elementary of length 4 (entries are even once the
     determinant forces b, c even).  The ones with delta = 1 each get an
     explicit change-of-basis certificate onto diag(2,2,-2,-2), searched with
@@ -643,20 +667,16 @@ def rank4_classification_check():
     being the transcendental form.  The b = c = 0 survivors are exactly
     nm = -1.
     """
+    det_identity = block_gram_det_identity()
     survivors = []
-    det_identity = True
     rng = range(-RANK4_BOUND, RANK4_BOUND + 1)
     for n in rng:
         for m in rng:
             for b in rng:
                 for c in rng:
-                    gram = gaussian_block_gram(n, m, b, c)
-                    det = mat_det(gram)
-                    if det != (4 * n * m - b * b - c * c) ** 2:
-                        det_identity = False
-                    if abs(det) != 16:
+                    if abs(4 * n * m - b * b - c * c) != 4:
                         continue
-                    if signature(gram) != (2, 2):
+                    if signature(gaussian_block_gram(n, m, b, c)) != (2, 2):
                         continue
                     survivors.append((n, m, b, c))
     delta_one = []

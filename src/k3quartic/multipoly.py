@@ -257,6 +257,13 @@ class MultiPoly:
                     del rem[t]
         return MultiPoly(self.vars, quo)
 
+    def __floordiv__(self, divisor):
+        """Exact division; ValueError when it leaves a remainder."""
+        q = self.try_exact_div(divisor)
+        if q is None:
+            raise ValueError("%r does not divide %r" % (divisor, self))
+        return q
+
     def evaluate(self, assignment):
         """Full evaluation; assignment maps every used variable to a scalar."""
         out = 0

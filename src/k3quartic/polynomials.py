@@ -61,15 +61,16 @@ def render_terms(pairs):
 
 def power(base, n, one):
     """base ** n for an integer n >= 0 by square-and-multiply; `one` is the
-    multiplicative identity of base's ring."""
-    result = one
+    multiplicative identity of base's ring, returned for n = 0 and never
+    multiplied."""
+    result = None
     while n:
         if n & 1:
-            result = result * base
+            result = base if result is None else result * base
         n >>= 1
         if n:
             base = base * base
-    return result
+    return one if result is None else result
 
 
 class Poly:
@@ -791,7 +792,16 @@ class RationalFunction(FractionArithmetic):
         return RationalFunction(n, self.den * self.den)
 
     def map_coeffs(self, fn):
-        return RationalFunction(self.num.map_coeffs(fn), self.den.map_coeffs(fn))
+        """The fraction with `fn` applied to every coefficient of num and den.
+
+        `fn` must be an injective ring homomorphism, such as
+        `field.from_rational`, so the result needs no gcd: a gcd over Q
+        stays the gcd over any extension field, and a monic denominator
+        stays monic.  A scalar multiple is `rf * c`, not a map, since `fn`
+        also reaches the denominator.
+        """
+        return RationalFunction(self.num.map_coeffs(fn), self.den.map_coeffs(fn),
+                                _reduced=True)
 
     def __repr__(self):
         if self.is_polynomial:

@@ -1,7 +1,9 @@
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
+from k3quartic import cli, covers
 from k3quartic.covers import (
     ContainedInBranch,
     CoverDoesNotSplit,
@@ -9,7 +11,10 @@ from k3quartic.covers import (
     Parametrization,
     SPLIT_PARAM_QUARTIC,
     SPLIT_PARAM_SEXTIC,
+    STANDARD_ALPHA,
     _fourth_root_in_theta_field,
+    _negate_variable_rf,
+    _rf_fourth_power_data,
     even_descend,
     fourth_power_test,
     lift_two_section,
@@ -17,11 +22,14 @@ from k3quartic.covers import (
     sextic_factor_check,
     split_fourth_power,
     sum_sections,
+    twist_lift,
     verify_cover_map,
 )
+from k3quartic.curves import EC_INFINITY, ec_add
 from k3quartic.fibration import standard_family
 from k3quartic.fields import quartic_root_field
 from k3quartic.polynomials import Poly, RationalFunction
+from k3quartic.quartic import quartic_at
 
 
 def test_cover_map_identity():
@@ -179,3 +187,137 @@ def test_even_descend():
     assert out == RationalFunction(scale ** 2 * lam ** 2 + scale * lam, scale * lam + 1)
     with pytest.raises(ValueError):
         even_descend(RationalFunction(r ** 3), scale)
+
+
+# -- the Q-level twist lift against the former field-coefficient lift ----------
+
+
+def _field_lift(param, root_choice=0):
+    """The lift as it was before the quartic-twist factoring, verbatim except
+    that it returns a namespace: the whole lift with field coefficients."""
+    rvar = param.var
+    x_rf = RationalFunction(param.x)
+    lam = RationalFunction(param.y) / x_rf
+    if lam != _negate_variable_rf(lam):
+        raise ValueError("fiber coordinate y/x is not even in the parameter")
+    zc = RationalFunction(param.z) / x_rf
+
+    alpha = STANDARD_ALPHA
+    a_of = lam ** 2 + 2 * lam + alpha
+    z1 = (2 * zc - (lam ** 2 - 2 * lam - alpha)) / a_of
+    h = Fraction(1, 4) * lam * a_of ** 2 * (z1 ** 2 - 1)
+
+    # cross-check: H must be -F(1, lam, Z)
+    neg_f = -quartic_at(RationalFunction(Poly.constant(rvar, 1)), lam, zc, alpha)
+    if h != neg_f:
+        raise AssertionError("normalized fiber coordinate does not match the chart")
+
+    data = _rf_fourth_power_data(h)
+    if data is None:
+        raise ValueError("curve does not split: H is not a fourth power up to constant")
+    c, g = data
+    t, s = split_fourth_power(c)
+    field, w0 = _fourth_root_in_theta_field(s, root_choice)
+    w = (t * w0) * g.map_coeffs(field.from_rational)
+    if w ** 4 != h.map_coeffs(field.from_rational):
+        raise AssertionError("fourth root reconstruction failed")
+
+    lam_f = lam.map_coeffs(field.from_rational)
+    a_f = a_of.map_coeffs(field.from_rational)
+    z1_f = z1.map_coeffs(field.from_rational)
+    u = lam_f ** 2 * a_f ** 2 * (z1_f + 1) / (2 * w ** 2)
+    v = lam_f ** 3 * a_f ** 3 * (z1_f + 1) / (2 * w ** 3)
+
+    # lam = (y/x)(r) must be a monomial c r^2 for the descent r^2 -> lam/c
+    if not lam.is_polynomial or lam.num.degree != 2 or lam.num.coeff(1) != 0 or lam.num.coeff(0) != 0:
+        raise ValueError("descent needs lam(r) to be a pure multiple of r^2")
+    r_squared_in_lam = 1 / lam.num.coeff(2)
+
+    return SimpleNamespace(
+        param=param, alpha=alpha, root_choice=root_choice, field=field,
+        lam_of_r=lam, r_squared_in_lam=r_squared_in_lam,
+        z1=z1_f, w=w, u=u, v=v,
+    )
+
+
+def _field_sum(lift):
+    """The branch sum as it was before the twist factoring, verbatim."""
+    u_p, v_p = lift.u, lift.v
+    u_m, v_m = _negate_variable_rf(u_p), _negate_variable_rf(v_p)
+    f_r = (lift.lam_of_r ** 3 * (lift.lam_of_r ** 2 + 2 * lift.lam_of_r + lift.alpha) ** 2)
+    f_r = f_r.map_coeffs(lift.field.from_rational)
+    total = ec_add((u_p, v_p), (u_m, v_m), -f_r)
+    if total is EC_INFINITY:
+        return {"u": None, "v": None, "on_curve": True, "residual": None}
+    su, sv = total
+    scale = lift.r_squared_in_lam
+    u_lam = even_descend(su, scale)
+    v_lam = even_descend(sv, scale)
+
+    lam = Poly.x("lam")
+    f_lam = (lam ** 3 * (lam ** 2 + 2 * lam + lift.alpha) ** 2).map_coeffs(
+        lift.field.from_rational
+    )
+    residual = v_lam ** 2 - u_lam ** 3 + f_lam * u_lam
+    return {"u": u_lam, "v": v_lam, "on_curve": residual.is_zero,
+            "residual": residual}
+
+
+@pytest.mark.parametrize("root_choice", range(4))
+def test_twist_lift_matches_the_field_lift(root_choice):
+    old = _field_lift(SPLIT_PARAM_SEXTIC, root_choice)
+    new = lift_two_section(SPLIT_PARAM_SEXTIC, root_choice)
+    for name in ("field", "lam_of_r", "r_squared_in_lam", "z1", "w", "u", "v"):
+        a, b = getattr(old, name), getattr(new, name)
+        assert a == b, name
+        assert repr(a) == repr(b), name
+    old_sum, new_sum = _field_sum(old), sum_sections(new)
+    for name in ("u", "v"):
+        assert old_sum[name] == new_sum[name], name
+        assert repr(old_sum[name]) == repr(new_sum[name]), name
+    assert old_sum["on_curve"] is new_sum["on_curve"] is True
+
+
+def test_twist_lift_rejects_what_the_field_lift_rejects():
+    r = Poly.x("r")
+    non_split = Parametrization(Poly.constant("r", 1), r ** 2, Poly.constant("r", 0))
+    for param in (SPLIT_PARAM_QUARTIC, non_split):
+        for lift in (_field_lift, lift_two_section, lambda p, k=0: twist_lift(p)):
+            with pytest.raises(ValueError):
+                lift(param)
+
+
+def test_twist_lift_is_over_q_on_the_twisted_curve():
+    twist = twist_lift(SPLIT_PARAM_SEXTIC)
+    assert twist.s == 343
+    lam = twist.lam_of_r
+    f_r = lam ** 3 * (lam ** 2 + 2 * lam + STANDARD_ALPHA) ** 2
+    assert (twist.v ** 2 - twist.u ** 3 + twist.s * f_r * twist.u).is_zero
+    for rf in (twist.z1, twist.tg, twist.u, twist.v):
+        assert all(isinstance(c, Fraction)
+                   for p in (rf.num, rf.den) for c in p.coeffs.values())
+
+
+# -- negative controls: each factored certificate can fail ----------------------
+
+
+def test_doubled_fourth_root_fails_its_certificate(monkeypatch):
+    real = covers._fourth_root_in_theta_field
+
+    def doubled(s, root_choice):
+        field, w0 = real(s, root_choice)
+        return field, 2 * w0
+
+    monkeypatch.setattr(covers, "_fourth_root_in_theta_field", doubled)
+    for k in range(4):
+        with pytest.raises(AssertionError, match="fourth root reconstruction failed"):
+            lift_two_section(SPLIT_PARAM_SEXTIC, root_choice=k)
+
+
+def test_perturbed_twist_constant_leaves_a_residual(monkeypatch):
+    def perturbed(twist):
+        return covers.twist_sum(twist._replace(s=twist.s + 1))
+
+    monkeypatch.setattr(cli, "twist_sum", perturbed)
+    assert cli.check_section_roots() == (
+        False, "off-curve at root choices [0, 1, 2, 3]")

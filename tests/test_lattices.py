@@ -13,6 +13,8 @@ from k3quartic.lattices import (
     Obstructed,
     RealizationVector,
     U_GRAM,
+    _bareiss_det,
+    block_gram_det_identity,
     certificate_basis,
     direct_sum,
     form_value,
@@ -39,6 +41,7 @@ from k3quartic.lattices import (
     transcendental_gram,
     twist,
 )
+from k3quartic.multipoly import MultiPoly
 
 
 def test_neron_severi_invariants():
@@ -302,8 +305,32 @@ def test_hermitian_det_identity():
         assert hermitian_det_identity(*tup)
 
 
+def test_block_gram_det_identity_is_symbolic():
+    assert block_gram_det_identity()
+    # the same Bareiss run separates a perturbed Gram from the identity
+    names = ("n", "m", "b", "c")
+    n, m, b, c = (MultiPoly.gen(names, v) for v in names)
+    gram = gaussian_block_gram(n, m, b, c)
+    gram[0][0] = gram[0][0] + 1
+    assert _bareiss_det(gram) != (4 * n * m - b * b - c * c) ** 2
+    with pytest.raises(ValueError, match="does not divide"):
+        n // (n + 1)
+
+
+def test_rank4_filter_matches_numeric_determinants():
+    # the integer filter 4nm - b^2 - c^2 = +/-4, against mat_det on every
+    # block Gram of the box, in the same order
+    r = range(-4, 5)
+    want = [t for t in itertools.product(r, r, r, r)
+            if abs(mat_det(gaussian_block_gram(*t))) == 16
+            and signature(gaussian_block_gram(*t)) == (2, 2)]
+    assert rank4_classification_check().survivors == want
+
+
 def test_rank4_classification():
     r = rank4_classification_check()
+    # the numeric identity on every survivor, independently of the symbolic one
+    assert all(hermitian_det_identity(*t) for t in r.survivors)
     assert r.bound == 4
     assert len(r.survivors) == 142
     assert len(r.delta_one) == 90

@@ -151,6 +151,17 @@ def test_rf_powers_match_the_reducing_constructor(a, n):
     _assert_reduced_equal(a ** n, num ** abs(n), den ** abs(n))
 
 
+@given(_rf_operands(False))
+@settings(max_examples=80, deadline=None)
+def test_rf_embedding_needs_no_cancellation(a):
+    # a reduced pair over Q stays reduced, with a monic denominator, over the
+    # field: map_coeffs skips the gcd that the reducing constructor would take
+    a = RationalFunction(*_pair(a))
+    emb = _K.from_rational
+    got = a.map_coeffs(emb)
+    _assert_reduced_equal(got, a.num.map_coeffs(emb), a.den.map_coeffs(emb))
+
+
 def test_rf_zero_denominator_rejected():
     with pytest.raises(ZeroDivisionError, match="zero denominator"):
         RationalFunction(Poly.x("t"), Poly("t"))
