@@ -630,10 +630,11 @@ def cmd_lattice(args):
     return build_report("lattice tn", inputs, results, ledger)
 
 
-# keeps split interactive: on a shared two-core host a dense degree-32
-# parametrization takes about 3 s and degree 64 took 25 s (the composed
-# quartic has four times the degree)
-MAX_PARAM_DEGREE = 32
+# keeps split interactive: on a shared two-core host a dense degree-64
+# parametrization takes about 1 s from a cold start and degree 128 took
+# 3.6 s (the composed quartic has four times the degree; the Descartes
+# root isolation of `rational_roots` is most of it)
+MAX_PARAM_DEGREE = 64
 
 
 def _is_int(value):

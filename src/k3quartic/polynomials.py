@@ -9,6 +9,13 @@ comparisons behave without special-casing.
 which makes equality structural.  Division of polynomials that does not come
 out even lands there automatically via ``__truediv__``.
 
+Over Q the gcd runs in Z[x]: ``poly_gcd`` clears denominators and contents
+and runs the heuristic gcd GCDHEU, whose candidate is certified by exact
+division of both inputs; Yun's squarefree decomposition, the cancellation of
+``RationalFunction`` and the squarefree part in ``rational_roots`` use the
+same integer kernel and its cofactors.  Other coefficient fields, and the
+rare inputs on which GCDHEU gives up, take the Euclidean algorithm.
+
 As the lowest module, this one also holds what the scalar and polynomial
 classes share: ``render_terms`` prints every sum of terms, ``power`` is the
 one square-and-multiply loop, and ``FractionArithmetic`` carries the field
@@ -282,15 +289,181 @@ class Poly:
             for e in sorted(self.coeffs, reverse=True))
 
 
-def poly_gcd(a, b):
+# -- the integer kernel of Q[x] ---------------------------------------------------
+#
+# A rational polynomial p is handled here as k * v(x): a Fraction k and a
+# primitive integer vector v, lowest degree first, with a positive leading
+# entry.  [] is the zero vector.  The ``_zz_`` functions compute on such
+# vectors in ints; only the Euclid fallback of ``_zz_gcd`` uses Fractions.
+
+# evaluation points GCDHEU tries after the first before giving up
+_HEU_RETRIES = 6
+
+
+def _split_content(v):
+    """(c, v / c) for a nonzero integer vector, c its gcd signed like its
+    leading entry."""
+    c = math.gcd(*v)
+    if v[-1] < 0:
+        c = -c
+    return c, v if c == 1 else [a // c for a in v]
+
+
+def _int_form(p):
+    """(k, v) with p = k * v(x) for a nonzero Poly whose coefficients are all
+    ints or Fractions; None for any other coefficients."""
+    coeffs = p.coeffs
+    if not all(isinstance(c, (int, Fraction)) for c in coeffs.values()):
+        return None
+    den = math.lcm(*[c.denominator for c in coeffs.values()])
+    v = [0] * (max(coeffs) + 1)
+    for e, c in coeffs.items():
+        v[e] = c.numerator * (den // c.denominator)
+    content, v = _split_content(v)
+    return Fraction(content, den), v
+
+
+def _from_ints(var, v, k=1):
+    """The Poly k * v(x) of an integer vector v."""
+    return Poly(var, {e: k * c for e, c in enumerate(v) if c})
+
+
+def _zz_derivative(v):
+    return [e * c for e, c in enumerate(v)][1:]
+
+
+def _zz_sub(a, b):
+    n = max(len(a), len(b))
+    out = [(a[i] if i < len(a) else 0) - (b[i] if i < len(b) else 0) for i in range(n)]
+    while out and not out[-1]:
+        out.pop()
+    return out
+
+
+def _zz_divexact(f, h):
+    """f / h for integer vectors when h (nonzero) divides f in Z[x], else
+    None."""
+    m = len(h) - 1
+    lead = h[-1]
+    r = list(f)
+    q = [0] * max(len(f) - m, 0)
+    for k in range(len(f) - 1 - m, -1, -1):
+        c, rem = divmod(r[k + m], lead)
+        if rem:
+            return None
+        if c:
+            q[k] = c
+            for j in range(m):
+                r[k + j] -= c * h[j]
+    if any(r[:m]):
+        return None
+    return q
+
+
+def _symmetric_digits(n, xi):
+    """The integer vector v with v(xi) = n and every |entry| <= xi / 2."""
+    v = []
+    half = xi // 2
+    while n:
+        d = n % xi
+        if d > half:
+            d -= xi
+        v.append(d)
+        n = (n - d) // xi
+    return v
+
+
+def _heu_gcd(f, g):
+    """GCDHEU (Char, Geddes & Gonnet, J. Symb. Comp. 1989) on primitive
+    integer vectors with positive leading entries: (h, f / h, g / h) for h
+    = gcd(f, g), or None when it gives up.
+
+    The candidate is the primitive part of the symmetric base-xi digits of
+    gcd(f(xi), g(xi)).  For xi >= 2 min(|f|, |g|) + 2 (max norms), a
+    candidate that divides both f and g exactly is their gcd (Geddes,
+    Czapor & Labahn, Algorithms for Computer Algebra, thm 7.7), so the two
+    exact divisions certify it and yield the cofactors."""
+    xi = 2 * min(max(map(abs, f)), max(map(abs, g))) + 29
+    for _ in range(1 + _HEU_RETRIES):
+        n = math.gcd(_int_horner(f, xi), _int_horner(g, xi))
+        h = _split_content(_symmetric_digits(n, xi))[1]
+        cf = _zz_divexact(f, h)
+        if cf is not None:
+            cg = _zz_divexact(g, h)
+            if cg is not None:
+                return h, cf, cg
+        xi = xi * 73794 * math.isqrt(math.isqrt(xi)) // 27011
+    return None
+
+
+def _zz_gcd(f, g):
+    """(h, f / h, g / h) for integer vectors f and g, not both zero: h is
+    their primitive gcd with a positive leading entry, and the cofactors are
+    exact in Z[x].  GCDHEU decides it unless it gives up; then Euclid over Q
+    does, and the cofactors come from exact division."""
+    if not g:
+        c, h = _split_content(f)
+        return h, [c], []
+    if not f:
+        c, h = _split_content(g)
+        return h, [], [c]
+    cf, f = _split_content(f)
+    cg, g = _split_content(g)
+    found = _heu_gcd(f, g)
+    if found is None:
+        h = _int_form(_euclid_gcd(_from_ints("x", f), _from_ints("x", g)))[1]
+        found = h, _zz_divexact(f, h), _zz_divexact(g, h)
+    h, f, g = found
+    return (h, f if cf == 1 else [cf * a for a in f],
+            g if cg == 1 else [cg * a for a in g])
+
+
+def _zz_yun(v):
+    """Yun's squarefree decomposition of a primitive integer vector of
+    positive degree: [(primitive factor, multiplicity)] in increasing
+    multiplicity.  Every gcd is primitive, so by Gauss's lemma every
+    quotient of the loop is integral."""
+    _, c, d = _zz_gcd(v, _zz_derivative(v))
+    d = _zz_sub(d, _zz_derivative(c))
+    out = []
+    i = 1
+    while len(c) > 1:
+        f, c, d = _zz_gcd(c, d)
+        if len(f) > 1:
+            out.append((f, i))
+        d = _zz_sub(d, _zz_derivative(c))
+        i += 1
+    return out
+
+
+def _euclid_gcd(a, b):
     """Monic gcd by the Euclidean algorithm over a coefficient field."""
-    if a.var != b.var:
-        raise TypeError("gcd of polynomials in different variables")
     p, q = a, b
     while not q.is_zero:
         r = p % q
         p, q = q, r.monic()
     return p.monic()
+
+
+def poly_gcd(a, b):
+    """The monic gcd of two polynomials in one variable.
+
+    When both are nonzero with int or Fraction coefficients, the gcd is
+    found over Z: denominators and contents are cleared, GCDHEU reads a
+    candidate off an integer gcd of values at a large point, and exact
+    division of both primitive inputs by it certifies it.  If no point of
+    the few it tries gives a certified candidate, and for any other
+    coefficient field, the Euclidean algorithm decides.
+    """
+    if a.var != b.var:
+        raise TypeError("gcd of polynomials in different variables")
+    if a and b:
+        fa = _int_form(a)
+        fb = fa and _int_form(b)
+        if fb:
+            h = _zz_gcd(fa[1], fb[1])[0]
+            return _from_ints(a.var, h, Fraction(1, h[-1]))
+    return _euclid_gcd(a, b)
 
 
 def squarefree_decompose(p):
@@ -299,12 +472,18 @@ def squarefree_decompose(p):
     Returns (unit, [(monic factor, multiplicity), ...]) with the factors
     squarefree, pairwise coprime, and the product of factor^mult times the
     unit giving back p.  Factors come out in increasing multiplicity order.
+    Rational coefficients run the loop on the primitive integer vector of
+    p, with the integer gcd of ``poly_gcd`` and exact integer division.
     """
     if p.is_zero:
         raise ValueError("squarefree decomposition of the zero polynomial")
     unit = p.leading_coefficient()
     if p.degree == 0:
         return unit, []
+    form = _int_form(p)
+    if form is not None:
+        return unit, [(_from_ints(p.var, f, Fraction(1, f[-1])), i)
+                      for f, i in _zz_yun(form[1])]
     p = p.monic()
     dp = p.derivative()
     g = poly_gcd(p, dp)
@@ -507,12 +686,8 @@ def _root_candidates(ints):
         return [Fraction(-b + s, 2 * a), Fraction(-b - s, 2 * a)]
     # the squarefree part h has the same roots; a rational root x of h
     # gives the integer root y = h_n x of h_n^(n-1) h(y / h_n)
-    f = Poly("x", ints)
-    h = f // poly_gcd(f, f.derivative())
-    den = 1
-    for ci in h.coeffs.values():
-        den = den * ci.denominator // math.gcd(den, ci.denominator)
-    h = [int(h.coeff(i) * den) for i in range(h.degree + 1)]
+    f = [ints.get(e, 0) for e in range(n + 1)]
+    h = _zz_gcd(f, _zz_derivative(f))[1]
     content = math.gcd(*h)
     h = [ci // content for ci in h]
     lead = h[-1]
@@ -535,13 +710,10 @@ def rational_roots(p):
     """
     if p.is_zero:
         raise ValueError("every rational is a root of the zero polynomial")
-    coeffs = {e: Fraction(c) for e, c in p.coeffs.items()}
-    # clear denominators
-    mult = 1
-    for c in coeffs.values():
-        den = c.denominator
-        mult = mult * den // math.gcd(mult, den)
-    ints = {e: int(c * mult) for e, c in coeffs.items()}
+    form = _int_form(p)
+    if form is None:
+        raise TypeError("rational roots need int or Fraction coefficients")
+    ints = {e: c for e, c in enumerate(form[1]) if c}
     lo = min(ints)
     # factor out x^lo: root 0 with multiplicity lo
     out = []
@@ -591,6 +763,16 @@ def certified_factors(p):
     return factors, work
 
 
+def _times(a, b):
+    """a * b, without the product when either factor is the constant 1, as
+    the denominator of a lifted polynomial or scalar is."""
+    if b == 1:
+        return a
+    if a == 1:
+        return b
+    return a * b
+
+
 class FractionArithmetic:
     """Field operations on a ``num``/``den`` pair, shared by the fraction classes.
 
@@ -614,7 +796,8 @@ class FractionArithmetic:
         o = self._lift(other)
         if o is None:
             return NotImplemented
-        return self._new(self.num * o.den + o.num * self.den, self.den * o.den)
+        return self._new(_times(self.num, o.den) + _times(o.num, self.den),
+                         _times(self.den, o.den))
 
     __radd__ = __add__
 
@@ -622,7 +805,8 @@ class FractionArithmetic:
         o = self._lift(other)
         if o is None:
             return NotImplemented
-        return self._new(self.num * o.den - o.num * self.den, self.den * o.den)
+        return self._new(_times(self.num, o.den) - _times(o.num, self.den),
+                         _times(self.den, o.den))
 
     def __rsub__(self, other):
         o = self._lift(other)
@@ -663,7 +847,7 @@ class FractionArithmetic:
             if self.is_zero:
                 raise ZeroDivisionError("negative power of zero")
             num, den, n = den, num, -n
-        return self._new_coprime(num ** n, den ** n)
+        return self._new_coprime(num ** n, den if den == 1 else den ** n)
 
     def _product(self, num, den):
         """self * (num/den), where num/den is the pair of an operand of this
@@ -678,9 +862,19 @@ class FractionArithmetic:
 
 def _cancel_common(p, q):
     """(p/g, q/g) for g = gcd(p, q); a constant or zero on either side is
-    left as it is, at the cost of no division."""
+    left as it is, at the cost of no division.  Over Q the quotients are
+    the cofactors of the integer gcd."""
     if p.degree > 0 and q.degree > 0:
-        g = poly_gcd(p, q)
+        fp = _int_form(p)
+        fq = fp and _int_form(q)
+        if fq:
+            h, cp, cq = _zz_gcd(fp[1], fq[1])
+            if len(h) == 1:
+                return p, q
+            # p = kp h cp and g = h / lead(h), so p / g = kp lead(h) cp
+            return (_from_ints(p.var, cp, fp[0] * h[-1]),
+                    _from_ints(q.var, cq, fq[0] * h[-1]))
+        g = _euclid_gcd(p, q)
         if g.degree > 0:
             return p // g, q // g
     return p, q
@@ -766,7 +960,7 @@ class RationalFunction(FractionArithmetic):
     def _product(self, c, d):
         a, d = _cancel_common(self.num, d)
         c, b = _cancel_common(c, self.den)
-        return RationalFunction(a * c, b * d, _reduced=True)
+        return RationalFunction(a * c, _times(b, d), _reduced=True)
 
     def __eq__(self, other):
         try:

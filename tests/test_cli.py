@@ -213,6 +213,19 @@ MALFORMED_PARAMS = {
 }
 
 
+def dense_curve(d):
+    """x = r^d + 2r + 3, y = r^(d-1) + 5, z = 2r^d + r^2: a dense curve whose
+    composite with the quartic has degree 4d."""
+    return json.dumps({"x": [[d, "1"], [1, "2"], [0, "3"]],
+                       "y": [[d - 1, "1"], [0, "5"]],
+                       "z": [[d, "2"], [2, "1"]]})
+
+
+# sha256 of `split --param dense32.json --json` run beside the file; the
+# same bytes as under Euclid's gcd over Q, which took about 3.3 s
+DENSE32_SHA256 = "31ecb96c9f75099d64ff20e75d83dc0db3849568250c824ecd3f51b12baec6e9"
+
+
 class TestSplit:
     def test_builtins(self, capsys):
         code, rep, _ = run_json(capsys, "split")
@@ -248,6 +261,21 @@ class TestSplit:
         assert code == 1
         assert rep["results"]["tests"][0]["verdict"] == "ContainedInBranch"
         assert not rep["verificationLedger"][0]["pass"]
+
+    def test_dense_curve_bytes(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "dense32.json").write_text(dense_curve(32))
+        code, out, _ = run(capsys, "split", "--param", "dense32.json", "--json")
+        assert code == 0
+        assert sha256(out) == DENSE32_SHA256
+
+    def test_dense_curve_at_the_exponent_cap(self, tmp_path):
+        f = tmp_path / "dense.json"
+        f.write_text(dense_curve(MAX_PARAM_DEGREE))
+        proc = run_subprocess("split", "--param", str(f), "--json", timeout=10)
+        assert proc.returncode == 0, proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert json.loads(proc.stdout)["results"]["tests"][0]["verdict"] == "DoesNotSplit"
 
     def test_missing_file(self, capsys):
         code, _, err = run(capsys, "split", "--param", "/nonexistent/f.json")

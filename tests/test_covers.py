@@ -27,7 +27,7 @@ from k3quartic.covers import (
 )
 from k3quartic.curves import EC_INFINITY, ec_add
 from k3quartic.fibration import standard_family
-from k3quartic.fields import quartic_root_field
+from k3quartic.fields import FieldElement, quartic_root_field
 from k3quartic.polynomials import Poly, RationalFunction
 from k3quartic.quartic import quartic_at
 
@@ -296,6 +296,29 @@ def test_twist_lift_is_over_q_on_the_twisted_curve():
     for rf in (twist.z1, twist.tg, twist.u, twist.v):
         assert all(isinstance(c, Fraction)
                    for p in (rf.num, rf.den) for c in p.coeffs.values())
+
+
+def test_root_choice_residual_multiplies_by_no_one(monkeypatch):
+    # the residual's sums and powers meet denominators that are the constant
+    # 1; the cross products by them are skipped, not formed
+    twist = twist_lift(SPLIT_PARAM_SEXTIC)
+    total = covers.twist_sum(twist)
+    for k in range(4):
+        covers.sum_at_root_choice(total, twist.s, k)  # builds the fields once
+    mul = FieldElement.__mul__
+    by_one = []
+
+    def counting(self, other):
+        if self == 1 or other == 1:
+            by_one.append((self, other))
+        return mul(self, other)
+
+    # __rmul__ is an alias of __mul__, so both names are counted
+    monkeypatch.setattr(FieldElement, "__mul__", counting)
+    monkeypatch.setattr(FieldElement, "__rmul__", counting)
+    for k in range(4):
+        assert covers.sum_at_root_choice(total, twist.s, k)["on_curve"]
+    assert by_one == []
 
 
 # -- negative controls: each factored certificate can fail ----------------------

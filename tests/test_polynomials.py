@@ -5,9 +5,11 @@ from fractions import Fraction
 import pytest
 
 from k3quartic.fields import gaussian_field
+from k3quartic import polynomials
 from k3quartic.polynomials import (
     Poly,
     RationalFunction,
+    _cancel_common,
     certified_factors,
     factor_int,
     poly_gcd,
@@ -260,3 +262,119 @@ def test_factor_int_is_the_prime_factorization():
         assert all(e > 0 and p > 1 and all(p % q for q in range(2, p)) for p, e in f.items())
     for p, q in ((101, 103), (7919, 104729), (2, 2147483647), (65537, 65537)):
         assert factor_int(p * q) == ({p: 2} if p == q else {p: 1, q: 1})
+
+
+# -- the integer gcd kernel ------------------------------------------------------
+
+
+def _small_factor(rng):
+    """A seeded polynomial in t of degree 1-3 with coefficients in [-9, 9]."""
+    deg = rng.randint(1, 3)
+    coeffs = {e: rng.randint(-9, 9) for e in range(deg)}
+    coeffs[deg] = rng.choice([-1, 1]) * rng.randint(1, 9)
+    return Poly("t", coeffs)
+
+
+def _big_content(rng):
+    """A nonzero rational with 20- to 60-digit numerator and denominator."""
+    digits = rng.randint(20, 60)
+    return Fraction(rng.choice([-1, 1]) * rng.randint(10 ** (digits - 1), 10 ** digits),
+                    rng.randint(10 ** (digits - 1), 10 ** digits))
+
+
+def _as_int_dict(p):
+    """p with Python ints in its coefficient dict, as a caller that fills the
+    dict directly holds them (the constructor would make them Fractions)."""
+    q = Poly(p.var)
+    q.coeffs = {e: int(c) for e, c in p.coeffs.items()}
+    return q
+
+
+def _gcd_cases(rng):
+    """Seeded (a, b) pairs: shared factors, some repeated, times coprime
+    cofactors, and scaled by large rational contents; plus coprime pairs,
+    equal inputs, a zero operand and integer dicts."""
+    t = Poly.x("t")
+    one = Poly.constant("t", 1)
+    cases = []
+    for i in range(150):
+        shared = one
+        for _ in range(rng.randint(0, 3)):
+            shared = shared * _small_factor(rng) ** rng.choice([1, 1, 2, 3])
+        a = shared * _small_factor(rng)
+        b = shared * (_small_factor(rng) if rng.random() < 0.8 else one)
+        if i % 3 == 0:
+            a, b = a * _big_content(rng), b * _big_content(rng)
+        cases.append((a, b))
+    for _ in range(20):
+        cases.append((_small_factor(rng) * _small_factor(rng), _small_factor(rng)))
+        a = _small_factor(rng) ** 2 * _big_content(rng)
+        cases.append((a, a))
+        cases.append((a, Poly("t")))
+        cases.append((Poly("t"), _small_factor(rng)))
+        a, b = _small_factor(rng) * (t - 2), _small_factor(rng) * (t - 2) ** 2
+        cases.append((_as_int_dict(a), _as_int_dict(b)))
+    return cases
+
+
+def _sympy_poly(sympy, x, p):
+    coeffs = [sympy.Rational(int(c.numerator), int(c.denominator))
+              for c in (Fraction(p.coeff(e)) for e in range(max(p.degree, 0), -1, -1))]
+    return sympy.Poly(coeffs, x, domain=sympy.QQ)
+
+
+def _coeff_list(sp):
+    return [Fraction(int(c.p), int(c.q)) for c in reversed(sp.all_coeffs())]
+
+
+def test_gcd_matches_sympy():
+    sympy = pytest.importorskip("sympy")
+    x = sympy.Symbol("x")
+    rng = random.Random(20261018)
+    for a, b in _gcd_cases(rng):
+        got = poly_gcd(a, b)
+        expected = _sympy_poly(sympy, x, a).gcd(_sympy_poly(sympy, x, b))
+        assert [got.coeff(e) for e in range(got.degree + 1)] == _coeff_list(expected), (a, b)
+        assert got.leading_coefficient() == 1
+        assert all(isinstance(c, Fraction) for c in got.coeffs.values())
+
+
+def test_gcd_retries_past_an_unlucky_point():
+    # at the first point xi = 43, gcd(f(43), g(43)) = 62 reads back as
+    # t + 19, which divides neither input; only the exact division rejects it
+    f = [-5, -1, -1, 7]
+    g = [9, 7]
+    assert polynomials._zz_divexact(f, [19, 1]) is None
+    h, cf, cg = polynomials._heu_gcd(f, g)
+    assert h == [1] and cf == f and cg == g
+    assert poly_gcd(Poly("t", dict(enumerate(f))), Poly("t", dict(enumerate(g)))) == 1
+
+
+def test_squarefree_decompose_matches_sympy_on_content_heavy_inputs():
+    sympy = pytest.importorskip("sympy")
+    x = sympy.Symbol("x")
+    rng = random.Random(20261019)
+    for _ in range(80):
+        p = Poly.constant("t", _big_content(rng))
+        while p.degree < 1 or rng.random() < 0.7:
+            f, m = _small_factor(rng) * _big_content(rng), rng.choice([1, 1, 2, 3, 4])
+            if p.degree + m * f.degree <= 12:
+                p = p * f ** m
+        unit, factors = _sympy_poly(sympy, x, p).sqf_list()
+        got_unit, got = squarefree_decompose(p)
+        assert got_unit == Fraction(int(unit.p), int(unit.q))
+        assert [([f.coeff(e) for e in range(f.degree + 1)], m) for f, m in got] == [
+            (_coeff_list(f), m) for f, m in factors], p
+
+
+def test_cancel_common_cofactors_are_the_quotients():
+    rng = random.Random(20261020)
+    for a, b in _gcd_cases(rng):
+        if a.degree <= 0 or b.degree <= 0:
+            continue
+        g = poly_gcd(a, b)
+        p, q = _cancel_common(a, b)
+        assert (p, q) == (a // g, b // g)
+        if g.degree == 0:
+            assert p is a and q is b
+

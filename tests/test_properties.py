@@ -8,6 +8,7 @@ one run stays fast and reproducible.
 import random
 from datetime import timedelta
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import assume, given, settings
@@ -26,6 +27,7 @@ from k3quartic.fields import gaussian_field, with_imaginary_unit
 from k3quartic.lattices import Obstructed, RealizationVector, tn_gram, tn_search
 from k3quartic.moduli import cayley, inverse_cayley, m_adj, m_mul, membership, period_point, su11_samples
 from k3quartic.multipoly import MultiPoly, QuotientContext
+from k3quartic import polynomials
 from k3quartic.polynomials import Poly, RationalFunction, poly_gcd, squarefree_decompose
 
 
@@ -71,6 +73,26 @@ def test_squarefree_parts_are_monic_squarefree_coprime(factors):
     for i in range(len(parts)):
         for j in range(i + 1, len(parts)):
             assert poly_gcd(parts[i][0], parts[j][0]).degree == 0
+
+
+def _euclid_gcd(a, b):
+    """The monic gcd by the textbook Euclidean algorithm over Q."""
+    while not b.is_zero:
+        a, b = b, (a % b).monic()
+    return a.monic()
+
+
+@given(_polys(4), _polys(4), _polys(2), st.fractions(min_value=-9, max_value=9))
+@settings(max_examples=80, deadline=None)
+def test_gcd_falls_back_to_euclid_when_the_heuristic_gives_up(a, b, shared, scale):
+    assume(scale != 0)
+    a, b = a * shared, b * shared * scale
+    fast = (poly_gcd(a, b), squarefree_decompose(a), polynomials._cancel_common(a, b))
+    with mock.patch.object(polynomials, "_heu_gcd", return_value=None) as heu:
+        slow = (poly_gcd(a, b), squarefree_decompose(a), polynomials._cancel_common(a, b))
+    assert heu.called
+    assert slow[0] == _euclid_gcd(a, b)
+    assert slow == fast
 
 
 # -- rational-function products, quotients and powers --------------------------
