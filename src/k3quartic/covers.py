@@ -11,10 +11,11 @@ the sum of its two branches descends to a genuine section over the
 lam-line.
 
 The two-section is a quartic twist of one defined over Q: with
-H = -F(1, lam, Z) = c g^4 and c = t^4 s, s fourth-power free, the pair
-(U, V) built from t g instead of a fourth root of H lies on the twist
-V^2 = U^3 - s f U over Q(r), and each fourth root w0 of s in Q(theta),
-theta^4 = 7, or in Q(theta, i), gives the isomorphism
+H = -F(1, lam, Z) = c g^4 and c = t^4 s, s = +/- 7^j with j < 4 whenever c
+is +/- a power of 7 times a rational fourth power, the pair (U, V) built
+from t g instead of a fourth root of H lies on the twist V^2 = U^3 - s f U
+over Q(r), and each fourth root w0 of s in Q(theta), theta^4 = 7, or in
+Q(theta, i), gives the isomorphism
 (U, V) -> (U / w0^2, V / w0^3) onto the standard curve.  So the lift, the
 branch sum and its descent are computed once over Q (`twist_lift`,
 `twist_sum`), and a root choice only scales by powers of w0.  Certificates:
@@ -38,7 +39,7 @@ from .polynomials import (
     Poly,
     RationalFunction,
     certified_factors,
-    factor_int,
+    poly_nth_root,
     scalar_nth_root,
     squarefree_decompose,
 )
@@ -248,68 +249,63 @@ def quartic_factor_check():
 # -- lifting a split curve to a two-section ------------------------------------
 
 
+# theta^4 = RADICAND: every root choice adjoins a fourth root of it
+RADICAND = 7
+
+
+def _radicand_valuation(n):
+    """(m, v) with n = m * RADICAND^v and m prime to RADICAND, for n >= 1."""
+    v = 0
+    while n % RADICAND == 0:
+        n //= RADICAND
+        v += 1
+    return n, v
+
+
 def split_fourth_power(c):
-    """c = t^4 * s with rational t maximal: returns (t, s), s a squarefree-ish
-    integer-supported remainder with all prime exponents in {0,..,3}."""
+    """c = t^4 * s with t rational and s an integer, without factoring.
+
+    With v the RADICAND-adic valuation of c, s = +/- RADICAND^(v mod 4)
+    whenever the RADICAND-free rest of c is a rational fourth power (one
+    exact root), the only form a root choice takes a fourth root of.
+    Otherwise the rest stays in s, its denominator d moved over as
+    1/d = d^3/d^4."""
     c = Fraction(c)
     if c == 0:
         raise ValueError("zero has no useful fourth-power split")
-    sign = -1 if c < 0 else 1
-    t_num, s_num = 1, 1
-    for p, e in factor_int(abs(c.numerator)).items():
-        t_num *= p ** (e // 4)
-        s_num *= p ** (e % 4)
-    t_den, s_den = 1, 1
-    for p, e in factor_int(c.denominator).items():
-        t_den *= p ** (e // 4)
-        s_den *= p ** (e % 4)
-    # pull the leftover denominator into the numerator remainder: 1/p = p^3/p^4
-    t = Fraction(t_num, t_den * s_den)
-    s = sign * s_num * s_den ** 3
-    return t, s
+    num, v_num = _radicand_valuation(abs(c.numerator))
+    den, v_den = _radicand_valuation(c.denominator)
+    v = v_num - v_den
+    s = (-1 if c < 0 else 1) * RADICAND ** (v % 4)
+    root = scalar_nth_root(Fraction(num, den), 4)
+    if root is None:
+        root, s = Fraction(1, den), s * num * den ** 3
+    return root * Fraction(RADICAND) ** (v // 4), s
 
 
 def _rf_fourth_power_data(h):
-    """Write a rational function as c * g^4: returns (c, g) or None."""
+    """Write a rational function as c * g^4 with g a quotient of monic
+    polynomials: returns (c, g) or None."""
     if h.is_zero:
         return None
-
-    def quarter(p):
-        unit, factors = squarefree_decompose(p)
-        g = Poly.constant(p.var, 1)
-        for q, m in factors:
-            if m % 4:
-                return None, None
-            g = g * q ** (m // 4)
-        return unit, g
-
-    cn, gn = quarter(h.num)
-    if gn is None:
+    gn, gd = (poly_nth_root(p.monic(), 4) for p in (h.num, h.den))
+    if gn is None or gd is None:
         return None
-    cd, gd = quarter(h.den)
-    if gd is None:
-        return None
-    return Fraction(cn) / Fraction(cd), gn / gd
-
-
-def _theta_power(field, j):
-    """theta^j in a field whose first generator is the fourth root of 7."""
-    return field.gen(1) ** j
+    return (Fraction(h.num.leading_coefficient())
+            / Fraction(h.den.leading_coefficient()), gn / gd)
 
 
 def _fourth_root_in_theta_field(s, root_choice):
     """An element w0 of Q(theta) (or Q(theta, i) for odd choices) with
-    w0^4 = s, for s = +/- 7^j; the root choice rotates by i^k."""
-    field = (quartic_root_field(7) if root_choice % 2 == 0
-             else with_imaginary_unit("quartic_root", 7))
+    w0^4 = s, for s = +/- RADICAND^j; the root choice rotates by i^k."""
+    field = (quartic_root_field(RADICAND) if root_choice % 2 == 0
+             else with_imaginary_unit("quartic_root", RADICAND))
     sign = -1 if s < 0 else 1
-    j, rest = 0, abs(s)
-    while j < 4 and rest % 7 == 0:
-        rest //= 7
-        j += 1
-    if rest != 1 or j == 4:
-        raise ValueError("constant remainder %r is not +/- a power of 7 below 7^4" % (s,))
-    w0 = _theta_power(field, j)
+    rest, j = _radicand_valuation(abs(s)) if s else (0, 0)
+    if rest != 1 or j >= 4:
+        raise ValueError("constant remainder %r is not +/- a power of %d below %d^4"
+                         % (s, RADICAND, RADICAND))
+    w0 = field.gen(1) ** j  # the first generator is theta
     if sign < 0:
         # need a fourth root of -1: i^(1/2) does not exist here, but
         # root_choice parity cannot fix it either; report plainly
@@ -354,11 +350,12 @@ def twist_lift(param):
     """The part of `lift_two_section` that does not depend on the root
     choice, over Q.
 
-    Writes lam(r) = y/x (must be even in r), Z(r) = z/x, converts to the
-    normalized fiber coordinate z1 = (2Z - (lam^2 - 2 lam - alpha))/A and
-    forms H = (1/4) lam A^2 (z1^2 - 1), certified equal to -F(1, lam, Z).
-    Then H = c g^4 and c = t^4 s with s fourth-power free, certified as
-    (t g)^4 s == H, and
+    Writes lam(r) = y/x, which must be a pure multiple of r^2 (so it is
+    even in r and descends under r^2 -> lam), and Z(r) = z/x, converts to
+    the normalized fiber coordinate z1 = (2Z - (lam^2 - 2 lam - alpha))/A
+    and forms H = (1/4) lam A^2 (z1^2 - 1), certified equal to
+    -F(1, lam, Z).  Then H = c g^4 and c = t^4 s (`split_fourth_power`),
+    certified as (t g)^4 s == H, and
 
         U = lam^2 A^2 (z1 + 1) / (2 (t g)^2),  V = lam^3 A^3 (z1 + 1) / (2 (t g)^3)
 
@@ -366,8 +363,9 @@ def twist_lift(param):
     """
     x_rf = RationalFunction(param.x)
     lam = RationalFunction(param.y) / x_rf
-    if lam != _negate_variable_rf(lam):
-        raise ValueError("fiber coordinate y/x is not even in the parameter")
+    # lam = (y/x)(r) must be a monomial c r^2 for the descent r^2 -> lam/c
+    if not lam.is_polynomial or set(lam.num.coeffs) != {2}:
+        raise ValueError("descent needs lam(r) to be a pure multiple of r^2")
     zc = RationalFunction(param.z) / x_rf
 
     alpha = STANDARD_ALPHA
@@ -390,10 +388,6 @@ def twist_lift(param):
         raise AssertionError("fourth root reconstruction failed")
     u = lam ** 2 * a_of ** 2 * (z1 + 1) / (2 * tg ** 2)
     v = u * lam * a_of / tg
-
-    # lam = (y/x)(r) must be a monomial c r^2 for the descent r^2 -> lam/c
-    if not lam.is_polynomial or lam.num.degree != 2 or lam.num.coeff(1) != 0 or lam.num.coeff(0) != 0:
-        raise ValueError("descent needs lam(r) to be a pure multiple of r^2")
     return TwistLift(lam, 1 / lam.num.coeff(2), z1, tg, s, u, v)
 
 
@@ -531,7 +525,7 @@ def displayed_section():
     t^3/7529536 = 2^-6 7^-21/4).  Returns {"u", "v"} as rational functions of
     lam over Q(7^(1/4)).
     """
-    field = quartic_root_field(7)
+    field = quartic_root_field(RADICAND)
     t = field.gen()
     lam = Poly.x("lam")
     a = 27 + 7 * lam

@@ -661,8 +661,8 @@ def rank4_classification_check():
     All survivors are 2-elementary of length 4 (entries are even once the
     determinant forces b, c even).  The ones with delta = 1 each get an
     explicit change-of-basis certificate onto diag(2,2,-2,-2), searched with
-    coordinates up to 4 and, failing that, up to 6 (`certificate_basis`
-    streams x and solves each y from its orthogonality to x and Jx); the
+    coordinates up to 4 (`certificate_basis` streams x and solves each y
+    from its orthogonality to x and Jx); the
     delta = 0 ones have an integral discriminant form and are excluded from
     being the transcendental form.  The b = c = 0 survivors are exactly
     nm = -1.
@@ -688,7 +688,7 @@ def rank4_classification_check():
         if inv.invariant_factors != (2, 2, 2, 2):
             raise AssertionError("unexpected Smith form for %r" % (tup,))
         if inv.delta == 1:
-            cert = certificate_basis(gram, 4) or certificate_basis(gram, 6)
+            cert = certificate_basis(gram, 4)
             if cert is None:
                 all_certified = False
             delta_one.append((tup, cert))

@@ -574,20 +574,6 @@ def poly_nth_root(p, n):
     return root
 
 
-def factor_int(n):
-    """Prime factorization {p: e} of a positive integer by trial division."""
-    out = {}
-    d = 2
-    while d * d <= n:
-        while n % d == 0:
-            out[d] = out.get(d, 0) + 1
-            n //= d
-        d += 1
-    if n > 1:
-        out[n] = 1
-    return out
-
-
 def _int_horner(c, x):
     """c(x) for integer coefficients c, lowest degree first."""
     acc = 0

@@ -104,22 +104,21 @@ def build_quartic(alpha):
     return QuarticFamily(alpha)
 
 
-def _tangent_directions_distinct(compA, compB, point):
-    """True when the two component gradients at the point are non-proportional.
+def _gradient(comp):
+    """The three partial derivatives of a plane component."""
+    return tuple(comp.derivative(v) for v in PLANE_VARS)
+
+
+def _tangent_directions_distinct(grad_a, grad_b, point):
+    """True when two component gradients (from `_gradient`) are
+    non-proportional at the point.
 
     The point then is an ordinary node of the product curve: two smooth
     branches crossing transversally.
     """
-    px, py, pz = point
-
-    def grad(c):
-        return tuple(
-            c.derivative(v).evaluate({"x": px, "y": py, "z": pz})
-            for v in PLANE_VARS
-        )
-
-    g1 = grad(compA)
-    g2 = grad(compB)
+    at = dict(zip(PLANE_VARS, point))
+    g1 = [d.evaluate(at) for d in grad_a]
+    g2 = [d.evaluate(at) for d in grad_b]
     # 2x2 minors of the 2x3 gradient matrix
     minors = [
         g1[0] * g2[1] - g1[1] * g2[0],
@@ -141,9 +140,8 @@ def singular_points(fam, sqrt_one_minus_alpha=None):
     if alpha is ALPHA_INFINITY:
         raise ValueError("singular points at alpha = infinity are degenerate; "
                          "classify stability instead")
-    Q = conic()
-    L1 = line1()
-    L2 = line2(alpha)
+    # each component is differentiated once; the minors are per point
+    Q, L1, L2 = (_gradient(c) for c in (conic(), line1(), line2(alpha)))
     out = []
 
     for pt in [(1, 0, 0), (0, 0, 1)]:

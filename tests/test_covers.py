@@ -1,3 +1,8 @@
+import json
+import os
+import random
+import subprocess
+import sys
 from fractions import Fraction
 from types import SimpleNamespace
 
@@ -14,6 +19,7 @@ from k3quartic.covers import (
     STANDARD_ALPHA,
     _fourth_root_in_theta_field,
     _negate_variable_rf,
+    _radicand_valuation,
     _rf_fourth_power_data,
     even_descend,
     fourth_power_test,
@@ -159,12 +165,87 @@ def test_lift_rejects_non_split_curve():
 def test_split_fourth_power():
     t, s = split_fourth_power(Fraction(16 * 81, 7 ** 5))
     assert (t, s) == (Fraction(6, 49), 343)
+    # a 7-free rest that is not a fourth power stays whole in s
     t, s = split_fourth_power(Fraction(-32))
-    assert (t, s) == (Fraction(2), -2)
+    assert (t, s) == (Fraction(1), -32)
     for c in (Fraction(1), Fraction(-7, 48), Fraction(625, 16)):
         t, s = split_fourth_power(c)
         assert t ** 4 * s == c
 
+
+def _add_exponents(exps, n, sign, sympy):
+    for p, e in sympy.factorint(n).items():
+        exps[p] = exps.get(p, 0) + sign * e
+
+
+def _maximal_split(sign, exps):
+    """The split of sign * prod p^e with every exponent of s in 0..3."""
+    t, s = Fraction(1), sign
+    for p, e in exps.items():
+        t *= Fraction(p) ** (e // 4)
+        s *= p ** (e % 4)
+    return t, s
+
+
+def test_split_fourth_power_matches_the_factored_split():
+    # c = +/- 7^e (a/b)^4 q with q = 1 or a random 7-free ratio; the oracle
+    # factors a, b and q with sympy, the split factors nothing
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(20261019)
+    not_a_power = "not \\+/- a power of 7 below 7\\^4"
+    for k in range(300):
+        sign, e = rng.choice((1, -1)), rng.randint(-9, 9)
+        a, b = rng.randint(1, 10 ** 12), rng.randint(1, 10 ** 12)
+        n, d = (1, 1) if k % 2 else (rng.randint(1, 10 ** 6), rng.randint(1, 10 ** 6))
+        n, d = (_radicand_valuation(x)[0] for x in (n, d))
+        c = sign * Fraction(7) ** e * Fraction(a, b) ** 4 * Fraction(n, d)
+        exps = {7: e} if e else {}
+        for x, power in ((a, 4), (b, -4), (n, 1), (d, -1)):
+            _add_exponents(exps, x, power, sympy)
+        t, s = split_fourth_power(c)
+        assert isinstance(s, int) and t ** 4 * s == c, c
+        best = _maximal_split(sign, exps)
+        if abs(best[1]) in (1, 7, 49, 343):
+            # a root choice can use the maximal split: it is the one returned
+            assert (t, s) == best, c
+        else:
+            for split_s in (s, best[1]):
+                with pytest.raises(ValueError, match=not_a_power):
+                    _fourth_root_in_theta_field(split_s, 0)
+
+
+def _sympy_poly(sympy, x, p):
+    coeffs = [Fraction(p.coeff(e)) for e in range(p.degree, -1, -1)]
+    return sympy.Poly([sympy.Rational(c.numerator, c.denominator) for c in coeffs],
+                      x, domain=sympy.QQ)
+
+
+def test_rf_fourth_power_data_matches_sympy_multiplicities():
+    sympy = pytest.importorskip("sympy")
+    x = sympy.Symbol("x")
+    r = Poly.x("r")
+    rng = random.Random(20261020)
+    seen = set()
+    for _ in range(60):
+        h = RationalFunction(Poly.constant("r", Fraction(rng.randint(-50, 50) or 1,
+                                                        rng.randint(1, 50))))
+        for _ in range(rng.randint(0, 4)):
+            q = Poly("r", {e: rng.randint(-4, 4) for e in range(rng.randint(0, 2))}) + r ** 2
+            m = rng.choice((4, 4, 8, rng.randint(1, 9)))
+            h = h * q ** m if rng.random() < 0.6 else h / q ** m
+        mults = [m for p in (h.num, h.den)
+                 for _, m in _sympy_poly(sympy, x, p).sqf_list()[1]]
+        data = _rf_fourth_power_data(h)
+        seen.add(data is None)
+        if any(m % 4 for m in mults):
+            assert data is None, h
+            continue
+        c, g = data
+        assert c * g ** 4 == h, h
+        if isinstance(g, Poly):
+            g = RationalFunction(g)
+        assert g.num.leading_coefficient() == g.den.leading_coefficient() == 1
+    assert seen == {True, False}
 
 
 def test_fourth_root_of_a_power_of_seven():
@@ -187,6 +268,38 @@ def test_even_descend():
     assert out == RationalFunction(scale ** 2 * lam ** 2 + scale * lam, scale * lam + 1)
     with pytest.raises(ValueError):
         even_descend(RationalFunction(r ** 3), scale)
+
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+
+# the sextic curve reparametrized by r -> m r: m^8 enters the twist constant
+RESCALED_LIFT = """\
+import json, sys
+from k3quartic.covers import (SPLIT_PARAM_SEXTIC as P, Parametrization,
+                              displayed_section, sum_at_root_choice, twist_lift,
+                              twist_sum)
+from k3quartic.polynomials import Poly
+mr = int(sys.argv[1]) * Poly.x("r")
+twist = twist_lift(Parametrization(P.x(mr), P.y(mr), P.z(mr)))
+total = twist_sum(twist)
+sums = [sum_at_root_choice(total, twist.s, k) for k in range(4)]
+shown = displayed_section()
+print(json.dumps({"s": twist.s, "on_curve": [x["on_curve"] for x in sums],
+                  "displayed": sums[2]["u"] == shown["u"] and sums[2]["v"] == shown["v"]}))
+"""
+
+
+def test_lift_of_a_rescaled_curve_factors_no_integer():
+    # a 21-digit prime m puts m^8 into the twist constant; the subprocess
+    # bounds the time the split may take
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (SRC, os.environ.get("PYTHONPATH")) if p))
+    run = subprocess.run(
+        [sys.executable, "-c", RESCALED_LIFT, "100000000000000000039"],
+        capture_output=True, text=True, timeout=10, env=env)
+    assert run.returncode == 0, run.stderr
+    assert json.loads(run.stdout) == {
+        "s": 343, "on_curve": [True] * 4, "displayed": True}
 
 
 # -- the Q-level twist lift against the former field-coefficient lift ----------

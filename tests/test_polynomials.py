@@ -1,4 +1,3 @@
-import math
 import random
 from fractions import Fraction
 
@@ -11,7 +10,6 @@ from k3quartic.polynomials import (
     RationalFunction,
     _cancel_common,
     certified_factors,
-    factor_int,
     poly_gcd,
     poly_nth_root,
     rational_roots,
@@ -253,15 +251,6 @@ def test_constants_hash_like_the_values_they_equal():
     assert RationalFunction(p) == p and hash(RationalFunction(p)) == hash(p)
     half = RationalFunction(Poly.constant("lam", Fraction(1, 2)))
     assert len({half, Fraction(1, 2), Poly.constant("lam", Fraction(1, 2))}) == 1
-
-
-def test_factor_int_is_the_prime_factorization():
-    for n in range(1, 501):
-        f = factor_int(n)
-        assert math.prod(p ** e for p, e in f.items()) == n
-        assert all(e > 0 and p > 1 and all(p % q for q in range(2, p)) for p, e in f.items())
-    for p, q in ((101, 103), (7919, 104729), (2, 2147483647), (65537, 65537)):
-        assert factor_int(p * q) == ({p: 2} if p == q else {p: 1, q: 1})
 
 
 # -- the integer gcd kernel ------------------------------------------------------
