@@ -521,8 +521,8 @@ class FieldElement:
         return (self + self.conj()) / 2
 
     def im(self):
-        i = imaginary_unit(self.ctx)
-        return (self - self.conj()) / (2 * i)
+        # 1 / (2i) = -i / 2, so no field inverse is taken
+        return (self.conj() - self) * imaginary_unit(self.ctx) / 2
 
     def norm_sq(self):
         """x * conj(x)."""

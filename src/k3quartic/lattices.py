@@ -10,7 +10,10 @@ with unimodular transforms, and the realization results are certified by
 explicit vectors and minor gcds rather than by citation.  The certificate
 search streams the norm-2 vectors x of its box and solves the two
 orthogonality equations of each partner y for its last two coordinates,
-so a block Gram costs a few hundred candidates, not the whole box.
+so a block Gram costs a few hundred candidates, not the whole box.  Every
+search solves its last coordinate instead of scanning it: the norm
+vectors by an integer square root, the rank-4 grid by one exact division
+and the t_n evidence by a table of sums of two squares.
 """
 
 from itertools import chain
@@ -385,10 +388,7 @@ def realization_minors(a):
 
 
 def minor_gcd(a):
-    g = 0
-    for m in realization_minors(a):
-        g = gcd(g, abs(m))
-    return g
+    return gcd(*realization_minors(a))
 
 
 def pair_gram(a):
@@ -461,25 +461,24 @@ _OBSTRUCTION_TRANSCRIPT = (
 
 def tn_obstruction_evidence(n, bound=12):
     """Exhaustive search report: no primitive vector with form value n and
-    coordinates bounded by `bound`.  For each (a1, a2, a3) the only
-    candidates are a4 = +/- isqrt(a1^2 + a2^2 - a3^2 - n)."""
+    coordinates bounded by `bound`.  The pairs (a3, a4) of the box are
+    tabled by a3^2 + a4^2, so each (a1, a2) finds its candidates with one
+    lookup at a1^2 + a2^2 - n."""
+    if bound < 0:
+        raise ValueError("evidence bound must be nonnegative")
+    rng = range(-bound, bound + 1)
+    by_norm = {}
+    for a3 in rng:
+        for a4 in rng:
+            by_norm.setdefault(a3 * a3 + a4 * a4, []).append((a3, a4))
     candidates = 0
     primitive = 0
-    rng = range(-bound, bound + 1)
     for a1 in rng:
         for a2 in rng:
-            h = a1 * a1 + a2 * a2 - n
-            for a3 in rng:
-                sq = h - a3 * a3
-                if sq < 0:
-                    continue
-                a4 = isqrt(sq)
-                if a4 * a4 != sq or a4 > bound:
-                    continue
-                for a in ((a1, a2, a3, a4), (a1, a2, a3, -a4)) if a4 else ((a1, a2, a3, 0),):
-                    candidates += 1
-                    if minor_gcd(a) == 1:
-                        primitive += 1
+            for a3, a4 in by_norm.get(a1 * a1 + a2 * a2 - n, ()):
+                candidates += 1
+                if minor_gcd((a1, a2, a3, a4)) == 1:
+                    primitive += 1
     return {"bound": bound, "candidates": candidates,
             "primitive_found": primitive}
 
@@ -493,11 +492,14 @@ def tn_search(n, evidence_bound=0):
     odd case, and k and (k+1)^2 + 1, with gcd(k, 2) = 1, in the other.  Both
     facts are verified on the spot, and a failure raises AssertionError.
     n = 2 mod 4 returns the residue argument, plus an exhaustive search
-    report when evidence_bound > 0.
+    report when evidence_bound > 0; a negative evidence_bound raises
+    ValueError.
     """
     n = int(n)
     if n < 1:
         raise ValueError("n must be a positive integer")
+    if evidence_bound < 0:
+        raise ValueError("evidence bound must be nonnegative")
     if n % 4 == 2:
         evidence = tn_obstruction_evidence(n, evidence_bound) if evidence_bound else None
         return Obstructed(n, _OBSTRUCTION_TRANSCRIPT, evidence)
@@ -551,7 +553,8 @@ def block_gram_det_identity():
 
 def _norm_vectors(gram, coord_bound, value):
     """The vectors v with |v_i| <= coord_bound and v^T G v == value, lazily
-    and in lexicographic order."""
+    and in lexicographic order.  For each (v1, v2, v3) the last coordinate
+    solves g44 v4^2 + lin4 v4 + q3 - value = 0 in closed form."""
     rng = range(-coord_bound, coord_bound + 1)
     (g11, g12, g13, g14), (g21, g22, g23, g24), \
         (g31, g32, g33, g34), (g41, g42, g43, g44) = gram
@@ -563,9 +566,33 @@ def _norm_vectors(gram, coord_bound, value):
             for x3 in rng:
                 q3 = q2 + ((g13 + g31) * x1 + (g23 + g32) * x2 + g33 * x3) * x3
                 lin4 = (g14 + g41) * x1 + (g24 + g42) * x2 + (g34 + g43) * x3
-                for x4 in rng:
-                    if q3 + (lin4 + g44 * x4) * x4 == value:
-                        yield (x1, x2, x3, x4)
+                for x4 in _bounded_roots(g44, lin4, q3 - value, coord_bound):
+                    yield (x1, x2, x3, x4)
+
+
+def _bounded_roots(a, b, c, bound):
+    """The integer roots x of a x^2 + b x + c = 0 with |x| <= bound, in
+    ascending order; every x in the range when a = b = c = 0."""
+    if a:
+        disc = b * b - 4 * a * c
+        if disc < 0:
+            return ()
+        s = isqrt(disc)
+        if s * s != disc:
+            return ()
+        # (-b - s) / 2a is the smaller root when a > 0; s = 0 is one root
+        nums = (-b,) if not s else (-b - s, -b + s) if a > 0 else (-b + s, -b - s)
+        den = 2 * a
+    elif b:
+        nums, den = (-c,), b
+    else:
+        return range(-bound, bound + 1) if not c else ()
+    roots = []
+    for num in nums:
+        x, r = divmod(num, den)
+        if not r and -bound <= x <= bound:
+            roots.append(x)
+    return roots
 
 
 def _solved_partners(gram, coord_bound, a, b, det):
@@ -655,8 +682,8 @@ def rank4_classification_check():
     and keep those with |det| = 16 and signature (2,2).
 
     `det_identity` is the symbolic identity det = (4nm - b^2 - c^2)^2
-    (`block_gram_det_identity`), so the grid is filtered on the integer
-    4nm - b^2 - c^2 = +/-4 and no determinant is taken per point.
+    (`block_gram_det_identity`), so |det| = 16 is 4nm = b^2 + c^2 +/- 4:
+    m is solved from it for each (n, b, c) and no determinant is taken.
 
     All survivors are 2-elementary of length 4 (entries are even once the
     determinant forces b, c even).  The ones with delta = 1 each get an
@@ -668,17 +695,21 @@ def rank4_classification_check():
     nm = -1.
     """
     det_identity = block_gram_det_identity()
-    survivors = []
     rng = range(-RANK4_BOUND, RANK4_BOUND + 1)
+    solutions = []
     for n in rng:
-        for m in rng:
-            for b in rng:
-                for c in rng:
-                    if abs(4 * n * m - b * b - c * c) != 4:
-                        continue
-                    if signature(gaussian_block_gram(n, m, b, c)) != (2, 2):
-                        continue
-                    survivors.append((n, m, b, c))
+        for b in rng:
+            for c in rng:
+                for rhs in (b * b + c * c - 4, b * b + c * c + 4):
+                    # 4nm = rhs: one m for n != 0, every m or none for n = 0
+                    if n:
+                        m, r = divmod(rhs, 4 * n)
+                        if not r and abs(m) <= RANK4_BOUND:
+                            solutions.append((n, m, b, c))
+                    elif not rhs:
+                        solutions.extend((n, m, b, c) for m in rng)
+    survivors = [t for t in sorted(solutions)
+                 if signature(gaussian_block_gram(*t)) == (2, 2)]
     delta_one = []
     delta_zero = []
     all_certified = True

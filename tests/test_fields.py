@@ -238,3 +238,27 @@ def test_two_level_reducibility_is_witnessed():
     assert root * root == -1
     with pytest.raises(ZeroDivisionError):
         T.zero.inverse()
+
+
+def test_im_matches_the_quotient_by_two_i():
+    # im multiplies by i / 2 instead of dividing by 2i; both give the same element
+    import random
+
+    rng = random.Random(20261019)
+    cases = [
+        (gaussian_field(), lambda: _random_coords(rng, 2)),
+        (eighth_root_field(), lambda: _random_coords(rng, 4)),
+        (with_imaginary_unit("quartic_root", 7),
+         lambda: [_random_coords(rng, 4), _random_coords(rng, 4)]),
+    ]
+    for ctx, draw in cases:
+        i = imaginary_unit(ctx)
+        checked = 0
+        for _ in range(40):
+            x = ctx.element(draw())
+            if x.is_rational:
+                continue
+            assert x.im() == (x - x.conj()) / (2 * i), x
+            assert x.re() + i * x.im() == x
+            checked += 1
+        assert checked >= 25

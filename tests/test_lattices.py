@@ -2,6 +2,7 @@ import hashlib
 import itertools
 import random
 from fractions import Fraction
+from math import gcd, isqrt
 
 import pytest
 
@@ -14,6 +15,7 @@ from k3quartic.lattices import (
     RealizationVector,
     U_GRAM,
     _bareiss_det,
+    _norm_vectors,
     block_gram_det_identity,
     certificate_basis,
     direct_sum,
@@ -33,6 +35,7 @@ from k3quartic.lattices import (
     neron_severi_gram,
     pair_gram,
     rank4_classification_check,
+    realization_minors,
     signature,
     smith_normal_form,
     tn_gram,
@@ -270,6 +273,59 @@ def test_tn_input_validation():
         tn_search(0)
     with pytest.raises(ValueError):
         tn_search(-3)
+    # a negative bound searches nothing, so it must not read as an empty search
+    with pytest.raises(ValueError, match="evidence bound"):
+        tn_obstruction_evidence(2, -1)
+    for n in (2, 7):
+        with pytest.raises(ValueError, match="evidence bound"):
+            tn_search(n, evidence_bound=-3)
+    assert tn_obstruction_evidence(2, 0) == {
+        "bound": 0, "candidates": 0, "primitive_found": 0}
+
+
+# The isqrt loop that tn_obstruction_evidence replaced, kept verbatim as the
+# oracle: 2B+1 isqrt tries per (a1, a2) where the table makes one lookup.
+def _isqrt_tn_obstruction_evidence(n, bound=12):
+    """Exhaustive search report: no primitive vector with form value n and
+    coordinates bounded by `bound`.  For each (a1, a2, a3) the only
+    candidates are a4 = +/- isqrt(a1^2 + a2^2 - a3^2 - n)."""
+    candidates = 0
+    primitive = 0
+    rng = range(-bound, bound + 1)
+    for a1 in rng:
+        for a2 in rng:
+            h = a1 * a1 + a2 * a2 - n
+            for a3 in rng:
+                sq = h - a3 * a3
+                if sq < 0:
+                    continue
+                a4 = isqrt(sq)
+                if a4 * a4 != sq or a4 > bound:
+                    continue
+                for a in ((a1, a2, a3, a4), (a1, a2, a3, -a4)) if a4 else ((a1, a2, a3, 0),):
+                    candidates += 1
+                    if minor_gcd(a) == 1:
+                        primitive += 1
+    return {"bound": bound, "candidates": candidates,
+            "primitive_found": primitive}
+
+
+@pytest.mark.parametrize("n", [2, 6, 10, 14, 7, 8])
+def test_tn_obstruction_evidence_matches_isqrt_loop(n):
+    expected = _isqrt_tn_obstruction_evidence(n, 12)
+    assert tn_obstruction_evidence(n, 12) == expected
+    assert (expected["primitive_found"] == 0) == (n % 4 == 2)
+
+
+def test_minor_gcd_matches_folded_gcd():
+    rng = random.Random(14)
+    vectors = [(0, 0, 0, 0), (2, 2, 2, 0), (1, 0, 1, 0)]
+    vectors += [tuple(rng.randint(-12, 12) for _ in range(4)) for _ in range(300)]
+    for a in vectors:
+        g = 0
+        for m in realization_minors(a):
+            g = gcd(g, abs(m))
+        assert minor_gcd(a) == g, a
 
 
 def test_realization_vector_rejects_imprimitive():
@@ -447,7 +503,8 @@ def test_certificate_basis_matches_full_box_on_block_grams():
     assert found > 50
 
 
-def test_certificate_basis_matches_full_box_on_general_grams():
+def _general_grams():
+    """30 seeded symmetric 4x4 Grams with entries in [-3, 3]."""
     rng = random.Random(13)
     grams = []
     for _ in range(30):
@@ -456,8 +513,28 @@ def test_certificate_basis_matches_full_box_on_general_grams():
             for j in range(i + 1):
                 g[i][j] = g[j][i] = rng.randint(-3, 3)
         grams.append(g)
+    return grams
+
+
+def test_certificate_basis_matches_full_box_on_general_grams():
+    grams = _general_grams()
     assert sum(_singular_x_count(g, 2) > 0 for g in grams) > 5
     _assert_matches_full_box(grams)
+
+
+def test_norm_vectors_match_box_filter():
+    # the solved last coordinate against the whole box, in the same order
+    grams = _general_grams()
+    # g44 = 0 makes the equation in v4 linear, and at v1 = v2 = v3 = 0 its
+    # linear term vanishes too: value 0 then takes every v4 of the range
+    assert sum(g[3][3] == 0 for g in grams) > 2
+    for gram in grams:
+        for bound in (1, 2, 3):
+            box = itertools.product(range(-bound, bound + 1), repeat=4)
+            norms = [(sum(map(int.__mul__, mat_vec(gram, v), v)), v) for v in box]
+            for value in (2, -2, 0):
+                want = [v for q, v in norms if q == value]
+                assert list(_norm_vectors(gram, bound, value)) == want, (gram, bound, value)
 
 
 def test_certificate_basis_from_the_singular_fallback():
