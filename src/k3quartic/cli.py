@@ -11,6 +11,7 @@ timestamps.
 
 import argparse
 import json
+import math
 import re
 import sys
 from fractions import Fraction
@@ -571,12 +572,25 @@ def cmd_fibers(args):
     })
 
 
+# keep every integer of a lattice report printable, since CPython converts no
+# int of over 4300 digits to str: the minors of a t_n realization vector are
+# about n^2 / 4, at most 4002 digits for an n of 2000 digits, and a Gram's
+# determinant is at most Hadamard's bound
+MAX_TN_DIGITS = 2000
+MAX_DET_DIGITS = 3999
+
+
 def cmd_lattice(args):
     ledger = Ledger()
     if args.mode == "invariants":
         spec = args.gram
         try:
             gram = gram_build(spec)
+            # the square of Hadamard's bound prod |row| on |det|, cheap at
+            # any entry size, unlike the determinant itself
+            if math.prod(sum(x * x for x in row) for row in gram) >= 100 ** MAX_DET_DIGITS:
+                raise UsageError("the determinant of --gram may have more than "
+                                 "%d digits" % MAX_DET_DIGITS)
             inv = lattice_invariants(gram)
         except ValueError as exc:
             raise UsageError(str(exc))
@@ -597,6 +611,8 @@ def cmd_lattice(args):
     # mode == "tn"
     if args.n is None:
         raise UsageError("lattice tn requires --n")
+    if args.n >= 10 ** MAX_TN_DIGITS:
+        raise UsageError("--n must have at most %d digits" % MAX_TN_DIGITS)
     try:
         v = tn_search(args.n, evidence_bound=12 if args.n % 4 == 2 else 0)
     except ValueError as exc:
@@ -630,11 +646,10 @@ def cmd_lattice(args):
     return build_report("lattice tn", inputs, results, ledger)
 
 
-# keeps split interactive: on a shared two-core host a dense degree-64
-# parametrization takes about 1 s from a cold start and degree 128 took
-# 3.6 s (the composed quartic has four times the degree; the Descartes
-# root isolation of `rational_roots` is most of it)
-MAX_PARAM_DEGREE = 64
+# keeps split interactive: on a shared two-core host a degree-256 curve whose
+# every coefficient has 7 digits takes about 3.5 s from a cold start, most of
+# it the Fraction products that compose the quartic (its degree is 4d)
+MAX_PARAM_DEGREE = 256
 
 
 def _is_int(value):

@@ -154,10 +154,18 @@ _PRESETS = {
 }
 
 
+# the K3 lattice has rank 22; a plain sum of nine E7 (rank 63) takes well
+# under a second through `lattice_invariants`, and the time grows as the
+# cube of the rank
+MAX_GRAM_RANK = 64
+
+
 def gram_build(spec):
-    """Parse "NAME", "NAME(k)" (twist), or "+"-joined sums of those."""
+    """Parse "NAME", "NAME(k)" (twist), or "+"-joined sums of those, of
+    total rank at most MAX_GRAM_RANK (checked before the sum is built)."""
     parts = [p.strip() for p in spec.split("+")]
     grams = []
+    rank = 0
     for part in parts:
         name, mult = part, 1
         if part.endswith(")") and "(" in part:
@@ -166,6 +174,9 @@ def gram_build(spec):
         if name not in _PRESETS:
             raise ValueError("unknown lattice preset %r" % name)
         g = _PRESETS[name]()
+        rank += len(g)
+        if rank > MAX_GRAM_RANK:
+            raise ValueError("a Gram spec has rank at most %d" % MAX_GRAM_RANK)
         grams.append(twist(g, mult) if mult != 1 else g)
     return grams[0] if len(grams) == 1 else direct_sum(*grams)
 

@@ -15,6 +15,8 @@ division of both inputs; Yun's squarefree decomposition, the cancellation of
 ``RationalFunction`` and the squarefree part in ``rational_roots`` use the
 same integer kernel and its cofactors.  Other coefficient fields, and the
 rare inputs on which GCDHEU gives up, take the Euclidean algorithm.
+``rational_roots`` finds the integer roots of a monic transform by p-adic
+(Newton-Hensel) lifting from a small prime, with no real-root isolation.
 
 As the lowest module, this one also holds what the scalar and polynomial
 classes share: ``render_terms`` prints every sum of terms, ``power`` is the
@@ -582,79 +584,45 @@ def _int_horner(c, x):
     return acc
 
 
-def _taylor_shift(c, s):
-    """The coefficients of c(x + s), lowest degree first."""
-    c = list(c)
-    n = len(c)
-    for i in range(n - 1):
-        for j in range(n - 2, i - 1, -1):
-            c[j] += s * c[j + 1]
-    return c
-
-
-def _descartes_count(c, a, b):
-    """Descartes' bound on the roots of c in the open interval (a, b): the
-    sign variations of (x + 1)^n c((a + b x) / (x + 1)).  It is exact when
-    it reads 0 or 1."""
-    w = b - a
-    shifted = [ci * w ** i for i, ci in enumerate(_taylor_shift(c, a))]
-    signs = [v > 0 for v in _taylor_shift(shifted[::-1], 1) if v]
-    return sum(s != t for s, t in zip(signs, signs[1:]))
-
-
-def _integer_root_in(c, a, b):
-    """The integer root of c strictly between a and b, or None, when c has
-    exactly one (simple) real root there: bisection on the sign of c."""
-    lo, hi = a + 1, b - 1
-    if lo > hi:
-        return None
-    s_lo, s_hi = _int_horner(c, lo), _int_horner(c, hi)
-    if s_lo == 0:
-        return lo
-    if s_hi == 0:
-        return hi
-    if (s_lo > 0) == (s_hi > 0):
-        return None
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        v = _int_horner(c, mid)
-        if v == 0:
-            return mid
-        if (v > 0) == (s_lo > 0):
-            lo = mid
-        else:
-            hi = mid
-    return None
+def _eval_mod(c, xs, q):
+    """[c(x) mod q for x in xs] for integer coefficients c, lowest degree
+    first: one Horner pass over the whole list."""
+    vals = [0] * len(xs)
+    for a in reversed(c):
+        a %= q
+        vals = [(v * x + a) % q for v, x in zip(vals, xs)]
+    return vals
 
 
 def _monic_integer_roots(c):
-    """The integer roots of a monic integer polynomial with c[0] != 0.
+    """The integer roots of a squarefree monic integer polynomial with
+    c[0] != 0, by p-adic lifting (Loos 1983).
 
-    Every real root lies strictly inside (-B, B) for the power of two B from
-    Fujiwara's bound, so Descartes' rule on integer subintervals, bisected
-    at integer midpoints, misses none; an interval of width 1 holds no
-    integer in its interior and is dropped."""
+    Every root lies strictly inside (-B, B) for the power of two B from
+    Fujiwara's bound.  p is the first prime at which every root of c mod p
+    is simple (only primes dividing the discriminant fail); an integer root
+    reduces to one of them, whose lift mod q is unique, so Newton's step
+    r <- r - c(r) / c'(r) mod q, with q squared each step up to q >= 2B,
+    misses none.  The symmetric residues are confirmed by exact evaluation."""
     n = len(c) - 1
     e = max(-(-abs(ci).bit_length() // (n - i)) for i, ci in enumerate(c[:-1]))
     bound = 1 << (e + 1)
-    roots = []
-    stack = [(-bound, bound)]
-    while stack:
-        a, b = stack.pop()
-        if b - a < 2:
+    dc = _zz_derivative(c)
+    p = 1
+    while True:
+        p += 1
+        if any(p % k == 0 for k in range(2, math.isqrt(p) + 1)):
             continue
-        v = _descartes_count(c, a, b)
-        if v == 1:
-            r = _integer_root_in(c, a, b)
-            if r is not None:
-                roots.append(r)
-        elif v > 1:
-            mid = (a + b) // 2
-            if _int_horner(c, mid) == 0:
-                roots.append(mid)
-            stack.append((a, mid))
-            stack.append((mid, b))
-    return roots
+        roots = [r for r, v in enumerate(_eval_mod(c, range(p), p)) if v == 0]
+        if all(_eval_mod(dc, roots, p)):
+            break
+    q = p
+    while roots and q < 2 * bound:
+        q *= q
+        roots = [(r - v * pow(d, -1, q)) % q for r, v, d in
+                 zip(roots, _eval_mod(c, roots, q), _eval_mod(dc, roots, q))]
+    roots = [r - q if 2 * r > q else r for r in roots]
+    return [r for r in roots if _int_horner(c, r) == 0]
 
 
 def _root_candidates(ints):
@@ -688,11 +656,11 @@ def rational_roots(p):
     cost is polynomial in the bit size of the coefficients.  After clearing
     denominators and splitting off the root 0, a linear or quadratic
     polynomial gives its candidates in closed form (``math.isqrt`` of the
-    discriminant); a higher degree isolates the integer roots of the monic
-    transform of its squarefree part by Descartes' rule of signs.  Each
-    candidate is confirmed by exact evaluation and its multiplicity counted
-    by exact division.  Roots come out as 0 first, then by (|numerator|,
-    denominator), positive before negative.
+    discriminant); a higher degree lifts the roots of the monic transform of
+    its squarefree part modulo a small prime to its integer roots (Loos'
+    p-adic method).  Each candidate is confirmed by exact evaluation and its
+    multiplicity counted by exact division.  Roots come out as 0 first, then
+    by (|numerator|, denominator), positive before negative.
     """
     if p.is_zero:
         raise ValueError("every rational is a root of the zero polynomial")

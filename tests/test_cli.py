@@ -6,7 +6,9 @@ import sys
 
 import pytest
 
-from k3quartic.cli import MAX_PARAM_DEGREE, MAX_PRECISION_BITS, SUITES, main
+from k3quartic.cli import (MAX_DET_DIGITS, MAX_PARAM_DEGREE, MAX_PRECISION_BITS,
+                           MAX_TN_DIGITS, SUITES, main)
+from k3quartic.lattices import MAX_GRAM_RANK
 
 
 def run(capsys, *argv):
@@ -193,6 +195,52 @@ class TestLattice:
     def test_tn_rejects_nonpositive(self, capsys):
         code, _, err = run(capsys, "lattice", "tn", "--n", "0")
         assert code == 2
+
+    # the minors of a 2500-digit n passed CPython's 4300-digit limit on
+    # int-to-str conversion, a traceback in the JSON encoder
+    @pytest.mark.parametrize("n", ["7" * 2500, str(10 ** MAX_TN_DIGITS)])
+    def test_tn_rejects_an_n_over_the_digit_cap(self, capsys, n):
+        code, out, err = run(capsys, "lattice", "tn", "--n", n, "--json")
+        assert code == 2
+        assert out == ""
+        assert err == "error: --n must have at most %d digits\n" % MAX_TN_DIGITS
+
+    @pytest.mark.parametrize("n", [10 ** MAX_TN_DIGITS - 1, 10 ** MAX_TN_DIGITS - 2,
+                                   10 ** MAX_TN_DIGITS - 4])
+    def test_tn_at_the_digit_cap(self, capsys, n):
+        code, rep, _ = run_json(capsys, "lattice", "tn", "--n", str(n))
+        assert code == 0
+        assert rep["results"]["verdict"] == ("Obstructed" if n % 4 == 2 else "Realized")
+
+    @pytest.mark.parametrize("spec", [
+        # det 10^4800 (10^300 + 1)^8: rat_str passed the int-to-str limit
+        "+".join("U(%d)" % (10 ** 300 + k % 2) for k in range(8)),
+        "A1(%d)" % (5 * 10 ** (MAX_DET_DIGITS - 1)),
+    ])
+    def test_invariants_reject_a_determinant_over_the_digit_cap(self, capsys, spec):
+        code, out, err = run(capsys, "lattice", "invariants", "--gram", spec)
+        assert code == 2
+        assert out == ""
+        assert err == ("error: the determinant of --gram may have more than "
+                       "%d digits\n" % MAX_DET_DIGITS)
+
+    def test_invariants_at_the_digit_cap(self, capsys):
+        det = 8 * 10 ** (MAX_DET_DIGITS - 1)
+        code, rep, _ = run_json(capsys, "lattice", "invariants", "--gram",
+                                "A1(%d)" % (det // 2))
+        assert code == 0
+        assert rep["results"]["invariants"]["determinant"] == str(det)
+
+    def test_invariants_rank_cap(self, capsys):
+        code, rep, _ = run_json(capsys, "lattice", "invariants", "--gram",
+                                "+".join(["U"] * (MAX_GRAM_RANK // 2)))
+        assert code == 0
+        assert rep["results"]["invariants"]["rank"] == MAX_GRAM_RANK
+        code, out, err = run(capsys, "lattice", "invariants", "--gram",
+                             "+".join(["U"] * 200))
+        assert code == 2
+        assert out == ""
+        assert err == "error: a Gram spec has rank at most %d\n" % MAX_GRAM_RANK
 
 
 # each file breaks one rule of the parametrization format; unchecked, a

@@ -11,6 +11,7 @@ from k3quartic.lattices import (
     AMBIENT_GRAM,
     BLOCK_J,
     E7_GRAM,
+    MAX_GRAM_RANK,
     Obstructed,
     RealizationVector,
     U_GRAM,
@@ -90,6 +91,12 @@ def test_gram_build():
     assert gram_build("U(2)") == [[0, 2], [2, 0]]
     with pytest.raises(ValueError):
         gram_build("E8")
+    assert len(gram_build("+".join(["U"] * (MAX_GRAM_RANK // 2)))) == MAX_GRAM_RANK
+    with pytest.raises(ValueError, match="rank at most"):
+        gram_build("+".join(["U"] * (MAX_GRAM_RANK // 2)) + "+A1")
+    # the cap is met part by part, before any sum is allocated
+    with pytest.raises(ValueError, match="rank at most"):
+        gram_build("+".join(["N"] * 10 ** 5))
 
 
 def test_direct_sum_multiplicativity():

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -9,6 +10,9 @@ from k3quartic.polynomials import (
     Poly,
     RationalFunction,
     _cancel_common,
+    _int_horner,
+    _monic_integer_roots,
+    _zz_derivative,
     certified_factors,
     poly_gcd,
     poly_nth_root,
@@ -125,13 +129,14 @@ def _root_order(q):
     return abs(q.numerator), q.denominator, q < 0
 
 
-def _random_rooted_poly(rng):
-    """A seeded polynomial of degree 1-8 over Fraction mixing rational roots
-    (some with 20- to 60-digit numerators and denominators, some repeated,
-    0 and +/- pairs among them) with irreducible quadratic and cubic factors."""
+def _random_rooted_poly(rng, min_degree=1, max_degree=8):
+    """A seeded polynomial of degree min_degree to max_degree over Fraction
+    mixing rational roots (some with 20- to 60-digit numerators and
+    denominators, some repeated, 0 and +/- pairs among them) with
+    irreducible quadratic and cubic factors."""
     t = Poly.x("t")
     p = Poly.constant("t", Fraction(rng.choice([-1, 1]) * rng.randint(1, 9), rng.randint(1, 9)))
-    while p.degree < 1 or rng.random() < 0.6:
+    while p.degree < min_degree or rng.random() < 0.6:
         kind = rng.random()
         if kind < 0.35:
             f = t - Fraction(rng.randint(-40, 40), rng.randint(1, 12))
@@ -148,7 +153,7 @@ def _random_rooted_poly(rng):
         else:
             f = t ** 3 - rng.choice([2, 3, 5, 7, 10])
         m = rng.choice([1, 1, 2, 3])
-        if p.degree + m * f.degree <= 8:
+        if p.degree + m * f.degree <= max_degree:
             p = p * f ** m
     return p
 
@@ -157,14 +162,153 @@ def test_rational_roots_match_sympy():
     sympy = pytest.importorskip("sympy")
     x = sympy.Symbol("x")
     rng = random.Random(20240611)
-    for _ in range(320):
-        p = _random_rooted_poly(rng)
+    # degrees 1-8, then 9-40, where the squarefree part goes through the
+    # p-adic integer root search rather than the closed forms
+    draws = [_random_rooted_poly(rng) for _ in range(320)]
+    draws += [_random_rooted_poly(rng, rng.randint(9, 40), 40) for _ in range(24)]
+    for p in draws:
         coeffs = [sympy.Rational(c.numerator, c.denominator) for c in
                   (p.coeff(e) for e in range(p.degree, -1, -1))]
         oracle = sympy.Poly(coeffs, x, domain=sympy.QQ).ground_roots()
         expected = sorted(((Fraction(int(r.p), int(r.q)), m) for r, m in oracle.items()),
                           key=lambda rm: _root_order(rm[0]))
         assert rational_roots(p) == expected, p
+
+
+# The Descartes isolation that the p-adic root search replaced, kept verbatim
+# as the oracle (its entry point renamed from _monic_integer_roots): it
+# bisects (-B, B) on Descartes' sign-variation count.
+def _taylor_shift(c, s):
+    """The coefficients of c(x + s), lowest degree first."""
+    c = list(c)
+    n = len(c)
+    for i in range(n - 1):
+        for j in range(n - 2, i - 1, -1):
+            c[j] += s * c[j + 1]
+    return c
+
+
+def _descartes_count(c, a, b):
+    """Descartes' bound on the roots of c in the open interval (a, b): the
+    sign variations of (x + 1)^n c((a + b x) / (x + 1)).  It is exact when
+    it reads 0 or 1."""
+    w = b - a
+    shifted = [ci * w ** i for i, ci in enumerate(_taylor_shift(c, a))]
+    signs = [v > 0 for v in _taylor_shift(shifted[::-1], 1) if v]
+    return sum(s != t for s, t in zip(signs, signs[1:]))
+
+
+def _integer_root_in(c, a, b):
+    """The integer root of c strictly between a and b, or None, when c has
+    exactly one (simple) real root there: bisection on the sign of c."""
+    lo, hi = a + 1, b - 1
+    if lo > hi:
+        return None
+    s_lo, s_hi = _int_horner(c, lo), _int_horner(c, hi)
+    if s_lo == 0:
+        return lo
+    if s_hi == 0:
+        return hi
+    if (s_lo > 0) == (s_hi > 0):
+        return None
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        v = _int_horner(c, mid)
+        if v == 0:
+            return mid
+        if (v > 0) == (s_lo > 0):
+            lo = mid
+        else:
+            hi = mid
+    return None
+
+
+def _descartes_integer_roots(c):
+    """The integer roots of a monic integer polynomial with c[0] != 0.
+
+    Every real root lies strictly inside (-B, B) for the power of two B from
+    Fujiwara's bound, so Descartes' rule on integer subintervals, bisected
+    at integer midpoints, misses none; an interval of width 1 holds no
+    integer in its interior and is dropped."""
+    n = len(c) - 1
+    e = max(-(-abs(ci).bit_length() // (n - i)) for i, ci in enumerate(c[:-1]))
+    bound = 1 << (e + 1)
+    roots = []
+    stack = [(-bound, bound)]
+    while stack:
+        a, b = stack.pop()
+        if b - a < 2:
+            continue
+        v = _descartes_count(c, a, b)
+        if v == 1:
+            r = _integer_root_in(c, a, b)
+            if r is not None:
+                roots.append(r)
+        elif v > 1:
+            mid = (a + b) // 2
+            if _int_horner(c, mid) == 0:
+                roots.append(mid)
+            stack.append((a, mid))
+            stack.append((mid, b))
+    return roots
+
+
+def _int_product(factors):
+    """The product of integer coefficient vectors, lowest degree first."""
+    out = [1]
+    for f in factors:
+        prod = [0] * (len(out) + len(f) - 1)
+        for i, a in enumerate(out):
+            for j, b in enumerate(f):
+                prod[i + j] += a * b
+        out = prod
+    return out
+
+
+def _assert_roots_match_oracle(c, expected):
+    assert sorted(_monic_integer_roots(c)) == sorted(_descartes_integer_roots(c)) == sorted(expected), c
+
+
+def test_integer_roots_match_descartes_oracle():
+    # monic squarefree: distinct nonzero integer roots of up to 14 digits
+    # times distinct monic irreducible cofactors without rational roots
+    # (x^2 + a, x^2 - a for a nonsquare a, x^3 - (k^3 + 1)), some of whose
+    # real roots are irrational
+    rng = random.Random(20261018)
+    for _ in range(200):
+        roots = set()
+        for _ in range(rng.randint(0, 7)):
+            digits = rng.randint(1, 14)
+            roots.add(rng.choice([-1, 1]) * rng.randint(1, 10 ** digits - 1))
+        cofactors = set()
+        for _ in range(rng.randint(0 if roots else 1, 3)):
+            kind, a = rng.randrange(3), rng.randint(1, 10 ** 6)
+            if kind == 0:
+                cofactors.add((a, 0, 1))
+            elif kind == 1 and math.isqrt(a) ** 2 != a:
+                cofactors.add((-a, 0, 1))
+            else:
+                cofactors.add((-(a ** 3 + 1), 0, 0, 1))
+        c = _int_product([[-r, 1] for r in roots] + sorted(cofactors))
+        _assert_roots_match_oracle(c, roots)
+
+
+def test_integer_roots_skip_every_prime_with_a_double_root():
+    # the roots (-1)^k k for k <= 30 meet mod every prime p <= 30, so each
+    # such p leaves a double root and must be skipped
+    roots = [(-1) ** k * k for k in range(1, 31)]
+    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29):
+        assert len({r % p for r in roots}) < len(roots)
+    _assert_roots_match_oracle(_int_product([[-r, 1] for r in roots]), roots)
+
+
+def test_integer_roots_with_no_root_mod_the_chosen_prime():
+    # (x^4 + 1)(x^2 - 2) has double roots 1 and 0 mod 2 and no root mod 3,
+    # the prime the search settles on
+    c = _int_product([[1, 0, 0, 0, 1], [-2, 0, 1]])
+    assert _int_horner(c, 1) % 2 == _int_horner(_zz_derivative(c), 1) % 2 == 0
+    assert all(_int_horner(c, r) % 3 for r in range(3))
+    _assert_roots_match_oracle(c, [])
 
 
 def test_squarefree_decompose_matches_sympy():
