@@ -6,18 +6,26 @@ step), the Smith normal form, delta and the rank-4 certificate search run
 on Python ints only.  The same Bareiss elimination over `MultiPoly`
 certifies the rank-4 block determinant identity once, symbolically.
 Discriminant data comes from the Smith normal form
-with unimodular transforms, and the realization results are certified by
-explicit vectors and minor gcds rather than by citation.  The certificate
-search streams the norm-2 vectors x of its box and solves the two
-orthogonality equations of each partner y for its last two coordinates,
-so a block Gram costs a few hundred candidates, not the whole box.  Every
-search solves its last coordinate instead of scanning it: the norm
-vectors by an integer square root, the rank-4 grid by one exact division
-and the t_n evidence by a table of sums of two squares.
+with unimodular transforms, taken per connected component of the Gram and
+merged into one divisibility chain by gcd and lcm, and the realization
+results are certified by explicit vectors and minor gcds rather than by
+citation.
+
+The rank-4 classification reads the block Grams as Hermitian forms over
+Z[i], with J as multiplication by i.  A certificate basis (x, Jx, y, Jy)
+commutes with J, so only a Gram that commutes with J can have one.  For
+each norm-2 x, the y orthogonal to x and Jx are the Z[i]-multiples of one
+primitive vector found by a Gaussian gcd, and unimodularity leaves only its
+four unit multiples.  The Hermitian determinant 4nm - b^2 - c^2 = -4 gives
+the signature (2,2) by its sign, and G = 2H with H unimodular gives the
+Smith form (2,2,2,2) and delta (1 exactly when H is odd), with no Smith form
+or signature taken.  Every search solves its last coordinate instead of
+scanning it: the norm vectors by an integer square root, the rank-4 grid by
+one exact division and the t_n evidence by a table of sums of two squares.
 """
 
 from itertools import chain
-from math import gcd, isqrt
+from math import gcd, isqrt, lcm
 from operator import mul, ne
 
 from .multipoly import MultiPoly
@@ -31,13 +39,10 @@ def identity_matrix(n):
 
 
 def mat_mul(a, b):
-    rows, mid, cols = len(a), len(b), len(b[0])
-    if len(a[0]) != mid:
+    if len(a[0]) != len(b):
         raise ValueError("dimension mismatch")
-    return [
-        [sum(a[i][k] * b[k][j] for k in range(mid)) for j in range(cols)]
-        for i in range(rows)
-    ]
+    cols = list(zip(*b))
+    return [[sum(map(mul, row, col)) for col in cols] for row in a]
 
 
 def mat_transpose(a):
@@ -45,7 +50,7 @@ def mat_transpose(a):
 
 
 def mat_vec(a, v):
-    return [sum(row[j] * v[j] for j in range(len(v))) for row in a]
+    return [sum(map(mul, row, v)) for row in a]
 
 
 def _int_matrix(a):
@@ -341,6 +346,50 @@ class LatticeInvariants:
                     self.delta))
 
 
+def _components(gram):
+    """The connected components of the Gram's graph, in which two indices
+    are joined by a nonzero off-diagonal entry, as sorted index lists."""
+    seen = set()
+    out = []
+    for start in range(len(gram)):
+        if start in seen:
+            continue
+        seen.add(start)
+        comp, stack = [], [start]
+        while stack:
+            i = stack.pop()
+            comp.append(i)
+            for j, x in enumerate(gram[i]):
+                if x and j not in seen:
+                    seen.add(j)
+                    stack.append(j)
+        out.append(sorted(comp))
+    return out
+
+
+def _divisibility_chain(values):
+    """The invariant factors of diag(values): the gcd/lcm exchange of every
+    pair i < j sorts each prime's exponents, so nothing is factored."""
+    out = list(values)
+    for i in range(len(out)):
+        for j in range(i + 1, len(out)):
+            a, b = out[i], out[j]
+            out[i], out[j] = gcd(a, b), lcm(a, b)
+    return out
+
+
+def _two_elementary_delta(gram, d, right):
+    """delta of a 2-elementary Gram with Smith form d and right transform:
+    0 when q(col / di) is integral, i.e. col^T G col = 0 mod di^2, on every
+    Smith-basis generator, 1 otherwise."""
+    for i, di in enumerate(d):
+        if di > 1:
+            col = [row[i] for row in right]
+            if sum(map(mul, col, mat_vec(gram, col))) % (di * di):
+                return 1
+    return 0
+
+
 def lattice_invariants(gram):
     """Rank, signature, determinant, Smith form, ell, 2-elementarity, delta.
 
@@ -348,28 +397,30 @@ def lattice_invariants(gram):
     discriminant quadratic form takes integer values on the Smith-basis
     generators (which suffices, since the form is linear mod Z on a
     2-elementary group), 1 otherwise; None when not 2-elementary.
+
+    The Smith form and delta are taken per connected component of the Gram
+    (indices joined by nonzero off-diagonal entries): the discriminant form
+    of an orthogonal sum is the sum of the components' forms, so the
+    invariant factors are the components' merged into one chain, and delta
+    is the largest component delta.  A sum of blocks thus never runs one
+    Smith form on the whole matrix, whose entries blow up on coprime twists.
     """
     n = _validate_gram(gram)
     det = mat_det(gram)
     if det == 0:
         raise ValueError("degenerate lattice")
     sig = signature(gram)
-    d, _, right = smith_normal_form(gram)
-    nontrivial = [x for x in d if x > 1]
-    ell = len(nontrivial)
+    smith = []
+    for comp in _components(gram):
+        block = [[gram[i][j] for j in comp] for i in comp]
+        d, _, right = smith_normal_form(block)
+        smith.append((block, d, right))
+    factors = _divisibility_chain(x for _, d, _ in smith for x in d)
+    nontrivial = [x for x in factors if x > 1]
     two_elem = all(x == 2 for x in nontrivial)
-    delta = None
-    if two_elem:
-        delta = 0
-        for i, di in enumerate(d):
-            if di <= 1:
-                continue
-            # q(col / di) is integral iff col^T G col = 0 mod di^2
-            col = [row[i] for row in right]
-            if sum(c * x for c, x in zip(col, mat_vec(gram, col))) % (di * di):
-                delta = 1
-                break
-    return LatticeInvariants(n, sig, det, tuple(d), ell, two_elem, delta)
+    # the sum is 2-elementary exactly when every component is
+    delta = max(_two_elementary_delta(*s) for s in smith) if two_elem else None
+    return LatticeInvariants(n, sig, det, tuple(factors), len(nontrivial), two_elem, delta)
 
 
 # -- rank-two realizations inside diag(2,2,-2,-2) ------------------------------
@@ -606,25 +657,40 @@ def _bounded_roots(a, b, c, bound):
     return roots
 
 
-def _solved_partners(gram, coord_bound, a, b, det):
-    """The vectors y with |y_i| <= coord_bound, a.y == b.y == 0 and
-    y^T G y == -2, in lexicographic order, given det = a3 b4 - a4 b3 != 0:
-    each (y1, y2) fixes (y3, y4) by Cramer's rule."""
-    rng = range(-coord_bound, coord_bound + 1)
+def _gaussian_gcd(a, b):
+    """A gcd of the Gaussian integers a and b, given as (re, im) pairs: Euclid
+    with the quotient a / b rounded to the nearest Gaussian integer, so each
+    remainder has at most half the norm of b."""
+    (ar, ai), (br, bi) = a, b
+    while br or bi:
+        norm = br * br + bi * bi
+        # a conj(b) = (ar br + ai bi) + (ai br - ar bi) i, rounded part by part
+        qr = (2 * (ar * br + ai * bi) + norm) // (2 * norm)
+        qi = (2 * (ai * br - ar * bi) + norm) // (2 * norm)
+        ar, ai, br, bi = br, bi, ar - qr * br + qi * bi, ai - qr * bi - qi * br
+    return ar, ai
+
+
+def _gaussian_quotient(a, g):
+    """a / g for a Gaussian integer g dividing a, both (re, im) pairs."""
+    (ar, ai), (gr, gi) = a, g
+    norm = gr * gr + gi * gi
+    return (ar * gr + ai * gi) // norm, (ai * gr - ar * gi) // norm
+
+
+def _unit_partners(gram, a, coord_bound):
+    """The unit multiples y of w = (conj alpha2, -conj alpha1) / gcd, for the
+    nonzero a read as alpha = (a1 + a2 i, a3 + a4 i), that lie in the box
+    and have y^T G y = -2, in lexicographic order.  For a Gram commuting with
+    J, q(t w) = |t|^2 q(w) and the four unit multiples share one box bound,
+    so w alone decides."""
     a1, a2, a3, a4 = a
-    b1, b2, b3, b4 = b
-    # the Cramer numerators of y3 and y4 are linear in (y1, y2)
-    c31, c32 = a4 * b1 - a1 * b4, a4 * b2 - a2 * b4
-    c41, c42 = a1 * b3 - a3 * b1, a2 * b3 - a3 * b2
-    for y1 in rng:
-        for y2 in rng:
-            y3, r3 = divmod(c31 * y1 + c32 * y2, det)
-            y4, r4 = divmod(c41 * y1 + c42 * y2, det)
-            if r3 or r4 or abs(y3) > coord_bound or abs(y4) > coord_bound:
-                continue
-            y = (y1, y2, y3, y4)
-            if sum(map(mul, mat_vec(gram, y), y)) == -2:
-                yield y
+    g = _gaussian_gcd((a3, -a4), (a1, -a2))
+    w = _gaussian_quotient((a3, -a4), g) + _gaussian_quotient((-a1, a2), g)
+    if max(map(abs, w)) > coord_bound or sum(map(mul, mat_vec(gram, w), w)) != -2:
+        return []
+    jw = tuple(mat_vec(BLOCK_J, w))
+    return sorted((w, jw, tuple(-v for v in w), tuple(-v for v in jw)))
 
 
 def certificate_basis(gram, coord_bound=4):
@@ -635,31 +701,29 @@ def certificate_basis(gram, coord_bound=4):
     integer entries (ValueError otherwise), and every coordinate of x and y
     lies in [-coord_bound, coord_bound].
 
-    The norm-2 vectors x are streamed in lexicographic order and the search
-    stops at the first certificate.  For each x, y must satisfy a.y = b.y = 0
-    with a = G^T x and b = G^T Jx, so each (y1, y2) fixes (y3, y4) by
-    Cramer's rule: 81 candidates at bound 4 instead of 9^4.  When that 2x2
-    system is singular (on the block Grams, where b = Ja, only if
-    a3 = a4 = 0) the norm -2 vectors of the box are filtered instead.
-    Either way the y are tried in lexicographic order and every pair is
-    checked in full, so the first certificate is canonical."""
+    Such a basis P commutes with J, and diag(2,2,-2,-2) does, so
+    G = P^-T diag(2,2,-2,-2) P^-1 commutes with J too: any other Gram gets
+    None at once.  The norm-2 vectors x are streamed in lexicographic order
+    and the search stops at the first certificate.  Read a = G^T x as
+    alpha = (a1 + a2 i, a3 + a4 i) in Z[i]^2 and y as psi; then a.y = 0 and
+    (Ja).y = G^T Jx.y = 0 say conj(alpha1) psi1 + conj(alpha2) psi2 = 0, so
+    y is a Z[i]-multiple t w of w = (conj alpha2, -conj alpha1) divided by
+    the Gaussian gcd of its parts (a = 0 only on a degenerate Gram, which has
+    no certificate).  As a real matrix |det P| is |t|^2 |det_Z[i](x, w)|^2,
+    so |det P| = 1 forces t to be a unit: the partners are w, iw, -w and -iw
+    (iw = Jw) inside the box, tried in lexicographic order, and each pair is
+    checked in full (q(y) = -2, |det P| = 1 and P^T G P), so the first
+    certificate is the one the full-box search finds."""
     gram = _int_matrix(gram)
+    if mat_mul(gram, BLOCK_J) != mat_mul(BLOCK_J, gram):
+        return None
     gram_t = mat_transpose(gram)
-    minus2 = None
     for x in _norm_vectors(gram, coord_bound, 2):
         jx = mat_vec(BLOCK_J, x)
-        # x^T G y and (Jx)^T G y become 4-term dot products with y
         a = mat_vec(gram_t, x)
-        b = mat_vec(gram_t, jx)
-        det = a[2] * b[3] - a[3] * b[2]
-        if det:
-            partners = _solved_partners(gram, coord_bound, a, b, det)
-        else:
-            if minus2 is None:
-                minus2 = list(_norm_vectors(gram, coord_bound, -2))
-            partners = (y for y in minus2
-                        if not sum(map(mul, a, y)) and not sum(map(mul, b, y)))
-        for y in partners:
+        if not any(a):
+            return None
+        for y in _unit_partners(gram, a, coord_bound):
             jy = mat_vec(BLOCK_J, y)
             p = [[x[i], jx[i], y[i], jy[i]] for i in range(4)]
             if abs(mat_det(p)) != 1:
@@ -693,44 +757,49 @@ def rank4_classification_check():
     and keep those with |det| = 16 and signature (2,2).
 
     `det_identity` is the symbolic identity det = (4nm - b^2 - c^2)^2
-    (`block_gram_det_identity`), so |det| = 16 is 4nm = b^2 + c^2 +/- 4:
-    m is solved from it for each (n, b, c) and no determinant is taken.
+    (`block_gram_det_identity`).  As a Hermitian form over Z[i] the block
+    Gram is [[2n, b + ci], [b - ci, 2m]], with determinant 4nm - b^2 - c^2
+    and each complex eigenvalue doubled in real coordinates: a negative
+    determinant means one eigenvalue of each sign, real signature (2,2), and
+    a positive one a definite form.  So the survivors are exactly
+    4nm - b^2 - c^2 = -4: m is solved from it for each (n, b, c), and no
+    determinant or signature is taken.
 
-    All survivors are 2-elementary of length 4 (entries are even once the
-    determinant forces b, c even).  The ones with delta = 1 each get an
-    explicit change-of-basis certificate onto diag(2,2,-2,-2), searched with
-    coordinates up to 4 (`certificate_basis` streams x and solves each y
-    from its orthogonality to x and Jx); the
-    delta = 0 ones have an integral discriminant form and are excluded from
-    being the transcendental form.  The b = c = 0 survivors are exactly
+    b^2 + c^2 = 4(nm + 1) forces b and c even, so G = 2H with H the integral
+    block Gram of (n, m, b/2, c/2), whose determinant is 16 / 16 = 1 by the
+    same identity.  H is unimodular, so every survivor has Smith form
+    (2, 2, 2, 2), and its discriminant form q(v / 2) = v^T H^-1 v / 2 is
+    integral exactly when H is even: delta = 1 exactly when n or m is odd.
+    The delta = 1 survivors each get an explicit change-of-basis certificate
+    onto diag(2,2,-2,-2) with coordinates up to 4 (`certificate_basis`);
+    the delta = 0 ones have an integral discriminant form and are excluded
+    from being the transcendental form.  The b = c = 0 survivors are exactly
     nm = -1.
     """
     det_identity = block_gram_det_identity()
     rng = range(-RANK4_BOUND, RANK4_BOUND + 1)
-    solutions = []
+    survivors = []
     for n in rng:
         for b in rng:
             for c in rng:
-                for rhs in (b * b + c * c - 4, b * b + c * c + 4):
-                    # 4nm = rhs: one m for n != 0, every m or none for n = 0
-                    if n:
-                        m, r = divmod(rhs, 4 * n)
-                        if not r and abs(m) <= RANK4_BOUND:
-                            solutions.append((n, m, b, c))
-                    elif not rhs:
-                        solutions.extend((n, m, b, c) for m in rng)
-    survivors = [t for t in sorted(solutions)
-                 if signature(gaussian_block_gram(*t)) == (2, 2)]
+                # 4nm = rhs: one m for n != 0, every m or none for n = 0
+                rhs = b * b + c * c - 4
+                if n:
+                    m, r = divmod(rhs, 4 * n)
+                    if not r and abs(m) <= RANK4_BOUND:
+                        survivors.append((n, m, b, c))
+                elif not rhs:
+                    survivors.extend((n, m, b, c) for m in rng)
+    survivors.sort()
     delta_one = []
     delta_zero = []
     all_certified = True
     for tup in survivors:
-        gram = gaussian_block_gram(*tup)
-        inv = lattice_invariants(gram)
-        if inv.invariant_factors != (2, 2, 2, 2):
+        n, m, b, c = tup
+        if b % 2 or c % 2:
             raise AssertionError("unexpected Smith form for %r" % (tup,))
-        if inv.delta == 1:
-            cert = certificate_basis(gram, 4)
+        if n % 2 or m % 2:
+            cert = certificate_basis(gaussian_block_gram(*tup), 4)
             if cert is None:
                 all_certified = False
             delta_one.append((tup, cert))

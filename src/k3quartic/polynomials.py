@@ -644,9 +644,21 @@ def _root_candidates(ints):
     h = _zz_gcd(f, _zz_derivative(f))[1]
     content = math.gcd(*h)
     h = [ci // content for ci in h]
+    return [Fraction(y, h[-1]) for y in _monic_integer_roots(_monic_transform(h))]
+
+
+def _monic_transform(h):
+    """The coefficients, lowest first, of lead^(n-1) h(y / lead) for the
+    integer vector h of degree n >= 1 with leading coefficient lead: h_i
+    times lead^(n-1-i), the powers built by one running product from the top
+    coefficient down instead of one big power per coefficient."""
     lead = h[-1]
-    monic = [ci * lead ** (len(h) - 2 - i) for i, ci in enumerate(h[:-1])] + [1]
-    return [Fraction(y, lead) for y in _monic_integer_roots(monic)]
+    out, power = [1], 1
+    for ci in reversed(h[:-1]):
+        out.append(ci * power)
+        power *= lead
+    out.reverse()
+    return out
 
 
 def rational_roots(p):

@@ -242,6 +242,17 @@ class TestLattice:
         assert out == ""
         assert err == "error: a Gram spec has rank at most %d\n" % MAX_GRAM_RANK
 
+    def test_invariants_of_coprime_twisted_e7_blocks(self, capsys):
+        # one Smith form over the whole rank-42 sum ran past 60 s; each
+        # E7(k) block has factors (k, ..., k, 2k), merged prime by prime
+        spec = "E7(3)+E7(5)+E7(7)+E7(11)+E7(13)+E7(17)"
+        code, rep, _ = run_json(capsys, "lattice", "invariants", "--gram", spec)
+        assert code == 0
+        inv = rep["results"]["invariants"]
+        assert inv["invariantFactors"] == ["1"] * 35 + ["255255"] + ["510510"] * 6
+        assert (inv["ell"], inv["twoElementary"], inv["delta"]) == (7, False, None)
+        assert all(e["pass"] for e in rep["verificationLedger"])
+
 
 # each file breaks one rule of the parametrization format; unchecked, a
 # negative exponent hangs in Poly.__divmod__ and exponent 800 runs for

@@ -6,6 +6,7 @@ from math import gcd, isqrt
 
 import pytest
 
+from k3quartic import lattices
 from k3quartic.lattices import (
     A1_GRAM,
     AMBIENT_GRAM,
@@ -16,7 +17,10 @@ from k3quartic.lattices import (
     RealizationVector,
     U_GRAM,
     _bareiss_det,
+    _components,
+    _gaussian_gcd,
     _norm_vectors,
+    _unit_partners,
     block_gram_det_identity,
     certificate_basis,
     direct_sum,
@@ -574,3 +578,176 @@ def test_int_matrix_accepts_integral_values_only():
     for bad in (Fraction(1, 2), 0.5):
         with pytest.raises(ValueError, match="matrix entries must be integers"):
             _int_matrix([[1, 0], [0, bad]])
+
+
+def _gaussian_pairs():
+    """Seeded pairs of Gaussian integers: small ones with zero operands, a
+    shared factor times coprime cofactors, and 30-digit parts."""
+    rng = random.Random(17)
+    pairs = [((0, 0), (0, 0)), ((0, 0), (3, -4)), ((5, 0), (0, 0)), ((1, 1), (2, 0))]
+    for _ in range(150):
+        pairs.append(tuple((rng.randint(-20, 20), rng.randint(-20, 20)) for _ in range(2)))
+    for _ in range(60):
+        g = (rng.randint(-99, 99), rng.randint(-99, 99))
+        a, b = ((rng.randint(-10 ** 6, 10 ** 6), rng.randint(-10 ** 6, 10 ** 6))
+                for _ in range(2))
+        pairs.append(((g[0] * a[0] - g[1] * a[1], g[0] * a[1] + g[1] * a[0]),
+                      (g[0] * b[0] - g[1] * b[1], g[0] * b[1] + g[1] * b[0])))
+    for _ in range(60):
+        pairs.append(tuple((rng.randint(-10 ** 30, 10 ** 30), rng.randint(-10 ** 30, 10 ** 30))
+                           for _ in range(2)))
+    return pairs
+
+
+def test_gaussian_gcd_matches_sympy_up_to_a_unit():
+    pytest.importorskip("sympy")
+    from sympy.polys.domains import ZZ_I
+    for a, b in _gaussian_pairs():
+        want = ZZ_I.gcd(ZZ_I(*a), ZZ_I(*b))
+        x, y = int(want.x), int(want.y)
+        assert _gaussian_gcd(a, b) in {(x, y), (-y, x), (-x, -y), (y, -x)}, (a, b)
+
+
+# The partner search that the unit multiples replaced, kept verbatim as the
+# oracle: Cramer's rule over the (y1, y2) grid, and the filtered norm -2
+# vectors of the box when a3 b4 = a4 b3.
+def _solved_partners(gram, coord_bound, a, b, det):
+    """The vectors y with |y_i| <= coord_bound, a.y == b.y == 0 and
+    y^T G y == -2, in lexicographic order, given det = a3 b4 - a4 b3 != 0:
+    each (y1, y2) fixes (y3, y4) by Cramer's rule."""
+    rng = range(-coord_bound, coord_bound + 1)
+    a1, a2, a3, a4 = a
+    b1, b2, b3, b4 = b
+    # the Cramer numerators of y3 and y4 are linear in (y1, y2)
+    c31, c32 = a4 * b1 - a1 * b4, a4 * b2 - a2 * b4
+    c41, c42 = a1 * b3 - a3 * b1, a2 * b3 - a3 * b2
+    for y1 in rng:
+        for y2 in rng:
+            y3, r3 = divmod(c31 * y1 + c32 * y2, det)
+            y4, r4 = divmod(c41 * y1 + c42 * y2, det)
+            if r3 or r4 or abs(y3) > coord_bound or abs(y4) > coord_bound:
+                continue
+            y = (y1, y2, y3, y4)
+            if sum(map(int.__mul__, mat_vec(gram, y), y)) == -2:
+                yield y
+
+
+def test_unit_partners_match_the_box_filter_on_delta_one_survivors():
+    grams = [gaussian_block_gram(*t) for t, _ in rank4_classification_check().delta_one]
+    assert len(grams) == 90
+    checked = singular = 0
+    for gram in grams:
+        minus2 = list(_norm_vectors(gram, 4, -2))
+        for x in _norm_vectors(gram, 4, 2):
+            a = mat_vec(mat_transpose(gram), x)
+            b = mat_vec(mat_transpose(gram), mat_vec(BLOCK_J, x))
+            assert b == mat_vec(BLOCK_J, a)
+            det = a[2] * b[3] - a[3] * b[2]
+            if det:
+                want = list(_solved_partners(gram, 4, a, b, det))
+            else:
+                singular += 1
+                want = [y for y in minus2
+                        if not sum(map(int.__mul__, a, y)) and not sum(map(int.__mul__, b, y))]
+            assert _unit_partners(gram, a, 4) == want, (gram, x)
+            checked += 1
+    assert checked > 1000 and singular > 0
+
+
+def test_rank4_derived_invariants_match_lattice_invariants():
+    r = rank4_classification_check()
+    derived = [(t, 1) for t, _ in r.delta_one] + [(t, 0) for t in r.delta_zero]
+    assert len(derived) == 142
+    for t, delta in derived:
+        inv = lattice_invariants(gaussian_block_gram(*t))
+        assert inv.invariant_factors == (2, 2, 2, 2), t
+        assert inv.delta == delta, t
+        assert inv.signature == (2, 2) and abs(inv.determinant) == 16, t
+
+
+def test_rank4_check_takes_no_smith_form_or_signature(monkeypatch):
+    want = rank4_classification_check()
+
+    def refuse(*args):
+        raise AssertionError("the rank-4 check must not call this")
+
+    for name in ("smith_normal_form", "signature", "lattice_invariants"):
+        monkeypatch.setattr(lattices, name, refuse)
+    got = rank4_classification_check()
+    for field in lattices.Rank4Classification.__slots__:
+        assert getattr(got, field) == getattr(want, field), field
+
+
+def test_certificate_basis_needs_a_j_invariant_gram():
+    # a certificate P commutes with J, so G = P^-T diag(2,2,-2,-2) P^-1 does
+    gram = gaussian_block_gram(1, -1, 0, 0)
+    assert certificate_basis(gram) is not None
+    gram[0][1] = gram[1][0] = 1
+    assert mat_mul(gram, BLOCK_J) != mat_mul(BLOCK_J, gram)
+    assert certificate_basis(gram) is None is _full_box_certificate_basis(gram)
+    # a degenerate J-invariant Gram has a zero G x for some norm-2 x
+    assert certificate_basis(gaussian_block_gram(1, 0, 0, 0)) is None
+
+
+# The whole-matrix invariants that the per-component Smith forms replaced,
+# kept verbatim as the oracle.
+def _whole_matrix_invariants(gram):
+    d, _, right = smith_normal_form(gram)
+    nontrivial = [x for x in d if x > 1]
+    two_elem = all(x == 2 for x in nontrivial)
+    delta = None
+    if two_elem:
+        delta = 0
+        for i, di in enumerate(d):
+            if di <= 1:
+                continue
+            # q(col / di) is integral iff col^T G col = 0 mod di^2
+            col = [row[i] for row in right]
+            if sum(c * x for c, x in zip(col, mat_vec(gram, col))) % (di * di):
+                delta = 1
+                break
+    return (len(gram), signature(gram), mat_det(gram), tuple(d), len(nontrivial),
+            two_elem, delta)
+
+
+def _direct_sum_specs():
+    """Seeded "+"-joined Gram specs of rank at most 28: presets with twists
+    that keep two thirds of them near 2-elementary, plus fixed sums whose
+    delta is 0 (only U and U(+-2) parts) or 1."""
+    rng = random.Random(18)
+    specs = ["U(2)+U", "U(2)+U(-2)+U", "U(-2)+U+U(2)+U", "U(2)+A1", "U+U(2)+E7",
+             "T+U(2)", "N+U(2)+U(-2)"]
+    while len(specs) < 67:
+        twists = [1, -1, 2, -2] if len(specs) % 3 else [1, -1, 2, -2, 3, 4, 6]
+        parts, rank = [], 0
+        for _ in range(rng.randint(1, 5)):
+            name = rng.choice(["U", "U", "A1", "E7", "T", "N"])
+            size = len(gram_build(name))
+            if rank + size > 28:
+                break
+            t = rng.choice(twists)
+            parts.append(name if t == 1 else "%s(%d)" % (name, t))
+            rank += size
+        if parts:
+            specs.append("+".join(parts))
+    return specs
+
+
+def test_lattice_invariants_per_component_match_whole_matrix():
+    rng = random.Random(19)
+    deltas = set()
+    for k, spec in enumerate(_direct_sum_specs()):
+        gram = gram_build(spec)
+        if k % 2:
+            # a simultaneous permutation interleaves the components' indices
+            perm = list(range(len(gram)))
+            rng.shuffle(perm)
+            gram = [[gram[i][j] for j in perm] for i in perm]
+        inv = lattice_invariants(gram)
+        got = (inv.rank, inv.signature, inv.determinant, inv.invariant_factors, inv.ell,
+               inv.two_elementary, inv.delta)
+        assert got == _whole_matrix_invariants(gram), spec
+        deltas.add(inv.delta)
+    assert deltas == {None, 0, 1}
+    assert len(_components(neron_severi_gram())) == 5
+    assert _components(E7_GRAM) == [list(range(7))]

@@ -12,6 +12,7 @@ from k3quartic.polynomials import (
     _cancel_common,
     _int_horner,
     _monic_integer_roots,
+    _monic_transform,
     _zz_derivative,
     certified_factors,
     poly_gcd,
@@ -309,6 +310,21 @@ def test_integer_roots_with_no_root_mod_the_chosen_prime():
     assert _int_horner(c, 1) % 2 == _int_horner(_zz_derivative(c), 1) % 2 == 0
     assert all(_int_horner(c, r) % 3 for r in range(3))
     _assert_roots_match_oracle(c, [])
+
+
+def test_monic_transform_matches_one_power_per_coefficient():
+    # the comprehension the running power replaced, kept as the oracle
+    def oracle(h):
+        lead = h[-1]
+        return [ci * lead ** (len(h) - 2 - i) for i, ci in enumerate(h[:-1])] + [1]
+
+    rng = random.Random(20)
+    for k in range(120):
+        degree = rng.randint(3, 40)
+        h = [rng.randint(-10 ** 6, 10 ** 6) for _ in range(degree)]
+        h.append(rng.choice([-1, 1]) if k % 3 == 0 else
+                 rng.choice([-1, 1]) * rng.randint(2, 10 ** (k % 25 + 1)))
+        assert _monic_transform(h) == oracle(h), h
 
 
 def test_squarefree_decompose_matches_sympy():
