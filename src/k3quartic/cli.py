@@ -16,81 +16,8 @@ import re
 import sys
 from fractions import Fraction
 
-from .covers import (
-    ContainedInBranch,
-    CoverSplits,
-    Parametrization,
-    SPLIT_PARAM_QUARTIC,
-    SPLIT_PARAM_SEXTIC,
-    STANDARD_ALPHA,
-    displayed_section,
-    fourth_power_test,
-    quartic_factor_check,
-    sextic_factor_check,
-    sum_at_root_choice,
-    twist_lift,
-    twist_sum,
-    verify_cover_map,
-)
-from .curves import (
-    automorphism_order,
-    base_elliptic_rhs,
-    cubic_to_exponent_four,
-    exponent_four_model,
-    genus2_curve,
-    j_invariant,
-    order_four_twist,
-    quarter_turn,
-    quotient_map,
-    quotient_negation_check,
-    rescale_genus2_check,
-    rho_inversion,
-    verify_involution,
-)
-from .fields import eighth_root_field
-from .fibration import (
-    classify_fibers,
-    degeneration_model,
-    form_scaling_order,
-    parity_refine,
-    shioda_tate_bound,
-    standard_family,
-    verify_reduction_chain,
-)
-from .lattices import (
-    Obstructed,
-    gram_build,
-    kummer_tn,
-    lattice_invariants,
-    neron_severi_gram,
-    rank4_classification_check,
-    tn_gram,
-    tn_search,
-    transcendental_gram,
-)
-from .moduli import (
-    cayley,
-    fricke_checks,
-    gaussian_form_check,
-    h0_generators,
-    inverse_cayley,
-    m_eq,
-    m_mul,
-    membership,
-    period_examples,
-    su11_samples,
-)
-from .periods import (
-    Inconclusive,
-    IsogenousToE,
-    NotDetected,
-    cm_isogeny_check,
-    period_ratio_numeric,
-    tau_from_cubic,
-)
-from .polynomials import Poly
-from .quartic import ALPHA_INFINITY, Unstable, build_quartic, chart_sign_check, \
-    pencil_substitution_check, singular_points, stability
+from . import (covers, curves, fibration, fields, lattices, moduli, periods, polynomials,
+               quartic)
 from .report import Ledger, build_report, render_json, render_text
 from .serialize import parse_rat, rat_str
 
@@ -103,7 +30,7 @@ def _parse_alpha(text):
     if text is None:
         raise UsageError("an alpha value is required (a rational p/q, or 'inf')")
     if text.strip().lower() in ("inf", "infinity", "oo"):
-        return ALPHA_INFINITY
+        return quartic.ALPHA_INFINITY
     try:
         return parse_rat(text)
     except (ValueError, ZeroDivisionError):
@@ -124,7 +51,7 @@ def _parse_rational_flag(text, flag):
 
 
 def _alpha_str(alpha):
-    return "inf" if alpha is ALPHA_INFINITY else rat_str(alpha)
+    return "inf" if alpha is quartic.ALPHA_INFINITY else rat_str(alpha)
 
 
 # -- encoders -----------------------------------------------------------------
@@ -155,16 +82,16 @@ def _encode_singular_point(entry):
 
 
 def _encode_split_verdict(verdict):
-    if isinstance(verdict, ContainedInBranch):
+    if isinstance(verdict, covers.ContainedInBranch):
         return {"verdict": "ContainedInBranch"}
     out = {
-        "verdict": "Splits" if isinstance(verdict, CoverSplits) else "DoesNotSplit",
+        "verdict": "Splits" if isinstance(verdict, covers.CoverSplits) else "DoesNotSplit",
         "profile": list(verdict.profile),
         "places": [
             {"factor": str(p), "multiplicity": m} for p, m in verdict.places
         ],
     }
-    if isinstance(verdict, CoverSplits):
+    if isinstance(verdict, covers.CoverSplits):
         out["constant"] = rat_str(verdict.constant)
         out["constantFourthPower"] = (
             None if verdict.constant_fourth_power is None
@@ -175,14 +102,14 @@ def _encode_split_verdict(verdict):
 
 def _encode_cm_verdict(res):
     import mpmath
-    if isinstance(res, IsogenousToE):
+    if isinstance(res, periods.IsogenousToE):
         return {
             "kind": "IsogenousToE",
             "conductor": res.conductor,
             "witness": list(res.witness),
             "residual": mpmath.nstr(res.residual, 8),
         }
-    if isinstance(res, NotDetected):
+    if isinstance(res, periods.NotDetected):
         return {
             "kind": "NotDetected",
             "reason": res.reason,
@@ -213,16 +140,16 @@ def _fmt_types(cfg):
 
 
 def check_pencil_substitution():
-    ok, residual = pencil_substitution_check()
+    ok, residual = quartic.pencil_substitution_check()
     return ok, "residual %s" % residual
 
 
 def check_chart_sign():
-    return chart_sign_check(), ""
+    return quartic.chart_sign_check(), ""
 
 
 def check_reduction_chain():
-    d = verify_reduction_chain()
+    d = fibration.verify_reduction_chain()
     bad = sorted(k for k, v in d.items() if not v)
     if bad:
         return False, "nonzero residuals: %s" % ", ".join(bad)
@@ -230,28 +157,28 @@ def check_reduction_chain():
 
 
 def check_generic_fiber_table():
-    cfg = classify_fibers(standard_family())
+    cfg = fibration.classify_fibers(fibration.standard_family())
     ok = cfg.type_multiset() == GENERIC_TABLE and all(fb.certified for fb in cfg.fibers)
     return ok, _fmt_types(cfg)
 
 
 def check_generic_euler():
-    cfg = classify_fibers(standard_family())
+    cfg = fibration.classify_fibers(fibration.standard_family())
     return cfg.total_euler == 24, "euler %d" % cfg.total_euler
 
 
 def check_degeneration_at_infinity():
-    d = degeneration_model("AtInfinity")
-    cfg = classify_fibers(d["beta_zero_member"])
+    d = fibration.degeneration_model("AtInfinity")
+    cfg = fibration.classify_fibers(d["beta_zero_member"])
     ok = (d["chain_residual_zero"] and cfg.type_multiset() == GENERIC_TABLE
           and cfg.total_euler == 24)
     return ok, "beta=0 table %s, euler %d" % (_fmt_types(cfg), cfg.total_euler)
 
 
 def check_degeneration_at_zero():
-    d = degeneration_model("AtZero")
-    cfg = classify_fibers(d["beta_zero_member"])
-    bound = shioda_tate_bound(cfg)
+    d = fibration.degeneration_model("AtZero")
+    cfg = fibration.classify_fibers(d["beta_zero_member"])
+    bound = fibration.shioda_tate_bound(cfg)
     ok = (d["chain_residual_zero"] and cfg.type_multiset() == ["I0*", "III*", "III*"]
           and cfg.total_euler == 24 and bound == 20)
     return ok, "beta=0 table %s, euler %d, bound %d" % (
@@ -259,32 +186,32 @@ def check_degeneration_at_zero():
 
 
 def check_form_scaling_order():
-    K = eighth_root_field()
+    K = fields.eighth_root_field()
     z8 = K.gen()
-    lam = Poly.x("lam")
+    lam = polynomials.Poly.x("lam")
     f0 = lam ** 3 * (lam ** 2 + 1) ** 2
-    s, order = form_scaling_order(z8 ** 2, z8 ** 3, K.from_rational(-1), f0)
+    s, order = fibration.form_scaling_order(z8 ** 2, z8 ** 3, K.from_rational(-1), f0)
     return order == 8, "scaling factor %s of order %d" % (s, order)
 
 
 def check_picard_bounds():
-    cfg = classify_fibers(standard_family(alpha=Fraction(81, 49)))
-    b0 = shioda_tate_bound(cfg)
-    b1 = shioda_tate_bound(cfg, mw_rank=1)
-    b2 = parity_refine(b1)
+    cfg = fibration.classify_fibers(fibration.standard_family(alpha=Fraction(81, 49)))
+    b0 = fibration.shioda_tate_bound(cfg)
+    b1 = fibration.shioda_tate_bound(cfg, mw_rank=1)
+    b2 = fibration.parity_refine(b1)
     ok = (b0, b1, b2) == (18, 19, 20)
     return ok, "bounds %d -> %d -> %d" % (b0, b1, b2)
 
 
 def check_cover_map():
-    ok, residual = verify_cover_map()
+    ok, residual = covers.verify_cover_map()
     return ok, "residual %s" % residual
 
 
 def _check_split(param, factor_checker):
-    verdict = fourth_power_test(param)
+    verdict = covers.fourth_power_test(param)
     profile = list(getattr(verdict, "profile", []))
-    ok = isinstance(verdict, CoverSplits) and profile == [4, 4, 4]
+    ok = isinstance(verdict, covers.CoverSplits) and profile == [4, 4, 4]
     flags = factor_checker()
     bad = sorted(k for k, v in flags.items() if not v)
     if bad:
@@ -293,27 +220,27 @@ def _check_split(param, factor_checker):
 
 
 def check_sextic_split():
-    return _check_split(SPLIT_PARAM_SEXTIC, sextic_factor_check)
+    return _check_split(covers.SPLIT_PARAM_SEXTIC, covers.sextic_factor_check)
 
 
 def check_quartic_split():
-    return _check_split(SPLIT_PARAM_QUARTIC, quartic_factor_check)
+    return _check_split(covers.SPLIT_PARAM_QUARTIC, covers.quartic_factor_check)
 
 
 def check_section_display():
-    twist = twist_lift(SPLIT_PARAM_SEXTIC)
-    s = sum_at_root_choice(twist_sum(twist), twist.s, 2)
-    d = displayed_section()
+    twist = covers.twist_lift(covers.SPLIT_PARAM_SEXTIC)
+    s = covers.sum_at_root_choice(covers.twist_sum(twist), twist.s, 2)
+    d = covers.displayed_section()
     ok = s["on_curve"] and s["u"] == d["u"] and s["v"] == d["v"]
     return ok, "closed form matched, residual 0" if ok else "section differs"
 
 
 def check_section_roots():
     # the Q-level lift and sum once, then one scaling per fourth-root choice
-    twist = twist_lift(SPLIT_PARAM_SEXTIC)
-    total = twist_sum(twist)
+    twist = covers.twist_lift(covers.SPLIT_PARAM_SEXTIC)
+    total = covers.twist_sum(twist)
     bad = [k for k in range(4)
-           if not sum_at_root_choice(total, twist.s, k)["on_curve"]]
+           if not covers.sum_at_root_choice(total, twist.s, k)["on_curve"]]
     if bad:
         return False, "off-curve at root choices %s" % bad
     return True, "all 4 fourth-root choices land on the curve"
@@ -321,16 +248,16 @@ def check_section_roots():
 
 def check_curve_identities():
     results = {}
-    results["quotient_map"] = quotient_map().verify()[0]
-    results["rho_inversion_involution"] = verify_involution(
-        genus2_curve(), rho_inversion().images)[0]
-    results["order_four_twist"] = (
-        automorphism_order(genus2_curve(), order_four_twist().images) == 4)
-    results["cubic_model_isomorphism"] = cubic_to_exponent_four().verify()[0]
-    results["quarter_turn_order_four"] = (
-        automorphism_order(exponent_four_model(), quarter_turn().images) == 4)
-    results["genus2_rescale"] = rescale_genus2_check()
-    results["quotient_negation"] = quotient_negation_check()
+    results["quotient_map"] = curves.quotient_map().verify()[0]
+    results["rho_inversion_involution"] = curves.verify_involution(
+        curves.genus2_curve(), curves.rho_inversion().images)[0]
+    results["order_four_twist"] = curves.automorphism_order(
+        curves.genus2_curve(), curves.order_four_twist().images) == 4
+    results["cubic_model_isomorphism"] = curves.cubic_to_exponent_four().verify()[0]
+    results["quarter_turn_order_four"] = curves.automorphism_order(
+        curves.exponent_four_model(), curves.quarter_turn().images) == 4
+    results["genus2_rescale"] = curves.rescale_genus2_check()
+    results["quotient_negation"] = curves.quotient_negation_check()
     bad = sorted(k for k, v in results.items() if not v)
     if bad:
         return False, "failed: %s" % ", ".join(bad)
@@ -339,22 +266,22 @@ def check_curve_identities():
 
 def _check_invariants(gram, expected):
     """expected is (rank, signature, |det|, ell, delta) of a 2-elementary lattice."""
-    inv = lattice_invariants(gram)
+    inv = lattices.lattice_invariants(gram)
     got = (inv.rank, inv.signature, abs(inv.determinant), inv.ell, inv.delta)
     return (got == expected and inv.two_elementary,
             "rank %d, signature %s, |det| %d, ell %d, delta %s" % got)
 
 
 def check_ns_invariants():
-    return _check_invariants(neron_severi_gram(), (18, (1, 17), 16, 4, 1))
+    return _check_invariants(lattices.neron_severi_gram(), (18, (1, 17), 16, 4, 1))
 
 
 def check_t_invariants():
-    return _check_invariants(transcendental_gram(), (4, (2, 2), 16, 4, 1))
+    return _check_invariants(lattices.transcendental_gram(), (4, (2, 2), 16, 4, 1))
 
 
 def check_rank4():
-    c = rank4_classification_check()
+    c = lattices.rank4_classification_check()
     counts = (len(c.survivors), len(c.delta_one), len(c.delta_zero))
     ok = (counts == (142, 90, 52) and c.canonical == [(-1, 1), (1, -1)]
           and c.det_identity and c.all_certified)
@@ -365,8 +292,9 @@ def check_rank4():
 def check_tn_instances():
     expected = {1: (1, 0, 0, 0), 3: (2, 0, 1, 0), 4: (2, 1, 1, 0), 7: (4, 0, 3, 0)}
     for n in sorted(expected):
-        v = tn_search(n)
-        if isinstance(v, Obstructed) or v.a != expected[n] or v.gram() != tn_gram(n):
+        v = lattices.tn_search(n)
+        if (isinstance(v, lattices.Obstructed) or v.a != expected[n]
+                or v.gram() != lattices.tn_gram(n)):
             return False, "n=%d gave %r" % (n, v)
     return True, "n = 1, 3, 4, 7 realized with diagonal pair Grams"
 
@@ -374,11 +302,12 @@ def check_tn_instances():
 def check_tn_sweep():
     bad = []
     for n in range(1, 101):
-        v = tn_search(n)
+        v = lattices.tn_search(n)
         if n % 4 == 2:
-            if not isinstance(v, Obstructed):
+            if not isinstance(v, lattices.Obstructed):
                 bad.append(n)
-        elif isinstance(v, Obstructed) or v.gcd != 1 or v.gram() != tn_gram(n):
+        elif (isinstance(v, lattices.Obstructed) or v.gcd != 1
+              or v.gram() != lattices.tn_gram(n)):
             bad.append(n)
     if bad:
         return False, "inconsistent at n = %s" % bad
@@ -387,8 +316,8 @@ def check_tn_sweep():
 
 def check_tn_evidence():
     for n in (2, 6, 10, 14):
-        v = tn_search(n, evidence_bound=12)
-        if not isinstance(v, Obstructed) or v.evidence is None:
+        v = lattices.tn_search(n, evidence_bound=12)
+        if not isinstance(v, lattices.Obstructed) or v.evidence is None:
             return False, "n=%d missing evidence" % n
         ev = v.evidence
         if ev["bound"] != 12 or ev["primitive_found"] != 0:
@@ -399,16 +328,17 @@ def check_tn_evidence():
 
 
 def check_kummer():
-    ok = (kummer_tn(1) == tn_gram(2) and isinstance(tn_search(2), Obstructed)
-          and kummer_tn(2) == tn_gram(4)
-          and not isinstance(tn_search(4), Obstructed)
-          and kummer_tn(3) == tn_gram(6)
-          and isinstance(tn_search(6), Obstructed))
+    def obstructed(n):
+        return isinstance(lattices.tn_search(n), lattices.Obstructed)
+
+    ok = (lattices.kummer_tn(1) == lattices.tn_gram(2) and obstructed(2)
+          and lattices.kummer_tn(2) == lattices.tn_gram(4) and not obstructed(4)
+          and lattices.kummer_tn(3) == lattices.tn_gram(6) and obstructed(6))
     return ok, "m=1 and m=3 products excluded, m=2 realized"
 
 
 def check_fricke_bundle():
-    checks = fricke_checks()
+    checks = moduli.fricke_checks()
     bad = sorted(k for k, (ok, w) in checks.items() if not ok)
     if bad:
         return False, "failed: %s" % ", ".join(bad)
@@ -418,9 +348,10 @@ def check_fricke_bundle():
 def _cayley_round_trip():
     """The su11_samples(100) words, their cayley images, and how many samples
     miss inverse_cayley(cayley(m)) == m."""
-    samples = su11_samples(100)
-    images = [cayley(m) for m in samples]
-    bad = sum(1 for m, g in zip(samples, images) if not m_eq(inverse_cayley(g), m))
+    samples = moduli.su11_samples(100)
+    images = [moduli.cayley(m) for m in samples]
+    bad = sum(1 for m, g in zip(samples, images)
+              if not moduli.m_eq(moduli.inverse_cayley(g), m))
     return samples, images, bad
 
 
@@ -432,11 +363,11 @@ def check_cayley_roundtrip():
 
 
 def check_period_examples():
-    p0, p1, p2 = (p for _, p in period_examples())
+    p0, p1, p2 = (p for _, p in moduli.period_examples())
     verdicts = (p0.verdict, p1.verdict, p2.verdict)
     ok = (verdicts == ("inside", "boundary", "inside") and p2.form_value == 12
           and all(p.eigenvector_ok and p.ball_consistent for p in (p0, p1, p2)))
-    g = gaussian_form_check()
+    g = moduli.gaussian_form_check()
     gram_bad = sorted(k for k, v in g.items() if not v)
     if gram_bad:
         return False, "form checks failed: %s" % ", ".join(gram_bad)
@@ -445,14 +376,14 @@ def check_period_examples():
 
 def check_cm_square_lattice():
     import mpmath
-    pr = period_ratio_numeric(1, 0, -1, precision_bits=128)
+    pr = periods.period_ratio_numeric(1, 0, -1, precision_bits=128)
     dist = abs(pr.tau - mpmath.mpc(0, 1))
     close = dist < mpmath.mpf("1e-12")
-    rhs = base_elliptic_rhs(Fraction(7, 9))
-    j = j_invariant(rhs)
-    res = cm_isogeny_check(tau_from_cubic(rhs, precision_bits=128).tau,
-                           precision_bits=128)
-    ok = (close and j == 1728 and isinstance(res, IsogenousToE)
+    rhs = curves.base_elliptic_rhs(Fraction(7, 9))
+    j = curves.j_invariant(rhs)
+    res = periods.cm_isogeny_check(periods.tau_from_cubic(rhs, precision_bits=128).tau,
+                                   precision_bits=128)
+    ok = (close and j == 1728 and isinstance(res, periods.IsogenousToE)
           and res.conductor == 1)
     return ok, "|tau - i| = %s, j = %s, verdict %r" % (
         mpmath.nstr(dist, 5), rat_str(j), res)
@@ -525,13 +456,13 @@ def _family_report(command, args, inputs, stable_results):
     alpha = _alpha_from_args(args)
     inputs = dict(inputs, alpha=_alpha_str(alpha))
     ledger = Ledger()
-    verdict = stability(alpha)
-    if isinstance(verdict, Unstable):
+    verdict = quartic.stability(alpha)
+    if isinstance(verdict, quartic.Unstable):
         ledger.add("degeneration_identified", True, verdict.reason)
         results = {"stability": "Unstable", "reason": verdict.reason}
     else:
-        fib = standard_family(alpha=alpha)
-        cfg = classify_fibers(fib)
+        fib = fibration.standard_family(alpha=alpha)
+        cfg = fibration.classify_fibers(fib)
         ledger.add("euler_number_is_24", cfg.total_euler == 24,
                    "euler %d" % cfg.total_euler)
         ledger.add("fiber_table_certified", all(fb.certified for fb in cfg.fibers),
@@ -545,16 +476,17 @@ def cmd_analyze(args):
 
     def stable_results(alpha, fib, cfg, ledger):
         try:
-            bound = shioda_tate_bound(cfg, mw_rank=mw_rank)
-            refined = parity_refine(bound)
+            bound = fibration.shioda_tate_bound(cfg, mw_rank=mw_rank)
+            refined = fibration.parity_refine(bound)
         except ValueError as exc:
             raise UsageError("--mw-rank %d: %s" % (mw_rank, exc))
         ledger.add("bound_in_k3_range", 2 <= bound <= 20 and refined <= 20,
                    "bound %d, refined %d" % (bound, refined))
         return {
             "stability": "Stable",
-            "singularPoints": [_encode_singular_point(p)
-                               for p in singular_points(build_quartic(alpha))],
+            "singularPoints": [
+                _encode_singular_point(p)
+                for p in quartic.singular_points(quartic.build_quartic(alpha))],
             "fibration": str(fib.f),
             "fibers": [_encode_fiber(fb) for fb in cfg.fibers],
             "eulerTotal": cfg.total_euler,
@@ -585,13 +517,13 @@ def cmd_lattice(args):
     if args.mode == "invariants":
         spec = args.gram
         try:
-            gram = gram_build(spec)
+            gram = lattices.gram_build(spec)
             # the square of Hadamard's bound prod |row| on |det|, cheap at
             # any entry size, unlike the determinant itself
             if math.prod(sum(x * x for x in row) for row in gram) >= 100 ** MAX_DET_DIGITS:
                 raise UsageError("the determinant of --gram may have more than "
                                  "%d digits" % MAX_DET_DIGITS)
-            inv = lattice_invariants(gram)
+            inv = lattices.lattice_invariants(gram)
         except ValueError as exc:
             raise UsageError(str(exc))
         inputs = {"gram": spec}
@@ -614,11 +546,11 @@ def cmd_lattice(args):
     if args.n >= 10 ** MAX_TN_DIGITS:
         raise UsageError("--n must have at most %d digits" % MAX_TN_DIGITS)
     try:
-        v = tn_search(args.n, evidence_bound=12 if args.n % 4 == 2 else 0)
+        v = lattices.tn_search(args.n, evidence_bound=12 if args.n % 4 == 2 else 0)
     except ValueError as exc:
         raise UsageError(str(exc))
     inputs = {"n": args.n}
-    if isinstance(v, Obstructed):
+    if isinstance(v, lattices.Obstructed):
         results = {
             "verdict": "Obstructed",
             "transcript": list(v.transcript),
@@ -641,7 +573,7 @@ def cmd_lattice(args):
             "pairGram": [list(row) for row in gram],
         }
         ledger.add("vector_is_primitive", v.gcd == 1, "minor gcd %d" % v.gcd)
-        ledger.add("pair_gram_diagonal", gram == tn_gram(v.n),
+        ledger.add("pair_gram_diagonal", gram == lattices.tn_gram(v.n),
                    "diag(%d, %d)" % (2 * v.n, 2 * v.n))
     return build_report("lattice tn", inputs, results, ledger)
 
@@ -683,9 +615,9 @@ def _param_coeffs(key, terms):
 
 def _load_parametrization(path):
     if path == "sextic":
-        return SPLIT_PARAM_SEXTIC
+        return covers.SPLIT_PARAM_SEXTIC
     if path == "quartic":
-        return SPLIT_PARAM_QUARTIC
+        return covers.SPLIT_PARAM_QUARTIC
     try:
         with open(path) as fh:
             data = json.load(fh)
@@ -702,33 +634,33 @@ def _load_parametrization(path):
     for key in ("x", "y", "z"):
         if key not in data:
             raise UsageError("parametrization file must define %r" % key)
-        coords.append(Poly(var, _param_coeffs(key, data[key])))
-    return Parametrization(*coords, name=path)
+        coords.append(polynomials.Poly(var, _param_coeffs(key, data[key])))
+    return covers.Parametrization(*coords, name=path)
 
 
 def cmd_split(args):
     alpha = (_parse_rational_flag(args.alpha, "--alpha") if args.alpha
-             else STANDARD_ALPHA)
+             else covers.STANDARD_ALPHA)
     if args.param:
         params = [_load_parametrization(args.param)]
     else:
-        params = [SPLIT_PARAM_SEXTIC, SPLIT_PARAM_QUARTIC]
+        params = [covers.SPLIT_PARAM_SEXTIC, covers.SPLIT_PARAM_QUARTIC]
     ledger = Ledger()
     inputs = {"alpha": rat_str(alpha),
               "param": args.param if args.param else "builtin"}
     entries = []
     for param in params:
-        verdict = fourth_power_test(param, alpha)
+        verdict = covers.fourth_power_test(param, alpha)
         encoded = _encode_split_verdict(verdict)
         encoded["name"] = param.name or "input"
         entries.append(encoded)
         label = (param.name or "input").replace(" ", "_")
-        if isinstance(verdict, ContainedInBranch):
+        if isinstance(verdict, covers.ContainedInBranch):
             ledger.add("%s_composition_nonzero" % label, False,
                        "curve lies in the branch locus")
             continue
         lead = verdict.composite.leading_coefficient()
-        recomposed = Poly(verdict.composite.var, {0: lead})
+        recomposed = polynomials.Poly(verdict.composite.var, {0: lead})
         for p, m in verdict.places:
             recomposed = recomposed * p ** m
         ledger.add("%s_recomposition_exact" % label,
@@ -752,12 +684,12 @@ def cmd_cm(args):
     if precision > MAX_PRECISION_BITS:
         raise UsageError("--precision must be at most %d bits" % MAX_PRECISION_BITS)
     try:
-        rhs = base_elliptic_rhs(beta4)
-        j = j_invariant(rhs)
-        pr = tau_from_cubic(rhs, precision_bits=precision)
+        rhs = curves.base_elliptic_rhs(beta4)
+        j = curves.j_invariant(rhs)
+        pr = periods.tau_from_cubic(rhs, precision_bits=precision)
     except ValueError as exc:
         raise UsageError("degenerate member: %s" % exc)
-    res = cm_isogeny_check(pr.tau, precision_bits=precision)
+    res = periods.cm_isogeny_check(pr.tau, precision_bits=precision)
     ledger = Ledger()
     inputs = {"beta4": rat_str(beta4), "precision": precision}
     results = {
@@ -771,7 +703,7 @@ def cmd_cm(args):
     }
     ledger.add("tau_in_upper_half_plane", pr.tau.imag > 0,
                "im(tau) = %s" % mpmath.nstr(pr.tau.imag, 10))
-    if isinstance(res, IsogenousToE):
+    if isinstance(res, periods.IsogenousToE):
         tol = mpmath.mpf(2) ** (-precision // 2)
         ledger.add("relation_residual_small", abs(res.residual) < tol,
                    "residual %s" % mpmath.nstr(res.residual, 5))
@@ -785,7 +717,7 @@ def cmd_moduli(args):
     ledger = Ledger()
     results = {}
     if which in ("all", "fricke"):
-        checks = fricke_checks()
+        checks = moduli.fricke_checks()
         results["fricke"] = {k: ok for k, (ok, _) in checks.items()}
         for name, (ok, witness) in checks.items():
             ledger.add("fricke.%s" % name, ok, witness or "")
@@ -794,11 +726,12 @@ def cmd_moduli(args):
         round_trip = not bad
         pairs = list(zip(samples[:50], samples[50:]))
         multiplicative = all(
-            m_eq(cayley(m_mul(a, b)), m_mul(cayley(a), cayley(b)))
+            moduli.m_eq(moduli.cayley(moduli.m_mul(a, b)),
+                        moduli.m_mul(moduli.cayley(a), moduli.cayley(b)))
             for a, b in pairs)
-        in_h0 = all(membership(g, "H0").verdict for g in images)
-        back = all(membership(inverse_cayley(g), "G0").verdict
-                   for g in h0_generators())
+        in_h0 = all(moduli.membership(g, "H0").verdict for g in images)
+        back = all(moduli.membership(moduli.inverse_cayley(g), "G0").verdict
+                   for g in moduli.h0_generators())
         results["cayley"] = {
             "samples": len(samples),
             "roundTripExact": round_trip,
@@ -812,7 +745,7 @@ def cmd_moduli(args):
         ledger.add("cayley.h0_correspondence", in_h0 and back, "")
     if which in ("all", "period"):
         examples = []
-        for label, p in period_examples():
+        for label, p in moduli.period_examples():
             examples.append({
                 "input": label,
                 "w": str(p.w),
@@ -822,7 +755,7 @@ def cmd_moduli(args):
             ledger.add("period.point_%s" % label.replace(",", "_"),
                        p.eigenvector_ok and p.ball_consistent,
                        "%s, form %s" % (p.verdict, rat_str(p.form_value)))
-        g = gaussian_form_check()
+        g = moduli.gaussian_form_check()
         results["period"] = {"examples": examples, "gramChecks": g}
         for name, ok in g.items():
             ledger.add("period.%s" % name, ok, "")

@@ -14,11 +14,12 @@ arithmetic never mutates.
 Each context reduces, once and from the integer coefficients of its minimal
 polynomials, every monomial t1^i t2^j of the product grid (i <= 2*d1 - 2,
 j <= 2*d2 - 2) to the basis over one common denominator.  A product is one
-grid convolution of the numerators followed by one pass over that table.  An
-inverse solves the n x n integer multiplication matrix (n = d1*d2) by
-fraction-free (Bareiss) elimination.  ``coords()`` gives the nested view: a
-tuple (length d2) of tuples (length d1) of Fractions, or a tuple of
-Fractions for a single extension.
+grid convolution of the numerators followed by one pass over that table; a
+product with, or quotient by, an int or Fraction only scales the numerators
+and the denominator.  An inverse solves the n x n integer multiplication
+matrix (n = d1*d2) by fraction-free (Bareiss) elimination.  ``coords()``
+gives the nested view: a tuple (length d2) of tuples (length d1) of
+Fractions, or a tuple of Fractions for a single extension.
 
 Minimal polynomials are *assumed* irreducible.  The assumption is checked
 lazily: when the multiplication matrix of an element is singular, inversion
@@ -443,6 +444,10 @@ class FieldElement:
         return FieldElement(self.ctx, *_add(o[0], o[1], _neg(self.num), self.den))
 
     def __mul__(self, other):
+        if isinstance(other, (int, Fraction)):
+            # a rational scales the numerators and the denominator
+            return FieldElement(self.ctx, *_lowest_terms(
+                [c * other.numerator for c in self.num], self.den * other.denominator))
         o = self._other(other)
         if o is None:
             return NotImplemented
@@ -460,6 +465,11 @@ class FieldElement:
         return FieldElement(self.ctx, *self.ctx._inv(self.num, self.den))
 
     def __truediv__(self, other):
+        if isinstance(other, (int, Fraction)):
+            if not other:
+                raise ZeroDivisionError("division by zero field element")
+            return FieldElement(self.ctx, *_lowest_terms(
+                [c * other.denominator for c in self.num], self.den * other.numerator))
         o = self._other(other)
         if o is None:
             return NotImplemented

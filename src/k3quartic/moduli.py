@@ -146,10 +146,15 @@ def _preserves_eta(m):
 
 
 def _check_su11(m):
-    if not _preserves_eta(m):
-        return "M* diag(1,-1) M differs from diag(1,-1)"
+    # M* eta M = eta says eta M* eta = M^-1, which at det 1 is adj(M), so
+    # there it reads d = conj(a) and c = conj(b) with no matrix product
     if m_det(m) != 1:
+        if not _preserves_eta(m):
+            return "M* diag(1,-1) M differs from diag(1,-1)"
         return "determinant is not 1"
+    (a, b), (c, d) = m
+    if d != _conj_entry(a) or c != _conj_entry(b):
+        return "M* diag(1,-1) M differs from diag(1,-1)"
     return None
 
 

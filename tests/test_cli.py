@@ -1,10 +1,15 @@
+import contextlib
 import hashlib
+import io
 import json
 import os
 import subprocess
 import sys
+from datetime import timedelta
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from k3quartic.cli import (MAX_DET_DIGITS, MAX_PARAM_DEGREE, MAX_PRECISION_BITS,
                            MAX_TN_DIGITS, SUITES, main)
@@ -421,16 +426,16 @@ class TestModuli:
         }
 
     def test_cayley(self, capsys, monkeypatch):
-        import k3quartic.cli as cli
+        from k3quartic import moduli
 
         calls = []
-        real_cayley = cli.cayley
+        real_cayley = moduli.cayley
 
         def counted(m):
             calls.append(m)
             return real_cayley(m)
 
-        monkeypatch.setattr(cli, "cayley", counted)
+        monkeypatch.setattr(moduli, "cayley", counted)
         code, rep, _ = run_json(capsys, "moduli", "--check", "cayley")
         assert code == 0
         assert rep["results"]["cayley"]["roundTripExact"] is True
@@ -526,3 +531,52 @@ class TestTopLevel:
         assert main(["--help"]) == 0
         out = capsys.readouterr().out
         assert "analyze" in out and "verify" in out
+
+
+# -- typed input: a report or a usage error, never a traceback --------------------
+
+
+def _signed_ints(max_digits=40):
+    """Integers of 0 to max_digits digits, either sign."""
+    return st.integers(0, max_digits).flatmap(lambda k: st.integers(-10 ** k, 10 ** k))
+
+
+_NOT_NUMBERS = st.sampled_from(["", " ", "x", "1.5", "1/2/3", "0/0", "--1", "1e5", "(1)"])
+
+_ALPHAS = st.one_of(
+    _signed_ints().map(str),
+    st.tuples(_signed_ints(), _signed_ints()).map(lambda pq: "%d/%d" % pq),
+    st.sampled_from(["inf", "Infinity", "oo", "0", "1", "-1"]),
+    _NOT_NUMBERS,
+)
+
+_SUMMANDS = st.tuples(
+    st.sampled_from(["N", "T", "U", "A1", "E7", "E8", "n", ""]),
+    st.one_of(st.none(), _signed_ints().map(str), _NOT_NUMBERS),
+).map(lambda p: p[0] if p[1] is None else "%s(%s)" % p)
+
+_ARGVS = st.one_of(
+    st.tuples(st.just("analyze"), _ALPHAS, st.integers(-3, 25)).map(
+        lambda t: ["analyze", t[1], "--mw-rank", str(t[2])]),
+    _ALPHAS.map(lambda a: ["fibers", a]),
+    _ALPHAS.map(lambda a: ["split", "--alpha", a]),
+    st.lists(_SUMMANDS, min_size=1, max_size=4).map(
+        lambda parts: ["lattice", "invariants", "--gram", "+".join(parts)]),
+    st.one_of(_signed_ints().map(str), _NOT_NUMBERS).map(lambda n: ["lattice", "tn", "--n", n]),
+)
+
+
+@given(_ARGVS)
+@settings(max_examples=150, deadline=timedelta(seconds=2))
+def test_typed_input_gives_a_report_or_one_error_line(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv + ["--json"])
+    err = err.getvalue()
+    assert code in (0, 1, 2), (argv, code)
+    assert "Traceback" not in err, argv
+    if code == 2:
+        assert sum("error:" in line for line in err.splitlines()) == 1, (argv, err)
+    else:
+        command = " ".join(argv[:2]) if argv[0] == "lattice" else argv[0]
+        assert json.loads(out.getvalue())["command"] == command, argv

@@ -451,9 +451,11 @@ def test_doubled_fourth_root_fails_its_certificate(monkeypatch):
 
 
 def test_perturbed_twist_constant_leaves_a_residual(monkeypatch):
-    def perturbed(twist):
-        return covers.twist_sum(twist._replace(s=twist.s + 1))
+    real = covers.twist_sum
 
-    monkeypatch.setattr(cli, "twist_sum", perturbed)
+    def perturbed(twist):
+        return real(twist._replace(s=twist.s + 1))
+
+    monkeypatch.setattr(covers, "twist_sum", perturbed)
     assert cli.check_section_roots() == (
         False, "off-curve at root choices [0, 1, 2, 3]")

@@ -1,8 +1,9 @@
-"""mpmath is loaded only by the code that computes a period, and the test-only
-oracles sympy and hypothesis by no command at all.
+"""Each command executes only the package modules it calls, mpmath is loaded
+only by the code that computes a period, and the test-only oracles sympy and
+hypothesis by no command at all.
 
 Each case runs in a fresh interpreter: this test process has already imported
-mpmath through the periods tests.
+mpmath through the periods tests, and every package module through the others.
 """
 
 import os
@@ -78,14 +79,84 @@ def test_import_leaves_mpmath_unloaded(module):
     assert proc.returncode == 0, proc.stderr
 
 
-def test_cli_import_loads_every_package_module():
-    proc = python("-c", "import sys, k3quartic.cli; print(' '.join(sorted("
-                        "m for m in sys.modules if m.startswith('k3quartic.'))))")
+# runs cli.main(argv) and prints the k3quartic modules that got executed: a
+# registered module that never ran is still an importlib.util._LazyModule
+EXECUTED_SCRIPT = """\
+import sys, types
+from k3quartic.cli import main
+code = main(sys.argv[1:] + ["--json"])
+sys.stderr.write("executed: %s\\n" % " ".join(sorted(
+    m for m, v in sys.modules.items()
+    if m.startswith("k3quartic.") and type(v) is types.ModuleType)))
+sys.exit(code)
+"""
+
+FRONT_END = "k3quartic.cli k3quartic.report k3quartic.serialize"
+
+# the library modules each subcommand executes besides FRONT_END, and its exit
+EXECUTED_MODULES = [
+    (("analyze", "81/49"), "fibration multipoly polynomials quartic", 0),
+    (("fibers", "81/49"), "fibration multipoly polynomials quartic", 0),
+    (("verify", "fibers"), "fibration multipoly polynomials quartic", 0),
+    (("verify", "chain"), "fibration multipoly polynomials quartic", 0),
+    (("verify", "pencil"), "multipoly polynomials quartic", 0),
+    (("lattice", "invariants", "--gram", "N"), "lattices multipoly polynomials", 0),
+    (("lattice", "tn", "--n", "7"), "lattices multipoly polynomials", 0),
+    (("split",), "covers curves fields multipoly polynomials quartic", 0),
+    (("verify", "cover"), "covers curves fields multipoly polynomials quartic", 0),
+    (("moduli", "--check", "all"), "fields lattices moduli multipoly polynomials", 0),
+    (("cm", "--beta4", "7/9"), "curves fields multipoly periods polynomials", 0),
+    (("analyze", "1/2/3"), "", 2),
+]
+
+
+@pytest.mark.parametrize("argv, modules, code", EXECUTED_MODULES,
+                         ids=[" ".join(argv) for argv, _, _ in EXECUTED_MODULES])
+def test_subcommand_executes_only_its_modules(argv, modules, code):
+    proc = python("-c", EXECUTED_SCRIPT, *argv)
+    assert proc.returncode == code, proc.stderr
+    executed = proc.stderr.splitlines()[-1].split()
+    assert executed[0] == "executed:"
+    assert sorted(executed[1:]) == sorted(
+        FRONT_END.split() + ["k3quartic.%s" % m for m in modules.split()])
+
+
+def test_package_import_executes_no_module():
+    proc = python("-c", "import sys, types, k3quartic\n"
+                        "from k3quartic import lattices, moduli\n"
+                        "print(' '.join(sorted(m for m, v in sys.modules.items()\n"
+                        "    if m.startswith('k3quartic.') and type(v) is types.ModuleType)))\n"
+                        "print(' '.join(sorted(m for m in sys.modules\n"
+                        "    if m.startswith('k3quartic.'))))")
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == [
-        "k3quartic.%s" % m for m in (
-            "cli", "covers", "curves", "fibration", "fields", "lattices", "moduli",
-            "multipoly", "periods", "polynomials", "quartic", "report", "serialize")]
+    executed, registered = proc.stdout.split("\n")[:2]
+    assert executed == ""
+    # every library module is registered, so that walking sys.modules finds
+    # them all; cli is not, since python -m k3quartic.cli runs it as __main__
+    assert registered.split() == ["k3quartic.%s" % m for m in (
+        "covers", "curves", "fibration", "fields", "lattices", "moduli", "multipoly",
+        "periods", "polynomials", "quartic", "report", "serialize")]
+
+
+def test_package_names_resolve_to_their_modules():
+    import types
+
+    import k3quartic
+    assert sorted(k3quartic.__all__) == sorted(PACKAGE_NAMES)
+    assert set(PACKAGE_NAMES) <= set(dir(k3quartic))
+    for name in PACKAGE_NAMES:
+        module = getattr(k3quartic, k3quartic._MODULE_OF[name])
+        assert isinstance(module, types.ModuleType)
+        assert getattr(k3quartic, name) is getattr(module, name)
+    with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
+        k3quartic.no_such_name
+
+
+def test_module_run_raises_no_warning():
+    # runpy warns when k3quartic.cli is in sys.modules before it runs as __main__
+    proc = python("-W", "error", "-m", "k3quartic.cli", "lattice", "tn", "--n", "7", "--json")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == ""
 
 
 def test_package_names_import_without_mpmath():

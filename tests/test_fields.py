@@ -262,3 +262,32 @@ def test_im_matches_the_quotient_by_two_i():
             assert x.re() + i * x.im() == x
             checked += 1
         assert checked >= 25
+
+
+def test_rational_scaling_matches_the_field_product():
+    # x * q and x / q scale the numerators and the denominator; the product
+    # and quotient by the field element of q are the oracle
+    import random
+
+    rng = random.Random(20261020)
+    scalars = [0, 1, -1, 2, -7, True, Fraction(3, 4), Fraction(-5, 12), 10 ** 30 + 7,
+               Fraction(2 ** 61 - 1, 3 ** 40)]
+    cases = [
+        (gaussian_field(), lambda: _random_coords(rng, 2)),
+        (eighth_root_field(), lambda: _random_coords(rng, 4)),
+        (with_imaginary_unit("quartic_root", 7),
+         lambda: [_random_coords(rng, 4), _random_coords(rng, 4)]),
+    ]
+    for ctx, draw in cases:
+        elements = [ctx.zero, ctx.one] + [ctx.element(draw()) for _ in range(25)]
+        for x in elements:
+            for q in scalars + [Fraction(rng.randint(-99, 99), rng.randint(1, 99))]:
+                field_q = ctx.from_rational(q)
+                for got, want in ((x * q, x * field_q), (q * x, field_q * x)):
+                    assert (got.num, got.den) == (want.num, want.den), (x, q)
+                if q:
+                    got, want = x / q, x / field_q
+                    assert (got.num, got.den) == (want.num, want.den), (x, q)
+                else:
+                    with pytest.raises(ZeroDivisionError):
+                        x / q

@@ -478,9 +478,11 @@ def _full_box_certificate_basis(gram, coord_bound=4):
     return None
 
 
-def _singular_x_count(gram, coord_bound):
-    """How many norm-2 x of the box leave y3, y4 unsolvable from a.y = b.y = 0
-    (a = G^T x, b = G^T Jx), so that certificate_basis filters the box."""
+def _dependent_pair_count(gram, coord_bound):
+    """How many norm-2 x of the box have a3 b4 = a4 b3 for a = G^T x and
+    b = G^T Jx.  On a Gram that commutes with J, b = Ja and a3 b4 - a4 b3 is
+    |alpha2|^2, so these are the x whose partner w = (conj alpha2, -conj
+    alpha1) / gcd has a zero first part."""
     gram_t = mat_transpose(gram)
     count = 0
     for x in itertools.product(range(-coord_bound, coord_bound + 1), repeat=4):
@@ -529,7 +531,7 @@ def _general_grams():
 
 def test_certificate_basis_matches_full_box_on_general_grams():
     grams = _general_grams()
-    assert sum(_singular_x_count(g, 2) > 0 for g in grams) > 5
+    assert sum(_dependent_pair_count(g, 2) > 0 for g in grams) > 5
     _assert_matches_full_box(grams)
 
 
@@ -548,9 +550,9 @@ def test_norm_vectors_match_box_filter():
                 assert list(_norm_vectors(gram, bound, value)) == want, (gram, bound, value)
 
 
-def test_certificate_basis_from_the_singular_fallback():
-    # the first certificate's x has a3 = a4 = 0, so its y comes from the
-    # filtered box, not from Cramer's rule
+def test_certificate_basis_with_a_zero_second_gaussian_part():
+    # the first certificate's x has a3 = a4 = 0: alpha2 = 0, so the Gaussian
+    # gcd behind its partner w = (0, -conj alpha1) / gcd has a zero operand
     for b in (-4, 4):
         for c in (-4, 4):
             gram = gaussian_block_gram(-7, -1, b, c)

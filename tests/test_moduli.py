@@ -11,6 +11,8 @@ from k3quartic.fields import (
 )
 from k3quartic.moduli import (
     IDENTITY,
+    _check_su11,
+    _preserves_eta,
     T_LOWER,
     cayley,
     fricke_checks,
@@ -232,3 +234,51 @@ class TestPeriodPoints:
             "i_action_matches_j": True,
             "j_is_isometry": True,
         }
+
+
+# the check before its closed form, kept as the oracle: the full product
+# M* diag(1,-1) M first, then the determinant
+def _su11_witness_by_product(m):
+    if not _preserves_eta(m):
+        return "M* diag(1,-1) M differs from diag(1,-1)"
+    if m_det(m) != 1:
+        return "determinant is not 1"
+    return None
+
+
+def test_su11_check_matches_the_full_product():
+    import random
+
+    rng = random.Random(20261021)
+    i = gi()
+    QI = gaussian_field()
+    K = eighth_root_field()
+    z8 = K.gen()
+
+    def gaussian():
+        return QI.element([Fraction(rng.randint(-5, 5), rng.randint(1, 3)),
+                           Fraction(rng.randint(-5, 5), rng.randint(1, 3))])
+
+    mats = [
+        IDENTITY, mat2(-1, 0, 0, -1), mat2(i, 0, 0, i), mat2(2, 0, 0, Fraction(1, 2)),
+        mat2(i, 0, 0, -i), mat2(1, 1, 0, 1), mat2(0, 0, 0, 0),
+        mat2(Fraction(5, 4), Fraction(3, 4), Fraction(3, 4), Fraction(5, 4)),
+        mat2(z8, 0, 0, z8.conj()), mat2(z8, 0, 0, z8),
+    ]
+    for m in su11_samples(40):
+        (a, b), (c, d) = m
+        e = gaussian()
+        mats += [m, m_mul(mat2(i, 0, 0, i), m), m_mul(mat2(e, 0, 0, e), m),
+                 mat2(a + e, b, c, d), mat2(a, b, c + e, d), mat2(d, b, c, a)]
+    for _ in range(60):
+        # det 1 by construction, so only the eta condition can fail
+        a, b, c = gaussian(), gaussian(), gaussian()
+        if a:
+            mats.append(mat2(a, b, c, (1 + b * c) / a))
+        mats.append(mat2(gaussian(), gaussian(), gaussian(), gaussian()))
+    seen = {}
+    for m in mats:
+        want = _su11_witness_by_product(m)
+        assert _check_su11(m) == want, m
+        seen[want] = seen.get(want, 0) + 1
+    assert len(seen) == 3 and min(seen.values()) >= 10, seen
