@@ -48,7 +48,7 @@ _EXPORTS = {
     "covers": (
         "ContainedInBranch", "CoverDoesNotSplit", "CoverSplits", "Parametrization",
         "SPLIT_PARAM_QUARTIC", "SPLIT_PARAM_SEXTIC", "displayed_section",
-        "fourth_power_test", "lift_two_section", "sum_sections", "verify_cover_map",
+        "fourth_power_test", "verify_cover_map",
     ),
     "lattices": (
         "Obstructed", "RealizationVector", "gram_build", "kummer_tn",

@@ -331,24 +331,10 @@ class TwistLift(namedtuple("TwistLift", "lam_of_r r_squared_in_lam z1 tg s u v")
     __slots__ = ()
 
 
-class SectionLift:
-    """A two-section of the Weierstrass family carried by a split curve:
-    one root choice's scaling of `twist`."""
-
-    __slots__ = ("param", "alpha", "root_choice", "field", "lam_of_r",
-                 "r_squared_in_lam", "z1", "w", "u", "v", "twist")
-
-    def __init__(self, **kw):
-        for k in self.__slots__:
-            setattr(self, k, kw[k])
-
-    def __repr__(self):
-        return "SectionLift(u=%s, v=%s)" % (self.u, self.v)
-
-
 def twist_lift(param):
-    """The part of `lift_two_section` that does not depend on the root
-    choice, over Q.
+    """The two-section of a split curve with even fiber coordinate, lifted
+    once over Q on the quartic twist of the standard member alpha =
+    STANDARD_ALPHA; each root choice only scales it (`sum_at_root_choice`).
 
     Writes lam(r) = y/x, which must be a pure multiple of r^2 (so it is
     even in r and descends under r^2 -> lam), and Z(r) = z/x, converts to
@@ -407,33 +393,6 @@ def _untwist(scaled, field, w0):
     u, v = scaled
     emb = field.from_rational
     return u.map_coeffs(emb) * w0 ** 2, v.map_coeffs(emb) * w0
-
-
-def lift_two_section(param, root_choice=0):
-    """Lift a split curve with even fiber coordinate to a two-section of the
-    standard member alpha = STANDARD_ALPHA.
-
-    The Q-level `twist_lift` gives (U, V) on V^2 = U^3 - s f U, f = lam^3
-    A^2, with the chart and (t g)^4 s == H certificates.  The root choice k
-    picks w0 = i^k theta^j, theta^4 = 7, with w0^4 = s certified in Q(theta)
-    (odd k forces the Q(theta, i) tower).  Through the twist's isomorphism,
-    w = t g w0 is an exact fourth root of H and
-
-        u = U / w0^2 = lam^2 A^2 (z1 + 1) / (2 w^2),
-        v = V / w0^3 = lam^3 A^3 (z1 + 1) / (2 w^3)
-
-    satisfy v^2 = u^3 - lam^3 A^2 u exactly; the r -> -r image is the other
-    branch of the two-section.
-    """
-    twist = twist_lift(param)
-    field, w0 = _twist_root(twist.s, root_choice)
-    u, v = _untwist((twist.u / twist.s, twist.v / twist.s), field, w0)
-    return SectionLift(
-        param=param, alpha=STANDARD_ALPHA, root_choice=root_choice, field=field,
-        lam_of_r=twist.lam_of_r, r_squared_in_lam=twist.r_squared_in_lam,
-        z1=twist.z1.map_coeffs(field.from_rational),
-        w=twist.tg.map_coeffs(field.from_rational) * w0, u=u, v=v, twist=twist,
-    )
 
 
 def _negate_variable_poly(p):
@@ -501,18 +460,6 @@ def sum_at_root_choice(total, s, root_choice):
     residual = v_lam ** 2 - u_lam * (u_lam ** 2 - f_lam)
     return {"u": u_lam, "v": v_lam, "on_curve": residual.is_zero,
             "residual": residual}
-
-
-def sum_sections(lift):
-    """Add the two branches of a two-section; the sum descends to the lam-line.
-
-    Returns {"u", "v", "on_curve", "residual"}: coordinates as rational
-    functions of lam over the lift's coefficient field, plus the exact
-    Weierstrass residual check against v^2 = u^3 - lam^3 (lam^2 + 2 lam +
-    alpha)^2 u.  The sum is taken over Q (`twist_sum`) and scaled to the
-    lift's root choice.
-    """
-    return sum_at_root_choice(twist_sum(lift.twist), lift.twist.s, lift.root_choice)
 
 
 def displayed_section():

@@ -2,8 +2,8 @@
 invariants, and the rank-two realization search inside diag(2,2,-2,-2).
 
 The determinant and the signature (one Bareiss fraction-free elimination
-step), the Smith normal form, delta and the rank-4 certificate search run
-on Python ints only.  The same Bareiss elimination over `MultiPoly`
+step), the Smith normal form, delta and the rank-4 certificates run on
+Python ints only.  The same Bareiss elimination over `MultiPoly`
 certifies the rank-4 block determinant identity once, symbolically.
 Discriminant data comes from the Smith normal form
 with unimodular transforms, taken per connected component of the Gram and
@@ -12,20 +12,19 @@ results are certified by explicit vectors and minor gcds rather than by
 citation.
 
 The rank-4 classification reads the block Grams as Hermitian forms over
-Z[i], with J as multiplication by i.  A certificate basis (x, Jx, y, Jy)
-commutes with J, so only a Gram that commutes with J can have one.  For
-each norm-2 x, the y orthogonal to x and Jx are the Z[i]-multiples of one
-primitive vector found by a Gaussian gcd, and unimodularity leaves only its
-four unit multiples.  The Hermitian determinant 4nm - b^2 - c^2 = -4 gives
-the signature (2,2) by its sign, and G = 2H with H unimodular gives the
-Smith form (2,2,2,2) and delta (1 exactly when H is odd), with no Smith form
-or signature taken.  Every search solves its last coordinate instead of
-scanning it: the norm vectors by an integer square root, the rank-4 grid by
-one exact division and the t_n evidence by a table of sums of two squares.
+Z[i], with J as multiplication by i.  The Hermitian determinant
+4nm - b^2 - c^2 = -4 gives the signature (2,2) by its sign, and G = 2H with
+H unimodular gives the Smith form (2,2,2,2) and delta (1 exactly when H is
+odd), with no Smith form or signature taken.  The certificate basis
+(x, Jx, y, Jy) onto diag(2,2,-2,-2) is built, not searched for: an
+isotropic vector read off the form, completed to a basis and diagonalised
+by Euclid in Z[i], so it exists for every integer point, not only inside a
+box.  The rank-4 grid solves m by one exact division and the t_n evidence
+looks its candidates up in a table of sums of two squares.
 """
 
 from itertools import chain
-from math import gcd, isqrt, lcm
+from math import gcd, lcm
 from operator import mul, ne
 
 from .multipoly import MultiPoly
@@ -613,125 +612,95 @@ def block_gram_det_identity():
     return det == (4 * n * m - b * b - c * c) ** 2
 
 
-def _norm_vectors(gram, coord_bound, value):
-    """The vectors v with |v_i| <= coord_bound and v^T G v == value, lazily
-    and in lexicographic order.  For each (v1, v2, v3) the last coordinate
-    solves g44 v4^2 + lin4 v4 + q3 - value = 0 in closed form."""
-    rng = range(-coord_bound, coord_bound + 1)
-    (g11, g12, g13, g14), (g21, g22, g23, g24), \
-        (g31, g32, g33, g34), (g41, g42, g43, g44) = gram
-    # q(v) = v^T G v, one coordinate at a time
-    for x1 in rng:
-        q1 = g11 * x1 * x1
-        for x2 in rng:
-            q2 = q1 + ((g12 + g21) * x1 + g22 * x2) * x2
-            for x3 in rng:
-                q3 = q2 + ((g13 + g31) * x1 + (g23 + g32) * x2 + g33 * x3) * x3
-                lin4 = (g14 + g41) * x1 + (g24 + g42) * x2 + (g34 + g43) * x3
-                for x4 in _bounded_roots(g44, lin4, q3 - value, coord_bound):
-                    yield (x1, x2, x3, x4)
-
-
-def _bounded_roots(a, b, c, bound):
-    """The integer roots x of a x^2 + b x + c = 0 with |x| <= bound, in
-    ascending order; every x in the range when a = b = c = 0."""
-    if a:
-        disc = b * b - 4 * a * c
-        if disc < 0:
-            return ()
-        s = isqrt(disc)
-        if s * s != disc:
-            return ()
-        # (-b - s) / 2a is the smaller root when a > 0; s = 0 is one root
-        nums = (-b,) if not s else (-b - s, -b + s) if a > 0 else (-b + s, -b - s)
-        den = 2 * a
-    elif b:
-        nums, den = (-c,), b
-    else:
-        return range(-bound, bound + 1) if not c else ()
-    roots = []
-    for num in nums:
-        x, r = divmod(num, den)
-        if not r and -bound <= x <= bound:
-            roots.append(x)
-    return roots
-
-
-def _gaussian_gcd(a, b):
-    """A gcd of the Gaussian integers a and b, given as (re, im) pairs: Euclid
-    with the quotient a / b rounded to the nearest Gaussian integer, so each
-    remainder has at most half the norm of b."""
+def _gaussian_quotient(a, b):
+    """a / b rounded to the nearest Gaussian integer, exact when b divides a;
+    a and b are (re, im) pairs."""
     (ar, ai), (br, bi) = a, b
-    while br or bi:
-        norm = br * br + bi * bi
-        # a conj(b) = (ar br + ai bi) + (ai br - ar bi) i, rounded part by part
-        qr = (2 * (ar * br + ai * bi) + norm) // (2 * norm)
-        qi = (2 * (ai * br - ar * bi) + norm) // (2 * norm)
-        ar, ai, br, bi = br, bi, ar - qr * br + qi * bi, ai - qr * bi - qi * br
-    return ar, ai
+    norm = br * br + bi * bi
+    # a conj(b) = (ar br + ai bi) + (ai br - ar bi) i, rounded part by part
+    return ((2 * (ar * br + ai * bi) + norm) // (2 * norm),
+            (2 * (ai * br - ar * bi) + norm) // (2 * norm))
 
 
-def _gaussian_quotient(a, g):
-    """a / g for a Gaussian integer g dividing a, both (re, im) pairs."""
-    (ar, ai), (gr, gi) = a, g
-    norm = gr * gr + gi * gi
-    return (ar * gr + ai * gi) // norm, (ai * gr - ar * gi) // norm
+def _gaussian_sub_mul(a, q, b):
+    """a - q b for Gaussian integers given as (re, im) pairs."""
+    return a[0] - q[0] * b[0] + q[1] * b[1], a[1] - q[0] * b[1] - q[1] * b[0]
 
 
-def _unit_partners(gram, a, coord_bound):
-    """The unit multiples y of w = (conj alpha2, -conj alpha1) / gcd, for the
-    nonzero a read as alpha = (a1 + a2 i, a3 + a4 i), that lie in the box
-    and have y^T G y = -2, in lexicographic order.  For a Gram commuting with
-    J, q(t w) = |t|^2 q(w) and the four unit multiples share one box bound,
-    so w alone decides."""
-    a1, a2, a3, a4 = a
-    g = _gaussian_gcd((a3, -a4), (a1, -a2))
-    w = _gaussian_quotient((a3, -a4), g) + _gaussian_quotient((-a1, a2), g)
-    if max(map(abs, w)) > coord_bound or sum(map(mul, mat_vec(gram, w), w)) != -2:
-        return []
-    jw = tuple(mat_vec(BLOCK_J, w))
-    return sorted((w, jw, tuple(-v for v in w), tuple(-v for v in jw)))
+def _gaussian_xgcd(a, b):
+    """(g, s, t) with s a + t b = g, a gcd of the Gaussian integers a and b
+    given as (re, im) pairs: Euclid with each quotient rounded to the nearest
+    Gaussian integer, so each remainder has at most half the norm of b."""
+    s, t, s1, t1 = (1, 0), (0, 0), (0, 0), (1, 0)
+    while any(b):
+        q = _gaussian_quotient(a, b)
+        a, b = b, _gaussian_sub_mul(a, q, b)
+        s, s1 = s1, _gaussian_sub_mul(s, q, s1)
+        t, t1 = t1, _gaussian_sub_mul(t, q, t1)
+    return a, s, t
 
 
-def certificate_basis(gram, coord_bound=4):
-    """A unimodular basis (x, Jx, y, Jy) with Gram diag(2,2,-2,-2), or None.
+def certificate_basis(gram):
+    """A unimodular basis (x, Jx, y, Jy) with Gram diag(2,2,-2,-2), or None
+    exactly when there is none.
 
     Existence certifies the lattice is the standard one as a Z[i]-module,
     since the new basis intertwines the block J action.  The Gram must have
-    integer entries (ValueError otherwise), and every coordinate of x and y
-    lies in [-coord_bound, coord_bound].
+    integer entries (ValueError otherwise).
 
-    Such a basis P commutes with J, and diag(2,2,-2,-2) does, so
-    G = P^-T diag(2,2,-2,-2) P^-1 commutes with J too: any other Gram gets
-    None at once.  The norm-2 vectors x are streamed in lexicographic order
-    and the search stops at the first certificate.  Read a = G^T x as
-    alpha = (a1 + a2 i, a3 + a4 i) in Z[i]^2 and y as psi; then a.y = 0 and
-    (Ja).y = G^T Jx.y = 0 say conj(alpha1) psi1 + conj(alpha2) psi2 = 0, so
-    y is a Z[i]-multiple t w of w = (conj alpha2, -conj alpha1) divided by
-    the Gaussian gcd of its parts (a = 0 only on a degenerate Gram, which has
-    no certificate).  As a real matrix |det P| is |t|^2 |det_Z[i](x, w)|^2,
-    so |det P| = 1 forces t to be a unit: the partners are w, iw, -w and -iw
-    (iw = Jw) inside the box, tried in lexicographic order, and each pair is
-    checked in full (q(y) = -2, |det P| = 1 and P^T G P), so the first
-    certificate is the one the full-box search finds."""
+    Such a basis commutes with J, so only a J-invariant Gram, which is
+    `gaussian_block_gram(n, m, b, c)` read off its own entries, can have
+    one.  With v = (x, y) in Z[i]^2 (J is multiplication by i) it is
+    v^T G v = 2 h(v) for the Hermitian form h = [[n, g], [conj g, m]],
+    g = (b - ci)/2, and the target is h = diag(1, -1): so h must be
+    integral, of determinant nm - |g|^2 = -1 and odd (n or m odd), and then
+    it is built by Euclid in Z[i], with no search (the classification of
+    unimodular Hermitian forms over Z[i]; Elstrodt, Grunewald and Mennicke,
+    *Groups Acting on Hyperbolic Space*, Ch. 9):
+
+    - n h(v) = |n x + g y|^2 - |y|^2, so e = (1 - g, n), or (1, 0) when
+      n = 0, is isotropic; it is divided by its Gaussian gcd;
+    - Gaussian Bezout completes e to a basis (e, f), and h(e, f) = u is a
+      unit, since h is unimodular and h(e) = 0;
+    - h(f) is odd, as h is, and f + ((1 - h(f)) / 2) u e has h = 1;
+    - y = e - h(f, e) f is orthogonal to f, with h(y) = -1.
+
+    The basis is checked in full (|det P| = 1 and P^T G P), and a failure
+    raises AssertionError."""
     gram = _int_matrix(gram)
-    if mat_mul(gram, BLOCK_J) != mat_mul(BLOCK_J, gram):
+    if len(gram) != 4 or len(gram[0]) != 4:
         return None
-    gram_t = mat_transpose(gram)
-    for x in _norm_vectors(gram, coord_bound, 2):
-        jx = mat_vec(BLOCK_J, x)
-        a = mat_vec(gram_t, x)
-        if not any(a):
-            return None
-        for y in _unit_partners(gram, a, coord_bound):
-            jy = mat_vec(BLOCK_J, y)
-            p = [[x[i], jx[i], y[i], jy[i]] for i in range(4)]
-            if abs(mat_det(p)) != 1:
-                continue
-            check = mat_mul(mat_transpose(p), mat_mul(gram, p))
-            if check == AMBIENT_GRAM:
-                return p
-    return None
+    n, m, b, c = gram[0][0] // 2, gram[3][3] // 2, gram[0][2], gram[0][3]
+    if (gram != gaussian_block_gram(n, m, b, c) or b % 2 or c % 2
+            or 4 * n * m - b * b - c * c != -4 or not (n % 2 or m % 2)):
+        return None
+
+    def j(v):
+        return mat_vec(BLOCK_J, v)
+
+    def scale(k, v):
+        # the Gaussian multiple k v, in real coordinates
+        return [k[0] * vi + k[1] * jvi for vi, jvi in zip(v, j(v))]
+
+    def h(v, w):
+        # v^T G w = 2 Re h(v, w), and v^T G Jw = 2 Re h(v, i w) = -2 Im h(v, w)
+        gv = mat_vec(gram, v)
+        return sum(map(mul, gv, w)) // 2, -sum(map(mul, gv, j(w))) // 2
+
+    alpha, beta = ((1 - b // 2, c // 2), (n, 0)) if n else ((1, 0), (0, 0))
+    d, s, t = _gaussian_xgcd(alpha, beta)
+    e = _gaussian_quotient(alpha, d) + _gaussian_quotient(beta, d)
+    # s alpha + t beta = d, so the Gaussian determinant of (e, f) is 1
+    f = [-t[0], -t[1], s[0], s[1]]
+    r = (1 - h(f, f)[0]) // 2
+    u = h(e, f)
+    x = [fi + ki for fi, ki in zip(f, scale((r * u[0], r * u[1]), e))]
+    y = [ei - ki for ei, ki in zip(e, scale(h(x, e), x))]
+    jx, jy = j(x), j(y)
+    p = [[x[i], jx[i], y[i], jy[i]] for i in range(4)]
+    if abs(mat_det(p)) != 1 or mat_mul(mat_transpose(p), mat_mul(gram, p)) != AMBIENT_GRAM:
+        raise AssertionError("constructed certificate fails for %r" % (gram,))
+    return p
 
 
 class Rank4Classification:
@@ -771,7 +740,7 @@ def rank4_classification_check():
     (2, 2, 2, 2), and its discriminant form q(v / 2) = v^T H^-1 v / 2 is
     integral exactly when H is even: delta = 1 exactly when n or m is odd.
     The delta = 1 survivors each get an explicit change-of-basis certificate
-    onto diag(2,2,-2,-2) with coordinates up to 4 (`certificate_basis`);
+    onto diag(2,2,-2,-2), built by Euclid in Z[i] (`certificate_basis`);
     the delta = 0 ones have an integral discriminant form and are excluded
     from being the transcendental form.  The b = c = 0 survivors are exactly
     nm = -1.
@@ -799,7 +768,7 @@ def rank4_classification_check():
         if b % 2 or c % 2:
             raise AssertionError("unexpected Smith form for %r" % (tup,))
         if n % 2 or m % 2:
-            cert = certificate_basis(gaussian_block_gram(*tup), 4)
+            cert = certificate_basis(gaussian_block_gram(*tup))
             if cert is None:
                 all_certified = False
             delta_one.append((tup, cert))

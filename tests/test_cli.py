@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
 from datetime import timedelta
 
 import pytest
@@ -565,10 +566,56 @@ _ARGVS = st.one_of(
     st.one_of(_signed_ints().map(str), _NOT_NUMBERS).map(lambda n: ["lattice", "tn", "--n", n]),
 )
 
+# JSON values of the wrong kind: bools, floats (inf and nan included), null,
+# strings and nested lists
+_JSON_ODDITIES = st.one_of(
+    st.booleans(), st.floats(), st.none(), _NOT_NUMBERS,
+    st.recursive(st.lists(st.integers(-3, 3), max_size=3), st.lists, max_leaves=6),
+)
 
-@given(_ARGVS)
-@settings(max_examples=150, deadline=timedelta(seconds=2))
-def test_typed_input_gives_a_report_or_one_error_line(argv):
+# well-formed terms: exponents up to 8, integer coefficients up to 40 digits
+_GOOD_TERMS = st.lists(
+    st.tuples(st.integers(0, 8), st.one_of(_signed_ints(), _signed_ints().map(str))).map(list),
+    max_size=5, unique_by=lambda t: t[0])
+
+# one malformed term: a coefficient with a zero denominator or of the wrong
+# kind, an exponent out of range or of the wrong kind, or not a pair at all
+_BAD_TERM = st.one_of(
+    st.tuples(st.integers(0, 8), st.one_of(st.sampled_from(["1/0", "-7/0", "0/0"]),
+                                           _JSON_ODDITIES)).map(list),
+    st.tuples(st.one_of(st.sampled_from([-1, MAX_PARAM_DEGREE + 1]), _JSON_ODDITIES),
+              _signed_ints()).map(list),
+    st.lists(st.integers(0, 8), max_size=4).filter(lambda t: len(t) != 2),
+    _JSON_ODDITIES,
+)
+
+_VARS = st.one_of(st.sampled_from(["r", "t", "lam", "x", ""]), _JSON_ODDITIES)
+
+
+@st.composite
+def _one_bad_term(draw):
+    """A parametrization with one malformed term in one coordinate."""
+    data = {key: draw(_GOOD_TERMS) for key in "xyz"}
+    terms = data[draw(st.sampled_from("xyz"))]
+    terms.insert(draw(st.integers(0, len(terms))), draw(_BAD_TERM))
+    return data
+
+
+# the text of a parametrization file: objects with one malformed term,
+# well-formed objects, objects with a coordinate missing or not a list,
+# other JSON values, and text that is not JSON
+_PARAM_TEXTS = st.one_of(
+    _one_bad_term().map(json.dumps),
+    st.fixed_dictionaries({"x": _GOOD_TERMS, "y": _GOOD_TERMS, "z": _GOOD_TERMS},
+                          optional={"var": _VARS}).map(json.dumps),
+    st.fixed_dictionaries({"x": _JSON_ODDITIES, "z": _GOOD_TERMS},
+                          optional={"y": _JSON_ODDITIES}).map(json.dumps),
+    _JSON_ODDITIES.map(json.dumps),
+    st.sampled_from(["", "{", "[1, 2", "{\"x\": }", "\u0000"]),
+)
+
+
+def _assert_report_or_one_error_line(argv):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(argv + ["--json"])
@@ -580,3 +627,19 @@ def test_typed_input_gives_a_report_or_one_error_line(argv):
     else:
         command = " ".join(argv[:2]) if argv[0] == "lattice" else argv[0]
         assert json.loads(out.getvalue())["command"] == command, argv
+
+
+@given(_ARGVS)
+@settings(max_examples=150, deadline=timedelta(seconds=2))
+def test_typed_input_gives_a_report_or_one_error_line(argv):
+    _assert_report_or_one_error_line(argv)
+
+
+@given(_PARAM_TEXTS)
+@settings(max_examples=150, deadline=timedelta(seconds=2))
+def test_param_file_gives_a_report_or_one_error_line(text):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "param.json")
+        with open(path, "w") as fh:
+            fh.write(text)
+        _assert_report_or_one_error_line(["split", "--param", path])

@@ -23,12 +23,12 @@ from k3quartic.covers import (
     _rf_fourth_power_data,
     even_descend,
     fourth_power_test,
-    lift_two_section,
     quartic_factor_check,
     sextic_factor_check,
     split_fourth_power,
-    sum_sections,
+    sum_at_root_choice,
     twist_lift,
+    twist_sum,
     verify_cover_map,
 )
 from k3quartic.curves import EC_INFINITY, ec_add
@@ -115,51 +115,64 @@ def _display_v(field):
     )
 
 
+def _summed_section(root_choice):
+    """The root choice's field and the summed sextic two-section over it."""
+    twist = twist_lift(SPLIT_PARAM_SEXTIC)
+    field, _ = covers._twist_root(twist.s, root_choice)
+    return field, sum_at_root_choice(twist_sum(twist), twist.s, root_choice)
+
+
+def _untwisted_branch(twist, root_choice):
+    """One branch (u, v) of the two-section on the standard member over the
+    root choice's field, with that field and its w0."""
+    field, w0 = covers._twist_root(twist.s, root_choice)
+    u, v = covers._untwist((twist.u / twist.s, twist.v / twist.s), field, w0)
+    return field, w0, u, v
+
+
 def test_section_sum_reproduces_display():
-    lift = lift_two_section(SPLIT_PARAM_SEXTIC, root_choice=2)
-    total = sum_sections(lift)
+    field, total = _summed_section(2)
     assert total["on_curve"]
-    assert total["u"] == _display_u(lift.field)
-    assert total["v"] == _display_v(lift.field)
+    assert total["u"] == _display_u(field)
+    assert total["v"] == _display_v(field)
     # on_curve again, against the fibration module's model of the 81/49 member
-    f = standard_family(Fraction(81, 49)).f.map_coeffs(lift.field.from_rational)
+    f = standard_family(Fraction(81, 49)).f.map_coeffs(field.from_rational)
     u, v = total["u"], total["v"]
     assert (v * v - (u ** 3 - RationalFunction(f) * u)).is_zero
 
 
 def test_section_sum_root_zero_flips_v():
-    lift = lift_two_section(SPLIT_PARAM_SEXTIC, root_choice=0)
-    total = sum_sections(lift)
+    field, total = _summed_section(0)
     assert total["on_curve"]
-    assert total["u"] == _display_u(lift.field)
-    assert total["v"] == -_display_v(lift.field)
+    assert total["u"] == _display_u(field)
+    assert total["v"] == -_display_v(field)
 
 
 def test_odd_root_choice_forces_tower():
-    lift = lift_two_section(SPLIT_PARAM_SEXTIC, root_choice=1)
-    assert lift.field.height == 2
-    total = sum_sections(lift)
+    field, total = _summed_section(1)
+    assert field.height == 2
     assert total["on_curve"]
 
 
 def test_two_section_branches_lie_on_the_pulled_back_curve():
-    lift = lift_two_section(SPLIT_PARAM_SEXTIC)
-    f_r = lift.lam_of_r ** 3 * (lift.lam_of_r ** 2 + 2 * lift.lam_of_r + lift.alpha) ** 2
-    f_r = f_r.map_coeffs(lift.field.from_rational)
-    residual = lift.v ** 2 - lift.u ** 3 + f_r * lift.u
+    twist = twist_lift(SPLIT_PARAM_SEXTIC)
+    field, _, u, v = _untwisted_branch(twist, 0)
+    lam = twist.lam_of_r
+    f_r = (lam ** 3 * (lam ** 2 + 2 * lam + STANDARD_ALPHA) ** 2).map_coeffs(field.from_rational)
+    residual = v ** 2 - u ** 3 + f_r * u
     assert residual.is_zero
 
 
 def test_lift_rejects_odd_fiber_coordinate():
     with pytest.raises(ValueError):
-        lift_two_section(SPLIT_PARAM_QUARTIC)
+        twist_lift(SPLIT_PARAM_QUARTIC)
 
 
 def test_lift_rejects_non_split_curve():
     r = Poly.x("r")
     param = Parametrization(Poly.constant("r", 1), r ** 2, Poly.constant("r", 0))
     with pytest.raises(ValueError):
-        lift_two_section(param)
+        twist_lift(param)
 
 
 def test_split_fourth_power():
@@ -379,12 +392,18 @@ def _field_sum(lift):
 @pytest.mark.parametrize("root_choice", range(4))
 def test_twist_lift_matches_the_field_lift(root_choice):
     old = _field_lift(SPLIT_PARAM_SEXTIC, root_choice)
-    new = lift_two_section(SPLIT_PARAM_SEXTIC, root_choice)
-    for name in ("field", "lam_of_r", "r_squared_in_lam", "z1", "w", "u", "v"):
-        a, b = getattr(old, name), getattr(new, name)
+    twist = twist_lift(SPLIT_PARAM_SEXTIC)
+    field, w0, u, v = _untwisted_branch(twist, root_choice)
+    emb = field.from_rational
+    new = {"field": field, "lam_of_r": twist.lam_of_r,
+           "r_squared_in_lam": twist.r_squared_in_lam, "z1": twist.z1.map_coeffs(emb),
+           "w": twist.tg.map_coeffs(emb) * w0, "u": u, "v": v}
+    for name, b in new.items():
+        a = getattr(old, name)
         assert a == b, name
         assert repr(a) == repr(b), name
-    old_sum, new_sum = _field_sum(old), sum_sections(new)
+    old_sum = _field_sum(old)
+    new_sum = sum_at_root_choice(twist_sum(twist), twist.s, root_choice)
     for name in ("u", "v"):
         assert old_sum[name] == new_sum[name], name
         assert repr(old_sum[name]) == repr(new_sum[name]), name
@@ -395,7 +414,7 @@ def test_twist_lift_rejects_what_the_field_lift_rejects():
     r = Poly.x("r")
     non_split = Parametrization(Poly.constant("r", 1), r ** 2, Poly.constant("r", 0))
     for param in (SPLIT_PARAM_QUARTIC, non_split):
-        for lift in (_field_lift, lift_two_section, lambda p, k=0: twist_lift(p)):
+        for lift in (_field_lift, lambda p, k=0: twist_lift(p)):
             with pytest.raises(ValueError):
                 lift(param)
 
@@ -444,10 +463,12 @@ def test_doubled_fourth_root_fails_its_certificate(monkeypatch):
         field, w0 = real(s, root_choice)
         return field, 2 * w0
 
+    twist = twist_lift(SPLIT_PARAM_SEXTIC)
+    total = twist_sum(twist)
     monkeypatch.setattr(covers, "_fourth_root_in_theta_field", doubled)
     for k in range(4):
         with pytest.raises(AssertionError, match="fourth root reconstruction failed"):
-            lift_two_section(SPLIT_PARAM_SEXTIC, root_choice=k)
+            sum_at_root_choice(total, twist.s, k)
 
 
 def test_perturbed_twist_constant_leaves_a_residual(monkeypatch):

@@ -34,7 +34,7 @@ PACKAGE_NAMES = (
     "period_ratio_numeric", "tau_from_cubic",
     "ContainedInBranch", "CoverDoesNotSplit", "CoverSplits", "Parametrization",
     "SPLIT_PARAM_QUARTIC", "SPLIT_PARAM_SEXTIC", "displayed_section",
-    "fourth_power_test", "lift_two_section", "sum_sections", "verify_cover_map",
+    "fourth_power_test", "verify_cover_map",
     "Obstructed", "RealizationVector", "gram_build", "kummer_tn",
     "lattice_invariants", "neron_severi_gram", "rank4_classification_check",
     "smith_normal_form", "tn_gram", "tn_search", "transcendental_gram",

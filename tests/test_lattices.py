@@ -18,9 +18,7 @@ from k3quartic.lattices import (
     U_GRAM,
     _bareiss_det,
     _components,
-    _gaussian_gcd,
-    _norm_vectors,
-    _unit_partners,
+    _gaussian_xgcd,
     block_gram_det_identity,
     certificate_basis,
     direct_sum,
@@ -411,7 +409,38 @@ def test_rank4_classification():
     # pins every certificate matrix and the enumeration order, not just counts
     pinned = repr((r.survivors, r.delta_one, r.delta_zero, r.canonical))
     assert hashlib.sha256(pinned.encode()).hexdigest() == (
-        "78ae34b614389b52b60b11d87d54a831950f252093cac4402076608c78507679")
+        "a8db1cd375eedb0b66f3dd1121e17cdb88de14094ca1f4c1b814b7e4c4ee3706")
+
+
+def test_certificate_basis_exists_exactly_on_delta_one_survivors():
+    r = rank4_classification_check()
+    for t, p in r.delta_one:
+        _assert_certifies(gaussian_block_gram(*t), p)
+    # an even Hermitian form is the hyperbolic plane, never diag(1, -1)
+    assert all(certificate_basis(gaussian_block_gram(*t)) is None for t in r.delta_zero)
+    assert len(r.delta_zero) == 52
+
+
+def test_certificate_basis_decides_large_conjugates_by_parity():
+    # h = [[n, g], [conj g, m]] with nm - |g|^2 = -1 for a large Gaussian g
+    # and n | |g|^2 - 1 of either parity: diag(1, -1) exactly when h is odd
+    rng = random.Random(20)
+    seen = set()
+    for _ in range(150):
+        g = (rng.randint(-10 ** 40, 10 ** 40), rng.randint(-10 ** 40, 10 ** 40))
+        norm1 = g[0] ** 2 + g[1] ** 2 - 1
+        for n in (1, -1, 2, -2, 4, norm1, -norm1, norm1 // 2, norm1 // 4):
+            if not n or norm1 % n:
+                continue
+            m = norm1 // n
+            gram = gaussian_block_gram(n, m, 2 * g[0], -2 * g[1])
+            p = certificate_basis(gram)
+            odd = bool(n % 2 or m % 2)
+            assert (p is not None) == odd, (n, g)
+            if p is not None:
+                _assert_certifies(gram, p)
+            seen.add((odd, n % 2))
+    assert seen == {(True, 1), (True, 0), (False, 0)}
 
 
 def test_certificate_is_checkable():
@@ -478,28 +507,24 @@ def _full_box_certificate_basis(gram, coord_bound=4):
     return None
 
 
-def _dependent_pair_count(gram, coord_bound):
-    """How many norm-2 x of the box have a3 b4 = a4 b3 for a = G^T x and
-    b = G^T Jx.  On a Gram that commutes with J, b = Ja and a3 b4 - a4 b3 is
-    |alpha2|^2, so these are the x whose partner w = (conj alpha2, -conj
-    alpha1) / gcd has a zero first part."""
-    gram_t = mat_transpose(gram)
-    count = 0
-    for x in itertools.product(range(-coord_bound, coord_bound + 1), repeat=4):
-        if sum(map(int.__mul__, mat_vec(gram, x), x)) == 2:
-            a = mat_vec(gram_t, x)
-            b = mat_vec(gram_t, mat_vec(BLOCK_J, x))
-            count += a[2] * b[3] == a[3] * b[2]
-    return count
+def _assert_certifies(gram, p):
+    """p is a unimodular basis (x, Jx, y, Jy) with Gram diag(2,2,-2,-2)."""
+    assert abs(mat_det(p)) == 1, gram
+    assert mat_mul(mat_transpose(p), mat_mul(gram, p)) == AMBIENT_GRAM, gram
+    for k in (0, 2):
+        assert [row[k + 1] for row in p] == mat_vec(BLOCK_J, [row[k] for row in p]), gram
 
 
-def _assert_matches_full_box(grams):
+def _assert_exists_as_in_full_box(grams, bound=4):
+    """certificate_basis finds a certificate exactly where the full-box
+    search does, and each one it returns verifies; the number found."""
     found = 0
     for gram in grams:
-        for bound in (1, 2, 3, 4):
-            expected = _full_box_certificate_basis(gram, bound)
-            assert certificate_basis(gram, bound) == expected, (gram, bound)
-            found += expected is not None
+        p = certificate_basis(gram)
+        assert (p is None) == (_full_box_certificate_basis(gram, bound) is None), gram
+        if p is not None:
+            _assert_certifies(gram, p)
+            found += 1
     return found
 
 
@@ -512,8 +537,8 @@ def test_certificate_basis_matches_full_box_on_block_grams():
     candidates = [t for t in tuples if abs(mat_det(gaussian_block_gram(*t))) == 16
                   and signature(gaussian_block_gram(*t)) == (2, 2)]
     picked = rng.sample(candidates, 30) + rng.sample(tuples, 30)
-    found = _assert_matches_full_box([gaussian_block_gram(*t) for t in picked])
-    assert found > 50
+    found = _assert_exists_as_in_full_box([gaussian_block_gram(*t) for t in picked])
+    assert found == 20
 
 
 def _general_grams():
@@ -530,42 +555,24 @@ def _general_grams():
 
 
 def test_certificate_basis_matches_full_box_on_general_grams():
-    grams = _general_grams()
-    assert sum(_dependent_pair_count(g, 2) > 0 for g in grams) > 5
-    _assert_matches_full_box(grams)
-
-
-def test_norm_vectors_match_box_filter():
-    # the solved last coordinate against the whole box, in the same order
-    grams = _general_grams()
-    # g44 = 0 makes the equation in v4 linear, and at v1 = v2 = v3 = 0 its
-    # linear term vanishes too: value 0 then takes every v4 of the range
-    assert sum(g[3][3] == 0 for g in grams) > 2
-    for gram in grams:
-        for bound in (1, 2, 3):
-            box = itertools.product(range(-bound, bound + 1), repeat=4)
-            norms = [(sum(map(int.__mul__, mat_vec(gram, v), v)), v) for v in box]
-            for value in (2, -2, 0):
-                want = [v for q, v in norms if q == value]
-                assert list(_norm_vectors(gram, bound, value)) == want, (gram, bound, value)
+    _assert_exists_as_in_full_box(_general_grams())
 
 
 def test_certificate_basis_with_a_zero_second_gaussian_part():
-    # the first certificate's x has a3 = a4 = 0: alpha2 = 0, so the Gaussian
-    # gcd behind its partner w = (0, -conj alpha1) / gcd has a zero operand
-    for b in (-4, 4):
-        for c in (-4, 4):
-            gram = gaussian_block_gram(-7, -1, b, c)
-            p = certificate_basis(gram, 2)
-            assert p is not None
-            assert p == _full_box_certificate_basis(gram, 2)
-            a = mat_vec(gram, [row[0] for row in p])
-            assert a[2] == a[3] == 0
+    # n = 0 takes the isotropic vector (1, 0), whose second Gaussian part is
+    # zero; g = 1 (b = 2, c = 0) makes the first part 1 - g of (1 - g, n)
+    # zero; either way the Gaussian gcd has a zero operand.  The grams with
+    # n = -7 are those whose first box certificate had a zero second part.
+    tuples = [(0, m, b, c) for m in (-3, 1) for b, c in ((2, 0), (-2, 0), (0, 2), (0, -2))]
+    tuples += [(n, 0, 2, 0) for n in (-1, 3)]
+    tuples += [(-7, -1, b, c) for b in (-4, 4) for c in (-4, 4)]
+    grams = [gaussian_block_gram(*t) for t in tuples]
+    assert _assert_exists_as_in_full_box(grams, 2) == len(grams)
 
 
 def test_certificate_basis_rejects_non_integral_gram():
     gram = [[Fraction(v) for v in row] for row in transcendental_gram()]
-    assert certificate_basis(gram, 1) == certificate_basis(transcendental_gram(), 1)
+    assert certificate_basis(gram) == certificate_basis(transcendental_gram())
     gram[0][0] = Fraction(5, 2)
     with pytest.raises(ValueError, match="matrix entries must be integers"):
         certificate_basis(gram)
@@ -607,53 +614,10 @@ def test_gaussian_gcd_matches_sympy_up_to_a_unit():
     for a, b in _gaussian_pairs():
         want = ZZ_I.gcd(ZZ_I(*a), ZZ_I(*b))
         x, y = int(want.x), int(want.y)
-        assert _gaussian_gcd(a, b) in {(x, y), (-y, x), (-x, -y), (y, -x)}, (a, b)
-
-
-# The partner search that the unit multiples replaced, kept verbatim as the
-# oracle: Cramer's rule over the (y1, y2) grid, and the filtered norm -2
-# vectors of the box when a3 b4 = a4 b3.
-def _solved_partners(gram, coord_bound, a, b, det):
-    """The vectors y with |y_i| <= coord_bound, a.y == b.y == 0 and
-    y^T G y == -2, in lexicographic order, given det = a3 b4 - a4 b3 != 0:
-    each (y1, y2) fixes (y3, y4) by Cramer's rule."""
-    rng = range(-coord_bound, coord_bound + 1)
-    a1, a2, a3, a4 = a
-    b1, b2, b3, b4 = b
-    # the Cramer numerators of y3 and y4 are linear in (y1, y2)
-    c31, c32 = a4 * b1 - a1 * b4, a4 * b2 - a2 * b4
-    c41, c42 = a1 * b3 - a3 * b1, a2 * b3 - a3 * b2
-    for y1 in rng:
-        for y2 in rng:
-            y3, r3 = divmod(c31 * y1 + c32 * y2, det)
-            y4, r4 = divmod(c41 * y1 + c42 * y2, det)
-            if r3 or r4 or abs(y3) > coord_bound or abs(y4) > coord_bound:
-                continue
-            y = (y1, y2, y3, y4)
-            if sum(map(int.__mul__, mat_vec(gram, y), y)) == -2:
-                yield y
-
-
-def test_unit_partners_match_the_box_filter_on_delta_one_survivors():
-    grams = [gaussian_block_gram(*t) for t, _ in rank4_classification_check().delta_one]
-    assert len(grams) == 90
-    checked = singular = 0
-    for gram in grams:
-        minus2 = list(_norm_vectors(gram, 4, -2))
-        for x in _norm_vectors(gram, 4, 2):
-            a = mat_vec(mat_transpose(gram), x)
-            b = mat_vec(mat_transpose(gram), mat_vec(BLOCK_J, x))
-            assert b == mat_vec(BLOCK_J, a)
-            det = a[2] * b[3] - a[3] * b[2]
-            if det:
-                want = list(_solved_partners(gram, 4, a, b, det))
-            else:
-                singular += 1
-                want = [y for y in minus2
-                        if not sum(map(int.__mul__, a, y)) and not sum(map(int.__mul__, b, y))]
-            assert _unit_partners(gram, a, 4) == want, (gram, x)
-            checked += 1
-    assert checked > 1000 and singular > 0
+        g, s, t = _gaussian_xgcd(a, b)
+        assert g in {(x, y), (-y, x), (-x, -y), (y, -x)}, (a, b)
+        # the Bezout cofactors: s a + t b = g
+        assert ZZ_I(*s) * ZZ_I(*a) + ZZ_I(*t) * ZZ_I(*b) == ZZ_I(*g), (a, b)
 
 
 def test_rank4_derived_invariants_match_lattice_invariants():
@@ -687,7 +651,7 @@ def test_certificate_basis_needs_a_j_invariant_gram():
     gram[0][1] = gram[1][0] = 1
     assert mat_mul(gram, BLOCK_J) != mat_mul(BLOCK_J, gram)
     assert certificate_basis(gram) is None is _full_box_certificate_basis(gram)
-    # a degenerate J-invariant Gram has a zero G x for some norm-2 x
+    # a degenerate J-invariant Gram has Hermitian determinant 0, not -1
     assert certificate_basis(gaussian_block_gram(1, 0, 0, 0)) is None
 
 
