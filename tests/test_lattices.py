@@ -561,8 +561,7 @@ def test_certificate_basis_matches_full_box_on_general_grams():
 def test_certificate_basis_with_a_zero_second_gaussian_part():
     # n = 0 takes the isotropic vector (1, 0), whose second Gaussian part is
     # zero; g = 1 (b = 2, c = 0) makes the first part 1 - g of (1 - g, n)
-    # zero; either way the Gaussian gcd has a zero operand.  The grams with
-    # n = -7 are those whose first box certificate had a zero second part.
+    # zero; either way the Gaussian gcd has a zero operand
     tuples = [(0, m, b, c) for m in (-3, 1) for b, c in ((2, 0), (-2, 0), (0, 2), (0, -2))]
     tuples += [(n, 0, 2, 0) for n in (-1, 3)]
     tuples += [(-7, -1, b, c) for b in (-4, 4) for c in (-4, 4)]
