@@ -704,8 +704,8 @@ def cmd_cm(args):
     ledger.add("tau_in_upper_half_plane", pr.tau.imag > 0,
                "im(tau) = %s" % mpmath.nstr(pr.tau.imag, 10))
     if isinstance(res, periods.IsogenousToE):
-        tol = mpmath.mpf(2) ** (-precision // 2)
-        ledger.add("relation_residual_small", abs(res.residual) < tol,
+        ledger.add("relation_residual_small",
+                   abs(res.residual) < periods.acceptance_bound(precision),
                    "residual %s" % mpmath.nstr(res.residual, 5))
     else:
         ledger.add("verdict_structured", True, results["verdict"]["kind"])

@@ -426,6 +426,12 @@ def even_descend(rf, scale):
     )
 
 
+def _weierstrass_f(lam):
+    """f = lam^3 (lam^2 + 2 lam + alpha)^2 of v^2 = u^3 - f u at alpha =
+    STANDARD_ALPHA, for lam a Poly or a RationalFunction."""
+    return lam ** 3 * (lam ** 2 + 2 * lam + STANDARD_ALPHA) ** 2
+
+
 def twist_sum(twist):
     """The sum of the two branches of the twist's two-section, over Q.
 
@@ -436,9 +442,7 @@ def twist_sum(twist):
     """
     u_p, v_p = twist.u, twist.v
     u_m, v_m = _negate_variable_rf(u_p), _negate_variable_rf(v_p)
-    lam = twist.lam_of_r
-    f_r = lam ** 3 * (lam ** 2 + 2 * lam + STANDARD_ALPHA) ** 2
-    total = ec_add((u_p, v_p), (u_m, v_m), -twist.s * f_r)
+    total = ec_add((u_p, v_p), (u_m, v_m), -twist.s * _weierstrass_f(twist.lam_of_r))
     if total is EC_INFINITY:
         return total
     return tuple(even_descend(x, twist.r_squared_in_lam) / twist.s for x in total)
@@ -453,10 +457,7 @@ def sum_at_root_choice(total, s, root_choice):
         return {"u": None, "v": None, "on_curve": True, "residual": None}
     field, w0 = _twist_root(s, root_choice)
     u_lam, v_lam = _untwist(total, field, w0)
-    lam = Poly.x("lam")
-    f_lam = (lam ** 3 * (lam ** 2 + 2 * lam + STANDARD_ALPHA) ** 2).map_coeffs(
-        field.from_rational
-    )
+    f_lam = _weierstrass_f(Poly.x("lam")).map_coeffs(field.from_rational)
     residual = v_lam ** 2 - u_lam * (u_lam ** 2 - f_lam)
     return {"u": u_lam, "v": v_lam, "on_curve": residual.is_zero,
             "residual": residual}

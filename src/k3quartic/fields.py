@@ -28,9 +28,9 @@ below, and reports it as a ``ReducibilityError`` carrying the discovered
 factor, never silently wrong arithmetic.
 
 Contexts may declare the field automorphism induced by complex conjugation
-(images of the generators), applied as a precomputed linear map, and a
-numeric descriptor per generator so that elements can be embedded into
-arbitrary-precision complex numbers elsewhere.
+(images of the generators), applied as a precomputed linear map.  Each
+context finds its i once, from the generators: the first generator g, or
+its square g*g, whose square is -1, in level order.
 """
 
 from fractions import Fraction
@@ -137,7 +137,7 @@ class FieldContext:
         "height",
         "dims",
         "degree",
-        "gen_numeric",
+        "_i",
         "_key",
         "_hash",
         "_zeros",
@@ -148,7 +148,7 @@ class FieldContext:
         "_conj",
     )
 
-    def __init__(self, minpolys, names, label=None, conj_images=None, gen_numeric=None):
+    def __init__(self, minpolys, names, label=None, conj_images=None):
         if not 1 <= len(minpolys) <= 2:
             raise ValueError("tower height must be 1 or 2")
         if len(names) != len(minpolys):
@@ -183,7 +183,7 @@ class FieldContext:
         self._conj = None
         if conj_images is not None:
             self._build_conj(conj_images)
-        self.gen_numeric = tuple(gen_numeric) if gen_numeric is not None else None
+        self._i = self._find_i()
 
     # -- set-up ---------------------------------------------------------------
 
@@ -245,6 +245,15 @@ class FieldContext:
             for i in range(width):
                 cells[i, j] = self._mul(*t2, *cells[i, j - 1])
             self._set_table(cells)
+
+    def _find_i(self):
+        """The first generator, or its square, that squares to -1; else None."""
+        for level in range(1, self.height + 1):
+            g = self.gen(level)
+            for x in (g, g * g):
+                if x * x == -1:
+                    return x
+        return None
 
     def _build_conj(self, conj_images):
         """Conjugation as sparse integer columns over one denominator: basis
@@ -559,16 +568,11 @@ class FieldElement:
 
 
 def imaginary_unit(ctx):
-    """The element i of ctx, for the stock contexts that contain it."""
-    for level, desc in enumerate(ctx.gen_numeric or ()):
-        if desc == ("root_of_unity", 4):
-            return ctx.gen(level + 1)
-        if desc == ("root_of_unity", 8):
-            g = ctx.gen(level + 1)
-            return g * g
-        if desc == ("sqrt", Fraction(-1)):
-            return ctx.gen(level + 1)
-    raise ValueError("context %s has no declared imaginary unit" % ctx.label)
+    """The element i of ctx: its first generator, or the square of one, that
+    squares to -1, in level order."""
+    if ctx._i is None:
+        raise ValueError("context %s has no imaginary unit" % ctx.label)
+    return ctx._i
 
 
 # -- stock contexts ---------------------------------------------------------
@@ -582,12 +586,11 @@ def gaussian_field():
         names=("i",),
         label="Q(i)",
         conj_images=[[0, -1]],
-        gen_numeric=[("root_of_unity", 4)],
     )
 
 
 def sqrt_field(d):
-    """Q(sqrt(d)) for a rational non-square d; principal root descriptor."""
+    """Q(sqrt(d)) for a rational non-square d."""
     return _sqrt_field(Fraction(d))
 
 
@@ -599,7 +602,6 @@ def _sqrt_field(d):
         names=("s",),
         label="Q(sqrt(%s))" % d,
         conj_images=conj,
-        gen_numeric=[("sqrt", d)],
     )
 
 
@@ -611,7 +613,6 @@ def eighth_root_field():
         names=("z8",),
         label="Q(zeta8)",
         conj_images=[[0, 0, 0, -1]],
-        gen_numeric=[("root_of_unity", 8)],
     )
 
 
@@ -636,7 +637,6 @@ def _quartic_root_field(n):
         names=("q4",),
         label="Q(%s^(1/4))" % n,
         conj_images=[[0, 1]],
-        gen_numeric=[("nth_root", n, 4)],
     )
 
 
@@ -660,5 +660,4 @@ def _with_imaginary_unit(base_kind, *params):
         names=(base.names[0], "i"),
         label=base.label[:-1] + ", i)",
         conj_images=[[0, 1], [0, -1]],
-        gen_numeric=list(base.gen_numeric) + [("root_of_unity", 4)],
     )

@@ -1,37 +1,22 @@
-"""Numeric embeddings and period-lattice identification.
+"""Period-lattice identification.
 
-Exact data goes in (rational root triples, tower-field elements with declared
-numeric generators); what comes out is a period ratio with a stated error
-bound and, from that, an integer quadratic relation detected at a threshold
-far above the noise floor, so a positive identification is never an artifact
-of rounding.  Everything numeric runs through mpmath at a caller-chosen
-precision with guard bits.  mpmath is imported on the first numeric call, not
-with this module, so the exact commands never load it.
+Exact data goes in, as a triple of rational roots; what comes out is a
+period ratio with a stated error bound and, from that, an integer quadratic
+relation detected at a threshold (`acceptance_bound`) far above the noise
+floor, so a positive identification is never an artifact of rounding.
+Everything numeric runs through mpmath at a caller-chosen precision with
+guard bits.  mpmath is imported on the first numeric call, not with this
+module, so the exact commands never load it.
 """
 
 import math
 from collections import namedtuple
 from fractions import Fraction
 
-from .fields import FieldElement
 from .polynomials import rational_roots
 from .serialize import rat_str
 
 GUARD_BITS = 16
-
-
-def _gen_value(desc):
-    import mpmath
-    kind = desc[0]
-    if kind == "root_of_unity":
-        return mpmath.expjpi(mpmath.mpf(2) / desc[1])
-    if kind == "sqrt":
-        q = Fraction(desc[1])
-        return mpmath.sqrt(mpmath.mpf(q.numerator) / q.denominator)
-    if kind == "nth_root":
-        q, n = Fraction(desc[1]), desc[2]
-        return mpmath.root(mpmath.mpf(q.numerator) / q.denominator, n)
-    raise ValueError("unknown numeric generator %r" % (desc,))
 
 
 def _frac_to_mp(q):
@@ -40,50 +25,18 @@ def _frac_to_mp(q):
     return mpmath.mpf(q.numerator) / q.denominator
 
 
-def embed(x, precision_bits=128):
-    """Complex value of a rational or tower-field element.
-
-    Field contexts carry numeric descriptors for their generators; an element
-    of a context without them cannot be embedded.
-    """
+def acceptance_bound(precision_bits):
+    """2^-(precision_bits // 2): a relation whose residual at a tau computed
+    at precision_bits lies below it is accepted."""
     import mpmath
-    with mpmath.mp.workprec(precision_bits + GUARD_BITS):
-        if isinstance(x, (int, Fraction)):
-            return _frac_to_mp(x)
-        if not isinstance(x, FieldElement):
-            raise TypeError("cannot embed %r" % (x,))
-        ctx = x.ctx
-        if ctx.gen_numeric is None:
-            raise ValueError("context %s declares no numeric generators" % ctx.label)
-        gens = [_gen_value(d) for d in ctx.gen_numeric]
-
-        def ev(raw, level):
-            if level == 0:
-                return _frac_to_mp(raw)
-            g = gens[level - 1]
-            acc = mpmath.mpf(0)
-            for c in reversed(raw):
-                acc = acc * g + ev(c, level - 1)
-            return acc
-
-        return ev(x.coords(), ctx.height)
-
-
-def _real_embed(x, precision_bits):
-    import mpmath
-    v = embed(x, precision_bits)
-    if isinstance(v, mpmath.mpc):
-        if abs(v.imag) > mpmath.mpf(2) ** (8 - precision_bits):
-            raise ValueError("root %r does not embed as a real number" % (x,))
-        v = v.real
-    return v
+    return mpmath.mpf(2) ** -(precision_bits // 2)
 
 
 PeriodRatio = namedtuple("PeriodRatio", ["tau", "error_bound"])
 
 
 def period_ratio_numeric(e1, e2, e3, precision_bits=128):
-    """tau of the lattice of y^2 = (x-e1)(x-e2)(x-e3), distinct real roots.
+    """tau of the lattice of y^2 = (x-e1)(x-e2)(x-e3), distinct rational roots.
 
     Uses the arithmetic-geometric mean on the root gaps; with the roots sorted
     so e1 > e2 > e3, tau = i agm(a, b)/agm(a, c) for a, b, c the square roots
@@ -92,9 +45,7 @@ def period_ratio_numeric(e1, e2, e3, precision_bits=128):
     """
     import mpmath
     with mpmath.mp.workprec(precision_bits + GUARD_BITS):
-        vals = sorted((_real_embed(e, precision_bits) for e in (e1, e2, e3)),
-                      reverse=True)
-        r1, r2, r3 = vals
+        r1, r2, r3 = sorted((_frac_to_mp(e) for e in (e1, e2, e3)), reverse=True)
         if r1 == r2 or r2 == r3:
             raise ValueError("roots must be distinct")
         a = mpmath.sqrt(r1 - r3)
@@ -160,7 +111,7 @@ class Inconclusive:
 def cm_isogeny_check(tau, max_conductor=10, precision_bits=128):
     """Look for a primitive integer relation a tau^2 + b tau + c = 0, a >= 1.
 
-    Acceptance threshold 2^(-precision_bits/2) sits far above the noise floor
+    The acceptance threshold `acceptance_bound` sits far above the noise floor
     of a tau computed at precision_bits, and far below any spurious residual
     for small coefficients, so a hit below it is structural.  Residuals in the
     band up to 2^(-precision_bits/4) come back Inconclusive rather than as a
@@ -173,7 +124,7 @@ def cm_isogeny_check(tau, max_conductor=10, precision_bits=128):
         tau = mpmath.mpc(tau)
         if tau.imag <= 0:
             raise ValueError("tau must lie in the upper half plane")
-        accept = mpmath.mpf(2) ** (-(precision_bits // 2))
+        accept = acceptance_bound(precision_bits)
         margin = mpmath.mpf(2) ** (-(precision_bits // 4))
         best = None
         for a in range(1, max_conductor + 1):

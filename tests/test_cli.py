@@ -392,6 +392,25 @@ class TestCm:
         code, _, err = run(capsys, "cm", "--beta4", "7/9", "--precision", "16")
         assert code == 2
 
+    def test_odd_precision_accepts_what_the_check_accepts(self, capsys, monkeypatch):
+        # at 33 bits the check accepts residuals below 2^-16 = 2^-(33 // 2);
+        # the ledger entry must pass every relation the check accepts
+        import mpmath
+
+        from k3quartic import periods
+
+        residual = 1.5 * 2.0 ** -17
+        monkeypatch.setattr(periods, "cm_isogeny_check",
+                            lambda tau, precision_bits: periods.IsogenousToE(
+                                1, (1, 0, 1), residual))
+        assert mpmath.mpf(2) ** -17 <= residual < mpmath.mpf(2) ** -16
+        code, rep, _ = run_json(capsys, "cm", "--beta4", "7/9", "--precision", "33")
+        assert code == 0
+        assert rep["results"]["verdict"]["kind"] == "IsogenousToE"
+        entry, = [e for e in rep["verificationLedger"]
+                  if e["checkName"] == "relation_residual_small"]
+        assert entry["pass"]
+
     def test_precision_ceiling_is_inclusive(self, capsys):
         code, rep, _ = run_json(capsys, "cm", "--beta4", "1/2",
                                 "--precision", str(MAX_PRECISION_BITS))

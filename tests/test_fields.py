@@ -141,10 +141,34 @@ def test_context_caching_and_equality():
     c2 = sqrt_field(5)
     assert c1 is c2
     # equal-by-structure contexts interoperate
-    other = FieldContext([(1, 0, 1)], names=("i",), conj_images=[[0, -1]],
-                         gen_numeric=[("root_of_unity", 4)])
+    other = FieldContext([(1, 0, 1)], names=("i",), conj_images=[[0, -1]])
     assert gaussian_field() == other
     assert gaussian_field().gen() + other.gen() == other.gen() * 2
+
+
+def test_imaginary_unit_is_found_from_the_generators():
+    # the first generator, or its square, that squares to -1, in level order
+    T = with_imaginary_unit("quartic_root", 7)
+    R = with_imaginary_unit("sqrt", -1)  # reducible: the first level already has i
+    Z8 = eighth_root_field()
+    cases = [
+        (gaussian_field(), gaussian_field().gen()),
+        (sqrt_field(-1), sqrt_field(-1).gen()),
+        (Z8, Z8.gen() ** 2),
+        (T, T.gen(2)),
+        (R, R.gen(1)),
+    ]
+    for ctx, want in cases:
+        i = imaginary_unit(ctx)
+        assert i.ctx is ctx
+        assert (i.num, i.den) == (want.num, want.den), ctx
+        assert i * i == -1
+    # a custom context whose generator squares to -1 has an i too
+    bare = FieldContext([(1, 0, 1)], names=("j",))
+    assert imaginary_unit(bare) == bare.gen()
+    for ctx in (sqrt_field(2), sqrt_field(-2), quartic_root_field(7)):
+        with pytest.raises(ValueError):
+            imaginary_unit(ctx)
 
 
 def _random_coords(rng, count):

@@ -4,57 +4,17 @@ import mpmath
 import pytest
 
 from k3quartic.curves import base_elliptic_rhs
-from k3quartic.fields import eighth_root_field, gaussian_field, quartic_root_field, sqrt_field
+from k3quartic.fields import gaussian_field
 from k3quartic.periods import (
     Inconclusive,
     IsogenousToE,
     NotDetected,
+    acceptance_bound,
     cm_isogeny_check,
-    embed,
     period_ratio_numeric,
     tau_from_cubic,
 )
 from k3quartic.polynomials import Poly
-
-
-def test_embed_rationals():
-    v = embed(Fraction(3, 8), precision_bits=64)
-    assert abs(v - 0.375) < 1e-15
-
-
-def test_embed_gaussian():
-    K = gaussian_field()
-    i = K.gen()
-    v = embed(i, precision_bits=64)
-    assert abs(v - mpmath.mpc(0, 1)) < 1e-15
-    w = embed((1 + i) * (1 - i), precision_bits=64)  # = 2
-    assert abs(w - 2) < 1e-15
-
-
-def test_embed_eighth_root():
-    K = eighth_root_field()
-    z = K.gen()
-    v = embed(z, precision_bits=96)
-    s = embed(z - z ** 3, precision_bits=96)
-    with mpmath.mp.workprec(112):
-        target = mpmath.expjpi(mpmath.mpf(1) / 4)
-        assert abs(v - target) < mpmath.mpf(2) ** -88
-        # zeta - zeta^3 = sqrt(2)
-        assert abs(s - mpmath.sqrt(2)) < mpmath.mpf(2) ** -88
-
-
-def test_embed_sqrt_and_quartic_root():
-    s = embed(sqrt_field(-2).gen(), precision_bits=64)
-    assert abs(s - mpmath.mpc(0, mpmath.sqrt(2))) < 1e-15
-    t = embed(quartic_root_field(7).gen(), precision_bits=64)
-    assert abs(t - mpmath.root(7, 4)) < 1e-15
-
-
-def test_embed_rejects_bare_context():
-    from k3quartic.fields import FieldContext
-    K = FieldContext([(-2, 0, 1)], names=("s",))
-    with pytest.raises(ValueError):
-        embed(K.gen())
 
 
 def test_period_ratio_square_lattice():
@@ -73,6 +33,16 @@ def test_period_ratio_orders_roots():
 def test_period_ratio_rejects_coincident():
     with pytest.raises(ValueError):
         period_ratio_numeric(1, 1, 0)
+
+
+def test_period_ratio_takes_rationals_only():
+    # a field element, even a rational one, is not converted
+    one = gaussian_field().one
+    with pytest.raises(TypeError):
+        period_ratio_numeric(one, 0, -1)
+    a = period_ratio_numeric(Fraction(1, 2), 0, Fraction(-1, 2), precision_bits=96)
+    b = period_ratio_numeric(1, 0, -1, precision_bits=96)
+    assert abs(a.tau - b.tau) < 1e-20
 
 
 def test_tau_from_cubic():
@@ -124,6 +94,17 @@ def test_cm_non_cm_point():
     res = cm_isogeny_check(tau, max_conductor=5)
     assert isinstance(res, (NotDetected, Inconclusive))
     assert not isinstance(res, IsogenousToE)
+
+
+def test_acceptance_bound_halves_the_precision_rounding_down():
+    assert acceptance_bound(128) == mpmath.mpf(2) ** -64
+    assert acceptance_bound(33) == mpmath.mpf(2) ** -16
+    # a residual just under the bound is accepted at an odd precision
+    residual = mpmath.mpf(3) * 2 ** -18
+    tau = mpmath.mpc(0, 1) + residual / 2
+    res = cm_isogeny_check(tau, precision_bits=33)
+    assert isinstance(res, IsogenousToE)
+    assert mpmath.mpf(2) ** -17 <= res.residual < acceptance_bound(33)
 
 
 def test_cm_rejects_lower_half_plane():
