@@ -38,8 +38,8 @@ _EXPORTS = {
         "twist_minimize",
     ),
     "curves": (
-        "CurveMap", "CurveModel", "base_elliptic_rhs", "ec_add", "ec_neg",
-        "j_invariant", "on_curve", "quotient_map", "verify_involution", "verify_map",
+        "CurveMap", "CurveModel", "base_elliptic_rhs", "ec_add", "j_invariant",
+        "on_curve", "quotient_map", "verify_involution",
     ),
     "periods": (
         "Inconclusive", "IsogenousToE", "NotDetected", "cm_isogeny_check",

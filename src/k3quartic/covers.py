@@ -40,6 +40,7 @@ from .polynomials import (
     RationalFunction,
     certified_factors,
     poly_nth_root,
+    qdiv,
     scalar_nth_root,
     squarefree_decompose,
 )
@@ -374,7 +375,7 @@ def twist_lift(param):
         raise AssertionError("fourth root reconstruction failed")
     u = lam ** 2 * a_of ** 2 * (z1 + 1) / (2 * tg ** 2)
     v = u * lam * a_of / tg
-    return TwistLift(lam, 1 / lam.num.coeff(2), z1, tg, s, u, v)
+    return TwistLift(lam, qdiv(1, lam.num.coeff(2)), z1, tg, s, u, v)
 
 
 def _twist_root(s, root_choice):

@@ -16,7 +16,7 @@ from fractions import Fraction
 
 from .fields import gaussian_field, imaginary_unit, sqrt_field
 from .multipoly import MultiPoly, QuotientContext, QuotientFraction
-from .polynomials import Poly, poly_gcd
+from .polynomials import Poly, qdiv
 
 
 def _as_qf(ctx, value):
@@ -130,10 +130,6 @@ def identity_map(curve):
     return CurveMap(curve, curve, {n: curve.q(n) for n in curve.vars})
 
 
-def verify_map(source, target, images):
-    return CurveMap(source, target, images).verify()
-
-
 def verify_involution(curve, images):
     """Check an endomorphism preserves the curve and squares to the identity."""
     m = CurveMap(curve, curve, images)
@@ -225,11 +221,6 @@ def order_four_twist():
     return CurveMap(B, B, {"rho": -rho, "tau": i * tau})
 
 
-def hyperelliptic_involution():
-    B = genus2_curve()
-    return CurveMap(B, B, {"tau": -B.q("tau")})
-
-
 def negation_map(curve):
     """(u, v) -> (u, -v) on a head-power-2 model: the elliptic [-1]."""
     return CurveMap(curve, curve, {curve.head: -curve.q(curve.head)})
@@ -288,21 +279,12 @@ def j_invariant(rhs):
     if rhs.leading_coefficient() != 1:
         raise ValueError("rhs must be monic")
     a2, a4, a6 = rhs.coeff(2), rhs.coeff(1), rhs.coeff(0)
-    p = a4 - a2 * a2 / 3
-    q = a6 - a2 * a4 / 3 + 2 * a2 ** 3 / Fraction(27)
+    p = a4 - qdiv(a2 * a2, 3)
+    q = a6 - qdiv(a2 * a4, 3) + qdiv(2 * a2 ** 3, 27)
     denom = 4 * p ** 3 + 27 * q * q
     if denom == 0:
         raise ValueError("singular cubic: discriminant vanishes")
-    return 1728 * 4 * p ** 3 / denom
-
-
-def hyperelliptic_genus(h):
-    """Genus of tau^2 = h(rho) for squarefree h; raises otherwise."""
-    if h.degree < 1:
-        raise ValueError("h must be nonconstant")
-    if poly_gcd(h, h.derivative()).degree != 0:
-        raise ValueError("h is not squarefree: the model is singular")
-    return int(h.degree - 1) // 2
+    return qdiv(1728 * 4 * p ** 3, denom)
 
 
 class _PointAtInfinity:
@@ -342,18 +324,12 @@ def ec_add(p1, p2, a4, a2=0, a6=0):
     if x1 == x2:
         if y1 + y2 == 0:
             return EC_INFINITY
-        s = (3 * x1 * x1 + 2 * a2 * x1 + a4) / (2 * y1)
+        s = qdiv(3 * x1 * x1 + 2 * a2 * x1 + a4, 2 * y1)
     else:
-        s = (y2 - y1) / (x2 - x1)
+        s = qdiv(y2 - y1, x2 - x1)
     x3 = s * s - a2 - x1 - x2
     y3 = s * (x1 - x3) - y1
     return (x3, y3)
-
-
-def ec_neg(p):
-    if p is EC_INFINITY:
-        return p
-    return (p[0], -p[1])
 
 
 # -- pullback of the invariant differential -----------------------------------
@@ -408,19 +384,3 @@ def pullback_differential(cmap):
         "coords": tuple(coords.get(k, 0) for k in range(top + 1)),
         "raw": p,
     }
-
-
-def pullback_matrix(maps):
-    """Rows of pullback coordinates, padded to two, for several maps, plus
-    the 2x2 determinant when there are exactly two maps."""
-    rows = []
-    for m in maps:
-        rec = pullback_differential(m)
-        if not rec["regular"]:
-            raise ValueError("pullback is not regular: %r" % rec["raw"])
-        c = rec["coords"]
-        rows.append(tuple(c) + (0,) * (2 - len(c)))
-    det = None
-    if len(rows) == 2:
-        det = rows[0][0] * rows[1][1] - rows[0][1] * rows[1][0]
-    return {"rows": rows, "det": det}

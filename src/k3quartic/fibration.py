@@ -23,6 +23,7 @@ from .polynomials import (
     RationalFunction,
     certified_factors,
     poly_nth_root,
+    qdiv,
     scalar_nth_root,
     squarefree_decompose,
 )
@@ -359,5 +360,5 @@ def form_scaling_order(c_u, c_v, c_lam, f):
     target = Poly(f.var, {e: c_u * c_u * c for e, c in f.coeffs.items()})
     if f_scaled != target:
         raise ValueError("f(c_lam * lam) != c_u^2 f(lam): not an automorphism")
-    s = c_lam * c_u / c_v
+    s = qdiv(c_lam * c_u, c_v)
     return s, multiplicative_order(s)

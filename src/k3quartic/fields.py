@@ -616,12 +616,6 @@ def eighth_root_field():
     )
 
 
-def zeta8_sqrt2(ctx=None):
-    ctx = ctx or eighth_root_field()
-    g = ctx.gen()
-    return g - g ** 3
-
-
 def quartic_root_field(n):
     """Q(n^(1/4)) for a positive rational n, real positive root."""
     n = Fraction(n)

@@ -597,11 +597,6 @@ BLOCK_J = [
 ]
 
 
-def hermitian_det_identity(n, m, b, c):
-    """det of the block Gram is (4nm - b^2 - c^2)^2."""
-    return mat_det(gaussian_block_gram(n, m, b, c)) == (4 * n * m - b * b - c * c) ** 2
-
-
 def block_gram_det_identity():
     """det(gaussian_block_gram(n, m, b, c)) == (4nm - b^2 - c^2)^2 as
     polynomials in (n, m, b, c): the Bareiss determinant over `MultiPoly`,

@@ -13,12 +13,12 @@ import random
 
 from .fields import (
     FieldElement,
-    eighth_root_field,
     gaussian_field,
     imaginary_unit,
     sqrt_field,
 )
 from .lattices import AMBIENT_GRAM, BLOCK_J, mat_mul, mat_transpose, mat_vec
+from .polynomials import qdiv
 
 # -- generic 2x2 helpers -------------------------------------------------------
 
@@ -49,7 +49,7 @@ def m_inv(m):
     a = m_adj(m)
     if det == 1:
         return a
-    return tuple(tuple(x / det for x in row) for row in a)
+    return tuple(tuple(qdiv(x, det) for x in row) for row in a)
 
 
 def m_neg(m):
@@ -274,14 +274,6 @@ def l_square_representative():
     """diag(i, -i): the determinant-1 representative of l_prime squared."""
     i = _gaussian_i()
     return mat2(i, 0, 0, -i)
-
-
-def quarter_turn_su11():
-    """diag(zeta8^-1, zeta8): the SU(1,1) matrix whose half-plane transfer
-    is the Upsilon matrix (1/sqrt2)[[1,-1],[1,1]]."""
-    ctx = eighth_root_field()
-    z = ctx.gen()
-    return mat2(-z ** 3, ctx.zero, ctx.zero, z)
 
 
 def fricke_matrix():

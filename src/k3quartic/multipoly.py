@@ -8,12 +8,16 @@ of a quotient ring to verify identities on curves and covers exactly.
 ``QuotientFraction`` adds formal division with equality tested by
 cross-multiplication, which is sound because these quotients are integral
 domains for the relations we use.
+
+Rational coefficients follow ``polynomials``: an ``int`` when integral, a
+``Fraction`` otherwise, and every coefficient division goes through
+``polynomials.qdiv``, so no float can arise.
 """
 
 from fractions import Fraction
 
 from . import polynomials as _polynomials
-from .polynomials import FractionArithmetic, power, render_terms
+from .polynomials import FractionArithmetic, power, qdiv, render_terms
 
 
 def _is_scalar(x):
@@ -32,8 +36,12 @@ class MultiPoly:
                     continue
                 if len(exps) != len(self.vars):
                     raise ValueError("exponent vector length mismatch")
-                # ints become Fractions so scalar division stays exact
-                cleaned[tuple(exps)] = Fraction(c) if isinstance(c, int) else c
+                # integral rationals are ints, so integer products skip
+                # Fraction's gcd; division stays exact through qdiv.  A type
+                # test: isinstance(c, Fraction) on an int takes the ABC path
+                if type(c) is Fraction and c.denominator == 1:
+                    c = c.numerator
+                cleaned[tuple(exps)] = c
         self.terms = cleaned
 
     # -- constructors ---------------------------------------------------------
@@ -160,7 +168,7 @@ class MultiPoly:
 
     def __truediv__(self, other):
         if _is_scalar(other):
-            return self.map_coeffs(lambda c: c / other)
+            return self.map_coeffs(lambda c: qdiv(c, other))
         return NotImplemented
 
     def __eq__(self, other):
@@ -246,7 +254,7 @@ class MultiPoly:
             diff = tuple(a - b for a, b in zip(e, lead))
             if any(x < 0 for x in diff):
                 return None  # remainder is nonzero
-            f = c / lc
+            f = qdiv(c, lc)
             quo[diff] = quo.get(diff, 0) + f
             for ed, cd in d.terms.items():
                 if ed == lead:

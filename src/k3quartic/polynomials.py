@@ -1,9 +1,13 @@
 """Sparse univariate polynomials and rational functions over an exact field.
 
 Coefficients are duck-typed: anything with +, -, *, /, ** and == against the
-integers 0 and 1 works (Fractions, tower field elements, or rational functions
-in another variable).  The zero polynomial has degree -inf so degree
-comparisons behave without special-casing.
+integers 0 and 1 works (rationals, tower field elements, or rational functions
+in another variable).  A rational coefficient is an ``int`` when it is
+integral and a ``Fraction`` otherwise; a ``Fraction`` with denominator 1 is
+stored as its numerator, so integer polynomials multiply in plain ints.
+Every division of coefficients goes through ``qdiv``, which divides two ints
+exactly, so no float can arise.  The zero polynomial has degree -inf so
+degree comparisons behave without special-casing.
 
 ``RationalFunction`` keeps a reduced num/den pair with a monic denominator,
 which makes equality structural.  Division of polynomials that does not come
@@ -19,9 +23,10 @@ rare inputs on which GCDHEU gives up, take the Euclidean algorithm.
 (Newton-Hensel) lifting from a small prime, with no real-root isolation.
 
 As the lowest module, this one also holds what the scalar and polynomial
-classes share: ``render_terms`` prints every sum of terms, ``power`` is the
-one square-and-multiply loop, and ``FractionArithmetic`` carries the field
-operations of ``RationalFunction`` and ``multipoly.QuotientFraction``.
+classes share: ``qdiv`` is the one exact scalar division, ``render_terms``
+prints every sum of terms, ``power`` is the one square-and-multiply loop, and
+``FractionArithmetic`` carries the field operations of ``RationalFunction``
+and ``multipoly.QuotientFraction``.
 """
 
 import math
@@ -41,6 +46,16 @@ def register_higher(*types):
 
 def _is_scalar(x):
     return not isinstance(x, (Poly, RationalFunction))
+
+
+def qdiv(a, b):
+    """a / b, exact: for two ints the quotient is an int when b divides a and
+    a Fraction otherwise, never a float; any other pair divides by its own
+    ``/``."""
+    if isinstance(a, int) and isinstance(b, int):
+        q, r = divmod(a, b)
+        return Fraction(a, b) if r else q
+    return a / b
 
 
 def render_terms(pairs):
@@ -92,8 +107,12 @@ class Poly:
             for e, c in coeffs.items():
                 if c == 0:
                     continue
-                # ints become Fractions so scalar division stays exact
-                cleaned[e] = Fraction(c) if isinstance(c, int) else c
+                # integral rationals are ints, so integer products skip
+                # Fraction's gcd; division stays exact through qdiv.  A type
+                # test: isinstance(c, Fraction) on an int takes the ABC path
+                if type(c) is Fraction and c.denominator == 1:
+                    c = c.numerator
+                cleaned[e] = c
         self.coeffs = cleaned
 
     # -- constructors --------------------------------------------------------
@@ -130,7 +149,7 @@ class Poly:
         lead = self.leading_coefficient()
         if lead == 1:
             return self
-        return self.map_coeffs(lambda c: c / lead)
+        return self.map_coeffs(lambda c: qdiv(c, lead))
 
     def map_coeffs(self, fn):
         return Poly(self.var, {e: fn(c) for e, c in self.coeffs.items()})
@@ -214,7 +233,7 @@ class Poly:
             c = rem.pop(e)
             if c == 0:
                 continue
-            f = c / lead
+            f = qdiv(c, lead)
             k = e - db
             quo[k] = quo.get(k, 0) + f
             for eo, co in o.coeffs.items():
@@ -234,7 +253,7 @@ class Poly:
 
     def __truediv__(self, other):
         if _is_scalar(other):
-            return self.map_coeffs(lambda c: c / other)
+            return self.map_coeffs(lambda c: qdiv(c, other))
         if isinstance(other, Poly):
             q, r = divmod(self, other)
             if r.is_zero:
@@ -293,7 +312,7 @@ class Poly:
 
 # -- the integer kernel of Q[x] ---------------------------------------------------
 #
-# A rational polynomial p is handled here as k * v(x): a Fraction k and a
+# A rational polynomial p is handled here as k * v(x): a rational k and a
 # primitive integer vector v, lowest degree first, with a positive leading
 # entry.  [] is the zero vector.  The ``_zz_`` functions compute on such
 # vectors in ints; only the Euclid fallback of ``_zz_gcd`` uses Fractions.
@@ -322,7 +341,7 @@ def _int_form(p):
     for e, c in coeffs.items():
         v[e] = c.numerator * (den // c.denominator)
     content, v = _split_content(v)
-    return Fraction(content, den), v
+    return qdiv(content, den), v
 
 
 def _from_ints(var, v, k=1):
@@ -464,7 +483,7 @@ def poly_gcd(a, b):
         fb = fa and _int_form(b)
         if fb:
             h = _zz_gcd(fa[1], fb[1])[0]
-            return _from_ints(a.var, h, Fraction(1, h[-1]))
+            return _from_ints(a.var, h, qdiv(1, h[-1]))
     return _euclid_gcd(a, b)
 
 
@@ -484,7 +503,7 @@ def squarefree_decompose(p):
         return unit, []
     form = _int_form(p)
     if form is not None:
-        return unit, [(_from_ints(p.var, f, Fraction(1, f[-1])), i)
+        return unit, [(_from_ints(p.var, f, qdiv(1, f[-1])), i)
                       for f, i in _zz_yun(form[1])]
     p = p.monic()
     dp = p.derivative()
@@ -690,13 +709,13 @@ def rational_roots(p):
         return out
     cands = sorted(set(_root_candidates(ints)),
                    key=lambda q: (abs(q.numerator), q.denominator, q < 0))
-    work = Poly(p.var, {e: Fraction(c) for e, c in ints.items()})
+    work = Poly(p.var, ints)
     for r in cands:
         if work.degree <= 0:
             break
         m = 0
         while work.degree > 0 and work(r) == 0:
-            work = work // Poly(p.var, {1: Fraction(1), 0: -r})
+            work = work // Poly(p.var, {1: 1, 0: -r})
             m += 1
         if m:
             out.append((r, m))
@@ -716,7 +735,7 @@ def certified_factors(p):
     work = p.monic()
     factors = []
     for r, m in rational_roots(work):
-        lin = Poly(p.var, {1: Fraction(1), 0: -r})
+        lin = Poly(p.var, {1: 1, 0: -r})
         for _ in range(m):
             factors.append(lin)
             work = work // lin
@@ -886,8 +905,8 @@ class RationalFunction(FractionArithmetic):
             num, den = _cancel_common(num, den)
         lead = den.leading_coefficient()
         if lead != 1:
-            num = num.map_coeffs(lambda c: c / lead)
-            den = den.map_coeffs(lambda c: c / lead)
+            num = num.map_coeffs(lambda c: qdiv(c, lead))
+            den = den.map_coeffs(lambda c: qdiv(c, lead))
         self.num = num
         self.den = den
 
@@ -945,7 +964,7 @@ class RationalFunction(FractionArithmetic):
 
     def substitute(self, value):
         """Evaluate at a scalar, polynomial, or rational function."""
-        return self.num(value) / self.den(value)
+        return qdiv(self.num(value), self.den(value))
 
     def derivative(self):
         n = self.num.derivative() * self.den - self.num * self.den.derivative()

@@ -426,7 +426,7 @@ def test_twist_lift_is_over_q_on_the_twisted_curve():
     f_r = lam ** 3 * (lam ** 2 + 2 * lam + STANDARD_ALPHA) ** 2
     assert (twist.v ** 2 - twist.u ** 3 + twist.s * f_r * twist.u).is_zero
     for rf in (twist.z1, twist.tg, twist.u, twist.v):
-        assert all(isinstance(c, Fraction)
+        assert all(type(c) in (int, Fraction)
                    for p in (rf.num, rf.den) for c in p.coeffs.values())
 
 

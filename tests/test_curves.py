@@ -4,24 +4,21 @@ import pytest
 
 from k3quartic.curves import (
     EC_INFINITY,
+    CurveMap,
     automorphism_order,
     base_elliptic,
     base_elliptic_rhs,
     compose,
     cubic_to_exponent_four,
     ec_add,
-    ec_neg,
     exponent_four_model,
     genus2_curve,
-    hyperelliptic_genus,
-    hyperelliptic_involution,
     identity_map,
     j_invariant,
     negation_map,
     on_curve,
     order_four_twist,
     pullback_differential,
-    pullback_matrix,
     quarter_turn,
     quotient_map,
     quotient_negation_check,
@@ -30,7 +27,37 @@ from k3quartic.curves import (
     verify_involution,
 )
 from k3quartic.fields import gaussian_field, imaginary_unit
-from k3quartic.polynomials import Poly, rational_roots
+from k3quartic.polynomials import Poly, poly_gcd, rational_roots
+
+
+def hyperelliptic_involution():
+    B = genus2_curve()
+    return CurveMap(B, B, {"tau": -B.q("tau")})
+
+
+def hyperelliptic_genus(h):
+    """Genus of tau^2 = h(rho) for squarefree h; raises otherwise."""
+    if h.degree < 1:
+        raise ValueError("h must be nonconstant")
+    if poly_gcd(h, h.derivative()).degree != 0:
+        raise ValueError("h is not squarefree: the model is singular")
+    return int(h.degree - 1) // 2
+
+
+def pullback_matrix(maps):
+    """Rows of pullback coordinates, padded to two, for several maps, plus
+    the 2x2 determinant when there are exactly two maps."""
+    rows = []
+    for m in maps:
+        rec = pullback_differential(m)
+        if not rec["regular"]:
+            raise ValueError("pullback is not regular: %r" % rec["raw"])
+        c = rec["coords"]
+        rows.append(tuple(c) + (0,) * (2 - len(c)))
+    det = None
+    if len(rows) == 2:
+        det = rows[0][0] * rows[1][1] - rows[0][1] * rows[1][0]
+    return {"rows": rows, "det": det}
 
 
 def test_quotient_map_verifies():
@@ -134,7 +161,7 @@ def test_ec_add_doubling():
     qq = ec_add(q, q, 0, 0, 1)
     assert qq == (Fraction(0), Fraction(1))
     assert on_curve(qq, 0, 0, 1)
-    assert ec_neg(qq) == (Fraction(0), Fraction(-1))
+    assert ec_add(qq, (Fraction(0), Fraction(-1)), 0, 0, 1) is EC_INFINITY
 
 
 def test_pullback_coordinates():

@@ -16,7 +16,7 @@ from k3quartic.cli import SUITES
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
-# every name the package re-exported when mpmath became a deferred import
+# every name the package re-exports
 PACKAGE_NAMES = (
     "FieldContext", "FieldElement", "ReducibilityError", "eighth_root_field",
     "gaussian_field", "quartic_root_field", "sqrt_field", "with_imaginary_unit",
@@ -28,8 +28,8 @@ PACKAGE_NAMES = (
     "WeierstrassFibration", "classify_fibers", "degeneration_model",
     "form_scaling_order", "parity_refine", "shioda_tate_bound", "standard_family",
     "twist_minimize",
-    "CurveMap", "CurveModel", "base_elliptic_rhs", "ec_add", "ec_neg",
-    "j_invariant", "on_curve", "quotient_map", "verify_involution", "verify_map",
+    "CurveMap", "CurveModel", "base_elliptic_rhs", "ec_add", "j_invariant",
+    "on_curve", "quotient_map", "verify_involution",
     "Inconclusive", "IsogenousToE", "NotDetected", "cm_isogeny_check",
     "period_ratio_numeric", "tau_from_cubic",
     "ContainedInBranch", "CoverDoesNotSplit", "CoverSplits", "Parametrization",

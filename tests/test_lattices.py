@@ -25,7 +25,6 @@ from k3quartic.lattices import (
     form_value,
     gaussian_block_gram,
     gram_build,
-    hermitian_det_identity,
     _int_matrix,
     j_apply,
     kummer_tn,
@@ -363,6 +362,11 @@ def test_kummer_lattices():
     assert isinstance(tn_search(6), Obstructed)
     with pytest.raises(ValueError):
         kummer_tn(0)
+
+
+def hermitian_det_identity(n, m, b, c):
+    """det of the block Gram is (4nm - b^2 - c^2)^2."""
+    return mat_det(gaussian_block_gram(n, m, b, c)) == (4 * n * m - b * b - c * c) ** 2
 
 
 def test_hermitian_det_identity():

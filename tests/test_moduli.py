@@ -7,7 +7,6 @@ from k3quartic.fields import (
     gaussian_field,
     imaginary_unit,
     sqrt_field,
-    zeta8_sqrt2,
 )
 from k3quartic.moduli import (
     IDENTITY,
@@ -32,7 +31,6 @@ from k3quartic.moduli import (
     mat2,
     membership,
     period_point,
-    quarter_turn_su11,
     scalar_equivalent,
     su11_samples,
     upsilon_matrix,
@@ -41,6 +39,20 @@ from k3quartic.moduli import (
 
 def gi():
     return imaginary_unit(gaussian_field())
+
+
+def zeta8_sqrt2(ctx=None):
+    ctx = ctx or eighth_root_field()
+    g = ctx.gen()
+    return g - g ** 3
+
+
+def quarter_turn_su11():
+    """diag(zeta8^-1, zeta8): the SU(1,1) matrix whose half-plane transfer
+    is the Upsilon matrix (1/sqrt2)[[1,-1],[1,1]]."""
+    ctx = eighth_root_field()
+    z = ctx.gen()
+    return mat2(-z ** 3, ctx.zero, ctx.zero, z)
 
 
 class TestMembership:

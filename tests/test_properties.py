@@ -21,7 +21,7 @@ from k3quartic.covers import (
     SPLIT_PARAM_SEXTIC,
     fourth_power_test,
 )
-from k3quartic.curves import EC_INFINITY, ec_add, ec_neg, on_curve
+from k3quartic.curves import EC_INFINITY, ec_add, on_curve
 from k3quartic.fibration import classify_fibers, standard_family
 from k3quartic.fields import gaussian_field, with_imaginary_unit
 from k3quartic.lattices import Obstructed, RealizationVector, tn_gram, tn_search
@@ -303,6 +303,10 @@ def test_tall_alphas_classify_in_time(drawn):
 # -- the group law on a rank-one curve ----------------------------------------
 
 _A4 = Fraction(-36)          # v^2 = u^3 - 36 u, generator (-3, 9), 2-torsion (0, 0)
+
+
+def ec_neg(p):
+    return p if p is EC_INFINITY else (p[0], -p[1])
 
 
 def _point_pool():
