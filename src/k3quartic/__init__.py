@@ -53,7 +53,7 @@ _EXPORTS = {
     "lattices": (
         "Obstructed", "RealizationVector", "gram_build", "kummer_tn",
         "lattice_invariants", "neron_severi_gram", "rank4_classification_check",
-        "smith_normal_form", "tn_gram", "tn_search", "transcendental_gram",
+        "tn_gram", "tn_search", "transcendental_gram",
     ),
     "moduli": (
         "GroupMembershipReport", "cayley", "fricke_checks", "gaussian_form_check",

@@ -684,12 +684,16 @@ def cmd_cm(args):
         raise UsageError("--precision must be at least 32 bits")
     if precision > MAX_PRECISION_BITS:
         raise UsageError("--precision must be at most %d bits" % MAX_PRECISION_BITS)
+    rhs = curves.base_elliptic_rhs(beta4)
     try:
-        rhs = curves.base_elliptic_rhs(beta4)
         j = curves.j_invariant(rhs)
-        pr = periods.tau_from_cubic(rhs, precision_bits=precision)
     except ValueError as exc:
         raise UsageError("degenerate member: %s" % exc)
+    try:
+        pr = periods.tau_from_cubic(rhs, precision_bits=precision)
+    except ValueError as exc:
+        # a smooth member whose cubic has fewer than three rational roots
+        raise UsageError("unsupported member: %s" % exc)
     res = periods.cm_isogeny_check(pr.tau, precision_bits=precision)
     ledger = Ledger()
     inputs = {"beta4": rat_str(beta4), "precision": precision}

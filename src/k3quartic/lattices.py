@@ -1,15 +1,15 @@
 """Even integral lattices given by Gram matrices: constructors, exact
 invariants, and the rank-two realization search inside diag(2,2,-2,-2).
 
-The determinant and the signature (one Bareiss fraction-free elimination
-step), the Smith normal form, delta and the rank-4 certificates run on
-Python ints only.  The same Bareiss elimination over `MultiPoly`
-certifies the rank-4 block determinant identity once, symbolically.
-Discriminant data comes from the Smith normal form
-with unimodular transforms, taken per connected component of the Gram and
-merged into one divisibility chain by gcd and lcm, and the realization
-results are certified by explicit vectors and minor gcds rather than by
-citation.
+Every lattice invariant and the rank-4 certificates run on Python ints
+only, and the determinants share one Bareiss fraction-free elimination
+step.  The same elimination over `MultiPoly` certifies the rank-4 block
+determinant identity once, symbolically.  Discriminant data needs no
+unimodular transforms: the invariant factors are a Smith form taken mod
+|det|, so no entry outgrows |det|, and delta is read off the diagonal of
+the inverse Gram from one fraction-free Gauss-Jordan elimination, which
+also gives the signature and the determinant.  The realization results are
+certified by explicit vectors and minor gcds rather than by citation.
 
 The rank-4 classification reads the block Grams as Hermitian forms over
 Z[i], with J as multiplication by i.  The Hermitian determinant
@@ -24,17 +24,13 @@ looks its candidates up in a table of sums of two squares.
 """
 
 from itertools import chain
-from math import gcd, lcm
+from math import gcd
 from operator import mul, ne
 
 from .multipoly import MultiPoly
 
 
 # -- exact matrix helpers ------------------------------------------------------
-
-
-def identity_matrix(n):
-    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 
 
 def mat_mul(a, b):
@@ -62,15 +58,17 @@ def _int_matrix(a):
     return m
 
 
-def _bareiss_step(m, k, prev):
-    """Eliminate below and right of the pivot m[k][k] in place and return
-    the pivot.  If every trailing entry was a k-minor bordering the leading
-    k x k block, whose determinant is `prev`, each becomes the (k+1)-minor
-    bordering the leading (k+1) x (k+1) block, so the division is exact."""
+def _bareiss_step(m, k, prev, rows):
+    """Eliminate column k from `rows` against the pivot m[k][k] in place,
+    in the columns right of k, and return the pivot.  If every trailing
+    entry of a row below was a k-minor bordering the leading k x k block,
+    whose determinant is `prev`, each becomes the (k+1)-minor bordering the
+    leading (k+1) x (k+1) block, so the division is exact.  The rows above
+    the pivot stay minors in the same way (Gauss-Jordan)."""
     pivot_row = m[k]
     pivot = pivot_row[k]
-    cols = range(k + 1, len(m))
-    for row in m[k + 1:]:
+    cols = range(k + 1, len(pivot_row))
+    for row in rows:
         f = row[k]
         for j in cols:
             row[j] = (pivot * row[j] - f * pivot_row[j]) // prev
@@ -96,7 +94,7 @@ def _bareiss_det(m):
                 return 0
             m[k], m[piv] = m[piv], m[k]
             sign = -sign
-        prev = _bareiss_step(m, k, prev)
+        prev = _bareiss_step(m, k, prev, m[k + 1:])
     return sign * m[n - 1][n - 1] if n else 1
 
 
@@ -158,9 +156,10 @@ _PRESETS = {
 }
 
 
-# the K3 lattice has rank 22; a plain sum of nine E7 (rank 63) takes well
-# under a second through `lattice_invariants`, and the time grows as the
-# cube of the rank
+# the K3 lattice has rank 22; through `lattice_invariants` a plain sum of
+# nine E7 (rank 63) takes about 0.04 s and a random connected even Gram of
+# rank 64 about 0.4 s, growing a little faster than the cube of the rank
+# as its determinant grows
 MAX_GRAM_RANK = 64
 
 
@@ -203,16 +202,24 @@ def _validate_gram(gram):
     return n
 
 
-def signature(gram):
-    """(s_plus, s_minus) by symmetric Bareiss elimination in integers.
+def _congruent_inverse(gram):
+    """(signature, det, a) for a symmetric integer Gram G, where a is the
+    diagonal of det H^-1 for a Gram H = P^T G P, |det P| = 1, of the same
+    lattice.
 
-    Pivots stay on the diagonal: a zero pivot is swapped (rows and columns)
-    with a later nonzero diagonal entry, or, when the trailing diagonal is
-    all zero, row and column j are added onto k to make the pivot
-    2*m[k][j].  Both are congruences, so each pivot is the leading minor d_k
-    of a matrix congruent to the Gram, and the sign of d_k / d_(k-1), the
-    k-th diagonal entry of its LDL^T form, counts toward s_plus or s_minus
-    (Sylvester's law of inertia)."""
+    One fraction-free Gauss-Jordan elimination of [H | I] (Bareiss 1968):
+    every row, not only those below, is eliminated against each pivot, so
+    the left block ends as det I and the right one as det H^-1.  Pivots
+    stay on the diagonal: a zero pivot is swapped (rows and columns) with a
+    later nonzero diagonal entry, or, when the trailing diagonal is all
+    zero, row and column j are added onto k to make the pivot 2*m[k][j].
+    Both are congruences, so each pivot is the leading minor d_k of H, the
+    last one is det H = det G, and the sign of d_k / d_(k-1), the k-th
+    diagonal entry of the LDL^T form of H, counts toward s_plus or s_minus
+    (Sylvester's law of inertia).  Column k of I is appended at step k, as
+    the previous pivot in the pivot row: until then every entry of that
+    column but the unit one stays 0, and the unit one is scaled to the last
+    pivot, so each step touches n columns, not 2n."""
     n = _validate_gram(gram)
     m = _int_matrix(gram)
     plus = minus = 0
@@ -228,17 +235,24 @@ def signature(gram):
                 j = next((j for j in range(k + 1, n) if m[k][j] != 0), None)
                 if j is None:
                     raise ValueError("degenerate lattice")
-                for t in range(k, n):
-                    m[k][t] += m[j][t]
-                for t in range(k, n):
-                    m[t][k] += m[t][j]
-        pivot = _bareiss_step(m, k, prev)
+                m[k] = [x + y for x, y in zip(m[k], m[j])]
+                for row in m:
+                    row[k] += row[j]
+        for row in m:
+            row.append(0)
+        m[k][-1] = prev
+        pivot = _bareiss_step(m, k, prev, m[:k] + m[k + 1:])
         if (pivot > 0) == (prev > 0):
             plus += 1
         else:
             minus += 1
         prev = pivot
-    return (plus, minus)
+    return (plus, minus), prev, [row[n + i] for i, row in enumerate(m)]
+
+
+def signature(gram):
+    """(s_plus, s_minus) of a nonsingular symmetric integer Gram."""
+    return _congruent_inverse(gram)[0]
 
 
 def _xgcd(a, b):
@@ -250,78 +264,6 @@ def _xgcd(a, b):
         s0, s1 = s1, s0 - q * s1
         u0, u1 = u1, u0 - q * u1
     return (a, s0, u0) if a >= 0 else (-a, -s0, -u0)
-
-
-def smith_normal_form(mat):
-    """Returns (d, left, right) with left*mat*right = diag(d), transforms
-    unimodular, and d a divisibility chain of nonnegative integers.
-
-    An entry the pivot does not divide is cleared by one 2x2 unimodular
-    Bezout step that makes the pivot their gcd, so the pivot shrinks at
-    each such step instead of cycling through Euclid swaps; on random 6x6
-    to 9x9 matrices with entries up to 9 no entry of the transforms passes
-    300 bits."""
-    rows = len(mat)
-    cols = len(mat[0])
-    m = _int_matrix(mat)
-    left = identity_matrix(rows)
-    right = identity_matrix(cols)
-
-    def row_op(i, j, a, b, c, e):
-        # (row i, row j) <- (a*row i + b*row j, c*row i + e*row j)
-        for mm in (m, left):
-            ri, rj = mm[i], mm[j]
-            mm[i] = [a * x + b * y for x, y in zip(ri, rj)]
-            mm[j] = [c * x + e * y for x, y in zip(ri, rj)]
-
-    def col_op(i, j, a, b, c, e):
-        for mm in (m, right):
-            for r in mm:
-                x, y = r[i], r[j]
-                r[i], r[j] = a * x + b * y, c * x + e * y
-
-    def clear(op, t, k, b):
-        # zero the entry b at k against the pivot at t
-        p = m[t][t]
-        if b % p == 0:
-            op(t, k, 1, 0, -(b // p), 1)
-        else:
-            g, s, u = _xgcd(p, b)
-            op(t, k, s, u, -(b // g), p // g)
-
-    size = min(rows, cols)
-    for t in range(size):
-        # smallest nonzero entry in the trailing submatrix becomes the pivot
-        best = min(((abs(m[i][j]), i, j) for i in range(t, rows)
-                    for j in range(t, cols) if m[i][j]), default=None)
-        if best is None:
-            break
-        _, i, j = best
-        if i != t:
-            row_op(t, i, 0, 1, 1, 0)
-        if j != t:
-            col_op(t, j, 0, 1, 1, 0)
-        while True:
-            for i in range(t + 1, rows):
-                if m[i][t]:
-                    clear(row_op, t, i, m[i][t])
-            for j in range(t + 1, cols):
-                if m[t][j]:
-                    clear(col_op, t, j, m[t][j])
-            if any(m[i][t] for i in range(t + 1, rows)):
-                continue
-            # the pivot must divide the rest of the submatrix
-            piv = m[t][t]
-            fix = next((i for i in range(t + 1, rows)
-                        if any(x % piv for x in m[i][t + 1:])), None)
-            if fix is None:
-                break
-            row_op(t, fix, 1, 1, 0, 1)
-        if m[t][t] < 0:
-            m[t] = [-x for x in m[t]]
-            left[t] = [-x for x in left[t]]
-    d = [m[i][i] for i in range(size)]
-    return d, left, right
 
 
 class LatticeInvariants:
@@ -345,81 +287,91 @@ class LatticeInvariants:
                     self.delta))
 
 
-def _components(gram):
-    """The connected components of the Gram's graph, in which two indices
-    are joined by a nonzero off-diagonal entry, as sorted index lists."""
-    seen = set()
-    out = []
-    for start in range(len(gram)):
-        if start in seen:
-            continue
-        seen.add(start)
-        comp, stack = [], [start]
-        while stack:
-            i = stack.pop()
-            comp.append(i)
-            for j, x in enumerate(gram[i]):
-                if x and j not in seen:
-                    seen.add(j)
-                    stack.append(j)
-        out.append(sorted(comp))
-    return out
+def _invariant_factors(gram, r):
+    """The invariant factors of a nonsingular integer matrix with |det| = r.
 
-
-def _divisibility_chain(values):
-    """The invariant factors of diag(values): the gcd/lcm exchange of every
-    pair i < j sorts each prime's exponents, so nothing is factored."""
-    out = list(values)
-    for i in range(len(out)):
-        for j in range(i + 1, len(out)):
-            a, b = out[i], out[j]
-            out[i], out[j] = gcd(a, b), lcm(a, b)
-    return out
-
-
-def _two_elementary_delta(gram, d, right):
-    """delta of a 2-elementary Gram with Smith form d and right transform:
-    0 when q(col / di) is integral, i.e. col^T G col = 0 mod di^2, on every
-    Smith-basis generator, 1 otherwise."""
-    for i, di in enumerate(d):
-        if di > 1:
-            col = [row[i] for row in right]
-            if sum(map(mul, col, mat_vec(gram, col))) % (di * di):
-                return 1
-    return 0
+    adj(G) G = det I puts r Z^n inside G Z^n, so [G | r I] has the Smith
+    form of G, and the elimination runs on Z/rZ: each entry is kept in
+    [0, r), and a pivot p stands for its associate gcd(p, r) (Cohen, *A
+    Course in Computational Algebraic Number Theory*, Alg. 2.4.14).  A
+    column entry the pivot divides is cleared by a plain row subtraction,
+    any other by a 2x2 Bezout step that turns the pivot into their gcd, so
+    the pivot shrinks and never cycles.  With the column clear, the pivot
+    row is dropped when g = gcd(p, r) divides the rest of it (column steps
+    over Z/rZ would clear it and leave the trailing block as it is) and the
+    whole trailing block.  Otherwise a column Bezout step shrinks the
+    pivot, once a block row that g does not divide has been added onto the
+    pivot row.  An all-zero trailing block stands for invariant factors r."""
+    n = len(gram)
+    m = [[x % r for x in row] for row in gram]
+    factors = []
+    for t in range(n):
+        j = next((j for j in range(t, n) if any(row[j] for row in m[t:])), None)
+        if j is None:
+            factors += [r] * (n - t)
+            break
+        for row in m[t:]:
+            row[t], row[j] = row[j], row[t]
+        # the smallest entry of the first nonzero column is the pivot
+        _, i = min((row[t], i) for i, row in enumerate(m[t:], t) if row[t])
+        m[t], m[i] = m[i], m[t]
+        top = m[t]
+        while True:
+            for row in m[t + 1:]:
+                p, b = top[t], row[t]
+                if not b:
+                    continue
+                if b % p == 0:
+                    q = b // p
+                    row[t:] = [(y - q * x) % r for x, y in zip(top[t:], row[t:])]
+                else:
+                    g, s, u = _xgcd(p, b)
+                    pairs = list(zip(top[t:], row[t:]))
+                    top[t:] = [(s * x + u * y) % r for x, y in pairs]
+                    row[t:] = [(p // g * y - b // g * x) % r for x, y in pairs]
+            p = top[t]
+            g = gcd(p, r)
+            if g == 1:
+                # 1 divides every entry left
+                break
+            j = next((j for j in range(t + 1, n) if top[j] % g), None)
+            if j is not None:
+                w = top[j]
+                h, s, u = _xgcd(p, w)
+                for row in m[t:]:
+                    x, y = row[t], row[j]
+                    row[t], row[j] = (s * x + u * y) % r, (p // h * y - w // h * x) % r
+                continue
+            row = next((row for row in m[t + 1:] if any(x % g for x in row[t + 1:])), None)
+            if row is None:
+                break
+            top[t:] = [(x + y) % r for x, y in zip(top[t:], row[t:])]
+        factors.append(g)
+    return factors
 
 
 def lattice_invariants(gram):
     """Rank, signature, determinant, Smith form, ell, 2-elementarity, delta.
 
-    delta is only meaningful for 2-elementary lattices: 0 when the
-    discriminant quadratic form takes integer values on the Smith-basis
-    generators (which suffices, since the form is linear mod Z on a
-    2-elementary group), 1 otherwise; None when not 2-elementary.
-
-    The Smith form and delta are taken per connected component of the Gram
-    (indices joined by nonzero off-diagonal entries): the discriminant form
-    of an orthogonal sum is the sum of the components' forms, so the
-    invariant factors are the components' merged into one chain, and delta
-    is the largest component delta.  A sum of blocks thus never runs one
-    Smith form on the whole matrix, whose entries blow up on coprime twists.
+    The invariant factors are the Smith form taken mod |det|
+    (`_invariant_factors`), so no entry outgrows |det| and no unimodular
+    transform is kept.  delta is only meaningful for 2-elementary lattices,
+    None otherwise: 0 when the discriminant quadratic form
+    q(v) = v^T G^-1 v mod 2Z takes integer values on A_L = G^-1 Z^n / Z^n,
+    1 otherwise.  On a 2-elementary lattice 2 G^-1 is integral, so
+    q(v + w) - q(v) - q(w) = 2 v^T G^-1 w is an integer, q mod Z is
+    additive, and it is integral on all of A_L exactly when it is on the
+    basis vectors G^-1 e_i: delta = 0 iff each diagonal entry of G^-1 is
+    an integer, in any basis of L, read off one elimination of [H | I]
+    (`_congruent_inverse`) that also gives the signature and determinant.
     """
-    n = _validate_gram(gram)
-    det = mat_det(gram)
-    if det == 0:
-        raise ValueError("degenerate lattice")
-    sig = signature(gram)
-    smith = []
-    for comp in _components(gram):
-        block = [[gram[i][j] for j in comp] for i in comp]
-        d, _, right = smith_normal_form(block)
-        smith.append((block, d, right))
-    factors = _divisibility_chain(x for _, d, _ in smith for x in d)
+    sig, det, scaled = _congruent_inverse(gram)
+    factors = tuple(_invariant_factors(_int_matrix(gram), abs(det)))
     nontrivial = [x for x in factors if x > 1]
     two_elem = all(x == 2 for x in nontrivial)
-    # the sum is 2-elementary exactly when every component is
-    delta = max(_two_elementary_delta(*s) for s in smith) if two_elem else None
-    return LatticeInvariants(n, sig, det, tuple(factors), len(nontrivial), two_elem, delta)
+    # scaled is the diagonal of det H^-1
+    delta = int(any(x % det for x in scaled)) if two_elem else None
+    return LatticeInvariants(len(gram), sig, det, factors, len(nontrivial), two_elem, delta)
 
 
 # -- rank-two realizations inside diag(2,2,-2,-2) ------------------------------

@@ -63,7 +63,7 @@ def tau_from_cubic(rhs, precision_bits=128):
     for r, m in rational_roots(rhs):
         roots.extend([r] * m)
     if len(roots) != 3:
-        raise ValueError("cubic does not split rationally: roots [%s]"
+        raise ValueError("the cubic does not split over Q: roots [%s]"
                          % ", ".join(rat_str(r) for r in roots))
     return period_ratio_numeric(*roots, precision_bits=precision_bits)
 

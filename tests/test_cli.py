@@ -376,17 +376,21 @@ class TestCm:
         assert res["verdict"]["witness"] == [1, 0, 1]
 
     def test_degenerate_member(self, capsys):
-        code, _, err = run(capsys, "cm", "--beta4", "1")
-        assert code == 2
-        assert "degenerate" in err
+        for beta4 in ("1", "-1"):
+            code, _, err = run(capsys, "cm", "--beta4", beta4)
+            assert code == 2
+            assert err == "error: degenerate member: singular cubic: discriminant vanishes\n"
 
     def test_unsplit_cubic_prints_rationals(self, capsys):
-        code, out, err = run(capsys, "cm", "--beta4", "81/49")
-        assert code == 2
-        assert out == ""
-        assert err == ("error: degenerate member: cubic does not split "
-                       "rationally: roots [0]\n")
-        assert "Fraction(" not in err
+        # smooth members (j = 287496 at -7/9, 8000 at 0, 0 at 5/3) whose cubic
+        # u(u^2 + 4u + a) has the one rational root 0: unsupported, not degenerate
+        for beta4 in ("81/49", "-7/9", "0", "5/3"):
+            code, out, err = run(capsys, "cm", "--beta4", beta4)
+            assert code == 2
+            assert out == ""
+            assert err == ("error: unsupported member: the cubic does not split "
+                           "over Q: roots [0]\n")
+            assert "Fraction(" not in err
 
     def test_precision_floor(self, capsys):
         code, _, err = run(capsys, "cm", "--beta4", "7/9", "--precision", "16")

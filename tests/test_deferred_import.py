@@ -37,7 +37,7 @@ PACKAGE_NAMES = (
     "fourth_power_test", "verify_cover_map",
     "Obstructed", "RealizationVector", "gram_build", "kummer_tn",
     "lattice_invariants", "neron_severi_gram", "rank4_classification_check",
-    "smith_normal_form", "tn_gram", "tn_search", "transcendental_gram",
+    "tn_gram", "tn_search", "transcendental_gram",
     "GroupMembershipReport", "cayley", "fricke_checks", "gaussian_form_check",
     "inverse_cayley", "membership", "period_point", "su11_samples",
 )

@@ -17,7 +17,6 @@ from k3quartic.lattices import (
     RealizationVector,
     U_GRAM,
     _bareiss_det,
-    _components,
     _gaussian_xgcd,
     block_gram_det_identity,
     certificate_basis,
@@ -26,6 +25,7 @@ from k3quartic.lattices import (
     gaussian_block_gram,
     gram_build,
     _int_matrix,
+    _xgcd,
     j_apply,
     kummer_tn,
     lattice_invariants,
@@ -39,7 +39,6 @@ from k3quartic.lattices import (
     rank4_classification_check,
     realization_minors,
     signature,
-    smith_normal_form,
     tn_gram,
     tn_obstruction_evidence,
     tn_search,
@@ -107,6 +106,84 @@ def test_direct_sum_multiplicativity():
     assert combined.signature == (u.signature[0] + e7.signature[0],
                                   u.signature[1] + e7.signature[1])
     assert combined.determinant == u.determinant * e7.determinant
+
+
+def identity_matrix(n):
+    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+
+
+# The Smith form with unimodular transforms that `lattice_invariants` took
+# before it reduced mod |det|, kept verbatim as the oracle.
+def smith_normal_form(mat):
+    """Returns (d, left, right) with left*mat*right = diag(d), transforms
+    unimodular, and d a divisibility chain of nonnegative integers.
+
+    An entry the pivot does not divide is cleared by one 2x2 unimodular
+    Bezout step that makes the pivot their gcd, so the pivot shrinks at
+    each such step instead of cycling through Euclid swaps; on random 6x6
+    to 9x9 matrices with entries up to 9 no entry of the transforms passes
+    300 bits."""
+    rows = len(mat)
+    cols = len(mat[0])
+    m = _int_matrix(mat)
+    left = identity_matrix(rows)
+    right = identity_matrix(cols)
+
+    def row_op(i, j, a, b, c, e):
+        # (row i, row j) <- (a*row i + b*row j, c*row i + e*row j)
+        for mm in (m, left):
+            ri, rj = mm[i], mm[j]
+            mm[i] = [a * x + b * y for x, y in zip(ri, rj)]
+            mm[j] = [c * x + e * y for x, y in zip(ri, rj)]
+
+    def col_op(i, j, a, b, c, e):
+        for mm in (m, right):
+            for r in mm:
+                x, y = r[i], r[j]
+                r[i], r[j] = a * x + b * y, c * x + e * y
+
+    def clear(op, t, k, b):
+        # zero the entry b at k against the pivot at t
+        p = m[t][t]
+        if b % p == 0:
+            op(t, k, 1, 0, -(b // p), 1)
+        else:
+            g, s, u = _xgcd(p, b)
+            op(t, k, s, u, -(b // g), p // g)
+
+    size = min(rows, cols)
+    for t in range(size):
+        # smallest nonzero entry in the trailing submatrix becomes the pivot
+        best = min(((abs(m[i][j]), i, j) for i in range(t, rows)
+                    for j in range(t, cols) if m[i][j]), default=None)
+        if best is None:
+            break
+        _, i, j = best
+        if i != t:
+            row_op(t, i, 0, 1, 1, 0)
+        if j != t:
+            col_op(t, j, 0, 1, 1, 0)
+        while True:
+            for i in range(t + 1, rows):
+                if m[i][t]:
+                    clear(row_op, t, i, m[i][t])
+            for j in range(t + 1, cols):
+                if m[t][j]:
+                    clear(col_op, t, j, m[t][j])
+            if any(m[i][t] for i in range(t + 1, rows)):
+                continue
+            # the pivot must divide the rest of the submatrix
+            piv = m[t][t]
+            fix = next((i for i in range(t + 1, rows)
+                        if any(x % piv for x in m[i][t + 1:])), None)
+            if fix is None:
+                break
+            row_op(t, fix, 1, 1, 0, 1)
+        if m[t][t] < 0:
+            m[t] = [-x for x in m[t]]
+            left[t] = [-x for x in left[t]]
+    d = [m[i][i] for i in range(size)]
+    return d, left, right
 
 
 def _random_matrices(seed, rows_cols, count):
@@ -223,15 +300,66 @@ def test_mat_det_rejects_non_integral_entries():
         mat_det([[2, 0], [0, 2.5]])
 
 
-def test_smith_invariant_factors_match_sympy():
+def _sympy_invariant_factors(m):
     sympy = pytest.importorskip("sympy")
     from sympy.matrices.normalforms import smith_normal_form as sympy_snf
-    mats = list(_random_rectangular()) + _det_cases()[::7]
-    mats += [neron_severi_gram(), transcendental_gram(), gaussian_block_gram(-4, -1, -4, -2)]
-    for m in mats:
+    expected = sympy_snf(sympy.Matrix(m), domain=sympy.ZZ)
+    return [abs(expected[i, i]) for i in range(min(len(m), len(m[0])))]
+
+
+def test_smith_invariant_factors_match_sympy():
+    # the oracle on any matrix, and lattice_invariants on nonsingular Grams
+    for m in list(_random_rectangular()) + _det_cases()[::7]:
         d, _, _ = smith_normal_form(m)
-        expected = sympy_snf(sympy.Matrix(m), domain=sympy.ZZ)
-        assert d == [abs(expected[i, i]) for i in range(len(d))], m
+        assert d == _sympy_invariant_factors(m), m
+    grams = [neron_severi_gram(), transcendental_gram(), gaussian_block_gram(-4, -1, -4, -2)]
+    grams += [g for g in _signature_cases()[::3] if mat_det(g)]
+    for g in grams:
+        want = _sympy_invariant_factors(g)
+        assert list(lattice_invariants(g).invariant_factors) == want, g
+        assert smith_normal_form(g)[0] == want, g
+
+
+def _unimodular(n, rng):
+    """A seeded product of elementary matrices: determinant 1."""
+    p = identity_matrix(n)
+    for _ in range(3 * n if n > 1 else 0):
+        i, j = rng.sample(range(n), 2)
+        c = rng.choice([-2, -1, 1, 2])
+        for row in p:
+            row[j] += c * row[i]
+    return p
+
+
+def _change_basis(gram, rng):
+    p = _unimodular(len(gram), rng)
+    return mat_mul(mat_transpose(p), mat_mul(gram, p))
+
+
+def _connected_even_grams():
+    """Seeded even Grams of rank 10-24 with every off-diagonal entry drawn,
+    some twisted so that the invariant factors share primes, and preset sums
+    under a unimodular change of basis, which mixes their blocks."""
+    rng = random.Random(22)
+    grams = []
+    for n in range(10, 25):
+        g = [[0] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i):
+                g[i][j] = g[j][i] = rng.randint(-18, 18)
+            g[i][i] = 2 * rng.randint(-9, 9)
+        if mat_det(g):
+            grams.append(twist(g, rng.choice([1, 1, 2, 6])))
+    for spec in ("N", "E7(2)+U(6)+A1(4)", "U+E7(3)+E7(5)", "T+U(2)+A1(-2)+E7"):
+        grams.append(_change_basis(gram_build(spec), rng))
+    return grams
+
+
+def test_lattice_invariants_on_connected_grams_match_sympy():
+    for g in _connected_even_grams():
+        inv = lattice_invariants(g)
+        assert list(inv.invariant_factors) == _sympy_invariant_factors(g), g
+        assert abs(inv.determinant) == abs(mat_det(g))
 
 
 def test_degenerate_rejected():
@@ -640,7 +768,7 @@ def test_rank4_check_takes_no_smith_form_or_signature(monkeypatch):
     def refuse(*args):
         raise AssertionError("the rank-4 check must not call this")
 
-    for name in ("smith_normal_form", "signature", "lattice_invariants"):
+    for name in ("_invariant_factors", "_congruent_inverse", "signature", "lattice_invariants"):
         monkeypatch.setattr(lattices, name, refuse)
     got = rank4_classification_check()
     for field in lattices.Rank4Classification.__slots__:
@@ -658,8 +786,8 @@ def test_certificate_basis_needs_a_j_invariant_gram():
     assert certificate_basis(gaussian_block_gram(1, 0, 0, 0)) is None
 
 
-# The whole-matrix invariants that the per-component Smith forms replaced,
-# kept verbatim as the oracle.
+# The invariants read off one Smith form with transforms over the whole
+# matrix, kept verbatim as the oracle.
 def _whole_matrix_invariants(gram):
     d, _, right = smith_normal_form(gram)
     nontrivial = [x for x in d if x > 1]
@@ -702,21 +830,31 @@ def _direct_sum_specs():
     return specs
 
 
-def test_lattice_invariants_per_component_match_whole_matrix():
+def test_lattice_invariants_match_whole_matrix_smith_form():
     rng = random.Random(19)
-    deltas = set()
+    grams = []
     for k, spec in enumerate(_direct_sum_specs()):
         gram = gram_build(spec)
         if k % 2:
-            # a simultaneous permutation interleaves the components' indices
+            # a simultaneous permutation interleaves the blocks' indices
             perm = list(range(len(gram)))
             rng.shuffle(perm)
             gram = [[gram[i][j] for j in perm] for i in perm]
+        grams.append(gram)
+    # a change of basis, unlike a permutation, mixes the blocks, so these
+    # 2-elementary Grams are connected
+    deltas = set()
+    for spec in ("U(2)", "T", "U(2)+U", "U(2)+U(-2)", "U(2)+A1", "E7+A1", "A1+A1(-1)+U(2)",
+                 "U+U(2)+E7") * 3:
+        grams.append(_change_basis(gram_build(spec), rng))
+        inv = lattice_invariants(grams[-1])
+        assert inv.two_elementary, spec
+        deltas.add(inv.delta)
+    assert deltas == {0, 1}
+    for gram in grams:
         inv = lattice_invariants(gram)
         got = (inv.rank, inv.signature, inv.determinant, inv.invariant_factors, inv.ell,
                inv.two_elementary, inv.delta)
-        assert got == _whole_matrix_invariants(gram), spec
+        assert got == _whole_matrix_invariants(gram), gram
         deltas.add(inv.delta)
     assert deltas == {None, 0, 1}
-    assert len(_components(neron_severi_gram())) == 5
-    assert _components(E7_GRAM) == [list(range(7))]
