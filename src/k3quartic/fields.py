@@ -28,9 +28,12 @@ below, and reports it as a ``ReducibilityError`` carrying the discovered
 factor, never silently wrong arithmetic.
 
 Contexts may declare the field automorphism induced by complex conjugation
-(images of the generators), applied as a precomputed linear map.  Each
-context finds its i once, from the generators: the first generator g, or
-its square g*g, whose square is -1, in level order.
+(images of the generators).  Each context finds its i once, from the
+generators: the first generator g, or its square g*g, whose square is -1,
+in level order.  Conjugation, the real part (x + conj x)/2 and, when there
+is an i, the imaginary part (conj x - x) i/2 are each precomputed at
+construction as a sparse integer linear map over one denominator, so each
+is one sparse matrix-vector product.
 """
 
 from fractions import Fraction
@@ -127,6 +130,15 @@ def _bareiss_solve(rows):
     return out, delta
 
 
+def _linear_map(cols):
+    """Elements (the images of the basis vectors) as sparse integer columns
+    over one common denominator: ((row, numerator) pairs per column, den)."""
+    den = lcm(*(g.den for g in cols))
+    return tuple(
+        tuple((r, c * (den // g.den)) for r, c in enumerate(g.num) if c) for g in cols
+    ), den
+
+
 class FieldContext:
     """A fixed tower of at most two simple extensions of Q."""
 
@@ -146,6 +158,8 @@ class FieldContext:
         "_red",
         "_tden",
         "_conj",
+        "_re",
+        "_im",
     )
 
     def __init__(self, minpolys, names, label=None, conj_images=None):
@@ -180,10 +194,10 @@ class FieldContext:
         self._zeros = (0,) * (self.degree - 1)
         self._build_table()
 
-        self._conj = None
+        self._i = self._find_i()
+        self._conj = self._re = self._im = None
         if conj_images is not None:
             self._build_conj(conj_images)
-        self._i = self._find_i()
 
     # -- set-up ---------------------------------------------------------------
 
@@ -256,9 +270,11 @@ class FieldContext:
         return None
 
     def _build_conj(self, conj_images):
-        """Conjugation as sparse integer columns over one denominator: basis
-        t1^i t2^j maps to g1^i g2^j, for g_k the declared image of t_k
-        (rational coordinates in t_k)."""
+        """Conjugation C, Re and Im as linear maps (`_linear_map`): C sends
+        the basis element e_q = t1^i t2^j to g1^i g2^j, for g_k the declared
+        image of t_k (rational coordinates in t_k); column q of Re is
+        (e_q + C e_q)/2 and, when the context has an i, column q of Im is
+        (C e_q - e_q) i/2."""
         images = [self.element(img if level == self.height else [img])
                   for level, img in enumerate(conj_images, 1)]
         cols = []
@@ -269,10 +285,12 @@ class FieldContext:
                 cols.append(g)
                 g = g * images[0]
             g2_j = g2_j * images[-1]
-        cden = lcm(*(g.den for g in cols))
-        self._conj = tuple(
-            tuple((r, c * (cden // g.den)) for r, c in enumerate(g.num) if c) for g in cols
-        ), cden
+        units = [FieldElement(self, tuple(int(p == q) for p in range(self.degree)), 1)
+                 for q in range(self.degree)]
+        self._conj = _linear_map(cols)
+        self._re = _linear_map([(e + c) / 2 for e, c in zip(units, cols)])
+        if self._i is not None:
+            self._im = _linear_map([(c - e) * self._i / 2 for e, c in zip(units, cols)])
 
     # -- arithmetic on (numerators, denominator) pairs ------------------------
 
@@ -386,17 +404,32 @@ class FieldContext:
             return self.from_rational(x)
         return None
 
-    def conj(self, x):
-        """Complex conjugation, available when the context declares it."""
-        if self._conj is None:
+    def _apply(self, linear, x):
+        """x under a map built by `_linear_map`; None means no conjugation."""
+        if linear is None:
             raise ValueError("context %s declares no conjugation" % self.label)
-        cols, cden = self._conj
+        cols, mden = linear
         out = [0] * self.degree
         for p, c in enumerate(x.num):
             if c:
                 for r, v in cols[p]:
                     out[r] += c * v
-        return FieldElement(self, *_lowest_terms(out, x.den * cden))
+        return FieldElement(self, *_lowest_terms(out, x.den * mden))
+
+    def conj(self, x):
+        """Complex conjugation, available when the context declares it."""
+        return self._apply(self._conj, x)
+
+    def re(self, x):
+        """(x + conj x)/2, available when the context declares conjugation."""
+        return self._apply(self._re, x)
+
+    def im(self, x):
+        """(conj x - x) i/2, available when the context declares conjugation
+        and has an i."""
+        if self._conj is not None and self._i is None:
+            raise ValueError("context %s has no imaginary unit" % self.label)
+        return self._apply(self._im, x)
 
     def __eq__(self, other):
         return isinstance(other, FieldContext) and self._key == other._key
@@ -543,11 +576,10 @@ class FieldElement:
         return self.ctx.conj(self)
 
     def re(self):
-        return (self + self.conj()) / 2
+        return self.ctx.re(self)
 
     def im(self):
-        # 1 / (2i) = -i / 2, so no field inverse is taken
-        return (self.conj() - self) * imaginary_unit(self.ctx) / 2
+        return self.ctx.im(self)
 
     def norm_sq(self):
         """x * conj(x)."""

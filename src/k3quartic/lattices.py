@@ -391,13 +391,20 @@ def form_value(a):
 
 
 def realization_minors(a):
-    """The six 2x2 minors of the stacked pair (a, j_apply(a))."""
-    b = j_apply(a)
-    out = []
-    for i in range(4):
-        for j in range(i + 1, 4):
-            out.append(a[i] * b[j] - a[j] * b[i])
-    return tuple(out)
+    """The six 2x2 minors of the stacked pair (a, j_apply(a)), columns
+    (0,1), (0,2), (0,3), (1,2), (1,3), (2,3), in closed form.
+
+    With a = (a0, a1, a2, a3) the pair spans the Z[i]-line through
+    (u, v) = (a0 - a1 i, a2 + a3 i), on which J acts as multiplication by
+    i.  The minors are the Pluecker coordinates of a complex line, so they
+    take only four values up to sign: -|u|^2, |v|^2, and, twice each, the
+    real and imaginary parts of u conj(v) = d - s i, with
+    d = a0 a2 - a1 a3 and s = a0 a3 + a1 a2.  In order they are
+    (-|u|^2, -s, d, d, s, |v|^2)."""
+    a0, a1, a2, a3 = a
+    s = a0 * a3 + a1 * a2
+    d = a0 * a2 - a1 * a3
+    return (-(a0 * a0 + a1 * a1), -s, d, d, s, a2 * a2 + a3 * a3)
 
 
 def minor_gcd(a):

@@ -342,16 +342,19 @@ def inverse_cayley(n):
 
 def su11_samples(count=100, seed=20260819):
     """Deterministic pseudo-random words of length 1 to 6 in the integral
-    generators."""
+    generators.  Every entry of a word is a Gaussian field element."""
     gens = g0_generators()
     alphabet = list(gens) + [m_adj(g) for g in gens]  # det 1: adjugate inverts
+    # the same letters with their int entries lifted to Q(i), so that a word
+    # starts at its first letter with the entry types a product would give
+    firsts = [tuple(tuple(_to_gaussian(x) for x in row) for row in g) for g in alphabet]
     rng = random.Random(seed)
     out = []
     for _ in range(count):
-        word = IDENTITY
-        for _ in range(rng.randint(1, 6)):
-            step = rng.choice(alphabet)
-            word = m_mul(word, step)
+        length = rng.randint(1, 6)
+        word = rng.choice(firsts)
+        for _ in range(length - 1):
+            word = m_mul(word, rng.choice(alphabet))
         out.append(word)
     return out
 

@@ -15,6 +15,7 @@ Rational coefficients follow ``polynomials``: an ``int`` when integral, a
 """
 
 from fractions import Fraction
+from operator import add, sub
 
 from . import polynomials as _polynomials
 from .polynomials import FractionArithmetic, power, qdiv, render_terms
@@ -148,7 +149,7 @@ class MultiPoly:
         out = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in o.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
+                e = tuple(map(add, e1, e2))
                 prod = c1 * c2
                 if e in out:
                     out[e] = out[e] + prod
@@ -251,7 +252,7 @@ class MultiPoly:
             c = rem.pop(e)
             if c == 0:
                 continue
-            diff = tuple(a - b for a, b in zip(e, lead))
+            diff = tuple(map(sub, e, lead))
             if any(x < 0 for x in diff):
                 return None  # remainder is nonzero
             f = qdiv(c, lc)
@@ -259,7 +260,7 @@ class MultiPoly:
             for ed, cd in d.terms.items():
                 if ed == lead:
                     continue
-                t = tuple(a + b for a, b in zip(diff, ed))
+                t = tuple(map(add, diff, ed))
                 rem[t] = rem.get(t, 0) - f * cd
                 if rem[t] == 0:
                     del rem[t]

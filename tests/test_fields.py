@@ -287,6 +287,52 @@ def test_im_matches_the_quotient_by_two_i():
         assert checked >= 25
 
 
+def test_re_and_im_maps_match_their_formulas_on_every_stock_context():
+    # re and im are precomputed linear maps; the oracle is (x + conj x)/2 and
+    # (conj x - x) i/2 by field arithmetic, and im raises where there is no i
+    import random
+
+    rng = random.Random(20261021)
+    cases = [
+        (gaussian_field(), lambda: _random_coords(rng, 2)),
+        (eighth_root_field(), lambda: _random_coords(rng, 4)),
+        (sqrt_field(2), lambda: _random_coords(rng, 2)),
+        (sqrt_field(-3), lambda: _random_coords(rng, 2)),
+        (quartic_root_field(7), lambda: _random_coords(rng, 4)),
+        (with_imaginary_unit("quartic_root", 7),
+         lambda: [_random_coords(rng, 4), _random_coords(rng, 4)]),
+        (with_imaginary_unit("sqrt", 2),
+         lambda: [_random_coords(rng, 2), _random_coords(rng, 2)]),
+    ]
+    for ctx, draw in cases:
+        i = ctx._i
+        elements = [ctx.zero, ctx.one, ctx.gen(1), ctx.gen()]
+        elements += [ctx.element(draw()) for _ in range(30)]
+        for x in elements:
+            got, want = x.re(), (x + x.conj()) / 2
+            assert (got.num, got.den) == (want.num, want.den), (ctx, x)
+            if i is None:
+                with pytest.raises(ValueError, match="has no imaginary unit"):
+                    x.im()
+                continue
+            got, want = x.im(), (x.conj() - x) * i / 2
+            assert (got.num, got.den) == (want.num, want.den), (ctx, x)
+    assert [ctx._i is None for ctx, _ in cases] == [False, False, True, True, True, False, False]
+
+
+def test_conjugation_errors_keep_their_messages():
+    # no conjugation is reported first, whether or not the context has an i
+    for bare in (FieldContext([(1, 0, 1)], names=("j",)), FieldContext([(-2, 0, 1)], names=("r",))):
+        x = bare.gen() + 1
+        for op in (x.conj, x.re, x.im):
+            with pytest.raises(ValueError, match="declares no conjugation"):
+                op()
+    real = sqrt_field(2).gen() + 1
+    assert real.re() == real
+    with pytest.raises(ValueError, match="has no imaginary unit"):
+        real.im()
+
+
 def test_rational_scaling_matches_the_field_product():
     # x * q and x / q scale the numerators and the denominator; the product
     # and quotient by the field element of q are the oracle

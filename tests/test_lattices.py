@@ -464,6 +464,29 @@ def test_minor_gcd_matches_folded_gcd():
         assert minor_gcd(a) == g, a
 
 
+def _stacked_pair_minors(a):
+    """Oracle: the 2x2 minors of (a, j_apply(a)) by the generic loop."""
+    b = j_apply(a)
+    return tuple(a[i] * b[j] - a[j] * b[i] for i in range(4) for j in range(i + 1, 4))
+
+
+def test_realization_minors_match_the_stacked_pair_loop():
+    rng = random.Random(23)
+    vectors = [(0, 0, 0, 0), (2, 2, 2, 0)]
+    vectors += [tuple(rng.randint(-12, 12) for _ in range(4)) for _ in range(500)]
+    big = 10 ** 30
+    vectors += [tuple(rng.randint(-big, big) for _ in range(4)) for _ in range(50)]
+    for a in vectors:
+        assert realization_minors(a) == _stacked_pair_minors(a), a
+    assert realization_minors((2, 2, 2, 0)) == (-8, -4, 4, 4, 4, 4)
+
+
+@pytest.mark.parametrize("n, candidates", [(2, 756), (6, 944), (10, 792), (14, 784)])
+def test_tn_obstruction_evidence_counts(n, candidates):
+    assert tn_obstruction_evidence(n, 12) == {
+        "bound": 12, "candidates": candidates, "primitive_found": 0}
+
+
 def test_realization_vector_rejects_imprimitive():
     with pytest.raises(ValueError):
         RealizationVector((2, 2, 2, 0))

@@ -1,4 +1,5 @@
 from fractions import Fraction
+import random
 
 import pytest
 
@@ -200,6 +201,25 @@ class TestCayleyTransfer:
 
     def test_samples_are_deterministic(self):
         assert su11_samples(5, seed=9) == su11_samples(5, seed=9)
+
+    @pytest.mark.parametrize("seed", [20260819, 3, 9, 11])
+    def test_samples_match_the_identity_first_words(self, seed):
+        # oracle: each word is IDENTITY times its letters, drawn in the same order
+        gens = g0_generators()
+        alphabet = list(gens) + [m_adj(g) for g in gens]
+        rng = random.Random(seed)
+        expected = []
+        for _ in range(100):
+            word = IDENTITY
+            for _ in range(rng.randint(1, 6)):
+                word = m_mul(word, rng.choice(alphabet))
+            expected.append(word)
+        got = su11_samples(100, seed)
+        assert len(got) == len(expected)
+        for m, want in zip(got, expected):
+            for row, want_row in zip(m, want):
+                for x, y in zip(row, want_row):
+                    assert type(x) is type(y) and x == y, (m, want)
 
 
 class TestPeriodPoints:
