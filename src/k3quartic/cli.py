@@ -579,9 +579,9 @@ def cmd_lattice(args):
 
 
 # keeps split interactive: on a shared two-core host a degree-256 curve whose
-# every coefficient has 7 digits takes about 1.8 s from a cold start, most of
-# it the Fraction products by the pencil line (alpha = 81/49) that compose the
-# quartic (its degree is 4d)
+# every coefficient has 7 digits takes about 1.0 s from a cold start, about
+# half of it the root search's Horner passes mod p and a quarter the
+# schoolbook products that compose the quartic (its degree is 4d)
 MAX_PARAM_DEGREE = 256
 
 

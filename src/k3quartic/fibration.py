@@ -125,8 +125,7 @@ def _split_location(p):
     """
     if p.degree == 1:
         return [(p.monic(), True)]
-    rational_coeffs = all(isinstance(c, (int, Fraction)) for c in p.coeffs.values())
-    if rational_coeffs:
+    if p.den is not None:  # rational coefficients
         factors, residual = certified_factors(p)
         out = [(f, True) for f in factors]
         if residual is not None:

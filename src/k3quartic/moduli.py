@@ -340,22 +340,30 @@ def inverse_cayley(n):
     return mat2(a, b, _conj_entry(b), _conj_entry(a))
 
 
+def _gaussian_m_mul(x, y):
+    """x y for 2x2 matrices of Gaussian integers held as (re, im) int pairs."""
+    return tuple(tuple((a[0] * c[0] - a[1] * c[1] + b[0] * d[0] - b[1] * d[1],
+                        a[0] * c[1] + a[1] * c[0] + b[0] * d[1] + b[1] * d[0])
+                       for c, d in zip(*y)) for a, b in x)
+
+
 def su11_samples(count=100, seed=20260819):
     """Deterministic pseudo-random words of length 1 to 6 in the integral
-    generators.  Every entry of a word is a Gaussian field element."""
+    generators.  Every entry of a word is a Gaussian field element.  The
+    words are multiplied as Gaussian-integer (re, im) pairs, and each entry
+    is lifted to Q(i) once at the end."""
     gens = g0_generators()
-    alphabet = list(gens) + [m_adj(g) for g in gens]  # det 1: adjugate inverts
-    # the same letters with their int entries lifted to Q(i), so that a word
-    # starts at its first letter with the entry types a product would give
-    firsts = [tuple(tuple(_to_gaussian(x) for x in row) for row in g) for g in alphabet]
+    field = gens[0][0][0].ctx
+    alphabet = [tuple(tuple(tuple(map(int, _re_im(x))) for x in row) for row in g)
+                for g in list(gens) + [m_adj(g) for g in gens]]  # det 1: adjugate inverts
     rng = random.Random(seed)
     out = []
     for _ in range(count):
         length = rng.randint(1, 6)
-        word = rng.choice(firsts)
+        word = rng.choice(alphabet)
         for _ in range(length - 1):
-            word = m_mul(word, rng.choice(alphabet))
-        out.append(word)
+            word = _gaussian_m_mul(word, rng.choice(alphabet))
+        out.append(tuple(tuple(FieldElement(field, x, 1) for x in row) for row in word))
     return out
 
 

@@ -2,12 +2,18 @@
 
 Coefficients are duck-typed: anything with +, -, *, /, ** and == against the
 integers 0 and 1 works (rationals, tower field elements, or rational functions
-in another variable).  A rational coefficient is an ``int`` when it is
-integral and a ``Fraction`` otherwise; a ``Fraction`` with denominator 1 is
-stored as its numerator, so integer polynomials multiply in plain ints.
-Every division of coefficients goes through ``qdiv``, which divides two ints
-exactly, so no float can arise.  The zero polynomial has degree -inf so
-degree comparisons behave without special-casing.
+in another variable).  A ``Poly`` whose coefficients are ints and Fractions
+is held as int numerators over one positive common denominator in lowest
+terms, as ``fields.FieldElement`` is (Cohen, A Course in Computational
+Algebraic Number Theory, 4.2): its sums, products, derivatives, rescalings
+and divisions run on ints, followed by one gcd of the denominator with the
+numerators, which by Gauss's lemma is all that can cancel.  Any other
+coefficients keep a plain map and the generic loops.  ``coeffs`` reads
+either form as {exponent: coefficient}, a rational coefficient an ``int``
+when it is integral and a ``Fraction`` otherwise.  Every division of
+coefficients goes through ``qdiv``, which divides two ints exactly, so no
+float can arise.  The zero polynomial has degree -inf so degree comparisons
+behave without special-casing.
 
 ``RationalFunction`` keeps a reduced num/den pair with a monic denominator,
 which makes equality structural.  Division of polynomials that does not come
@@ -98,22 +104,33 @@ def power(base, n, one):
 
 
 class Poly:
-    __slots__ = ("var", "coeffs")
+    """A sparse polynomial in one variable.
+
+    Over Q, ``nums`` maps each exponent to an int numerator and ``den`` is
+    the positive common denominator, in lowest terms; the zero polynomial is
+    {} over 1.  Over any other coefficient domain ``den`` is None and
+    ``nums`` holds the coefficients themselves.  ``coeffs`` is the
+    {exponent: coefficient} view of either.
+    """
+
+    __slots__ = ("var", "nums", "den")
 
     def __init__(self, var, coeffs=None):
-        self.var = var
-        cleaned = {}
+        nums, den, frac = {}, 1, False
         if coeffs:
             for e, c in coeffs.items():
                 if c == 0:
                     continue
-                # integral rationals are ints, so integer products skip
-                # Fraction's gcd; division stays exact through qdiv.  A type
-                # test: isinstance(c, Fraction) on an int takes the ABC path
-                if type(c) is Fraction and c.denominator == 1:
-                    c = c.numerator
-                cleaned[e] = c
-        self.coeffs = cleaned
+                nums[e] = c
+                # type tests: isinstance(c, Fraction) on an int takes the ABC path
+                if type(c) is not int and den is not None:
+                    if type(c) is Fraction:
+                        den, frac = math.lcm(den, c.denominator), True
+                    else:
+                        den = None
+            if frac and den is not None:
+                nums = {e: c.numerator * (den // c.denominator) for e, c in nums.items()}
+        self.var, self.nums, self.den = var, nums, den
 
     # -- constructors --------------------------------------------------------
 
@@ -128,31 +145,49 @@ class Poly:
     # -- structure -------------------------------------------------------------
 
     @property
+    def coeffs(self):
+        den = self.den
+        if den is None or den == 1:
+            return self.nums
+        return {e: qdiv(n, den) for e, n in self.nums.items()}
+
+    @property
     def degree(self):
-        return max(self.coeffs) if self.coeffs else NEG_INF
+        return max(self.nums) if self.nums else NEG_INF
 
     @property
     def is_zero(self):
-        return not self.coeffs
+        return not self.nums
 
     def coeff(self, e):
-        return self.coeffs.get(e, 0)
+        c = self.nums.get(e, 0)
+        return c if self.den is None or self.den == 1 else qdiv(c, self.den)
 
     def leading_coefficient(self):
-        if not self.coeffs:
+        if not self.nums:
             return 0
-        return self.coeffs[max(self.coeffs)]
+        c = self.nums[max(self.nums)]
+        return c if self.den is None or self.den == 1 else qdiv(c, self.den)
 
     def monic(self):
-        if self.is_zero:
-            return self
+        if self.den is not None and self.nums:
+            return _make(self.var, self.nums, self.nums[max(self.nums)])
         lead = self.leading_coefficient()
-        if lead == 1:
-            return self
-        return self.map_coeffs(lambda c: qdiv(c, lead))
+        return self if lead == 1 or lead == 0 else self._over(lead)
 
     def map_coeffs(self, fn):
         return Poly(self.var, {e: fn(c) for e, c in self.coeffs.items()})
+
+    def _over(self, c):
+        """self / c for a nonzero scalar c: over Q by a rational c, a rescale
+        of the numerators and the denominator."""
+        if self.den is not None and type(c) in (int, Fraction):
+            if not c:
+                raise ZeroDivisionError("polynomial division by zero")
+            d = c.denominator
+            return _make(self.var, {e: n * d for e, n in self.nums.items()},
+                         self.den * c.numerator)
+        return self.map_coeffs(lambda x: qdiv(x, c))
 
     # -- arithmetic --------------------------------------------------------------
 
@@ -167,25 +202,33 @@ class Poly:
             return None  # let the other side handle it
         return Poly.constant(self.var, other)
 
-    def __add__(self, other):
+    def __add__(self, other, sign=1):
         o = self._check(other)
         if o is None:
             return NotImplemented
-        out = dict(self.coeffs)
-        for e, c in o.coeffs.items():
-            out[e] = out.get(e, 0) + c
-        return Poly(self.var, out)
+        da, db = self.den, o.den
+        if da is None or db is None:
+            a, b = self.coeffs, o.coeffs
+        else:  # a / da + b / db over the lcm of the denominators
+            g = math.gcd(da, db)
+            ma, mb = db // g, da // g
+            a = self.nums if ma == 1 else {e: n * ma for e, n in self.nums.items()}
+            b = o.nums if mb == 1 else {e: n * mb for e, n in o.nums.items()}
+        out = dict(a)
+        if sign > 0:
+            for e, c in b.items():
+                out[e] = out.get(e, 0) + c
+        else:
+            for e, c in b.items():
+                out[e] = out.get(e, 0) - c
+        if da is None or db is None:
+            return Poly(self.var, out)
+        return _make(self.var, out, da * ma)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        o = self._check(other)
-        if o is None:
-            return NotImplemented
-        out = dict(self.coeffs)
-        for e, c in o.coeffs.items():
-            out[e] = out.get(e, 0) - c
-        return Poly(self.var, out)
+        return self.__add__(other, -1)
 
     def __rsub__(self, other):
         o = self._check(other)
@@ -197,21 +240,24 @@ class Poly:
         o = self._check(other)
         if o is None:
             return NotImplemented
+        q = self.den is not None and o.den is not None
+        a, b = (self.nums, o.nums) if q else (self.coeffs, o.coeffs)
         out = {}
-        for e1, c1 in self.coeffs.items():
-            for e2, c2 in o.coeffs.items():
+        for e1, c1 in a.items():
+            for e2, c2 in b.items():
                 e = e1 + e2
                 prod = c1 * c2
                 if e in out:
                     out[e] = out[e] + prod
                 else:
                     out[e] = prod
-        return Poly(self.var, out)
+        # by Gauss's lemma only the one common denominator can cancel
+        return _make(self.var, out, self.den * o.den) if q else Poly(self.var, out)
 
     __rmul__ = __mul__
 
     def __neg__(self):
-        return Poly(self.var, {e: -c for e, c in self.coeffs.items()})
+        return _make(self.var, {e: -c for e, c in self.nums.items()}, self.den)
 
     def __pow__(self, n):
         if not isinstance(n, int) or n < 0:
@@ -219,31 +265,45 @@ class Poly:
         return power(self, n, Poly.constant(self.var, 1))
 
     def __divmod__(self, other):
+        """Over Q the steps run on the numerators A of self and B of other:
+        s A = Q B + R, the scale s growing only at a step whose top term the
+        leading numerator of B does not divide (never when B is primitive and
+        divides A exactly, as the linear factor of a root does)."""
         o = self._check(other)
         if o is None or o.is_zero:
             raise ZeroDivisionError("polynomial division by zero")
-        rem = dict(self.coeffs)
-        db = o.degree
-        lead = o.coeffs[db]
-        quo = {}
-        def deg(d):
-            return max(d) if d else NEG_INF
-        while deg(rem) >= db:
-            e = max(rem)
-            c = rem.pop(e)
+        over_q = self.den is not None and o.den is not None
+        a, b = (self.nums, o.nums) if over_q else (self.coeffs, o.coeffs)
+        m = max(b)
+        lead = b[m]
+        low = [(j, c) for j, c in b.items() if j != m]
+        r = [0] * (max(a, default=-1) + 1)
+        for e, c in a.items():
+            r[e] = c
+        q, s = {}, 1
+        for k in range(len(r) - 1 - m, -1, -1):
+            c = r[k + m]
             if c == 0:
                 continue
-            f = qdiv(c, lead)
-            k = e - db
-            quo[k] = quo.get(k, 0) + f
-            for eo, co in o.coeffs.items():
-                if eo == db:
-                    continue
-                t = eo + k
-                rem[t] = rem.get(t, 0) - f * co
-                if rem[t] == 0:
-                    del rem[t]
-        return Poly(self.var, quo), Poly(self.var, rem)
+            if over_q:
+                g = math.gcd(c, lead) if lead > 0 else -math.gcd(c, lead)
+                if g != lead:
+                    mult = lead // g
+                    r = [x * mult for x in r[:k + m]]
+                    q = {e: x * mult for e, x in q.items()}
+                    s *= mult
+                f = q[k] = c // g
+            else:
+                f = q[k] = qdiv(c, lead)
+            for j, bj in low:
+                r[k + j] -= f * bj
+        rem = dict(enumerate(r[:m]))
+        if not over_q:
+            return Poly(self.var, q), Poly(self.var, rem)
+        # A / da = (Q db / (s da)) (B / db) + R / (s da)
+        den = s * self.den
+        return (_make(self.var, {e: x * o.den for e, x in q.items()}, den),
+                _make(self.var, rem, den))
 
     def __floordiv__(self, other):
         return divmod(self, other)[0]
@@ -253,7 +313,7 @@ class Poly:
 
     def __truediv__(self, other):
         if _is_scalar(other):
-            return self.map_coeffs(lambda c: qdiv(c, other))
+            return self._over(other)
         if isinstance(other, Poly):
             q, r = divmod(self, other)
             if r.is_zero:
@@ -268,25 +328,29 @@ class Poly:
         return RationalFunction(o, self)
 
     def __call__(self, value):
-        """Horner evaluation; works for scalars, polynomials, fractions."""
+        """Horner evaluation; works for scalars, polynomials, fractions.  Over
+        Q it runs on the numerators and divides by den once."""
         if self.is_zero:
             return 0
-        exps = sorted(self.coeffs, reverse=True)
-        result = self.coeffs[exps[0]]
+        c = self.nums
+        exps = sorted(c, reverse=True)
+        result = c[exps[0]]
         prev = exps[0]
         for e in exps[1:]:
-            result = result * value ** (prev - e) + self.coeffs[e]
+            result = result * value ** (prev - e) + c[e]
             prev = e
         if prev > 0:
             result = result * value ** prev
-        return result
+        return result if self.den is None or self.den == 1 else qdiv(result, self.den)
 
     def derivative(self):
-        return Poly(self.var, {e - 1: e * c for e, c in self.coeffs.items() if e >= 1})
+        return _make(self.var, {e - 1: e * c for e, c in self.nums.items() if e}, self.den)
 
     def __eq__(self, other):
         if isinstance(other, Poly):
-            return self.var == other.var and self.coeffs == other.coeffs
+            if (self.den is None) != (other.den is None):  # Q against another domain
+                return self.var == other.var and self.coeffs == other.coeffs
+            return self.var == other.var and self.den == other.den and self.nums == other.nums
         if isinstance(other, RationalFunction):
             return NotImplemented
         # scalar comparison
@@ -305,9 +369,30 @@ class Poly:
 
     def __repr__(self):
         var = self.var
+        coeffs = self.coeffs
         return render_terms(
-            (str(self.coeffs[e]), "" if e == 0 else var if e == 1 else "%s^%d" % (var, e))
-            for e in sorted(self.coeffs, reverse=True))
+            (str(coeffs[e]), "" if e == 0 else var if e == 1 else "%s^%d" % (var, e))
+            for e in sorted(coeffs, reverse=True))
+
+
+def _make(var, nums, den=1):
+    """The Poly of nums over den.  Over Q (den an int) zero numerators are
+    dropped and the common factor of den and the numerators cancelled; den
+    None takes the constructor."""
+    if den is None:
+        return Poly(var, nums)
+    if 0 in nums.values():
+        nums = {e: n for e, n in nums.items() if n}
+    if den != 1:
+        g = math.gcd(den, *nums.values())
+        if den < 0:
+            g = -g
+        if g != 1:
+            nums = {e: n // g for e, n in nums.items()}
+            den //= g
+    p = object.__new__(Poly)
+    p.var, p.nums, p.den = var, nums, den
+    return p
 
 
 # -- the integer kernel of Q[x] ---------------------------------------------------
@@ -315,7 +400,7 @@ class Poly:
 # A rational polynomial p is handled here as k * v(x): a rational k and a
 # primitive integer vector v, lowest degree first, with a positive leading
 # entry.  [] is the zero vector.  The ``_zz_`` functions compute on such
-# vectors in ints; only the Euclid fallback of ``_zz_gcd`` uses Fractions.
+# vectors in ints; only the Euclid fallback of ``_zz_gcd`` goes through Poly.
 
 # evaluation points GCDHEU tries after the first before giving up
 _HEU_RETRIES = 6
@@ -331,22 +416,21 @@ def _split_content(v):
 
 
 def _int_form(p):
-    """(k, v) with p = k * v(x) for a nonzero Poly whose coefficients are all
-    ints or Fractions; None for any other coefficients."""
-    coeffs = p.coeffs
-    if not all(isinstance(c, (int, Fraction)) for c in coeffs.values()):
+    """(k, v) with p = k * v(x) for a nonzero Poly over Q; None over any
+    other coefficient domain."""
+    if p.den is None:
         return None
-    den = math.lcm(*[c.denominator for c in coeffs.values()])
-    v = [0] * (max(coeffs) + 1)
-    for e, c in coeffs.items():
-        v[e] = c.numerator * (den // c.denominator)
+    v = [0] * (max(p.nums) + 1)
+    for e, c in p.nums.items():
+        v[e] = c
     content, v = _split_content(v)
-    return qdiv(content, den), v
+    return qdiv(content, p.den), v
 
 
 def _from_ints(var, v, k=1):
-    """The Poly k * v(x) of an integer vector v."""
-    return Poly(var, {e: k * c for e, c in enumerate(v) if c})
+    """The Poly k * v(x) of an integer vector v and a rational k."""
+    n = k.numerator
+    return _make(var, {e: n * c for e, c in enumerate(v) if c}, k.denominator)
 
 
 def _zz_derivative(v):
@@ -695,10 +779,9 @@ def rational_roots(p):
     """
     if p.is_zero:
         raise ValueError("every rational is a root of the zero polynomial")
-    form = _int_form(p)
-    if form is None:
+    if p.den is None:
         raise TypeError("rational roots need int or Fraction coefficients")
-    ints = {e: c for e, c in enumerate(form[1]) if c}
+    ints = p.nums
     lo = min(ints)
     # factor out x^lo: root 0 with multiplicity lo
     out = []
@@ -905,8 +988,7 @@ class RationalFunction(FractionArithmetic):
             num, den = _cancel_common(num, den)
         lead = den.leading_coefficient()
         if lead != 1:
-            num = num.map_coeffs(lambda c: qdiv(c, lead))
-            den = den.map_coeffs(lambda c: qdiv(c, lead))
+            num, den = num._over(lead), den.monic()
         self.num = num
         self.den = den
 

@@ -3,10 +3,13 @@
 Integral rationals are held as ints, so every division of two ints must go
 through ``polynomials.qdiv``.  The guard runs the scalar and polynomial
 operations on int and Fraction inputs under hypothesis and walks every
-coefficient and returned scalar.  The differential test runs each call on
-integer inputs twice: as it is, and with ``Poly.__init__`` and
-``MultiPoly.__init__`` replaced by the all-Fraction constructors they
-replaced, kept here as the oracle.
+coefficient and returned scalar.  The differential tests run each call on
+integer inputs twice.  Polynomials in one variable are built from ints and
+from the same values as Fractions, which must land in the same integer form,
+and the same values as Q(i) elements take the schoolbook loops as the
+oracle.  ``MultiPoly`` runs as it is and with ``MultiPoly.__init__``
+replaced by the all-Fraction constructor it replaced, kept here as the
+oracle.
 """
 
 import contextlib
@@ -20,7 +23,7 @@ from hypothesis import strategies as st
 from k3quartic.covers import SPLIT_PARAM_SEXTIC, Parametrization, twist_lift
 from k3quartic.curves import base_elliptic_rhs, ec_add, j_invariant, on_curve
 from k3quartic.fibration import classify_fibers, form_scaling_order, standard_family
-from k3quartic.fields import FieldElement
+from k3quartic.fields import FieldElement, gaussian_field
 from k3quartic.moduli import m_inv
 from k3quartic.multipoly import MultiPoly, QuotientFraction
 from k3quartic.polynomials import (
@@ -187,13 +190,6 @@ def test_ec_add_on_integer_points_with_a_fractional_slope():
 # -- differential against the all-Fraction representation ---------------------
 
 
-def _fraction_poly_init(self, var, coeffs=None):
-    """``Poly.__init__`` as it was when every int became a Fraction."""
-    self.var = var
-    self.coeffs = {e: Fraction(c) if isinstance(c, int) else c
-                   for e, c in (coeffs or {}).items() if c != 0}
-
-
 def _fraction_multipoly_init(self, vars, terms=None):
     """``MultiPoly.__init__`` as it was when every int became a Fraction."""
     self.vars = tuple(vars)
@@ -208,8 +204,7 @@ def _fraction_multipoly_init(self, vars, terms=None):
 
 @contextlib.contextmanager
 def _fraction_representation():
-    with mock.patch.object(Poly, "__init__", _fraction_poly_init), \
-            mock.patch.object(MultiPoly, "__init__", _fraction_multipoly_init):
+    with mock.patch.object(MultiPoly, "__init__", _fraction_multipoly_init):
         yield
 
 
@@ -222,9 +217,13 @@ def _text(x):
     return Fraction(x)
 
 
-def _poly_calls(a, b):
+def _field_calls(a, b):
     return [a * b, divmod(a * b + a, b), poly_gcd(a * b, b * b + a),
-            squarefree_decompose(a * b * b), rational_roots(a * b)]
+            squarefree_decompose(a * b * b)]
+
+
+def _poly_calls(a, b):
+    return _field_calls(a, b) + [rational_roots(a * b)]
 
 
 _INT_POLYS = _polys(coeffs=st.integers(-30, 30)).filter(lambda p: p.degree > 0)
@@ -237,13 +236,15 @@ _INT_MULTIPOLYS = st.dictionaries(st.tuples(st.integers(0, 2), st.integers(0, 2)
 def test_integer_polys_match_the_fraction_representation(a, b):
     ints = _poly_calls(a, b)
     assert all(type(c) is int for c in _scalars(ints[0]))
-    with _fraction_representation():
-        fa, fb = Poly(a.var, a.coeffs), Poly(b.var, b.coeffs)
-        assert all(type(c) is Fraction for c in fa.coeffs.values())
-        fractions = _poly_calls(fa, fb)
-        assert all(type(c) is Fraction for c in _scalars(fractions[0]))
+    fa, fb = (Poly(p.var, {e: Fraction(c) for e, c in p.coeffs.items()}) for p in (a, b))
+    assert (fa.nums, fa.den, fb.nums, fb.den) == (a.nums, 1, b.nums, 1)
+    fractions = _poly_calls(fa, fb)
     assert ints == fractions
     assert _text(ints) == _text(fractions)
+    # the same values over Q(i) run the schoolbook loops
+    ga, gb = (p.map_coeffs(gaussian_field().from_rational) for p in (a, b))
+    assert ga.den is None and gb.den is None
+    assert _field_calls(ga, gb) == ints[:-1]
 
 
 @given(_INT_MULTIPOLYS, _INT_MULTIPOLYS.filter(lambda d: any(d.values())))

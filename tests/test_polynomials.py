@@ -435,11 +435,8 @@ def _big_content(rng):
 
 
 def _as_int_dict(p):
-    """p with Python ints in its coefficient dict, as a caller that fills the
-    dict directly holds them (the constructor would make them Fractions)."""
-    q = Poly(p.var)
-    q.coeffs = {e: int(c) for e, c in p.coeffs.items()}
-    return q
+    """p built through the constructor from a dict of Python ints."""
+    return Poly(p.var, {e: int(c) for e, c in p.coeffs.items()})
 
 
 def _gcd_cases(rng):
@@ -530,3 +527,127 @@ def test_cancel_common_cofactors_are_the_quotients():
         if g.degree == 0:
             assert p is a and q is b
 
+
+
+# -- differential: Poly over Q against a plain {exponent: Fraction} oracle ------
+
+
+def _o_clean(d):
+    return {e: c for e, c in d.items() if c}
+
+
+def _o_add(a, b, sign=1):
+    out = dict(a)
+    for e, c in b.items():
+        out[e] = out.get(e, Fraction(0)) + sign * c
+    return _o_clean(out)
+
+
+def _o_mul(a, b):
+    out = {}
+    for e1, c1 in a.items():
+        for e2, c2 in b.items():
+            out[e1 + e2] = out.get(e1 + e2, Fraction(0)) + c1 * c2
+    return _o_clean(out)
+
+
+def _o_divmod(a, b):
+    rem, quo = dict(a), {}
+    m = max(b)
+    while rem and max(rem) >= m:
+        k = max(rem) - m
+        f = quo[k] = rem[k + m] / b[m]
+        rem = _o_add(rem, {e + k: f * c for e, c in b.items()}, -1)
+    return quo, rem
+
+
+def _o_monic_gcd(a, b):
+    while b:
+        a, b = b, _o_divmod(a, b)[1]
+    return {e: c / a[max(a)] for e, c in a.items()}
+
+
+def _random_rational(rng, nonzero=False):
+    digits = rng.choice([1, 2, 20])
+    while True:
+        q = Fraction(rng.randint(-10 ** digits, 10 ** digits),
+                     rng.choice([1, rng.randint(1, 10 ** digits)]))
+        if q or not nonzero:
+            return q
+
+
+def _random_oracle(rng):
+    """Zero, a constant, or a degree 1-6 polynomial whose leading
+    coefficient is as often negative as positive."""
+    shape = rng.randrange(5)
+    if shape == 0:
+        return {}
+    deg = 0 if shape == 1 else rng.randint(1, 6)
+    d = {e: _random_rational(rng) for e in range(deg) if rng.random() < 0.7}
+    d[deg] = _random_rational(rng, nonzero=True)
+    return _o_clean(d)
+
+
+def _build(rng, d):
+    """The Poly of d, its integral values passed as ints or as Fractions."""
+    return Poly("t", {e: int(c) if c.denominator == 1 and rng.random() < 0.5 else c
+                      for e, c in d.items()})
+
+
+def _check_against(p, d):
+    d = _o_clean(d)
+    assert p.coeffs == d
+    assert all(type(c) is (int if Fraction(c).denominator == 1 else Fraction)
+               for c in p.coeffs.values())
+    assert p.den > 0 and all(p.nums.values())
+    assert math.gcd(p.den, *p.nums.values()) == 1
+    oracle_hash = (hash(d.get(0, 0)) if max(d, default=0) == 0
+                   else hash(("t", tuple(sorted(d.items())))))
+    assert hash(p) == oracle_hash
+    assert p == Poly("t", d)
+    assert repr(p) == polynomials.render_terms(
+        (str(d[e]), "" if e == 0 else "t" if e == 1 else "t^%d" % e)
+        for e in sorted(d, reverse=True))
+
+
+def test_rational_polys_match_the_fraction_oracle():
+    rng = random.Random(20261019)
+    qi = gaussian_field()
+    for _ in range(300):
+        da, db = _random_oracle(rng), _random_oracle(rng)
+        a, b = _build(rng, da), _build(rng, db)
+        _check_against(a, da)
+        _check_against(a + b, _o_add(da, db))
+        _check_against(a - b, _o_add(da, db, -1))
+        _check_against(a * b, _o_mul(da, db))
+        n = rng.randint(0, 3)
+        power = {0: Fraction(1)}
+        for _ in range(n):
+            power = _o_mul(power, da)
+        _check_against(a ** n, power)
+        _check_against(a.derivative(), {e - 1: e * c for e, c in da.items() if e})
+        c = _random_rational(rng, nonzero=True)
+        _check_against(a / c, {e: x / c for e, x in da.items()})
+        _check_against(a * c, {e: x * c for e, x in da.items()})
+        for v in (_random_rational(rng), rng.randint(-5, 5)):
+            assert a(v) == sum(x * Fraction(v) ** e for e, x in da.items())
+        assert (a == b) == (da == db)
+        if da:
+            lead = da[max(da)]
+            _check_against(a.monic(), {e: x / lead for e, x in da.items()})
+        if db:
+            q, r = divmod(a, b)
+            oq, orem = _o_divmod(da, db)
+            _check_against(q, oq)
+            _check_against(r, orem)
+            # the reduced pair: coprime, monic denominator, the same value
+            rf = RationalFunction(a, b)
+            num, den = ({e: Fraction(c) for e, c in p.coeffs.items()}
+                        for p in (rf.num, rf.den))
+            assert den[max(den)] == 1
+            assert _o_monic_gcd(num, den) == {0: 1}
+            assert _o_mul(num, db) == _o_mul(den, da)
+        # the same values over Q(i) compare and hash alike
+        g = a.map_coeffs(qi.from_rational)
+        assert g.den is None or not da
+        assert g == a and a == g and hash(g) == hash(a)
