@@ -448,12 +448,11 @@ SUITES = {
 # -- subcommand handlers --------------------------------------------------------
 
 
-def _family_report(command, args, inputs, stable_results):
+def _family_report(command, alpha, inputs, stable_results):
     """The report of analyze and fibers.  An unstable alpha stops at its
     degeneration; otherwise the fibers are classified, the fiber-table
     entries go on the ledger, and stable_results(alpha, fib, cfg, ledger)
     gives the results."""
-    alpha = _alpha_from_args(args)
     inputs = dict(inputs, alpha=_alpha_str(alpha))
     ledger = Ledger()
     verdict = quartic.stability(alpha)
@@ -473,6 +472,11 @@ def _family_report(command, args, inputs, stable_results):
 
 def cmd_analyze(args):
     mw_rank = args.mw_rank
+    alpha = _alpha_from_args(args)
+    if alpha is not quartic.ALPHA_INFINITY and max(
+            abs(alpha.numerator), alpha.denominator) >= 10 ** MAX_ALPHA_DIGITS:
+        raise UsageError("alpha must have a numerator and a denominator of at most "
+                         "%d digits" % MAX_ALPHA_DIGITS)
 
     def stable_results(alpha, fib, cfg, ledger):
         try:
@@ -494,20 +498,24 @@ def cmd_analyze(args):
             "picardBoundParityRefined": refined,
         }
 
-    return _family_report("analyze", args, {"mwRank": mw_rank}, stable_results)
+    return _family_report("analyze", alpha, {"mwRank": mw_rank}, stable_results)
 
 
 def cmd_fibers(args):
-    return _family_report("fibers", args, {}, lambda alpha, fib, cfg, ledger: {
+    alpha = _alpha_from_args(args)
+    return _family_report("fibers", alpha, {}, lambda alpha, fib, cfg, ledger: {
         "fibers": [_encode_fiber(fb) for fb in cfg.fibers],
         "eulerTotal": cfg.total_euler,
     })
 
 
-# keep every integer of a lattice report printable, since CPython converts no
-# int of over 4300 digits to str: the minors of a t_n realization vector are
-# about n^2 / 4, at most 4002 digits for an n of 2000 digits, and a Gram's
-# determinant is at most Hadamard's bound
+# keep every integer of a report printable, since CPython converts no int of
+# over 4300 digits to str: analyze prints the fibration lam^3 (lam^2 + 2 lam
+# + alpha)^2, whose alpha^2 has at most 4000 digits for an alpha of 2000,
+# the minors of a t_n realization vector are about n^2 / 4, at most 4002
+# digits for an n of 2000 digits, and a Gram's determinant is at most
+# Hadamard's bound
+MAX_ALPHA_DIGITS = 2000
 MAX_TN_DIGITS = 2000
 MAX_DET_DIGITS = 3999
 

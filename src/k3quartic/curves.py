@@ -24,9 +24,7 @@ def _as_qf(ctx, value):
         if value.qctx.vars != ctx.vars:
             raise TypeError("expression over the wrong variables")
         return value
-    if isinstance(value, MultiPoly):
-        return QuotientFraction(ctx, value)
-    return QuotientFraction(ctx, MultiPoly.const(ctx.vars, value))
+    return QuotientFraction(ctx, value)
 
 
 class CurveModel:
@@ -97,9 +95,6 @@ class CurveMap:
         if self.source.vars != other.source.vars or self.target.vars != other.target.vars:
             return False
         return all(self.images[n] == other.images[n] for n in self.target.vars)
-
-    def __hash__(self):
-        raise TypeError("CurveMap is unhashable")
 
     def __repr__(self):
         body = ", ".join("%s -> %s" % (n, self.images[n]) for n in self.target.vars

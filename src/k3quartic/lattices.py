@@ -187,23 +187,23 @@ def gram_build(spec):
 # -- invariants ----------------------------------------------------------------
 
 
-def _validate_gram(gram):
+def _int_gram(gram):
+    """A copy of `gram` with int entries; ValueError unless it is a square,
+    symmetric matrix of integral values."""
     n = len(gram)
-    for row in gram:
-        if len(row) != n:
-            raise ValueError("Gram matrix must be square")
-        for x in row:
-            if x != int(x):
-                raise ValueError("Gram entries must be integers")
-    for i in range(n):
-        for j in range(i):
-            if gram[i][j] != gram[j][i]:
-                raise ValueError("Gram matrix must be symmetric")
-    return n
+    if any(len(row) != n for row in gram):
+        raise ValueError("Gram matrix must be square")
+    try:
+        m = _int_matrix(gram)
+    except ValueError:
+        raise ValueError("Gram entries must be integers") from None
+    if m != mat_transpose(m):
+        raise ValueError("Gram matrix must be symmetric")
+    return m
 
 
 def _congruent_inverse(gram):
-    """(signature, det, a) for a symmetric integer Gram G, where a is the
+    """(signature, det, a) for a Gram G from `_int_gram`, where a is the
     diagonal of det H^-1 for a Gram H = P^T G P, |det P| = 1, of the same
     lattice.
 
@@ -220,8 +220,8 @@ def _congruent_inverse(gram):
     the previous pivot in the pivot row: until then every entry of that
     column but the unit one stays 0, and the unit one is scaled to the last
     pivot, so each step touches n columns, not 2n."""
-    n = _validate_gram(gram)
-    m = _int_matrix(gram)
+    n = len(gram)
+    m = [list(row) for row in gram]
     plus = minus = 0
     prev = 1
     for k in range(n):
@@ -252,7 +252,7 @@ def _congruent_inverse(gram):
 
 def signature(gram):
     """(s_plus, s_minus) of a nonsingular symmetric integer Gram."""
-    return _congruent_inverse(gram)[0]
+    return _congruent_inverse(_int_gram(gram))[0]
 
 
 def _xgcd(a, b):
@@ -365,8 +365,9 @@ def lattice_invariants(gram):
     an integer, in any basis of L, read off one elimination of [H | I]
     (`_congruent_inverse`) that also gives the signature and determinant.
     """
+    gram = _int_gram(gram)
     sig, det, scaled = _congruent_inverse(gram)
-    factors = tuple(_invariant_factors(_int_matrix(gram), abs(det)))
+    factors = tuple(_invariant_factors(gram, abs(det)))
     nontrivial = [x for x in factors if x > 1]
     two_elem = all(x == 2 for x in nontrivial)
     # scaled is the diagonal of det H^-1

@@ -158,22 +158,22 @@ def _check_su11(m):
     return None
 
 
+def _non_gaussian_entry(m):
+    """The witness for the first entry of m that is not a Gaussian integer,
+    or None."""
+    return next(("entry %r is not a Gaussian integer" % (x,)
+                 for row in m for x in row if not _gaussian_integer(x)), None)
+
+
 def _check_gamma(m):
-    for row in m:
-        for x in row:
-            if not _gaussian_integer(x):
-                return "entry %r is not a Gaussian integer" % (x,)
-    if not _preserves_eta(m):
+    witness = _non_gaussian_entry(m)
+    if witness is None and not _preserves_eta(m):
         return "M* diag(1,-1) M differs from diag(1,-1)"
-    return None
+    return witness
 
 
 def _check_g0(m):
-    for row in m:
-        for x in row:
-            if not _gaussian_integer(x):
-                return "entry %r is not a Gaussian integer" % (x,)
-    return _check_su11(m)
+    return _non_gaussian_entry(m) or _check_su11(m)
 
 
 def _check_sl2z(m):

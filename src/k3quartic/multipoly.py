@@ -2,9 +2,11 @@
 
 ``MultiPoly`` is a sparse exponent-vector/coefficient map over a fixed
 variable tuple.  All operands of a binary operation must share that tuple;
-scalars coerce.  ``QuotientContext`` rewrites powers of designated head
-variables by lower-order replacements (think tau^2 -> h(rho)), giving enough
-of a quotient ring to verify identities on curves and covers exactly.
+scalars coerce.  ``MultiPoly.evaluate`` is the one substitution: it maps
+the variables to scalars, to ``MultiPoly``s or to ``QuotientFraction``s.
+``QuotientContext`` rewrites powers of designated head variables by
+lower-order replacements (think tau^2 -> h(rho)), giving enough of a
+quotient ring to verify identities on curves and covers exactly.
 ``QuotientFraction`` adds formal division with equality tested by
 cross-multiplication, which is sound because these quotients are integral
 domains for the relations we use.
@@ -64,17 +66,6 @@ class MultiPoly:
         e[vars.index(name)] = power
         return cls(vars, {tuple(e): 1})
 
-    @classmethod
-    def from_poly(cls, p, vars):
-        vars = tuple(vars)
-        i = vars.index(p.var)
-        terms = {}
-        for e, c in p.coeffs.items():
-            ev = [0] * len(vars)
-            ev[i] = e
-            terms[tuple(ev)] = c
-        return cls(vars, terms)
-
     # -- structure --------------------------------------------------------------
 
     @property
@@ -92,16 +83,6 @@ class MultiPoly:
         i = self.vars.index(name)
         return any(e[i] for e in self.terms)
 
-    def to_poly(self, name, poly_cls):
-        """Collapse to a univariate polynomial in `name` (others must be absent)."""
-        i = self.vars.index(name)
-        coeffs = {}
-        for e, c in self.terms.items():
-            if any(x for j, x in enumerate(e) if j != i):
-                raise ValueError("extra variables present, cannot collapse to %s" % name)
-            coeffs[e[i]] = c
-        return poly_cls(name, coeffs)
-
     def map_coeffs(self, fn):
         return MultiPoly(self.vars, {e: fn(c) for e, c in self.terms.items()})
 
@@ -116,25 +97,23 @@ class MultiPoly:
             return None
         return MultiPoly.const(self.vars, other)
 
-    def __add__(self, other):
+    def __add__(self, other, sign=1):
         o = self._check(other)
         if o is None:
             return NotImplemented
         out = dict(self.terms)
-        for e, c in o.terms.items():
-            out[e] = out.get(e, 0) + c
+        if sign > 0:
+            for e, c in o.terms.items():
+                out[e] = out.get(e, 0) + c
+        else:
+            for e, c in o.terms.items():
+                out[e] = out.get(e, 0) - c
         return MultiPoly(self.vars, out)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        o = self._check(other)
-        if o is None:
-            return NotImplemented
-        out = dict(self.terms)
-        for e, c in o.terms.items():
-            out[e] = out.get(e, 0) - c
-        return MultiPoly(self.vars, out)
+        return self.__add__(other, -1)
 
     def __rsub__(self, other):
         o = self._check(other)
@@ -173,8 +152,6 @@ class MultiPoly:
         return NotImplemented
 
     def __eq__(self, other):
-        if isinstance(other, QuotientFraction):
-            return NotImplemented
         try:
             o = self._check(other)
         except TypeError:
@@ -193,34 +170,6 @@ class MultiPoly:
         return hash((self.vars, tuple(sorted(self.terms.items()))))
 
     # -- substitution and division ---------------------------------------------
-
-    def substitute(self, mapping):
-        """Polynomial substitution; values are MultiPolys over the same vars
-        or scalars.  Unmapped variables stay themselves."""
-        vals = {}
-        for name, v in mapping.items():
-            i = self.vars.index(name)
-            if _is_scalar(v):
-                v = MultiPoly.const(self.vars, v)
-            elif v.vars != self.vars:
-                raise TypeError("substitution value over wrong variables")
-            vals[i] = v
-        out = MultiPoly.zero(self.vars)
-        powcache = {}
-        for e, c in self.terms.items():
-            base_exp = list(e)
-            factor = MultiPoly.const(self.vars, c)
-            for i, v in vals.items():
-                k = e[i]
-                base_exp[i] = 0
-                if k:
-                    key = (i, k)
-                    if key not in powcache:
-                        powcache[key] = v ** k
-                    factor = factor * powcache[key]
-            mono = MultiPoly(self.vars, {tuple(base_exp): 1})
-            out = out + factor * mono
-        return out
 
     def derivative(self, name):
         i = self.vars.index(name)
@@ -274,7 +223,10 @@ class MultiPoly:
         return q
 
     def evaluate(self, assignment):
-        """Full evaluation; assignment maps every used variable to a scalar."""
+        """The substitution: each variable the polynomial uses is replaced by
+        assignment[name], a scalar, a MultiPoly or a QuotientFraction.  Every
+        used variable must be mapped; one that stays fixed maps to its own
+        generator."""
         out = 0
         for e, c in self.terms.items():
             term = c
@@ -364,14 +316,9 @@ class QuotientFraction(FractionArithmetic):
 
     __slots__ = ("qctx", "num", "den")
 
-    def __init__(self, qctx, num, den=None):
+    def __init__(self, qctx, num, den=1):
         self.qctx = qctx
-        if _is_scalar(num):
-            num = MultiPoly.const(qctx.vars, num)
-        if den is None:
-            den = MultiPoly.const(qctx.vars, 1)
-        elif _is_scalar(den):
-            den = MultiPoly.const(qctx.vars, den)
+        # reduce coerces a scalar to a constant
         num = qctx.reduce(num)
         den = qctx.reduce(den)
         if den.is_zero:

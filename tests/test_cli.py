@@ -12,8 +12,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from k3quartic.cli import (MAX_DET_DIGITS, MAX_PARAM_DEGREE, MAX_PRECISION_BITS,
-                           MAX_TN_DIGITS, SUITES, main)
+from k3quartic.cli import (MAX_ALPHA_DIGITS, MAX_DET_DIGITS, MAX_PARAM_DEGREE,
+                           MAX_PRECISION_BITS, MAX_TN_DIGITS, SUITES, main)
 from k3quartic.lattices import MAX_GRAM_RANK
 
 
@@ -103,6 +103,27 @@ class TestAnalyze:
         assert out == ""
         assert err.startswith("error: --mw-rank %s: " % rank)
         assert err.count("\n") == 1
+
+    # the fibration prints alpha^2, which passed CPython's 4300-digit limit
+    # on int-to-str conversion for a 2200-digit alpha, a traceback in str()
+    @pytest.mark.parametrize("alpha", ["%d/2" % (10 ** MAX_ALPHA_DIGITS + 1),
+                                       "-%d/2" % (10 ** MAX_ALPHA_DIGITS + 1),
+                                       "3/%d" % 10 ** MAX_ALPHA_DIGITS,
+                                       "%d/7" % (10 ** 2200 + 1)])
+    def test_rejects_an_alpha_over_the_digit_cap(self, capsys, alpha):
+        code, out, err = run(capsys, "analyze", alpha, "--json")
+        assert code == 2
+        assert out == ""
+        assert err == ("error: alpha must have a numerator and a denominator of "
+                       "at most %d digits\n" % MAX_ALPHA_DIGITS)
+
+    @pytest.mark.parametrize("alpha", ["%d/2" % (10 ** MAX_ALPHA_DIGITS - 1),
+                                       "2/%d" % (10 ** MAX_ALPHA_DIGITS - 1)])
+    def test_at_the_alpha_digit_cap(self, capsys, alpha):
+        code, rep, _ = run_json(capsys, "analyze", alpha)
+        assert code == 0
+        assert rep["inputs"]["alpha"] == alpha
+        assert rep["results"]["stability"] == "Stable"
 
 
 @pytest.mark.parametrize("command", ["analyze", "fibers"])

@@ -110,6 +110,9 @@ def test_cubic_to_exponent_four_model():
 def test_identity_map_order():
     B = genus2_curve()
     assert automorphism_order(B, identity_map(B).images) == 1
+    # maps compare by value, so they are not hashable
+    with pytest.raises(TypeError):
+        hash(identity_map(B))
 
 
 def test_j_invariant_values():

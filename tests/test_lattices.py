@@ -369,6 +369,19 @@ def test_degenerate_rejected():
         lattice_invariants([[1, 2], [3, 4]])  # not symmetric
 
 
+@pytest.mark.parametrize("gram,message", [
+    ([[2, 1], [1]], "Gram matrix must be square"),
+    ([[2, 1, 0], [1, 2, 0]], "Gram matrix must be square"),
+    ([[2, Fraction(1, 2)], [Fraction(1, 2), 2]], "Gram entries must be integers"),
+    ([[2, 1], [1, 2.5]], "Gram entries must be integers"),
+    ([[2, 1], [-1, 2]], "Gram matrix must be symmetric"),
+])
+def test_gram_checks_name_the_fault(gram, message):
+    for fn in (lattice_invariants, signature):
+        with pytest.raises(ValueError, match=message):
+            fn(gram)
+
+
 def test_tn_small_cases():
     expected = {1: (1, 0, 0, 0), 3: (2, 0, 1, 0), 4: (2, 1, 1, 0), 7: (4, 0, 3, 0)}
     for n, vec in expected.items():

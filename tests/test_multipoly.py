@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -19,18 +20,74 @@ def test_basic_arithmetic():
     assert (p - p).is_zero
 
 
-def test_substitute_polynomials():
+def test_evaluate_substitutes_polynomials():
     p = x ** 2 - y
-    q = p.substitute({"x": y + 1})
+    q = p.evaluate({"x": y + 1, "y": y})
     assert q == y ** 2 + y + 1
-    r = p.substitute({"x": Fraction(3), "y": 2})
+    r = p.evaluate({"x": Fraction(3), "y": 2})
     assert r == 7
 
 
-def test_substitute_leaves_unmapped_fixed():
+def test_evaluate_keeps_a_variable_mapped_to_its_generator():
     p = x * y + y ** 2
-    q = p.substitute({"x": x + 1})
+    q = p.evaluate({"x": x + 1, "y": y})
     assert q == x * y + y + y ** 2
+
+
+def _substitute_oracle(p, mapping):
+    """Reference substitution, term by term with a power cache: variables
+    absent from `mapping` stay themselves."""
+    vals = {}
+    for name, v in mapping.items():
+        i = p.vars.index(name)
+        if not isinstance(v, MultiPoly):
+            v = MultiPoly.const(p.vars, v)
+        vals[i] = v
+    out = MultiPoly.zero(p.vars)
+    powcache = {}
+    for e, c in p.terms.items():
+        base_exp = list(e)
+        factor = MultiPoly.const(p.vars, c)
+        for i, v in vals.items():
+            k = e[i]
+            base_exp[i] = 0
+            if k:
+                if (i, k) not in powcache:
+                    powcache[i, k] = v ** k
+                factor = factor * powcache[i, k]
+        out = out + factor * MultiPoly(p.vars, {tuple(base_exp): 1})
+    return out
+
+
+def test_evaluate_matches_the_substitution_oracle():
+    V3 = ("x", "y", "z")
+    gens = {n: MultiPoly.gen(V3, n) for n in V3}
+    rng = random.Random(25)
+
+    def scalar():
+        return rng.choice([rng.randint(-4, 4), Fraction(rng.randint(-9, 9), rng.randint(1, 6))])
+
+    def poly(terms, degree):
+        return MultiPoly(V3, {tuple(rng.randint(0, degree) for _ in V3): scalar()
+                              for _ in range(terms)})
+
+    cases = [MultiPoly.zero(V3), MultiPoly.const(V3, 5), MultiPoly.const(V3, Fraction(-2, 3))]
+    cases += [poly(rng.randint(1, 5), 3) for _ in range(297)]
+    kinds = set()
+    for p in cases:
+        mapping = {}
+        for n in V3:
+            kind = rng.choice(["unmapped", "int", "fraction", "poly"])
+            kinds.add(kind)
+            if kind == "int":
+                mapping[n] = rng.randint(-3, 3)
+            elif kind == "fraction":
+                mapping[n] = Fraction(rng.randint(-5, 5), rng.randint(1, 4))
+            elif kind == "poly":
+                mapping[n] = poly(rng.randint(1, 3), 2)
+        got = p.evaluate({n: mapping.get(n, gens[n]) for n in V3})
+        assert _substitute_oracle(p, mapping) == got, (p, mapping)
+    assert kinds == {"unmapped", "int", "fraction", "poly"}
 
 
 def test_evaluate_with_field_elements():
@@ -46,16 +103,6 @@ def test_exact_division():
     assert a.try_exact_div(x - y) is None
     with pytest.raises(ZeroDivisionError):
         a.try_exact_div(MultiPoly.zero(V))
-
-
-def test_to_poly_and_from_poly():
-    p = 2 * x ** 3 - x + 5
-    uni = p.to_poly("x", Poly)
-    assert uni == 2 * Poly.x("x") ** 3 - Poly.x("x") + 5
-    back = MultiPoly.from_poly(uni, V)
-    assert back == p
-    with pytest.raises(ValueError):
-        (x + y).to_poly("x", Poly)
 
 
 def test_derivative():
