@@ -514,10 +514,12 @@ def cmd_fibers(args):
 # + alpha)^2, whose alpha^2 has at most 4000 digits for an alpha of 2000,
 # the minors of a t_n realization vector are about n^2 / 4, at most 4002
 # digits for an n of 2000 digits, and a Gram's determinant is at most
-# Hadamard's bound
+# Hadamard's bound; split, whose factors have no such bound, checks each
+# integer it prints against the limit itself
 MAX_ALPHA_DIGITS = 2000
 MAX_TN_DIGITS = 2000
 MAX_DET_DIGITS = 3999
+MAX_PRINTED_DIGITS = 4300
 
 
 def cmd_lattice(args):
@@ -587,9 +589,9 @@ def cmd_lattice(args):
 
 
 # keeps split interactive: on a shared two-core host a degree-256 curve whose
-# every coefficient has 7 digits takes about 1.0 s from a cold start, about
-# half of it the root search's Horner passes mod p and a quarter the
-# schoolbook products that compose the quartic (its degree is 4d)
+# every coefficient has 7 digits takes about 0.35 s from a cold start, most
+# of it the schoolbook products that compose the quartic (its degree is 4d);
+# with the cap raised, degree 512 takes about 1.1 s and degree 1024 3.6 s
 MAX_PARAM_DEGREE = 256
 
 
@@ -647,6 +649,23 @@ def _load_parametrization(path):
     return covers.Parametrization(*coords, name=path)
 
 
+def _check_printable(verdict, name):
+    """Raise UsageError when the split report would print an integer of
+    over MAX_PRINTED_DIGITS digits: in a place's factor, the constant or its
+    fourth root, or the leading coefficient in the ledger detail."""
+    if isinstance(verdict, covers.ContainedInBranch):
+        return
+    values = [verdict.composite.leading_coefficient()]
+    if isinstance(verdict, covers.CoverSplits):
+        values += [verdict.constant, verdict.constant_fourth_power or 0]
+    for p, _ in verdict.places:
+        values += [*p.nums.values(), p.den]
+    limit = 10 ** MAX_PRINTED_DIGITS
+    if any(abs(v.numerator) >= limit or v.denominator >= limit for v in values):
+        raise UsageError("the split report of %s would print an integer of more "
+                         "than %d digits" % (name, MAX_PRINTED_DIGITS))
+
+
 def cmd_split(args):
     alpha = (_parse_rational_flag(args.alpha, "--alpha") if args.alpha
              else covers.STANDARD_ALPHA)
@@ -660,6 +679,7 @@ def cmd_split(args):
     entries = []
     for param in params:
         verdict = covers.fourth_power_test(param, alpha)
+        _check_printable(verdict, param.name or "input")
         encoded = _encode_split_verdict(verdict)
         encoded["name"] = param.name or "input"
         entries.append(encoded)

@@ -85,12 +85,6 @@ class FiberConfiguration:
         self.fibers = fibers
         self.total_euler = sum(fb.degree * fb.euler for fb in fibers)
 
-    def fiber_at_infinity(self):
-        for fb in self.fibers:
-            if fb.location == "infinity":
-                return fb
-        return None
-
     def type_multiset(self):
         """Sorted list of geometric fiber types, with degree-d locations counted d times."""
         out = []

@@ -25,8 +25,8 @@ division of both inputs; Yun's squarefree decomposition, the cancellation of
 ``RationalFunction`` and the squarefree part in ``rational_roots`` use the
 same integer kernel and its cofactors.  Other coefficient fields, and the
 rare inputs on which GCDHEU gives up, take the Euclidean algorithm.
-``rational_roots`` finds the integer roots of a monic transform by p-adic
-(Newton-Hensel) lifting from a small prime, with no real-root isolation.
+``rational_roots`` lifts the roots mod a small prime of the integer
+polynomial itself by Newton-Hensel steps (Loos), with no real-root isolation.
 
 As the lowest module, this one also holds what the scalar and polynomial
 classes share: ``qdiv`` is the one exact scalar division, ``render_terms``
@@ -697,37 +697,6 @@ def _eval_mod(c, xs, q):
     return vals
 
 
-def _monic_integer_roots(c):
-    """The integer roots of a squarefree monic integer polynomial with
-    c[0] != 0, by p-adic lifting (Loos 1983).
-
-    Every root lies strictly inside (-B, B) for the power of two B from
-    Fujiwara's bound.  p is the first prime at which every root of c mod p
-    is simple (only primes dividing the discriminant fail); an integer root
-    reduces to one of them, whose lift mod q is unique, so Newton's step
-    r <- r - c(r) / c'(r) mod q, with q squared each step up to q >= 2B,
-    misses none.  The symmetric residues are confirmed by exact evaluation."""
-    n = len(c) - 1
-    e = max(-(-abs(ci).bit_length() // (n - i)) for i, ci in enumerate(c[:-1]))
-    bound = 1 << (e + 1)
-    dc = _zz_derivative(c)
-    p = 1
-    while True:
-        p += 1
-        if any(p % k == 0 for k in range(2, math.isqrt(p) + 1)):
-            continue
-        roots = [r for r, v in enumerate(_eval_mod(c, range(p), p)) if v == 0]
-        if all(_eval_mod(dc, roots, p)):
-            break
-    q = p
-    while roots and q < 2 * bound:
-        q *= q
-        roots = [(r - v * pow(d, -1, q)) % q for r, v, d in
-                 zip(roots, _eval_mod(c, roots, q), _eval_mod(dc, roots, q))]
-    roots = [r - q if 2 * r > q else r for r in roots]
-    return [r for r in roots if _int_horner(c, r) == 0]
-
-
 def _root_candidates(ints):
     """Rational numbers that include every rational root of the integer
     polynomial {exponent: coefficient} whose constant term is nonzero."""
@@ -741,26 +710,50 @@ def _root_candidates(ints):
         if s * s != disc:
             return []
         return [Fraction(-b + s, 2 * a), Fraction(-b - s, 2 * a)]
-    # the squarefree part h has the same roots; a rational root x of h
-    # gives the integer root y = h_n x of h_n^(n-1) h(y / h_n)
+    # the squarefree part h has the same roots
     f = [ints.get(e, 0) for e in range(n + 1)]
     h = _zz_gcd(f, _zz_derivative(f))[1]
     content = math.gcd(*h)
-    h = [ci // content for ci in h]
-    return [Fraction(y, h[-1]) for y in _monic_integer_roots(_monic_transform(h))]
+    return _lifted_roots([ci // content for ci in h])
 
 
-def _monic_transform(h):
-    """The coefficients, lowest first, of lead^(n-1) h(y / lead) for the
-    integer vector h of degree n >= 1 with leading coefficient lead: h_i
-    times lead^(n-1-i), the powers built by one running product from the top
-    coefficient down instead of one big power per coefficient."""
+def _lifted_roots(h):
+    """Candidates including every rational root of a squarefree primitive
+    integer polynomial h of positive degree with h[0] != 0 (Loos, SIAM J.
+    Comput. 12, 1983).
+
+    Every root lies inside (-B, B) for the power of two B from Fujiwara's
+    bound for h / lead.  p is the first prime not dividing lead at which
+    every root of h mod p is simple.  A root a/b in lowest terms has b |
+    lead, so it reduces to one of them, whose lift mod q is unique: Newton's
+    step, with q squared up to q >= 2 |lead| B, misses none, and the
+    symmetric residue of lead r mod q is (lead / b) a.  Fraction(it, lead)
+    has a denominator dividing lead; its numerator must divide h[0]."""
+    n = len(h) - 1
     lead = h[-1]
-    out, power = [1], 1
-    for ci in reversed(h[:-1]):
-        out.append(ci * power)
-        power *= lead
-    out.reverse()
+    shift = abs(lead).bit_length() - 1
+    e = max(-(-(abs(ci).bit_length() - shift) // (n - i)) for i, ci in enumerate(h[:-1]))
+    bound = 1 << max(e + 1, 1)
+    dh = _zz_derivative(h)
+    p = 1
+    while True:
+        p += 1
+        if lead % p == 0 or any(p % k == 0 for k in range(2, math.isqrt(p) + 1)):
+            continue
+        roots = [r for r, v in enumerate(_eval_mod(h, range(p), p)) if v == 0]
+        if all(_eval_mod(dh, roots, p)):
+            break
+    q = p
+    while roots and q < 2 * abs(lead) * bound:
+        q *= q
+        roots = [(r - v * pow(d, -1, q)) % q for r, v, d in
+                 zip(roots, _eval_mod(h, roots, q), _eval_mod(dh, roots, q))]
+    out = []
+    for r in roots:
+        s = lead * r % q
+        x = Fraction(s - q if 2 * s > q else s, lead)
+        if x and h[0] % x.numerator == 0:
+            out.append(x)
     return out
 
 
@@ -771,11 +764,11 @@ def rational_roots(p):
     cost is polynomial in the bit size of the coefficients.  After clearing
     denominators and splitting off the root 0, a linear or quadratic
     polynomial gives its candidates in closed form (``math.isqrt`` of the
-    discriminant); a higher degree lifts the roots of the monic transform of
-    its squarefree part modulo a small prime to its integer roots (Loos'
-    p-adic method).  Each candidate is confirmed by exact evaluation and its
-    multiplicity counted by exact division.  Roots come out as 0 first, then
-    by (|numerator|, denominator), positive before negative.
+    discriminant); a higher degree lifts the roots of its squarefree part h
+    mod a small prime to candidates (Loos' p-adic method on h itself).  Only
+    here is each candidate confirmed, by exact evaluation, and its
+    multiplicity counted by exact division.  Roots come out as 0 first,
+    then by (|numerator|, denominator), positive before negative.
     """
     if p.is_zero:
         raise ValueError("every rational is a root of the zero polynomial")
@@ -1043,10 +1036,6 @@ class RationalFunction(FractionArithmetic):
         if self.is_polynomial:
             return hash(self.num)
         return hash((self.num, self.den))
-
-    def substitute(self, value):
-        """Evaluate at a scalar, polynomial, or rational function."""
-        return qdiv(self.num(value), self.den(value))
 
     def derivative(self):
         n = self.num.derivative() * self.den - self.num * self.den.derivative()

@@ -85,17 +85,6 @@ class QuarticFamily:
     def __init__(self, alpha):
         self.alpha = alpha
 
-    def component_recovery_check(self):
-        """Exact division of the expanded quartic back into its components."""
-        Q, L1, L2 = conic(), line1(), line2(self.alpha)
-        rest = (Q * L1 * L2).try_exact_div(Q)
-        if rest is None:
-            return False
-        rest = rest.try_exact_div(L1)
-        if rest is None:
-            return False
-        return rest == L2
-
     def __repr__(self):
         return "QuarticFamily(alpha=%r)" % (self.alpha,)
 

@@ -13,7 +13,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from k3quartic.cli import (MAX_ALPHA_DIGITS, MAX_DET_DIGITS, MAX_PARAM_DEGREE,
-                           MAX_PRECISION_BITS, MAX_TN_DIGITS, SUITES, main)
+                           MAX_PRECISION_BITS, MAX_PRINTED_DIGITS, MAX_TN_DIGITS,
+                           SUITES, main)
 from k3quartic.lattices import MAX_GRAM_RANK
 
 
@@ -312,6 +313,17 @@ def dense_curve(d):
 DENSE32_SHA256 = "31ecb96c9f75099d64ff20e75d83dc0db3849568250c824ecd3f51b12baec6e9"
 
 
+def wide_curve(c):
+    """x = c r + 1, y = 2 r + c, z = c r^2 + 3: places whose factors hold c^3."""
+    return json.dumps({"x": [[1, str(c)], [0, "1"]], "y": [[1, "2"], [0, str(c)]],
+                       "z": [[2, str(c)], [0, "3"]]})
+
+
+# sha256 of `split --param wide1000.json --json` run beside the file, with
+# c = 10^1000 + 7; its largest printed integer has 3002 digits
+WIDE1000_SHA256 = "6e0ebbf80bedde416d0304abf1d17965688a875595f7db8e40aa18d48db9ed9d"
+
+
 class TestSplit:
     def test_builtins(self, capsys):
         code, rep, _ = run_json(capsys, "split")
@@ -362,6 +374,25 @@ class TestSplit:
         assert proc.returncode == 0, proc.stderr
         assert "Traceback" not in proc.stderr
         assert json.loads(proc.stdout)["results"]["tests"][0]["verdict"] == "DoesNotSplit"
+
+    # a factor holding c^3 passed CPython's 4300-digit limit on int-to-str
+    # conversion for a 1500-digit c, a traceback in str()
+    def test_rejects_a_report_integer_over_the_digit_limit(self, capsys, tmp_path,
+                                                          monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "wide1500.json").write_text(wide_curve(10 ** 1499 + 7))
+        code, out, err = run(capsys, "split", "--param", "wide1500.json", "--json")
+        assert code == 2
+        assert out == ""
+        assert err == ("error: the split report of wide1500.json would print an "
+                       "integer of more than %d digits\n" % MAX_PRINTED_DIGITS)
+
+    def test_report_integers_under_the_digit_limit(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "wide1000.json").write_text(wide_curve(10 ** 1000 + 7))
+        code, out, _ = run(capsys, "split", "--param", "wide1000.json", "--json")
+        assert code == 0
+        assert sha256(out) == WIDE1000_SHA256
 
     def test_missing_file(self, capsys):
         code, _, err = run(capsys, "split", "--param", "/nonexistent/f.json")

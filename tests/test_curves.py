@@ -5,6 +5,7 @@ import pytest
 from k3quartic.curves import (
     EC_INFINITY,
     CurveMap,
+    _as_qf,
     automorphism_order,
     base_elliptic,
     base_elliptic_rhs,
@@ -18,7 +19,6 @@ from k3quartic.curves import (
     negation_map,
     on_curve,
     order_four_twist,
-    pullback_differential,
     quarter_turn,
     quotient_map,
     quotient_negation_check,
@@ -27,7 +27,60 @@ from k3quartic.curves import (
     verify_involution,
 )
 from k3quartic.fields import gaussian_field, imaginary_unit
+from k3quartic.multipoly import MultiPoly, QuotientFraction
 from k3quartic.polynomials import Poly, poly_gcd, rational_roots
+
+
+# the pullback of the invariant differential du/v, used only by these tests
+def _total_derivative(qf, head, base):
+    """d/d(base) on the curve's function field, with d(head)/d(base) from the
+    defining relation head^2 = h: d(head) = h' head / (2h) d(base)."""
+    ctx = qf.qctx
+    (hd, power, h) = ctx.relations[0]
+    if hd != head or power != 2:
+        raise ValueError("total derivative needs a head-power-2 model")
+    hp = h.derivative(base)
+    head_mp = MultiPoly.gen(ctx.vars, head)
+
+    def dpoly(n):
+        out = QuotientFraction(ctx, n.derivative(base))
+        nh = n.derivative(head)
+        if not nh.is_zero:
+            out = out + QuotientFraction(ctx, nh * hp * head_mp, 2 * h)
+        return out
+
+    n, d = qf.num, qf.den
+    dq = dpoly(n) * _as_qf(ctx, d) - _as_qf(ctx, n) * dpoly(d)
+    return dq / _as_qf(ctx, d * d)
+
+
+def pullback_differential(cmap):
+    """Pull du/v back along a map from a head-power-2 curve in rho.
+
+    Writes the pullback as P(rho) * d(rho)/head and returns
+    {"regular": bool, "coords": (c0, c1, ...), "raw": ...}; coords are the
+    coefficients of P when P is a polynomial in rho alone.
+    """
+    src = cmap.source
+    du_img = cmap.images["u"]
+    v_img = cmap.images["v"]
+    ratio = _total_derivative(du_img, src.head, "rho") / v_img
+    s = ratio * src.q(src.head)
+    p = s.num.try_exact_div(s.den)
+    if p is None or p.degree_in(src.head) > 0:
+        return {"regular": False, "coords": None, "raw": s}
+    i_base = src.vars.index("rho")
+    coords = {}
+    for e, c in p.terms.items():
+        if any(k and j != i_base for j, k in enumerate(e)):
+            return {"regular": False, "coords": None, "raw": p}
+        coords[e[i_base]] = c
+    top = max(coords) if coords else 0
+    return {
+        "regular": True,
+        "coords": tuple(coords.get(k, 0) for k in range(top + 1)),
+        "raw": p,
+    }
 
 
 def hyperelliptic_involution():

@@ -10,13 +10,14 @@ from k3quartic.polynomials import (
     Poly,
     RationalFunction,
     _cancel_common,
+    _eval_mod,
     _int_horner,
-    _monic_integer_roots,
-    _monic_transform,
+    _lifted_roots,
     _zz_derivative,
     certified_factors,
     poly_gcd,
     poly_nth_root,
+    qdiv,
     rational_roots,
     scalar_nth_root,
     squarefree_decompose,
@@ -269,8 +270,63 @@ def _int_product(factors):
     return out
 
 
+# The monic-transform root search that the lift on h itself replaced, kept
+# unchanged as the oracle: the integer roots y = lead x of
+# lead^(n-1) h(y / lead).
+def _monic_integer_roots(c):
+    """The integer roots of a squarefree monic integer polynomial with
+    c[0] != 0, by p-adic lifting (Loos 1983).
+
+    Every root lies strictly inside (-B, B) for the power of two B from
+    Fujiwara's bound.  p is the first prime at which every root of c mod p
+    is simple (only primes dividing the discriminant fail); an integer root
+    reduces to one of them, whose lift mod q is unique, so Newton's step
+    r <- r - c(r) / c'(r) mod q, with q squared each step up to q >= 2B,
+    misses none.  The symmetric residues are confirmed by exact evaluation."""
+    n = len(c) - 1
+    e = max(-(-abs(ci).bit_length() // (n - i)) for i, ci in enumerate(c[:-1]))
+    bound = 1 << (e + 1)
+    dc = _zz_derivative(c)
+    p = 1
+    while True:
+        p += 1
+        if any(p % k == 0 for k in range(2, math.isqrt(p) + 1)):
+            continue
+        roots = [r for r, v in enumerate(_eval_mod(c, range(p), p)) if v == 0]
+        if all(_eval_mod(dc, roots, p)):
+            break
+    q = p
+    while roots and q < 2 * bound:
+        q *= q
+        roots = [(r - v * pow(d, -1, q)) % q for r, v, d in
+                 zip(roots, _eval_mod(c, roots, q), _eval_mod(dc, roots, q))]
+    roots = [r - q if 2 * r > q else r for r in roots]
+    return [r for r in roots if _int_horner(c, r) == 0]
+
+
+def _monic_transform(h):
+    """The coefficients, lowest first, of lead^(n-1) h(y / lead) for the
+    integer vector h of degree n >= 1 with leading coefficient lead: h_i
+    times lead^(n-1-i), the powers built by one running product from the top
+    coefficient down instead of one big power per coefficient."""
+    lead = h[-1]
+    out, power = [1], 1
+    for ci in reversed(h[:-1]):
+        out.append(ci * power)
+        power *= lead
+    out.reverse()
+    return out
+
+
+def _confirmed_lifted_roots(h):
+    """The candidates of the lift on the integer vector h that are roots of
+    h by exact evaluation, as ``rational_roots`` confirms them."""
+    p = Poly("x", dict(enumerate(h)))
+    return sorted(x for x in _lifted_roots(h) if p(x) == 0)
+
+
 def _assert_roots_match_oracle(c, expected):
-    assert sorted(_monic_integer_roots(c)) == sorted(_descartes_integer_roots(c)) == sorted(expected), c
+    assert _confirmed_lifted_roots(c) == sorted(_descartes_integer_roots(c)) == sorted(expected), c
 
 
 def test_integer_roots_match_descartes_oracle():
@@ -315,19 +371,26 @@ def test_integer_roots_with_no_root_mod_the_chosen_prime():
     _assert_roots_match_oracle(c, [])
 
 
-def test_monic_transform_matches_one_power_per_coefficient():
-    # the comprehension the running power replaced, kept as the oracle
-    def oracle(h):
-        lead = h[-1]
-        return [ci * lead ** (len(h) - 2 - i) for i, ci in enumerate(h[:-1])] + [1]
-
-    rng = random.Random(20)
-    for k in range(120):
-        degree = rng.randint(3, 40)
-        h = [rng.randint(-10 ** 6, 10 ** 6) for _ in range(degree)]
-        h.append(rng.choice([-1, 1]) if k % 3 == 0 else
-                 rng.choice([-1, 1]) * rng.randint(2, 10 ** (k % 25 + 1)))
-        assert _monic_transform(h) == oracle(h), h
+def test_lift_on_h_matches_the_monic_transform_oracle():
+    # squarefree, primitive, non-monic: planted roots a/b times a cofactor
+    # L x^k + m with no rational root, L a multiple of 30030, so the lift
+    # must skip every prime from 2 to 13
+    rng = random.Random(20261019)
+    for _ in range(400):
+        planted = set()
+        for _ in range(rng.randint(0, 6)):
+            a = rng.choice([-1, 1]) * rng.randint(1, 10 ** rng.randint(1, 15) - 1)
+            planted.add(Fraction(a, rng.randint(1, 10 ** rng.randint(1, 6) - 1)))
+        while True:
+            k, lead = rng.randint(2, 6), 30030 * rng.randint(1, 10 ** 4)
+            m = rng.choice([-1, 1]) * rng.randint(1, 10 ** 9)
+            if math.gcd(m, lead) == 1 and scalar_nth_root(Fraction(-m, lead), k) is None:
+                break
+        h = _int_product([[-x.numerator, x.denominator] for x in planted]
+                         + [[m] + [0] * (k - 1) + [lead]])
+        assert all(h[-1] % p == 0 for p in (2, 3, 5, 7, 11, 13))
+        oracle = sorted(Fraction(y, h[-1]) for y in _monic_integer_roots(_monic_transform(h)))
+        assert _confirmed_lifted_roots(h) == oracle == sorted(planted), h
 
 
 def test_squarefree_decompose_matches_sympy():
@@ -373,6 +436,11 @@ def test_rational_function_normalization():
     assert g == (lam - 1) / (lam + 1)
 
 
+def substitute(rf, value):
+    """rf evaluated at a scalar, polynomial, or rational function."""
+    return qdiv(rf.num(value), rf.den(value))
+
+
 def test_rational_function_arithmetic():
     f = 1 / lam
     g = lam / (lam + 1)
@@ -380,7 +448,7 @@ def test_rational_function_arithmetic():
     assert f * g == 1 / (lam + 1)
     assert (f - f).is_zero
     assert f ** -3 == RationalFunction(lam ** 3)
-    assert g.substitute(Fraction(1)) == Fraction(1, 2)
+    assert substitute(g, Fraction(1)) == Fraction(1, 2)
 
 
 def test_rational_function_derivative():
@@ -391,7 +459,7 @@ def test_rational_function_derivative():
 
 def test_rational_function_substitute_rational_function():
     f = (lam - 1) / (lam + 1)
-    sub = f.substitute(1 / lam)
+    sub = substitute(f, 1 / lam)
     assert sub == (1 - lam) / (1 + lam)
 
 
