@@ -15,6 +15,7 @@ weierstrass_reduction_chain; the twist to f = lam^3 A^2 by standard_family, on
 every call.
 """
 
+from collections import Counter
 from fractions import Fraction
 
 from .multipoly import MultiPoly, QuotientContext, QuotientFraction
@@ -168,11 +169,14 @@ def classify_fibers(f):
             )
         for piece, certified in _split_location(p):
             fibers.append(KodairaFiber(piece, piece.degree, m, certified))
+    # deterministic order: finite places by (k, degree, printed location),
+    # where only a tie on (k, degree) prints a location; infinity last
+    tied = Counter((fb.k, fb.degree) for fb in fibers)
+    fibers.sort(key=lambda fb: (fb.k, fb.degree, str(fb.location))
+                if tied[fb.k, fb.degree] > 1 else (fb.k, fb.degree))
     k_inf = (-f.degree) % 4
     if k_inf:
         fibers.append(KodairaFiber("infinity", 1, k_inf))
-    # deterministic order: finite places by (k, degree, repr), infinity last
-    fibers.sort(key=lambda fb: (fb.location == "infinity", fb.k, fb.degree, str(fb.location)))
     return FiberConfiguration(f, fibers)
 
 
@@ -238,7 +242,8 @@ def standard_beta(alpha=ALPHA):
     """beta with 4*beta = 16/(lam*(lam^2+2*lam+alpha)^2)."""
     lam = Poly.x("lam")
     A = _pencil_poly(alpha)
-    return 1 / (Fraction(1, 4) * lam * A ** 2)
+    # a constant over the monic lam A^2: already the reduced pair
+    return 4 / (lam * A ** 2)
 
 
 def quartic_twist(f_rf, s):

@@ -226,15 +226,16 @@ class MultiPoly:
         """The substitution: each variable the polynomial uses is replaced by
         assignment[name], a scalar, a MultiPoly or a QuotientFraction.  Every
         used variable must be mapped; one that stays fixed maps to its own
-        generator."""
-        out = 0
+        generator.  The zero polynomial evaluates to 0."""
+        out = None
         for e, c in self.terms.items():
             term = c
             for name, k in zip(self.vars, e):
                 if k:
-                    term = term * assignment[name] ** k
-            out = out + term
-        return out
+                    value = assignment[name]
+                    term = term * (value if k == 1 else value ** k)
+            out = term if out is None else out + term
+        return 0 if out is None else out
 
     def __repr__(self):
         return render_terms(

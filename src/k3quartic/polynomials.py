@@ -22,9 +22,10 @@ out even lands there automatically via ``__truediv__``.
 Over Q the gcd runs in Z[x]: ``poly_gcd`` clears denominators and contents
 and runs the heuristic gcd GCDHEU, whose candidate is certified by exact
 division of both inputs; Yun's squarefree decomposition, the cancellation of
-``RationalFunction`` and the squarefree part in ``rational_roots`` use the
-same integer kernel and its cofactors.  Other coefficient fields, and the
-rare inputs on which GCDHEU gives up, take the Euclidean algorithm.
+``RationalFunction`` and the squarefree part that ``rational_roots`` takes
+when small primes keep showing a repeated root use the same integer kernel
+and its cofactors.  Other coefficient fields, and the rare inputs on which
+GCDHEU gives up, take the Euclidean algorithm.
 ``rational_roots`` lifts the roots mod a small prime of the integer
 polynomial itself by Newton-Hensel steps (Loos), with no real-root isolation.
 
@@ -237,6 +238,11 @@ class Poly:
         return o - self
 
     def __mul__(self, other):
+        if self.den is not None and type(other) in (int, Fraction):
+            # a rational scalar rescales the numerators and the denominator
+            n = other.numerator
+            return _make(self.var, {e: c * n for e, c in self.nums.items()},
+                         self.den * other.denominator)
         o = self._check(other)
         if o is None:
             return NotImplemented
@@ -710,39 +716,49 @@ def _root_candidates(ints):
         if s * s != disc:
             return []
         return [Fraction(-b + s, 2 * a), Fraction(-b - s, 2 * a)]
-    # the squarefree part h has the same roots
-    f = [ints.get(e, 0) for e in range(n + 1)]
-    h = _zz_gcd(f, _zz_derivative(f))[1]
-    content = math.gcd(*h)
-    return _lifted_roots([ci // content for ci in h])
+    return _lifted_roots(_split_content([ints.get(e, 0) for e in range(n + 1)])[1])
+
+
+# primes showing a repeated root of h mod p before _lifted_roots takes the
+# squarefree part of h; a squarefree h shows one only at a prime dividing
+# its discriminant
+_REPEATED_ROOT_PRIMES = 8
 
 
 def _lifted_roots(h):
-    """Candidates including every rational root of a squarefree primitive
-    integer polynomial h of positive degree with h[0] != 0 (Loos, SIAM J.
-    Comput. 12, 1983).
+    """Candidates including every rational root of a primitive integer
+    polynomial h of positive degree with h[0] != 0 (Loos, SIAM J. Comput.
+    12, 1983).
 
-    Every root lies inside (-B, B) for the power of two B from Fujiwara's
-    bound for h / lead.  p is the first prime not dividing lead at which
-    every root of h mod p is simple.  A root a/b in lowest terms has b |
-    lead, so it reduces to one of them, whose lift mod q is unique: Newton's
-    step, with q squared up to q >= 2 |lead| B, misses none, and the
-    symmetric residue of lead r mod q is (lead / b) a.  Fraction(it, lead)
-    has a denominator dividing lead; its numerator must divide h[0]."""
+    p is the first prime not dividing lead at which every root of h mod p
+    is simple.  A squarefree h has one (any prime not dividing its
+    discriminant); a repeated factor of h may leave a repeated root at every
+    prime, so once _REPEATED_ROOT_PRIMES primes have shown one, h is
+    replaced by its squarefree part, which has the same roots.  Every root
+    lies inside (-B, B) for the power of two B from Fujiwara's bound for h
+    / lead.  A root a/b in lowest terms has b | lead, so it reduces to one
+    of the simple roots mod p, whose lift mod q is unique: Newton's step,
+    with q squared up to q >= 2 |lead| B, misses none, and the symmetric
+    residue of lead r mod q is (lead / b) a.  Fraction(it, lead) has a
+    denominator dividing lead; its numerator must divide h[0]."""
+    dh = _zz_derivative(h)
+    p, repeated = 1, 0
+    while True:
+        p += 1
+        if h[-1] % p == 0 or any(p % k == 0 for k in range(2, math.isqrt(p) + 1)):
+            continue
+        roots = [r for r, v in enumerate(_eval_mod(h, range(p), p)) if v == 0]
+        if all(_eval_mod(dh, roots, p)):
+            break
+        repeated += 1
+        if repeated == _REPEATED_ROOT_PRIMES:
+            h = _split_content(_zz_gcd(h, dh)[1])[1]
+            dh = _zz_derivative(h)
     n = len(h) - 1
     lead = h[-1]
     shift = abs(lead).bit_length() - 1
     e = max(-(-(abs(ci).bit_length() - shift) // (n - i)) for i, ci in enumerate(h[:-1]))
     bound = 1 << max(e + 1, 1)
-    dh = _zz_derivative(h)
-    p = 1
-    while True:
-        p += 1
-        if lead % p == 0 or any(p % k == 0 for k in range(2, math.isqrt(p) + 1)):
-            continue
-        roots = [r for r, v in enumerate(_eval_mod(h, range(p), p)) if v == 0]
-        if all(_eval_mod(dh, roots, p)):
-            break
     q = p
     while roots and q < 2 * abs(lead) * bound:
         q *= q
@@ -764,12 +780,19 @@ def rational_roots(p):
     cost is polynomial in the bit size of the coefficients.  After clearing
     denominators and splitting off the root 0, a linear or quadratic
     polynomial gives its candidates in closed form (``math.isqrt`` of the
-    discriminant); a higher degree lifts the roots of its squarefree part h
-    mod a small prime to candidates (Loos' p-adic method on h itself).  Only
+    discriminant); a higher degree lifts its roots mod a small prime to
+    candidates (Loos' p-adic method on the polynomial itself, or on its
+    squarefree part when small primes keep showing a repeated root).  Only
     here is each candidate confirmed, by exact evaluation, and its
     multiplicity counted by exact division.  Roots come out as 0 first,
     then by (|numerator|, denominator), positive before negative.
     """
+    return _roots_and_cofactor(p)[0]
+
+
+def _roots_and_cofactor(p):
+    """(rational_roots(p), what is left of p's integer numerators after
+    every root's linear factor is divided out as often as it divides)."""
     if p.is_zero:
         raise ValueError("every rational is a root of the zero polynomial")
     if p.den is None:
@@ -781,11 +804,11 @@ def rational_roots(p):
     if lo > 0:
         out.append((Fraction(0), lo))
         ints = {e - lo: c for e, c in ints.items()}
+    work = Poly(p.var, ints)
     if max(ints) == 0:
-        return out
+        return out, work
     cands = sorted(set(_root_candidates(ints)),
                    key=lambda q: (abs(q.numerator), q.denominator, q < 0))
-    work = Poly(p.var, ints)
     for r in cands:
         if work.degree <= 0:
             break
@@ -795,7 +818,7 @@ def rational_roots(p):
             m += 1
         if m:
             out.append((r, m))
-    return out
+    return out, work
 
 
 def certified_factors(p):
@@ -804,19 +827,17 @@ def certified_factors(p):
     Returns (factors, residual) where factors is a list of monic polynomials
     that are certified irreducible over Q (linear always; quadratic/cubic via
     the no-rational-root test) and residual is None or a monic polynomial of
-    degree >= 4 that carries no rational root but is not certified.
+    degree >= 4 that carries no rational root but is not certified.  The
+    roots come from p's own primitive vector and the rest from the same
+    exact divisions that confirm them.
     """
     if p.degree <= 0:
         return [], None
-    work = p.monic()
-    factors = []
-    for r, m in rational_roots(work):
-        lin = Poly(p.var, {1: 1, 0: -r})
-        for _ in range(m):
-            factors.append(lin)
-            work = work // lin
+    roots, work = _roots_and_cofactor(p)
+    factors = [Poly(p.var, {1: 1, 0: -r}) for r, m in roots for _ in range(m)]
     if work.degree <= 0:
         return factors, None
+    work = work.monic()
     if work.degree <= 3:
         # no rational root and degree 2 or 3: irreducible over Q
         factors.append(work)

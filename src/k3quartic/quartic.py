@@ -10,9 +10,11 @@ For generic alpha the components meet pairwise transversally in five nodes.
 Three parameter values degenerate the configuration (a coincidence or a
 tangency); they are detected from the equations, not hardcoded.
 
-alpha may be a Fraction, a FieldElement, or the symbol ALPHA (a rational
-function over Q), so the same code paths serve both symbolic identities and
-concrete members.
+The three components are built once, from the same equations, as
+polynomials in (x, y, z, alpha), and differentiated once; a member only
+evaluates their gradients at (point, alpha).  alpha may be a Fraction, a
+FieldElement, or the symbol ALPHA (a rational function over Q), so the same
+code paths serve both symbolic identities and concrete members.
 """
 
 from fractions import Fraction
@@ -21,6 +23,7 @@ from .multipoly import MultiPoly
 from .polynomials import Poly, RationalFunction, scalar_nth_root
 
 PLANE_VARS = ("x", "y", "z")
+PENCIL_VARS = PLANE_VARS + ("alpha",)
 
 # the symbolic parameter: a rational function, usable as a scalar coefficient
 ALPHA = RationalFunction(Poly.x("alpha"))
@@ -59,22 +62,16 @@ def quartic_at(x, y, z, alpha):
     return conic_at(x, y, z) * line1_at(x, y, z) * line2_at(x, y, z, alpha)
 
 
-def _plane_gens():
-    return [MultiPoly.gen(PLANE_VARS, v) for v in PLANE_VARS]
+def _pencil_gradients():
+    """conic, line1 and line2 as polynomials in (x, y, z, alpha), each
+    differentiated in x, y and z."""
+    x, y, z, alpha = (MultiPoly.gen(PENCIL_VARS, v) for v in PENCIL_VARS)
+    return tuple(tuple(c.derivative(v) for v in PLANE_VARS)
+                 for c in (conic_at(x, y, z), line1_at(x, y, z), line2_at(x, y, z, alpha)))
 
 
-def conic():
-    return conic_at(*_plane_gens())
-
-
-def line1():
-    return line1_at(*_plane_gens())
-
-
-def line2(alpha):
-    if alpha is ALPHA_INFINITY:
-        return MultiPoly.gen(PLANE_VARS, "x")
-    return line2_at(*_plane_gens(), alpha)
+# built once; a member only evaluates them at (point, alpha)
+_CONIC_GRAD, _LINE1_GRAD, _LINE2_GRAD = _pencil_gradients()
 
 
 class QuarticFamily:
@@ -93,19 +90,14 @@ def build_quartic(alpha):
     return QuarticFamily(alpha)
 
 
-def _gradient(comp):
-    """The three partial derivatives of a plane component."""
-    return tuple(comp.derivative(v) for v in PLANE_VARS)
-
-
-def _tangent_directions_distinct(grad_a, grad_b, point):
-    """True when two component gradients (from `_gradient`) are
-    non-proportional at the point.
+def _tangent_directions_distinct(grad_a, grad_b, point, alpha):
+    """True when two component gradients are non-proportional at the point
+    of the member alpha.
 
     The point then is an ordinary node of the product curve: two smooth
     branches crossing transversally.
     """
-    at = dict(zip(PLANE_VARS, point))
+    at = dict(zip(PENCIL_VARS, point + (alpha,)))
     g1 = [d.evaluate(at) for d in grad_a]
     g2 = [d.evaluate(at) for d in grad_b]
     # 2x2 minors of the 2x3 gradient matrix
@@ -129,22 +121,20 @@ def singular_points(fam, sqrt_one_minus_alpha=None):
     if alpha is ALPHA_INFINITY:
         raise ValueError("singular points at alpha = infinity are degenerate; "
                          "classify stability instead")
-    # each component is differentiated once; the minors are per point
-    Q, L1, L2 = (_gradient(c) for c in (conic(), line1(), line2(alpha)))
     out = []
 
     for pt in [(1, 0, 0), (0, 0, 1)]:
         out.append({
             "point": pt,
             "components": ("conic", "line1"),
-            "node": _tangent_directions_distinct(Q, L1, pt),
+            "node": _tangent_directions_distinct(_CONIC_GRAD, _LINE1_GRAD, pt, alpha),
         })
 
     pt = (1, 0, -alpha)
     out.append({
         "point": pt,
         "components": ("line1", "line2"),
-        "node": _tangent_directions_distinct(L1, L2, pt),
+        "node": _tangent_directions_distinct(_LINE1_GRAD, _LINE2_GRAD, pt, alpha),
     })
 
     # conic cap line2: plug (1 : t : t^2) into line2 -> t^2 + 2t + alpha
@@ -166,7 +156,7 @@ def singular_points(fam, sqrt_one_minus_alpha=None):
             out.append({
                 "point": pt,
                 "components": ("conic", "line2"),
-                "node": _tangent_directions_distinct(Q, L2, pt),
+                "node": _tangent_directions_distinct(_CONIC_GRAD, _LINE2_GRAD, pt, alpha),
             })
     else:
         out.append({

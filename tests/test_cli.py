@@ -524,10 +524,15 @@ class TestModuli:
 GOLDEN = [
     (("analyze", "81/49", "--mw-rank", "1"),
      "d27e6842b3f9b5858d28b684e1d3e2b7d3c158a48946a6002763f90bf1a9bfe5"),
+    # a split member: five rational nodes and two I0* fibers tied on (k, degree)
+    (("analyze", "3/4", "--mw-rank", "1"),
+     "e8fef306e3cf66d4b518e9b854c6fb1c9998bfe7a5db1e0027f2df13668f593c"),
     (("analyze", "0"),
      "e371b3a1d2002526326ff4846805172c1434415d0de90ac4801754207b64794a"),
     (("fibers", "81/49"),
      "41530fa1c8adc4b0a84f4884730f14e01b52247c97533c195f3617ef99eaae63"),
+    (("fibers", "3/4"),
+     "2049fb2eb42e40ae066f61dbd29f869a688b8b16b6cf92686ea4c4f694e6bfd3"),
     (("fibers", "inf"),
      "311d181b2f39b9b64e259e29abc4efb855968a9b4c042a2480e6b58a01218ec2"),
     (("lattice", "invariants", "--gram", "N"),

@@ -1,6 +1,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from k3quartic import fibration
 from k3quartic.fibration import (
@@ -130,6 +132,36 @@ def test_twist_minimize():
 def test_classify_requires_twist_minimal():
     with pytest.raises(NotTwistMinimalError):
         classify_fibers(LAM ** 4 * (LAM + 1))
+
+
+_SMALL_Q = st.fractions(min_value=-6, max_value=6, max_denominator=4)
+_FACTOR = st.one_of(
+    _SMALL_Q.map(lambda r: LAM - r),
+    st.tuples(_SMALL_Q, _SMALL_Q).map(lambda bc: LAM ** 2 + bc[0] * LAM + bc[1]),
+)
+
+
+def _printed_sort_key(fb):
+    return (fb.location == "infinity", fb.k, fb.degree, str(fb.location))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.tuples(_FACTOR, st.integers(1, 3)), min_size=1, max_size=5,
+                unique_by=lambda fm: fm[0]),
+       _SMALL_Q.filter(bool))
+# the split member alpha = 3/4: two I0* places tied on (k, degree)
+@example([(LAM + Fraction(3, 2), 2), (LAM, 3), (LAM + Fraction(1, 2), 2)], Fraction(1))
+def test_classify_orders_fibers_by_the_printed_key(factors, unit):
+    # only a tie on (k, degree) prints a location now; the order must be the
+    # one the printed sort key gives
+    f = Poly.constant("lam", unit)
+    for p, m in factors:
+        f = f * p ** m
+    try:
+        cfg = classify_fibers(f)
+    except NotTwistMinimalError:  # a reducible quadratic shared a root
+        assume(False)
+    assert cfg.fibers == sorted(cfg.fibers, key=_printed_sort_key)
 
 
 def test_classify_no_fibers_for_constant():

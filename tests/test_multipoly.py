@@ -90,6 +90,18 @@ def test_evaluate_matches_the_substitution_oracle():
     assert kinds == {"unmapped", "int", "fraction", "poly"}
 
 
+@pytest.mark.parametrize("c", [0, 5, Fraction(-2, 3)])
+def test_evaluate_a_constant_under_every_kind_of_assignment(c):
+    # the sum starts from the first term, so the zero polynomial (no term)
+    # must still give 0, and a constant its coefficient, whatever x maps to
+    ctx = QuotientContext(V, [("x", 2, y + 1)])
+    values = [Fraction(3, 7), 2, x + y, QuotientFraction(ctx, x, y)]
+    p = MultiPoly.const(V, c)
+    for value in values:
+        got = p.evaluate({"x": value, "y": value})
+        assert got == c and type(got) is type(c)
+
+
 def test_evaluate_with_field_elements():
     QI = gaussian_field()
     i = QI.gen()

@@ -1,5 +1,8 @@
 import math
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -419,6 +422,29 @@ def test_certified_factors():
     assert residual == (lam ** 2 + 1) * (lam ** 2 + 2)
 
 
+REPEATED_ROOT_FACTORS = """\
+from k3quartic.polynomials import Poly, certified_factors, _lifted_roots
+lam = Poly.x("lam")
+print(certified_factors((lam - 1) ** 2 * (lam ** 2 + 3) * (lam + 5)))
+h = ((lam - 1) ** 2 * (lam ** 2 + 3) * (lam ** 2 - lam + 10)).nums
+print(sorted(_lifted_roots([h.get(e, 0) for e in range(7)])))
+"""
+
+
+def test_lift_of_a_repeated_root_terminates():
+    # 1 is a double root of each polynomial mod every prime, so only its
+    # squarefree part has a prime with simple roots; the subprocess bounds
+    # the time the search may take
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    run = subprocess.run([sys.executable, "-c", REPEATED_ROOT_FACTORS],
+                         capture_output=True, text=True, timeout=20, env=env)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.splitlines() == [
+        "([lam - 1, lam - 1, lam + 5, lam^2 + 3], None)", "[Fraction(1, 1)]"]
+
+
 def test_mixed_variable_arithmetic_rejected():
     mu = Poly.x("mu")
     with pytest.raises(TypeError):
@@ -719,3 +745,17 @@ def test_rational_polys_match_the_fraction_oracle():
         g = a.map_coeffs(qi.from_rational)
         assert g.den is None or not da
         assert g == a and a == g and hash(g) == hash(a)
+
+
+def test_scalar_product_matches_the_constant_product():
+    # a rational scalar rescales nums and den; the product with the constant
+    # polynomial takes the general loop, and both must give the same pair
+    rng = random.Random(27)
+    scalars = [0, 1, -1, 6, -12, Fraction(0), Fraction(5), Fraction(-3, 4),
+               Fraction(7, 10 ** 20 + 39)]
+    for _ in range(200):
+        a = _build(rng, _random_oracle(rng))
+        for c in scalars + [_random_rational(rng), rng.randint(-10 ** 6, 10 ** 6)]:
+            want = a * Poly.constant(a.var, c)
+            for got in (a * c, c * a):
+                assert (got.nums, got.den) == (want.nums, want.den), (a, c)

@@ -3,20 +3,41 @@ from fractions import Fraction
 import pytest
 
 from k3quartic.fields import sqrt_field
+from k3quartic.multipoly import MultiPoly
 from k3quartic.quartic import (
     ALPHA,
     ALPHA_INFINITY,
+    PLANE_VARS,
     Stable,
     Unstable,
     build_quartic,
     chart_sign_check,
-    conic,
-    line1,
-    line2,
+    conic_at,
+    line1_at,
+    line2_at,
     pencil_substitution_check,
     singular_points,
     stability,
 )
+
+
+# the components of one member as polynomials in the plane variables, built
+# per call: the recovery check divides by them, and the singular-point
+# oracle differentiates them
+def _plane_gens():
+    return [MultiPoly.gen(PLANE_VARS, v) for v in PLANE_VARS]
+
+
+def conic():
+    return conic_at(*_plane_gens())
+
+
+def line1():
+    return line1_at(*_plane_gens())
+
+
+def line2(alpha):
+    return line2_at(*_plane_gens(), alpha)
 
 
 def component_recovery_check(fam):
@@ -113,3 +134,43 @@ def test_singular_points_rejects_infinity():
     fam = build_quartic(ALPHA_INFINITY)
     with pytest.raises(ValueError):
         singular_points(fam)
+
+
+def _node_per_call(components, point, alpha):
+    """Whether the two named components, built and differentiated for this
+    alpha, meet at the point with non-proportional gradients; both must
+    vanish there."""
+    comps = {"conic": conic(), "line1": line1(), "line2": line2(alpha)}
+    at = dict(zip(PLANE_VARS, point))
+    a, b = (comps[name] for name in components)
+    assert a.evaluate(at) == 0 and b.evaluate(at) == 0
+    g1, g2 = ([c.derivative(v).evaluate(at) for v in PLANE_VARS] for c in (a, b))
+    return any(g1[i] * g2[j] - g1[j] * g2[i] != 0 for i, j in ((0, 1), (0, 2), (1, 2)))
+
+
+K2 = sqrt_field(-2)
+K3 = sqrt_field(3)
+
+
+@pytest.mark.parametrize("alpha, root, n_points", [
+    (Fraction(3, 4), None, 5),                       # rational sqrt(1 - alpha)
+    (Fraction(-3), None, 5),
+    (Fraction(1), None, 5),                          # tacnode: a tangent pair
+    (Fraction(0), None, 5),                          # triple point
+    (Fraction(81, 49), None, 3),                     # no rational sqrt(1 - alpha)
+    (Fraction(2), None, 3),
+    (Fraction(81, 49), Fraction(4, 7) * K2.gen(), 5),  # a FieldElement root
+    (Fraction(-2), K3.gen(), 5),
+    (K3.gen(), None, 3),                             # a FieldElement alpha
+    (ALPHA, None, 3),
+], ids=["3/4", "-3", "1", "0", "81/49", "2", "81/49-root", "-2-root", "sqrt3", "ALPHA"])
+def test_singular_points_match_per_call_gradients(alpha, root, n_points):
+    pts = singular_points(build_quartic(alpha), sqrt_one_minus_alpha=root)
+    points = [p for p in pts if "point" in p]
+    assert len(points) == n_points
+    for p in points:
+        assert p["node"] == _node_per_call(p["components"], p["point"], alpha)
+    if alpha == 1:  # line2 is tangent to the conic at (1 : -1 : 1)
+        assert [p["node"] for p in points] == [True, True, True, False, False]
+    else:
+        assert all(p["node"] for p in points)
