@@ -588,10 +588,13 @@ def cmd_lattice(args):
     return build_report("lattice tn", inputs, results, ledger)
 
 
-# keeps split interactive: on a shared two-core host a degree-256 curve whose
-# every coefficient has 7 digits takes about 0.35 s from a cold start, most
-# of it the schoolbook products that compose the quartic (its degree is 4d);
-# with the cap raised, degree 512 takes about 1.1 s and degree 1024 3.6 s
+# bounds the degree, not the time: on a shared two-core host a degree-256
+# curve whose every coefficient has 7 digits takes about 0.35 s from a cold
+# start, most of it the schoolbook products that compose the quartic (its
+# degree is 4d), but one with y = (r - 1)(r - 2)...(r - 256), x = 1 and z = r
+# took about 220 s in-process, nearly all of it GCDHEU's integer gcds at
+# evaluation points of many thousands of digits, in Yun's decomposition and
+# in the squarefree step of the rational-root lift
 MAX_PARAM_DEGREE = 256
 
 

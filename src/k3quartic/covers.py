@@ -415,15 +415,14 @@ def _even_poly_descend(p, scale):
 
 
 def even_descend(rf, scale):
-    """An r -> -r invariant rational function as a function of lam = r^2/scale."""
-    num, den = rf.num, rf.den
-    den_neg = _negate_variable_poly(den)
-    if den != den_neg:
-        num = num * den_neg
-        den = den * den_neg
+    """An r -> -r invariant rational function as a function of lam = r^2/scale.
+
+    Its reduced pair is even on both sides: an odd denominator of an
+    invariant fraction would leave r dividing both numerator and
+    denominator."""
     return RationalFunction(
-        _even_poly_descend(num, scale),
-        _even_poly_descend(den, scale),
+        _even_poly_descend(rf.num, scale),
+        _even_poly_descend(rf.den, scale),
     )
 
 

@@ -16,7 +16,6 @@ every call.
 """
 
 from collections import Counter
-from fractions import Fraction
 
 from .multipoly import MultiPoly, QuotientContext, QuotientFraction
 from .polynomials import (
@@ -47,15 +46,9 @@ class WeierstrassFibration:
     __slots__ = ("f",)
 
     def __init__(self, f):
-        if isinstance(f, RationalFunction):
-            f = f.as_poly()
         if f.is_zero:
             raise ValueError("f must be nonzero")
         self.f = f
-
-    @property
-    def var(self):
-        return self.f.var
 
     def classify(self):
         return classify_fibers(self.f)
@@ -98,9 +91,8 @@ class FiberConfiguration:
 
 
 def _is_square_scalar(c):
-    """True/False when decidable for the scalar, None when not certified."""
-    if isinstance(c, (int, Fraction)):
-        return scalar_nth_root(Fraction(c), 2) is not None
+    """True/False when decidable for a coefficient of a polynomial over a
+    field other than Q, None when not certified."""
     if isinstance(c, RationalFunction):
         rn = poly_nth_root(c.num, 2)
         rd = poly_nth_root(c.den, 2)
@@ -116,7 +108,9 @@ def _split_location(p):
     Returns a list of (poly, certified) pairs.  Full factorization is only
     attempted over Q; elsewhere linear factors are trivially irreducible and
     quadratics are certified by a discriminant non-square test when the
-    scalar domain supports it.
+    scalar domain supports it.  A quadratic that splits, or whose
+    discriminant the domain cannot decide, is reported uncertified, since
+    no root finder serves that domain.
     """
     if p.degree == 1:
         return [(p.monic(), True)]
@@ -129,13 +123,8 @@ def _split_location(p):
     if p.degree == 2:
         q = p.monic()
         b, c = q.coeff(1), q.coeff(0)
-        disc = b * b - 4 * c
-        sq = _is_square_scalar(disc)
-        if sq is False:
+        if _is_square_scalar(b * b - 4 * c) is False:
             return [(q, True)]
-        if sq is True:
-            # splits; without a root finder for this domain, report uncertified
-            return [(q, False)]
     return [(p.monic(), False)]
 
 
@@ -247,11 +236,8 @@ def standard_beta(alpha=ALPHA):
 
 
 def quartic_twist(f_rf, s):
-    """Twist coefficient transport: f -> f / s^4 under (u,v) -> (s^2 u, s^3 v)."""
-    if isinstance(f_rf, Poly):
-        f_rf = RationalFunction(f_rf)
-    if isinstance(s, Poly):
-        s = RationalFunction(s)
+    """Twist coefficient transport: f -> f / s^4 under (u,v) -> (s^2 u, s^3 v),
+    for rational functions f and s."""
     return f_rf / s ** 4
 
 

@@ -5,29 +5,33 @@ integers 0 and 1 works (rationals, tower field elements, or rational functions
 in another variable).  A ``Poly`` whose coefficients are ints and Fractions
 is held as int numerators over one positive common denominator in lowest
 terms, as ``fields.FieldElement`` is (Cohen, A Course in Computational
-Algebraic Number Theory, 4.2): its sums, products, derivatives, rescalings
-and divisions run on ints, followed by one gcd of the denominator with the
+Algebraic Number Theory, 4.2): its sums, products, derivatives and
+rescalings run on ints, followed by one gcd of the denominator with the
 numerators, which by Gauss's lemma is all that can cancel.  Any other
 coefficients keep a plain map and the generic loops.  ``coeffs`` reads
 either form as {exponent: coefficient}, a rational coefficient an ``int``
-when it is integral and a ``Fraction`` otherwise.  Every division of
-coefficients goes through ``qdiv``, which divides two ints exactly, so no
-float can arise.  The zero polynomial has degree -inf so degree comparisons
-behave without special-casing.
+when it is integral and a ``Fraction`` otherwise.  Long division has one
+loop for every domain, on ``coeffs``; every division of coefficients goes
+through ``qdiv``, which divides two ints exactly, so no float can arise.
+The zero polynomial has degree -inf so degree comparisons behave without
+special-casing.
 
 ``RationalFunction`` keeps a reduced num/den pair with a monic denominator,
 which makes equality structural.  Division of polynomials that does not come
 out even lands there automatically via ``__truediv__``.
 
-Over Q the gcd runs in Z[x]: ``poly_gcd`` clears denominators and contents
-and runs the heuristic gcd GCDHEU, whose candidate is certified by exact
-division of both inputs; Yun's squarefree decomposition, the cancellation of
-``RationalFunction`` and the squarefree part that ``rational_roots`` takes
-when small primes keep showing a repeated root use the same integer kernel
-and its cofactors.  Other coefficient fields, and the rare inputs on which
-GCDHEU gives up, take the Euclidean algorithm.
+Over Q the gcd runs in Z[x]: ``_gcd_cofactors``, behind ``poly_gcd``, the
+cancellation of ``RationalFunction`` and Yun's loop over other fields, is
+the one place that picks the domain.  Over Q it clears denominators and
+contents and runs the heuristic gcd GCDHEU, whose candidate is certified by
+exact division of both inputs, which also yields the cofactors; Yun's
+squarefree decomposition over Q and the squarefree part that
+``rational_roots`` takes when small primes keep showing a repeated root use
+the same integer kernel.  Other coefficient fields, and the rare inputs on
+which GCDHEU gives up, take the Euclidean algorithm.
 ``rational_roots`` lifts the roots mod a small prime of the integer
-polynomial itself by Newton-Hensel steps (Loos), with no real-root isolation.
+polynomial itself by Newton-Hensel steps (Loos), with no real-root
+isolation, and confirms each candidate by exact division in Z[x].
 
 As the lowest module, this one also holds what the scalar and polynomial
 classes share: ``qdiv`` is the one exact scalar division, ``render_terms``
@@ -171,8 +175,6 @@ class Poly:
         return c if self.den is None or self.den == 1 else qdiv(c, self.den)
 
     def monic(self):
-        if self.den is not None and self.nums:
-            return _make(self.var, self.nums, self.nums[max(self.nums)])
         lead = self.leading_coefficient()
         return self if lead == 1 or lead == 0 else self._over(lead)
 
@@ -271,45 +273,25 @@ class Poly:
         return power(self, n, Poly.constant(self.var, 1))
 
     def __divmod__(self, other):
-        """Over Q the steps run on the numerators A of self and B of other:
-        s A = Q B + R, the scale s growing only at a step whose top term the
-        leading numerator of B does not divide (never when B is primitive and
-        divides A exactly, as the linear factor of a root does)."""
         o = self._check(other)
         if o is None or o.is_zero:
             raise ZeroDivisionError("polynomial division by zero")
-        over_q = self.den is not None and o.den is not None
-        a, b = (self.nums, o.nums) if over_q else (self.coeffs, o.coeffs)
+        a, b = self.coeffs, o.coeffs
         m = max(b)
         lead = b[m]
         low = [(j, c) for j, c in b.items() if j != m]
         r = [0] * (max(a, default=-1) + 1)
         for e, c in a.items():
             r[e] = c
-        q, s = {}, 1
+        q = {}
         for k in range(len(r) - 1 - m, -1, -1):
             c = r[k + m]
             if c == 0:
                 continue
-            if over_q:
-                g = math.gcd(c, lead) if lead > 0 else -math.gcd(c, lead)
-                if g != lead:
-                    mult = lead // g
-                    r = [x * mult for x in r[:k + m]]
-                    q = {e: x * mult for e, x in q.items()}
-                    s *= mult
-                f = q[k] = c // g
-            else:
-                f = q[k] = qdiv(c, lead)
+            f = q[k] = qdiv(c, lead)
             for j, bj in low:
                 r[k + j] -= f * bj
-        rem = dict(enumerate(r[:m]))
-        if not over_q:
-            return Poly(self.var, q), Poly(self.var, rem)
-        # A / da = (Q db / (s da)) (B / db) + R / (s da)
-        den = s * self.den
-        return (_make(self.var, {e: x * o.den for e, x in q.items()}, den),
-                _make(self.var, rem, den))
+        return Poly(self.var, q), Poly(self.var, dict(enumerate(r[:m])))
 
     def __floordiv__(self, other):
         return divmod(self, other)[0]
@@ -556,25 +538,37 @@ def _euclid_gcd(a, b):
     return p.monic()
 
 
-def poly_gcd(a, b):
-    """The monic gcd of two polynomials in one variable.
+def _gcd_cofactors(a, b):
+    """(g, a / g, b / g) for g the monic gcd of a and b, or (0, a, b) when
+    both are zero; a gcd of degree 0 returns a and b themselves.
 
-    When both are nonzero with int or Fraction coefficients, the gcd is
-    found over Z: denominators and contents are cleared, GCDHEU reads a
-    candidate off an integer gcd of values at a large point, and exact
-    division of both primitive inputs by it certifies it.  If no point of
-    the few it tries gives a certified candidate, and for any other
-    coefficient field, the Euclidean algorithm decides.
-    """
+    When both are nonzero with int or Fraction coefficients, the gcd and
+    its cofactors come from ``_zz_gcd`` on the primitive integer vectors:
+    GCDHEU reads a candidate off an integer gcd of values at a large point,
+    and exact division of both inputs by it certifies it and yields the
+    cofactors.  Any other coefficient field, and a zero operand, take the
+    Euclidean algorithm and exact division."""
+    fa = _int_form(a) if a and b else None
+    fb = fa and _int_form(b)
+    if fb:
+        h, ca, cb = _zz_gcd(fa[1], fb[1])
+        g = _from_ints(a.var, h, qdiv(1, h[-1]))
+        if len(h) == 1:
+            return g, a, b
+        # a = ka h ca and g = h / lead(h), so a / g = ka lead(h) ca
+        return (g, _from_ints(a.var, ca, fa[0] * h[-1]),
+                _from_ints(a.var, cb, fb[0] * h[-1]))
+    g = _euclid_gcd(a, b)
+    if g.degree <= 0:
+        return g, a, b
+    return g, a // g, b // g
+
+
+def poly_gcd(a, b):
+    """The monic gcd of two polynomials in one variable."""
     if a.var != b.var:
         raise TypeError("gcd of polynomials in different variables")
-    if a and b:
-        fa = _int_form(a)
-        fb = fa and _int_form(b)
-        if fb:
-            h = _zz_gcd(fa[1], fb[1])[0]
-            return _from_ints(a.var, h, qdiv(1, h[-1]))
-    return _euclid_gcd(a, b)
+    return _gcd_cofactors(a, b)[0]
 
 
 def squarefree_decompose(p):
@@ -584,7 +578,8 @@ def squarefree_decompose(p):
     squarefree, pairwise coprime, and the product of factor^mult times the
     unit giving back p.  Factors come out in increasing multiplicity order.
     Rational coefficients run the loop on the primitive integer vector of
-    p, with the integer gcd of ``poly_gcd`` and exact integer division.
+    p, with the integer gcd and exact integer division of ``_zz_gcd``; any
+    other field runs it on polynomials, with ``_gcd_cofactors``.
     """
     if p.is_zero:
         raise ValueError("squarefree decomposition of the zero polynomial")
@@ -596,19 +591,15 @@ def squarefree_decompose(p):
         return unit, [(_from_ints(p.var, f, qdiv(1, f[-1])), i)
                       for f, i in _zz_yun(form[1])]
     p = p.monic()
-    dp = p.derivative()
-    g = poly_gcd(p, dp)
+    _, c, d = _gcd_cofactors(p, p.derivative())
+    d = d - c.derivative()
     out = []
-    c = p // g
-    d = dp // g - c.derivative()
     i = 1
     while c.degree > 0:
-        f = poly_gcd(c, d)
+        f, c, d = _gcd_cofactors(c, d)
         if f.degree > 0:
             out.append((f, i))
-        c2 = c // f
-        d = d // f - c2.derivative()
-        c = c2
+        d = d - c.derivative()
         i += 1
     return unit, out
 
@@ -703,20 +694,19 @@ def _eval_mod(c, xs, q):
     return vals
 
 
-def _root_candidates(ints):
-    """Rational numbers that include every rational root of the integer
-    polynomial {exponent: coefficient} whose constant term is nonzero."""
-    n = max(ints)
-    if n == 1:
-        return [Fraction(-ints[0], ints[1])]
-    if n == 2:
-        a, b, c = ints[2], ints.get(1, 0), ints[0]
+def _root_candidates(v):
+    """Rational numbers that include every rational root of the primitive
+    integer vector v of positive degree whose constant term is nonzero."""
+    if len(v) == 2:
+        return [Fraction(-v[0], v[1])]
+    if len(v) == 3:
+        c, b, a = v
         disc = b * b - 4 * a * c
         s = math.isqrt(disc) if disc >= 0 else -1
         if s * s != disc:
             return []
         return [Fraction(-b + s, 2 * a), Fraction(-b - s, 2 * a)]
-    return _lifted_roots(_split_content([ints.get(e, 0) for e in range(n + 1)])[1])
+    return _lifted_roots(v)
 
 
 # primes showing a repeated root of h mod p before _lifted_roots takes the
@@ -783,42 +773,43 @@ def rational_roots(p):
     discriminant); a higher degree lifts its roots mod a small prime to
     candidates (Loos' p-adic method on the polynomial itself, or on its
     squarefree part when small primes keep showing a repeated root).  Only
-    here is each candidate confirmed, by exact evaluation, and its
-    multiplicity counted by exact division.  Roots come out as 0 first,
-    then by (|numerator|, denominator), positive before negative.
+    here is each candidate confirmed, and its multiplicity counted, by exact
+    division in Z[x].  Roots come out as 0 first, then by (|numerator|,
+    denominator), positive before negative.
     """
     return _roots_and_cofactor(p)[0]
 
 
 def _roots_and_cofactor(p):
-    """(rational_roots(p), what is left of p's integer numerators after
-    every root's linear factor is divided out as often as it divides)."""
+    """(rational_roots(p), the primitive integer polynomial left of p once
+    every root's linear factor is divided out as often as it divides).
+
+    By Gauss's lemma a/b in lowest terms is a root of the primitive integer
+    vector v exactly when b x - a divides v in Z[x], and the quotient is
+    primitive again, so the candidates are confirmed on integer vectors."""
     if p.is_zero:
         raise ValueError("every rational is a root of the zero polynomial")
     if p.den is None:
         raise TypeError("rational roots need int or Fraction coefficients")
-    ints = p.nums
-    lo = min(ints)
+    lo = min(p.nums)
     # factor out x^lo: root 0 with multiplicity lo
-    out = []
-    if lo > 0:
-        out.append((Fraction(0), lo))
-        ints = {e - lo: c for e, c in ints.items()}
-    work = Poly(p.var, ints)
-    if max(ints) == 0:
-        return out, work
-    cands = sorted(set(_root_candidates(ints)),
+    out = [(Fraction(0), lo)] if lo else []
+    v = [0] * (max(p.nums) - lo + 1)
+    for e, c in p.nums.items():
+        v[e - lo] = c
+    v = _split_content(v)[1]
+    cands = sorted(set(_root_candidates(v)) if len(v) > 1 else (),
                    key=lambda q: (abs(q.numerator), q.denominator, q < 0))
     for r in cands:
-        if work.degree <= 0:
-            break
         m = 0
-        while work.degree > 0 and work(r) == 0:
-            work = work // Poly(p.var, {1: 1, 0: -r})
-            m += 1
+        while len(v) > 1:
+            w = _zz_divexact(v, [-r.numerator, r.denominator])
+            if w is None:
+                break
+            v, m = w, m + 1
         if m:
             out.append((r, m))
-    return out, work
+    return out, _from_ints(p.var, v)
 
 
 def certified_factors(p):
@@ -829,7 +820,7 @@ def certified_factors(p):
     the no-rational-root test) and residual is None or a monic polynomial of
     degree >= 4 that carries no rational root but is not certified.  The
     roots come from p's own primitive vector and the rest from the same
-    exact divisions that confirm them.
+    exact integer divisions that confirm them.
     """
     if p.degree <= 0:
         return [], None
@@ -944,21 +935,9 @@ class FractionArithmetic:
 
 def _cancel_common(p, q):
     """(p/g, q/g) for g = gcd(p, q); a constant or zero on either side is
-    left as it is, at the cost of no division.  Over Q the quotients are
-    the cofactors of the integer gcd."""
+    left as it is, at the cost of no division."""
     if p.degree > 0 and q.degree > 0:
-        fp = _int_form(p)
-        fq = fp and _int_form(q)
-        if fq:
-            h, cp, cq = _zz_gcd(fp[1], fq[1])
-            if len(h) == 1:
-                return p, q
-            # p = kp h cp and g = h / lead(h), so p / g = kp lead(h) cp
-            return (_from_ints(p.var, cp, fp[0] * h[-1]),
-                    _from_ints(q.var, cq, fq[0] * h[-1]))
-        g = _euclid_gcd(p, q)
-        if g.degree > 0:
-            return p // g, q // g
+        return _gcd_cofactors(p, q)[1:]
     return p, q
 
 
@@ -981,16 +960,10 @@ class RationalFunction(FractionArithmetic):
     __slots__ = ("num", "den")
 
     def __init__(self, num, den=None, _reduced=False):
-        if isinstance(num, RationalFunction):
-            if den is not None:
-                raise TypeError("pass polynomials, not fractions")
-            num, den = num.num, num.den
-        if not isinstance(num, Poly):
-            raise TypeError("numerator must be a Poly")
-        if den is None:
+        if den is None and isinstance(num, Poly):
             den = Poly.constant(num.var, 1)
-        elif not isinstance(den, Poly):
-            den = Poly.constant(num.var, den)
+        if not (isinstance(num, Poly) and isinstance(den, Poly)):
+            raise TypeError("numerator and denominator must be Polys")
         if num.var != den.var:
             raise TypeError("numerator and denominator variables differ")
         if den.is_zero:

@@ -3,6 +3,7 @@ import hashlib
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 import tempfile
@@ -324,6 +325,22 @@ def wide_curve(c):
 WIDE1000_SHA256 = "6e0ebbf80bedde416d0304abf1d17965688a875595f7db8e40aa18d48db9ed9d"
 
 
+def places_curve(n):
+    """x = 1, y = prod_{i <= n} (r - i)^(m_i) with seeded m_i in {1, 2},
+    z = r: n integer places on the line y = 0."""
+    rng = random.Random(n)
+    y = [1]
+    for i in range(1, n + 1):
+        for _ in range(rng.choice([1, 2])):
+            y = [a - i * b for a, b in zip([0] + y, y + [0])]
+    return json.dumps({"x": [[0, "1"]], "y": [[e, str(c)] for e, c in enumerate(y)],
+                       "z": [[1, "1"]]})
+
+
+# sha256 of `split --param places32.json --json` run beside the file
+PLACES32_SHA256 = "6d3eb52cf40b11f53fd9fa0c3b9efb0ae14b4f291a73e2b116910cfafac6476b"
+
+
 class TestSplit:
     def test_builtins(self, capsys):
         code, rep, _ = run_json(capsys, "split")
@@ -366,6 +383,13 @@ class TestSplit:
         code, out, _ = run(capsys, "split", "--param", "dense32.json", "--json")
         assert code == 0
         assert sha256(out) == DENSE32_SHA256
+
+    def test_integer_places_bytes(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "places32.json").write_text(places_curve(32))
+        code, out, _ = run(capsys, "split", "--param", "places32.json", "--json")
+        assert code == 0
+        assert sha256(out) == PLACES32_SHA256
 
     def test_dense_curve_at_the_exponent_cap(self, tmp_path):
         f = tmp_path / "dense.json"

@@ -8,6 +8,7 @@ from fractions import Fraction
 import pytest
 
 from k3quartic.fields import gaussian_field
+from k3quartic.quartic import ALPHA
 from k3quartic import polynomials
 from k3quartic.polynomials import (
     Poly,
@@ -396,6 +397,64 @@ def test_lift_on_h_matches_the_monic_transform_oracle():
         assert _confirmed_lifted_roots(h) == oracle == sorted(planted), h
 
 
+# The confirmation loop that exact division in Z[x] replaced, kept as the
+# oracle: each candidate evaluated by Horner in Fractions, and its linear
+# factor divided out by Poly division, as often as it divides.
+def _horner_roots_and_cofactor(p):
+    ints = p.nums
+    lo = min(ints)
+    out = []
+    if lo > 0:
+        out.append((Fraction(0), lo))
+        ints = {e - lo: c for e, c in ints.items()}
+    work = Poly(p.var, ints)
+    if max(ints) == 0:
+        return out, work
+    v = polynomials._split_content([ints.get(e, 0) for e in range(max(ints) + 1)])[1]
+    cands = sorted(set(polynomials._root_candidates(v)), key=_root_order)
+    for r in cands:
+        if work.degree <= 0:
+            break
+        m = 0
+        while work.degree > 0 and work(r) == 0:
+            work = work // Poly(p.var, {1: 1, 0: -r})
+            m += 1
+        if m:
+            out.append((r, m))
+    return out, work
+
+
+def test_roots_and_cofactor_match_the_horner_oracle():
+    # non-monic: a rational content, x^k, planted roots a/b of multiplicity
+    # 1 to 4 and a cofactor L x^j + n without a rational root, L of up to
+    # 12 digits
+    rng = random.Random(20261021)
+    x = Poly.x("x")
+    for _ in range(150):
+        planted = {}
+        for _ in range(rng.randint(0, 4)):
+            a = rng.choice([-1, 1]) * rng.randint(1, 10 ** rng.randint(1, 12) - 1)
+            planted[Fraction(a, rng.randint(1, 10 ** rng.randint(1, 5)))] = rng.randint(1, 4)
+        k = rng.choice([0, 0, 1, 3])
+        p = Poly.constant("x", _big_content(rng)) * x ** k
+        for r, m in planted.items():
+            p = p * (r.denominator * x - r.numerator) ** m
+        if rng.random() < 0.8:
+            while True:
+                j, big = rng.randint(2, 5), rng.randint(2, 10 ** 12)
+                n = rng.choice([-1, 1]) * rng.randint(1, 10 ** 6)
+                if scalar_nth_root(Fraction(-n, big), j) is None:
+                    break
+            p = p * (big * x ** j + n)
+        roots, cofactor = polynomials._roots_and_cofactor(p)
+        want_roots, want_cofactor = _horner_roots_and_cofactor(p)
+        assert roots == want_roots, p
+        assert cofactor.monic() == want_cofactor.monic(), p
+        if k:
+            planted[Fraction(0)] = k
+        assert dict(roots) == planted, p
+
+
 def test_squarefree_decompose_matches_sympy():
     sympy = pytest.importorskip("sympy")
     x = sympy.Symbol("x")
@@ -610,14 +669,29 @@ def test_squarefree_decompose_matches_sympy_on_content_heavy_inputs():
             (_coeff_list(f), m) for f, m in factors], p
 
 
+def _field_gcd_cases():
+    """(a, b, monic gcd) over Q(i) and over Q(alpha), the coefficients
+    FieldElements and RationalFunctions: one trivial and one nontrivial
+    gcd each, the shared factor repeated in b."""
+    cases = []
+    for c in (gaussian_field().gen(), ALPHA):
+        shared = Poly("t", {2: 1, 1: -c, 0: 1})
+        a, b = Poly("t", {1: c + 2, 0: -1}), Poly("t", {2: 1, 0: c})
+        cases.append((a, b, Poly.constant("t", 1)))
+        cases.append((a * shared, shared ** 2 * b * Poly.constant("t", c), shared))
+    return cases
+
+
 def test_cancel_common_cofactors_are_the_quotients():
     rng = random.Random(20261020)
-    for a, b in _gcd_cases(rng):
+    cases = [(a, b, poly_gcd(a, b)) for a, b in _gcd_cases(rng)]
+    for a, b, g in cases + _field_gcd_cases():
         if a.degree <= 0 or b.degree <= 0:
             continue
-        g = poly_gcd(a, b)
+        assert poly_gcd(a, b) == g
         p, q = _cancel_common(a, b)
         assert (p, q) == (a // g, b // g)
+        assert (p * g, q * g) == (a, b)
         if g.degree == 0:
             assert p is a and q is b
 
