@@ -12,7 +12,8 @@ Shioda-Tate sums are exact without ever adjoining roots.
 The standard family's derivation is certified in two places: the coordinate
 chain down to v^2 = u^3 - 4 beta u, beta symbolic, by the ledger entry
 weierstrass_reduction_chain; the twist to f = lam^3 A^2 by standard_family, on
-every call.
+every call, as one cross-multiplied polynomial identity between the two
+fractions 4 beta and s = 2/(lam A), with no rational-function quotient.
 """
 
 from collections import Counter
@@ -235,23 +236,28 @@ def standard_beta(alpha=ALPHA):
     return 4 / (lam * A ** 2)
 
 
-def quartic_twist(f_rf, s):
-    """Twist coefficient transport: f -> f / s^4 under (u,v) -> (s^2 u, s^3 v),
-    for rational functions f and s."""
-    return f_rf / s ** 4
+def twist_reaches(g, s, f):
+    """True when the quartic twist (u, v) -> (s^2 u, s^3 v), which sends the
+    coefficient g to g / s^4, takes the rational function g to the polynomial
+    f.  For nonzero s, g / s^4 = f exactly when
+    g.num * s.den^4 = f * g.den * s.num^4, as both denominators are nonzero:
+    no quotient, gcd or division runs."""
+    return g.num * s.den ** 4 == f * g.den * s.num ** 4
 
 
 def standard_family(alpha=ALPHA):
     """The polynomial family v^2 = u^3 - lam^3 (lam^2+2 lam+alpha)^2 u.
 
-    f = lam^3 A^2 is built directly.  The reduction chain is certified by the
-    ledger entry weierstrass_reduction_chain, not here; the twist s = 2/(lam*A)
-    taking 4*standard_beta(alpha) to f is checked exactly on every call.
+    f = lam^3 A^2 is built directly, from the same lam*A as s = 2/(lam*A).
+    The reduction chain is certified by the ledger entry
+    weierstrass_reduction_chain, not here; on every call twist_reaches checks
+    that the twist by s takes 4*standard_beta(alpha) to f, by one
+    cross-multiplied polynomial identity.
     """
     lam = Poly.x("lam")
-    A = _pencil_poly(alpha)
-    f = lam ** 3 * A ** 2
-    if quartic_twist(4 * standard_beta(alpha), 2 / (lam * A)) != f:
+    lam_a = lam * _pencil_poly(alpha)
+    f = lam * lam_a ** 2
+    if not twist_reaches(4 * standard_beta(alpha), 2 / lam_a, f):
         raise AssertionError("twist transport failed to reach the standard family")
     return WeierstrassFibration(f)
 

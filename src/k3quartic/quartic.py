@@ -10,9 +10,10 @@ For generic alpha the components meet pairwise transversally in five nodes.
 Three parameter values degenerate the configuration (a coincidence or a
 tangency); they are detected from the equations, not hardcoded.
 
-The three components are built once, from the same equations, as
-polynomials in (x, y, z, alpha), and differentiated once; a member only
-evaluates their gradients at (point, alpha).  alpha may be a Fraction, a
+A singular point is certified a node on every call: the 2x2 minors of the
+two meeting components' gradients are built once at import, from the same
+equations, as polynomials in (x, y, z, alpha), and a member evaluates them at
+(point, alpha) until one is nonzero.  alpha may be a Fraction, a
 FieldElement, or the symbol ALPHA (a rational function over Q), so the same
 code paths serve both symbolic identities and concrete members.
 """
@@ -62,16 +63,25 @@ def quartic_at(x, y, z, alpha):
     return conic_at(x, y, z) * line1_at(x, y, z) * line2_at(x, y, z, alpha)
 
 
-def _pencil_gradients():
-    """conic, line1 and line2 as polynomials in (x, y, z, alpha), each
-    differentiated in x, y and z."""
+def _pencil_minors():
+    """For each pair of components, the nonzero 2x2 minors of their 2x3
+    gradient matrix, as polynomials in (x, y, z, alpha)."""
     x, y, z, alpha = (MultiPoly.gen(PENCIL_VARS, v) for v in PENCIL_VARS)
-    return tuple(tuple(c.derivative(v) for v in PLANE_VARS)
-                 for c in (conic_at(x, y, z), line1_at(x, y, z), line2_at(x, y, z, alpha)))
+    conic, line1, line2 = (
+        tuple(c.derivative(v) for v in PLANE_VARS)
+        for c in (conic_at(x, y, z), line1_at(x, y, z), line2_at(x, y, z, alpha)))
+    pairs = {("conic", "line1"): (conic, line1),
+             ("line1", "line2"): (line1, line2),
+             ("conic", "line2"): (conic, line2)}
+    out = {}
+    for names, (g1, g2) in pairs.items():
+        minors = (g1[i] * g2[j] - g1[j] * g2[i] for i, j in ((0, 1), (0, 2), (1, 2)))
+        out[names] = tuple(m for m in minors if not m.is_zero)
+    return out
 
 
 # built once; a member only evaluates them at (point, alpha)
-_CONIC_GRAD, _LINE1_GRAD, _LINE2_GRAD = _pencil_gradients()
+_PAIR_MINORS = _pencil_minors()
 
 
 class QuarticFamily:
@@ -90,23 +100,16 @@ def build_quartic(alpha):
     return QuarticFamily(alpha)
 
 
-def _tangent_directions_distinct(grad_a, grad_b, point, alpha):
-    """True when two component gradients are non-proportional at the point
-    of the member alpha.
+def _is_node(components, point, alpha):
+    """True when the two named components have non-proportional gradients at
+    the point of the member alpha: some 2x2 minor of their gradients is
+    nonzero there, and the minors are evaluated until one is.
 
     The point then is an ordinary node of the product curve: two smooth
     branches crossing transversally.
     """
     at = dict(zip(PENCIL_VARS, point + (alpha,)))
-    g1 = [d.evaluate(at) for d in grad_a]
-    g2 = [d.evaluate(at) for d in grad_b]
-    # 2x2 minors of the 2x3 gradient matrix
-    minors = [
-        g1[0] * g2[1] - g1[1] * g2[0],
-        g1[0] * g2[2] - g1[2] * g2[0],
-        g1[1] * g2[2] - g1[2] * g2[1],
-    ]
-    return any(m != 0 for m in minors)
+    return any(m.evaluate(at) != 0 for m in _PAIR_MINORS[components])
 
 
 def singular_points(fam, sqrt_one_minus_alpha=None):
@@ -127,14 +130,14 @@ def singular_points(fam, sqrt_one_minus_alpha=None):
         out.append({
             "point": pt,
             "components": ("conic", "line1"),
-            "node": _tangent_directions_distinct(_CONIC_GRAD, _LINE1_GRAD, pt, alpha),
+            "node": _is_node(("conic", "line1"), pt, alpha),
         })
 
     pt = (1, 0, -alpha)
     out.append({
         "point": pt,
         "components": ("line1", "line2"),
-        "node": _tangent_directions_distinct(_LINE1_GRAD, _LINE2_GRAD, pt, alpha),
+        "node": _is_node(("line1", "line2"), pt, alpha),
     })
 
     # conic cap line2: plug (1 : t : t^2) into line2 -> t^2 + 2t + alpha
@@ -156,7 +159,7 @@ def singular_points(fam, sqrt_one_minus_alpha=None):
             out.append({
                 "point": pt,
                 "components": ("conic", "line2"),
-                "node": _tangent_directions_distinct(_CONIC_GRAD, _LINE2_GRAD, pt, alpha),
+                "node": _is_node(("conic", "line2"), pt, alpha),
             })
     else:
         out.append({

@@ -12,11 +12,11 @@ from k3quartic.fibration import (
     form_scaling_order,
     multiplicative_order,
     parity_refine,
-    quartic_twist,
     shioda_tate_bound,
     standard_beta,
     standard_family,
     twist_minimize,
+    twist_reaches,
     verify_reduction_chain,
 )
 from k3quartic.fields import eighth_root_field, gaussian_field
@@ -57,17 +57,47 @@ def test_standard_family_checks_the_twist_not_the_chain(monkeypatch):
 
     monkeypatch.setattr(fibration, "verify_reduction_chain", chain)
     assert standard_family(Fraction(81, 49)).f.degree == 7
-    monkeypatch.setattr(fibration, "quartic_twist", lambda f_rf, s: 2 * f_rf)
+    # perturb the check's input: 4*beta off by a factor 2 cannot reach f
+    beta = fibration.standard_beta
+    monkeypatch.setattr(fibration, "standard_beta", lambda alpha=ALPHA: 2 * beta(alpha))
     with pytest.raises(AssertionError):
         standard_family(Fraction(81, 49))
     with pytest.raises(AssertionError):
         standard_family()
 
 
+def quartic_twist(f_rf, s):
+    """Twist coefficient transport: f -> f / s^4 under (u,v) -> (s^2 u, s^3 v),
+    for rational functions f and s; the quotient oracle for twist_reaches."""
+    return f_rf / s ** 4
+
+
 def test_quartic_twist_transport():
     g = 16 / (LAM * A_SYM ** 2)
     s = 2 / (LAM * A_SYM)
     assert quartic_twist(g, s) == LAM ** 3 * A_SYM ** 2
+
+
+def _alpha_of(digits):
+    lo, hi = 10 ** (digits - 1), 10 ** digits - 1
+    return st.builds(lambda sign, n, d: Fraction(sign * n, d),
+                     st.sampled_from((1, -1)), st.integers(lo, hi), st.integers(lo, hi))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(1, 17).flatmap(_alpha_of),
+       st.fractions(min_value=-4, max_value=4, max_denominator=6).filter(bool))
+@example(Fraction(0), Fraction(3))
+@example(Fraction(1), Fraction(-2))  # c^4 = 16: the twist by -2/(lam A) reaches f too
+@example(ALPHA, Fraction(1, 2))
+def test_twist_reaches_matches_the_quotient_oracle(alpha, c):
+    # the cross-multiplied check accepts exactly when 4 beta / s^4 == f does;
+    # s = c/(lam A) reaches f only for c^4 = 16
+    A = Poly("lam", {2: 1, 1: 2, 0: alpha})
+    lam_a, f = LAM * A, LAM ** 3 * A ** 2
+    g = 4 * standard_beta(alpha)
+    for s, reached in ((2 / lam_a, True), (c / lam_a, c ** 4 == 16)):
+        assert twist_reaches(g, s, f) == (quartic_twist(g, s) == f) == reached
 
 
 def fiber_at_infinity(cfg):

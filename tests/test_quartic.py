@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from k3quartic.fields import sqrt_field
+from k3quartic.fields import gaussian_field, sqrt_field
 from k3quartic.multipoly import MultiPoly
 from k3quartic.quartic import (
     ALPHA,
@@ -150,6 +150,7 @@ def _node_per_call(components, point, alpha):
 
 K2 = sqrt_field(-2)
 K3 = sqrt_field(3)
+QI = gaussian_field()
 
 
 @pytest.mark.parametrize("alpha, root, n_points", [
@@ -162,8 +163,12 @@ K3 = sqrt_field(3)
     (Fraction(81, 49), Fraction(4, 7) * K2.gen(), 5),  # a FieldElement root
     (Fraction(-2), K3.gen(), 5),
     (K3.gen(), None, 3),                             # a FieldElement alpha
+    (QI.gen(), None, 3),
+    (1 - 2 * QI.gen(), 1 + QI.gen(), 5),             # 1 - alpha = 2i = (1 + i)^2
+    (QI.from_rational(1), QI.from_rational(0), 5),   # the tacnode over Q(i)
     (ALPHA, None, 3),
-], ids=["3/4", "-3", "1", "0", "81/49", "2", "81/49-root", "-2-root", "sqrt3", "ALPHA"])
+], ids=["3/4", "-3", "1", "0", "81/49", "2", "81/49-root", "-2-root", "sqrt3",
+        "i", "1-2i-root", "1-in-Q(i)", "ALPHA"])
 def test_singular_points_match_per_call_gradients(alpha, root, n_points):
     pts = singular_points(build_quartic(alpha), sqrt_one_minus_alpha=root)
     points = [p for p in pts if "point" in p]
