@@ -17,6 +17,7 @@ fractions 4 beta and s = 2/(lam A), with no rational-function quotient.
 """
 
 from collections import Counter
+from fractions import Fraction
 
 from .multipoly import MultiPoly, QuotientContext, QuotientFraction
 from .polynomials import (
@@ -229,35 +230,39 @@ def _pencil_poly(alpha):
 
 
 def standard_beta(alpha=ALPHA):
-    """beta with 4*beta = 16/(lam*(lam^2+2*lam+alpha)^2)."""
-    lam = Poly.x("lam")
-    A = _pencil_poly(alpha)
-    # a constant over the monic lam A^2: already the reduced pair
-    return 4 / (lam * A ** 2)
+    """beta with 4*beta = 16/(lam*(lam^2+2*lam+alpha)^2).
 
-
-def twist_reaches(g, s, f):
-    """True when the quartic twist (u, v) -> (s^2 u, s^3 v), which sends the
-    coefficient g to g / s^4, takes the rational function g to the polynomial
-    f.  For nonzero s, g / s^4 = f exactly when
-    g.num * s.den^4 = f * g.den * s.num^4, as both denominators are nonzero:
-    no quotient, gcd or division runs."""
-    return g.num * s.den ** 4 == f * g.den * s.num ** 4
+    The denominator is written out, not multiplied: for alpha = n/d,
+    lam A^2 = (d^2 lam^5 + 4 d^2 lam^4 + (4 d^2 + 2 n d) lam^3 + 4 n d lam^2
+    + n^2 lam) / d^2, with n = alpha and d = 1 outside Q, so a rational alpha
+    takes integer arithmetic only.  A constant over this monic denominator is
+    already the reduced pair."""
+    n, d = (alpha.numerator, alpha.denominator) if type(alpha) in (int, Fraction) else (alpha, 1)
+    dd, nd = d * d, n * d
+    den = Poly("lam", {5: dd, 4: 4 * dd, 3: 4 * dd + 2 * nd, 2: 4 * nd, 1: n * n})
+    if dd != 1:
+        den = den * Fraction(1, dd)
+    return RationalFunction(Poly.constant("lam", 4), den, _reduced=True)
 
 
 def standard_family(alpha=ALPHA):
     """The polynomial family v^2 = u^3 - lam^3 (lam^2+2 lam+alpha)^2 u.
 
-    f = lam^3 A^2 is built directly, from the same lam*A as s = 2/(lam*A).
-    The reduction chain is certified by the ledger entry
-    weierstrass_reduction_chain, not here; on every call twist_reaches checks
-    that the twist by s takes 4*standard_beta(alpha) to f, by one
-    cross-multiplied polynomial identity.
+    f = lam (lam A)^2 is built directly.  The reduction chain is certified
+    by the ledger entry weierstrass_reduction_chain, not here; on every call
+    one polynomial identity checks that the quartic twist (u, v) ->
+    (s^2 u, s^3 v) by s = 2/(lam A), which sends g = 4*standard_beta(alpha)
+    to g / s^4, takes g to f.  As both denominators are nonzero, g / s^4 = f
+    exactly when 4 beta.num (lam A)^4 = 2^4 f beta.den, that is when
+    beta.num (lam A)^4 = 4 f beta.den.  (lam A)^4 is the square of the
+    (lam A)^2 in f, and no quotient, gcd or division runs.
     """
     lam = Poly.x("lam")
     lam_a = lam * _pencil_poly(alpha)
-    f = lam * lam_a ** 2
-    if not twist_reaches(4 * standard_beta(alpha), 2 / lam_a, f):
+    lam_a2 = lam_a * lam_a
+    f = lam * lam_a2
+    beta = standard_beta(alpha)
+    if beta.num * (lam_a2 * lam_a2) != 4 * (f * beta.den):
         raise AssertionError("twist transport failed to reach the standard family")
     return WeierstrassFibration(f)
 

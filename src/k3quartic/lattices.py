@@ -27,7 +27,8 @@ from itertools import chain
 from math import gcd
 from operator import mul, ne
 
-from .multipoly import MultiPoly
+# a lazy module: only block_gram_det_identity runs it
+from . import multipoly
 
 
 # -- exact matrix helpers ------------------------------------------------------
@@ -562,7 +563,7 @@ def block_gram_det_identity():
     polynomials in (n, m, b, c): the Bareiss determinant over `MultiPoly`,
     so the identity holds at every integer point, not only in a box."""
     names = ("n", "m", "b", "c")
-    n, m, b, c = (MultiPoly.gen(names, v) for v in names)
+    n, m, b, c = (multipoly.MultiPoly.gen(names, v) for v in names)
     det = _bareiss_det(gaussian_block_gram(n, m, b, c))
     return det == (4 * n * m - b * b - c * c) ** 2
 

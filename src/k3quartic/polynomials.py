@@ -28,7 +28,9 @@ exact division of both inputs, which also yields the cofactors; Yun's
 squarefree decomposition over Q and the squarefree part that
 ``rational_roots`` takes when small primes keep showing a repeated root use
 the same integer kernel.  Other coefficient fields, and the rare inputs on
-which GCDHEU gives up, take the Euclidean algorithm.
+which GCDHEU gives up, take the Euclidean algorithm.  Over every field,
+``squarefree_decompose`` splits p = x^k q with q(0) != 0 first: x is coprime
+to q, so Yun's gcds run on q alone and x^k is merged into the result.
 ``rational_roots`` lifts the roots mod a small prime of the integer
 polynomial itself by Newton-Hensel steps (Loos), with no real-root
 isolation, and confirms each candidate by exact division in Z[x].
@@ -512,9 +514,9 @@ def _zz_gcd(f, g):
 
 
 def _zz_yun(v):
-    """Yun's squarefree decomposition of a primitive integer vector of
-    positive degree: [(primitive factor, multiplicity)] in increasing
-    multiplicity.  Every gcd is primitive, so by Gauss's lemma every
+    """Yun's squarefree decomposition of a primitive integer vector:
+    [(primitive factor, multiplicity)] in increasing multiplicity, [] for
+    the constant [1].  Every gcd is primitive, so by Gauss's lemma every
     quotient of the loop is integral."""
     _, c, d = _zz_gcd(v, _zz_derivative(v))
     d = _zz_sub(d, _zz_derivative(c))
@@ -577,21 +579,27 @@ def squarefree_decompose(p):
     Returns (unit, [(monic factor, multiplicity), ...]) with the factors
     squarefree, pairwise coprime, and the product of factor^mult times the
     unit giving back p.  Factors come out in increasing multiplicity order.
-    Rational coefficients run the loop on the primitive integer vector of
-    p, with the integer gcd and exact integer division of ``_zz_gcd``; any
-    other field runs it on polynomials, with ``_gcd_cofactors``.
+
+    The power of x is split off first: p = x^k q with k the lowest exponent
+    of p, so q(0) != 0 and x is coprime to q.  Yun runs on q alone, and x
+    joins q's factor of multiplicity k, or stands alone at its place in the
+    multiplicity order.  Rational coefficients run the loop on the primitive
+    integer vector of q, with the integer gcd and exact integer division of
+    ``_zz_gcd``; any other field runs it on polynomials, with
+    ``_gcd_cofactors``.
     """
     if p.is_zero:
         raise ValueError("squarefree decomposition of the zero polynomial")
     unit = p.leading_coefficient()
     if p.degree == 0:
         return unit, []
+    k = min(p.nums)
     form = _int_form(p)
     if form is not None:
-        return unit, [(_from_ints(p.var, f, qdiv(1, f[-1])), i)
-                      for f, i in _zz_yun(form[1])]
-    p = p.monic()
-    _, c, d = _gcd_cofactors(p, p.derivative())
+        out = [(_from_ints(p.var, f, qdiv(1, f[-1])), i) for f, i in _zz_yun(form[1][k:])]
+        return unit, _merge_power_of_x(out, k, p)
+    q = Poly(p.var, {e - k: a for e, a in p.nums.items()}).monic()
+    _, c, d = _gcd_cofactors(q, q.derivative())
     d = d - c.derivative()
     out = []
     i = 1
@@ -601,7 +609,26 @@ def squarefree_decompose(p):
             out.append((f, i))
         d = d - c.derivative()
         i += 1
-    return unit, out
+    return unit, _merge_power_of_x(out, k, p)
+
+
+def _merge_power_of_x(factors, k, p):
+    """The squarefree factors of p = x^k q from `factors`, those of q:
+    x times q's factor of multiplicity k, or else x alone at its place in
+    the multiplicity order.  x is over p's coefficient field, whose 1 is
+    read off a coefficient outside Q when p is not over Q."""
+    if not k:
+        return factors
+    i = 0
+    while i < len(factors) and factors[i][1] < k:
+        i += 1
+    if i < len(factors) and factors[i][1] == k:
+        f = factors[i][0]
+        x_f = _make(p.var, {e + 1: a for e, a in f.nums.items()}, f.den)
+        return factors[:i] + [(x_f, k)] + factors[i + 1:]
+    one = 1 if p.den is not None else next(
+        a for a in p.nums.values() if type(a) not in (int, Fraction)) ** 0
+    return factors[:i] + [(Poly(p.var, {1: one}), k)] + factors[i:]
 
 
 def _exact_int_root(m, n):
@@ -781,8 +808,9 @@ def rational_roots(p):
 
 
 def _roots_and_cofactor(p):
-    """(rational_roots(p), the primitive integer polynomial left of p once
-    every root's linear factor is divided out as often as it divides).
+    """(rational_roots(p), the primitive integer vector, lowest degree
+    first, left of p once every root's linear factor is divided out as often
+    as it divides).
 
     By Gauss's lemma a/b in lowest terms is a root of the primitive integer
     vector v exactly when b x - a divides v in Z[x], and the quotient is
@@ -809,7 +837,7 @@ def _roots_and_cofactor(p):
             v, m = w, m + 1
         if m:
             out.append((r, m))
-    return out, _from_ints(p.var, v)
+    return out, v
 
 
 def certified_factors(p):
@@ -824,11 +852,12 @@ def certified_factors(p):
     """
     if p.degree <= 0:
         return [], None
-    roots, work = _roots_and_cofactor(p)
+    roots, v = _roots_and_cofactor(p)
     factors = [Poly(p.var, {1: 1, 0: -r}) for r, m in roots for _ in range(m)]
-    if work.degree <= 0:
+    if len(v) == 1:
         return factors, None
-    work = work.monic()
+    # with no root, what is left is p itself
+    work = _from_ints(p.var, v, qdiv(1, v[-1])) if roots else p.monic()
     if work.degree <= 3:
         # no rational root and degree 2 or 3: irreducible over Q
         factors.append(work)

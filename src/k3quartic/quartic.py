@@ -141,8 +141,6 @@ def singular_points(fam, sqrt_one_minus_alpha=None):
     })
 
     # conic cap line2: plug (1 : t : t^2) into line2 -> t^2 + 2t + alpha
-    quad = Poly("t", {2: 1, 1: 2, 0: alpha})
-    disc = 4 * (1 - alpha)
     roots = []
     if sqrt_one_minus_alpha is not None:
         s = sqrt_one_minus_alpha
@@ -163,8 +161,8 @@ def singular_points(fam, sqrt_one_minus_alpha=None):
             })
     else:
         out.append({
-            "quadratic": quad,
-            "discriminant": disc,
+            "quadratic": Poly("t", {2: 1, 1: 2, 0: alpha}),
+            "discriminant": 4 * (1 - alpha),
             "components": ("conic", "line2"),
             "degree": 2,
         })

@@ -100,11 +100,11 @@ EXECUTED_MODULES = [
     (("verify", "fibers"), "fibration multipoly polynomials quartic", 0),
     (("verify", "chain"), "fibration multipoly polynomials quartic", 0),
     (("verify", "pencil"), "multipoly polynomials quartic", 0),
-    (("lattice", "invariants", "--gram", "N"), "lattices multipoly polynomials", 0),
-    (("lattice", "tn", "--n", "7"), "lattices multipoly polynomials", 0),
+    (("lattice", "invariants", "--gram", "N"), "lattices", 0),
+    (("lattice", "tn", "--n", "7"), "lattices", 0),
     (("split",), "covers curves fields multipoly polynomials quartic", 0),
     (("verify", "cover"), "covers curves fields multipoly polynomials quartic", 0),
-    (("moduli", "--check", "all"), "fields lattices moduli multipoly polynomials", 0),
+    (("moduli", "--check", "all"), "fields lattices moduli polynomials", 0),
     (("cm", "--beta4", "7/9"), "curves fields multipoly periods polynomials", 0),
     (("analyze", "1/2/3"), "", 2),
 ]

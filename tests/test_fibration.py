@@ -16,7 +16,6 @@ from k3quartic.fibration import (
     standard_beta,
     standard_family,
     twist_minimize,
-    twist_reaches,
     verify_reduction_chain,
 )
 from k3quartic.fields import eighth_root_field, gaussian_field
@@ -68,7 +67,8 @@ def test_standard_family_checks_the_twist_not_the_chain(monkeypatch):
 
 def quartic_twist(f_rf, s):
     """Twist coefficient transport: f -> f / s^4 under (u,v) -> (s^2 u, s^3 v),
-    for rational functions f and s; the quotient oracle for twist_reaches."""
+    for rational functions f and s; the quotient oracle for the check in
+    standard_family."""
     return f_rf / s ** 4
 
 
@@ -87,17 +87,28 @@ def _alpha_of(digits):
 @settings(max_examples=80, deadline=None)
 @given(st.integers(1, 17).flatmap(_alpha_of),
        st.fractions(min_value=-4, max_value=4, max_denominator=6).filter(bool))
-@example(Fraction(0), Fraction(3))
-@example(Fraction(1), Fraction(-2))  # c^4 = 16: the twist by -2/(lam A) reaches f too
+@example(Fraction(1), Fraction(1))
+@example(Fraction(1), Fraction(-1))  # 4 beta / s^4 = -f: a sign is caught too
+@example(ALPHA, Fraction(1))
 @example(ALPHA, Fraction(1, 2))
-def test_twist_reaches_matches_the_quotient_oracle(alpha, c):
-    # the cross-multiplied check accepts exactly when 4 beta / s^4 == f does;
-    # s = c/(lam A) reaches f only for c^4 = 16
+def test_standard_family_check_matches_the_quotient_oracle(alpha, c):
+    # f is the quotient oracle's twist of 4 beta by s = 2/(lam A); with beta
+    # scaled by c, standard_family's check raises exactly when the oracle's
+    # twist of 4 c beta misses f, which is when c != 1
     A = Poly("lam", {2: 1, 1: 2, 0: alpha})
-    lam_a, f = LAM * A, LAM ** 3 * A ** 2
-    g = 4 * standard_beta(alpha)
-    for s, reached in ((2 / lam_a, True), (c / lam_a, c ** 4 == 16)):
-        assert twist_reaches(g, s, f) == (quartic_twist(g, s) == f) == reached
+    s = 2 / (LAM * A)
+    beta = standard_beta(alpha)
+    f = standard_family(alpha).f
+    assert f == LAM ** 3 * A ** 2 == quartic_twist(4 * beta, s)
+    reached = quartic_twist(4 * c * beta, s) == f
+    assert reached == (c == 1)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(fibration, "standard_beta", lambda alpha=ALPHA: c * beta)
+        if reached:
+            assert standard_family(alpha).f == f
+        else:
+            with pytest.raises(AssertionError):
+                standard_family(alpha)
 
 
 def fiber_at_infinity(cfg):

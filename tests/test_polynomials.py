@@ -446,7 +446,8 @@ def test_roots_and_cofactor_match_the_horner_oracle():
                 if scalar_nth_root(Fraction(-n, big), j) is None:
                     break
             p = p * (big * x ** j + n)
-        roots, cofactor = polynomials._roots_and_cofactor(p)
+        roots, v = polynomials._roots_and_cofactor(p)
+        cofactor = polynomials._from_ints("x", v)
         want_roots, want_cofactor = _horner_roots_and_cofactor(p)
         assert roots == want_roots, p
         assert cofactor.monic() == want_cofactor.monic(), p
@@ -680,6 +681,65 @@ def _field_gcd_cases():
         cases.append((a, b, Poly.constant("t", 1)))
         cases.append((a * shared, shared ** 2 * b * Poly.constant("t", c), shared))
     return cases
+
+
+# Yun's squarefree decomposition as it ran before the power of x was split
+# off, kept as the oracle: its gcds see the whole of p, x^k included.
+def _yun_on_the_whole(p):
+    unit = p.leading_coefficient()
+    if p.degree == 0:
+        return unit, []
+    form = polynomials._int_form(p)
+    if form is not None:
+        return unit, [(polynomials._from_ints(p.var, f, qdiv(1, f[-1])), i)
+                      for f, i in polynomials._zz_yun(form[1])]
+    p = p.monic()
+    _, c, d = polynomials._gcd_cofactors(p, p.derivative())
+    d = d - c.derivative()
+    out = []
+    i = 1
+    while c.degree > 0:
+        f, c, d = polynomials._gcd_cofactors(c, d)
+        if f.degree > 0:
+            out.append((f, i))
+        d = d - c.derivative()
+        i += 1
+    return unit, out
+
+
+def _exact_form(p):
+    """p's variable, denominator and typed coefficients: equal only for
+    polynomials built alike."""
+    return p.var, p.den, {e: (type(c), c) for e, c in p.nums.items()}
+
+
+@pytest.mark.parametrize("field", ["Q", "Q(i)", "Q(alpha)"])
+def test_squarefree_split_of_x_matches_yun_on_the_whole(field):
+    # c x^k q with q(0) != 0 and q's multiplicities drawn from 1-3: q = 1
+    # (c x^k alone), k = 0, and k below, equal to and above each of them;
+    # and the family's t^3 (t^2 + 2 t + alpha)^2, whose leading 1 is an int
+    gen = {"Q": Fraction(1, 3), "Q(i)": gaussian_field().gen(), "Q(alpha)": ALPHA}[field]
+    rng = random.Random(20261022)
+    t = Poly.x("t")
+    cases = [t ** 3 * Poly("t", {2: 1, 1: 2, 0: gen}) ** 2]
+    for mults in ((), (1,), (2,), (3,), (1, 2), (2, 3), (1, 3), (1, 2, 3)):
+        for _ in range(3):
+            q = Poly.constant("t", 1)
+            for m in mults:
+                lead = rng.choice([1, 2, -3]) + rng.randint(0, 1) * gen
+                low = rng.choice([-1, 1]) * rng.randint(1, 9) + rng.randint(-1, 1) * gen
+                f = Poly("t", {1: lead, 0: low})
+                if field == "Q" and rng.random() < 0.5:
+                    f = f * t + rng.randint(1, 5)
+                q = q * f ** m
+            c = rng.choice([1, -2, Fraction(5, 7)]) + rng.randint(0, 1) * gen
+            cases += [Poly.constant("t", c) * t ** k * q for k in range(max(mults, default=0) + 2)]
+    for p in cases:
+        unit, factors = squarefree_decompose(p)
+        want_unit, want = _yun_on_the_whole(p)
+        assert type(unit) is type(want_unit) and unit == want_unit, p
+        assert [(_exact_form(f), m) for f, m in factors] == [
+            (_exact_form(f), m) for f, m in want], p
 
 
 def test_cancel_common_cofactors_are_the_quotients():
