@@ -16,10 +16,17 @@ polynomials, every monomial t1^i t2^j of the product grid (i <= 2*d1 - 2,
 j <= 2*d2 - 2) to the basis over one common denominator.  A product is one
 grid convolution of the numerators followed by one pass over that table; a
 product with, or quotient by, an int or Fraction only scales the numerators
-and the denominator.  An inverse solves the n x n integer multiplication
-matrix (n = d1*d2) by fraction-free (Bareiss) elimination.  ``coords()``
-gives the nested view: a tuple (length d2) of tuples (length d1) of
-Fractions, or a tuple of Fractions for a single extension.
+and the denominator.  A product of two polynomials over the context
+(``poly_product``, which ``Poly.__mul__`` reaches through
+``polynomials.register_product``) brings each factor over one common
+denominator, adds the grid convolutions of every coefficient pair into one
+unreduced integer grid per output exponent, and reduces each grid through
+the table and puts it in lowest terms once, in place of a reduction and a
+gcd per pair and a gcd per partial sum.  An inverse solves the n x n
+integer multiplication matrix (n = d1*d2) by fraction-free (Bareiss)
+elimination.  ``coords()`` gives the nested view: a tuple (length d2) of
+tuples (length d1) of Fractions, or a tuple of Fractions for a single
+extension.
 
 Minimal polynomials are *assumed* irreducible.  The assumption is checked
 lazily: when the multiplication matrix of an element is singular, inversion
@@ -40,7 +47,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
 
-from .polynomials import Poly, poly_gcd, power, render_terms
+from .polynomials import Poly, poly_gcd, power, register_product, render_terms
 
 
 class ReducibilityError(ArithmeticError):
@@ -294,6 +301,18 @@ class FieldContext:
 
     # -- arithmetic on (numerators, denominator) pairs ------------------------
 
+    def _reduce(self, conv):
+        """Numerators over the table denominator of the grid sum `conv` of
+        monomial coefficients t1^i t2^j, through the reduction table."""
+        tden = self._tden
+        out = [conv[g] for g in self._pos] if tden == 1 else [conv[g] * tden for g in self._pos]
+        for g, row in self._red:
+            c = conv[g]
+            if c:
+                for p, r in row:
+                    out[p] += c * r
+        return out
+
     def _times(self, a, b):
         """Numerators of a*b over the table denominator, for numerator vectors a, b."""
         pos = self._pos
@@ -304,13 +323,41 @@ class FieldContext:
                 g = pos[p]
                 for h, y in nz:
                     conv[g + h] += x * y
-        tden = self._tden
-        out = [conv[g] for g in pos] if tden == 1 else [conv[g] * tden for g in pos]
-        for g, row in self._red:
-            c = conv[g]
-            if c:
-                for p, r in row:
-                    out[p] += c * r
+        return self._reduce(conv)
+
+    def _grid_terms(self, coeffs):
+        """A polynomial's coefficients {exponent: element} over one common
+        denominator: ([(exponent, [(grid index, numerator), ...]), ...], den),
+        zero numerators left out."""
+        pos = self._pos
+        den = lcm(*(c.den for c in coeffs.values()))
+        return [(e, [(pos[p], x * (den // c.den)) for p, x in enumerate(c.num) if x])
+                for e, c in coeffs.items()], den
+
+    def poly_product(self, a, b):
+        """The product of two polynomials {exponent: element of self}, as a
+        map without zero coefficients.  Both factors go over one common
+        denominator each; every coefficient pair adds its grid convolution to
+        the unreduced integer grid of its output exponent, and each output
+        grid is reduced through the table and put in lowest terms once."""
+        a, ad = self._grid_terms(a)
+        b, bd = self._grid_terms(b)
+        grid = self._grid
+        convs = {}
+        for e1, xs in a:
+            for e2, ys in b:
+                conv = convs.get(e1 + e2)
+                if conv is None:
+                    conv = convs[e1 + e2] = [0] * grid
+                for g, x in xs:
+                    for h, y in ys:
+                        conv[g + h] += x * y
+        den = ad * bd * self._tden
+        out = {}
+        for e, conv in convs.items():
+            nums = self._reduce(conv)
+            if any(nums):
+                out[e] = FieldElement(self, *_lowest_terms(nums, den))
         return out
 
     def _mul(self, a, ad, b, bd):
@@ -597,6 +644,20 @@ class FieldElement:
                 for e, c in enumerate(raw) if (any(c) if level > 1 else c))
 
         return rend(self.coords(), self.ctx.height)
+
+
+def _poly_product(a, b):
+    """`FieldContext.poly_product` when every coefficient of both maps is an
+    element of the context of a's first one; None otherwise."""
+    ctx = next(iter(a.values())).ctx
+    for coeffs in (a, b):
+        for c in coeffs.values():
+            if type(c) is not FieldElement or (c.ctx is not ctx and c.ctx._key != ctx._key):
+                return None
+    return ctx.poly_product(a, b)
+
+
+register_product(FieldElement, _poly_product)
 
 
 def imaginary_unit(ctx):

@@ -8,13 +8,16 @@ terms, as ``fields.FieldElement`` is (Cohen, A Course in Computational
 Algebraic Number Theory, 4.2): its sums, products, derivatives and
 rescalings run on ints, followed by one gcd of the denominator with the
 numerators, which by Gauss's lemma is all that can cancel.  Any other
-coefficients keep a plain map and the generic loops.  ``coeffs`` reads
-either form as {exponent: coefficient}, a rational coefficient an ``int``
-when it is integral and a ``Fraction`` otherwise.  Long division has one
-loop for every domain, on ``coeffs``; every division of coefficients goes
-through ``qdiv``, which divides two ints exactly, so no float can arise.
-The zero polynomial has degree -inf so degree comparisons behave without
-special-casing.
+coefficients keep a plain map and the generic loops, except that a product
+whose coefficients are all of a type registered with ``register_product``
+(the number-field elements of ``fields``) runs that type's kernel, and a
+factor of one term is an exponent shift and a scaling in every domain.
+``coeffs`` reads either form as {exponent: coefficient}, a rational
+coefficient an ``int`` when it is integral and a ``Fraction`` otherwise.
+Long division has one loop for every domain, on ``coeffs``; every division
+of coefficients goes through ``qdiv``, which divides two ints exactly, so
+no float can arise.  The zero polynomial has degree -inf so degree
+comparisons behave without special-casing.
 
 ``RationalFunction`` keeps a reduced num/den pair with a monic denominator,
 which makes equality structural.  Division of polynomials that does not come
@@ -55,6 +58,16 @@ _HIGHER = ()
 def register_higher(*types):
     global _HIGHER
     _HIGHER = _HIGHER + types
+
+
+# coefficient type -> product kernel of two {exponent: coefficient} maps led
+# by that type, returning the product map or None when the kernel does not
+# apply; `fields` registers its number-field product here
+_PRODUCTS = {}
+
+
+def register_product(cls, kernel):
+    _PRODUCTS[cls] = kernel
 
 
 def _is_scalar(x):
@@ -250,8 +263,17 @@ class Poly:
         o = self._check(other)
         if o is None:
             return NotImplemented
+        if len(o.nums) == 1:
+            return self._times_monomial(o, False)
+        if len(self.nums) == 1:
+            return o._times_monomial(self, True)
         q = self.den is not None and o.den is not None
         a, b = (self.nums, o.nums) if q else (self.coeffs, o.coeffs)
+        if not q and a and b:
+            kernel = _PRODUCTS.get(type(next(iter(a.values()))))
+            out = None if kernel is None else kernel(a, b)
+            if out is not None:
+                return _new(self.var, out, None)
         out = {}
         for e1, c1 in a.items():
             for e2, c2 in b.items():
@@ -265,6 +287,20 @@ class Poly:
         return _make(self.var, out, self.den * o.den) if q else Poly(self.var, out)
 
     __rmul__ = __mul__
+
+    def _times_monomial(self, m, left):
+        """self * m for a one-term m = c x^k (m * self when `left`): an
+        exponent shift and one scaling per coefficient."""
+        (k, c), = m.nums.items()
+        if self.den is not None and m.den is not None:
+            if c == 1 and m.den == 1:  # self's lowest terms carry over
+                return _new(self.var, {e + k: n for e, n in self.nums.items()}, self.den)
+            return _make(self.var, {e + k: n * c for e, n in self.nums.items()},
+                         self.den * m.den)
+        c = m.coeff(k)
+        if left:
+            return Poly(self.var, {e + k: c * x for e, x in self.coeffs.items()})
+        return Poly(self.var, {e + k: x * c for e, x in self.coeffs.items()})
 
     def __neg__(self):
         return _make(self.var, {e: -c for e, c in self.nums.items()}, self.den)
@@ -380,6 +416,12 @@ def _make(var, nums, den=1):
         if g != 1:
             nums = {e: n // g for e, n in nums.items()}
             den //= g
+    return _new(var, nums, den)
+
+
+def _new(var, nums, den):
+    """The Poly of nums over den as given: no zero numerators and, over Q
+    (den an int), lowest terms."""
     p = object.__new__(Poly)
     p.var, p.nums, p.den = var, nums, den
     return p

@@ -7,7 +7,14 @@ from fractions import Fraction
 
 import pytest
 
-from k3quartic.fields import gaussian_field
+from k3quartic.fields import (
+    FieldContext,
+    eighth_root_field,
+    gaussian_field,
+    quartic_root_field,
+    sqrt_field,
+    with_imaginary_unit,
+)
 from k3quartic.quartic import ALPHA
 from k3quartic import polynomials
 from k3quartic.polynomials import (
@@ -883,7 +890,7 @@ def test_rational_polys_match_the_fraction_oracle():
 
 def test_scalar_product_matches_the_constant_product():
     # a rational scalar rescales nums and den; the product with the constant
-    # polynomial takes the general loop, and both must give the same pair
+    # polynomial takes the one-term path, and both must give the same pair
     rng = random.Random(27)
     scalars = [0, 1, -1, 6, -12, Fraction(0), Fraction(5), Fraction(-3, 4),
                Fraction(7, 10 ** 20 + 39)]
@@ -893,3 +900,142 @@ def test_scalar_product_matches_the_constant_product():
             want = a * Poly.constant(a.var, c)
             for got in (a * c, c * a):
                 assert (got.nums, got.den) == (want.nums, want.den), (a, c)
+
+
+# -- products over number fields ---------------------------------------------
+#
+# `_o_mul`, the per-coefficient product loop, is the oracle of
+# `FieldContext.poly_product` and of the one-term path
+
+# every stock context, and a two-level tower whose minimal polynomials have
+# denominators: t1^2 = 3/2 and t2^2 = t1 + 1/3
+PRODUCT_CONTEXTS = [
+    gaussian_field(), sqrt_field(2), sqrt_field(Fraction(-3, 5)), eighth_root_field(),
+    quartic_root_field(7), with_imaginary_unit("quartic_root", 7),
+    with_imaginary_unit("sqrt", 3),
+    FieldContext([(Fraction(-3, 2), 0, 1), ((Fraction(-1, 3), -1), 0, 1)], names=("a", "b")),
+]
+
+
+def _random_element(rng, ctx):
+    def coord():
+        if rng.random() < 0.25:
+            return 0
+        digits = rng.choice([1, 3, 20])
+        return Fraction(rng.randint(-10 ** digits, 10 ** digits), rng.randint(1, 10 ** rng.randint(0, 3)))
+
+    d1 = ctx.dims[0]
+    if ctx.height == 1:
+        return ctx.element([coord() for _ in range(d1)])
+    return ctx.element([[coord() for _ in range(d1)] for _ in range(ctx.dims[1])])
+
+
+def _random_field_poly(rng, ctx, max_degree=12):
+    """A degree 0-12 polynomial over ctx, about a quarter of its coefficients zero."""
+    deg = rng.randint(0, max_degree)
+    coeffs = {e: _random_element(rng, ctx) for e in range(deg) if rng.random() < 0.75}
+    lead = _random_element(rng, ctx)
+    coeffs[deg] = lead if lead else ctx.one
+    return Poly("x", coeffs)
+
+
+def _check_field_product(p, q):
+    want = _o_mul(p.coeffs, q.coeffs)
+    for got in (p * q, q * p):
+        assert got.den is None and got.nums == want, (p, q)
+        # canonical elements: the same numerators, denominator and context
+        assert {e: (c.num, c.den, c.ctx) for e, c in got.nums.items()} == {
+            e: (c.num, c.den, c.ctx) for e, c in want.items()}, (p, q)
+
+
+def test_field_products_match_the_coefficient_loop():
+    rng = random.Random(20261031)
+    for ctx in PRODUCT_CONTEXTS:
+        for _ in range(12):
+            p, q = _random_field_poly(rng, ctx), _random_field_poly(rng, ctx)
+            _check_field_product(p, q)
+            if len(p.nums) > 1 and len(q.nums) > 1:
+                assert ctx.poly_product(p.nums, q.nums) == _o_mul(p.nums, q.nums)
+
+
+def test_field_products_drop_cancelled_coefficients():
+    # (x - a)(x + a) = x^2 - a^2 for an irrational a with a^2 rational
+    for ctx in PRODUCT_CONTEXTS:
+        x = Poly("x", {1: ctx.one})
+        for a in (ctx.gen(), ctx.gen(1), ctx.gen() ** 2):
+            if not (a * a).is_rational or a.is_rational:
+                continue
+            got = (x - a) * (x + a)
+            assert set(got.nums) == {0, 2} and got.nums[0] == -(a * a), (ctx, a)
+            _check_field_product(x - a, x + a)
+            _check_field_product(x * x + a * x + a * a, x - a)
+
+
+def test_field_products_with_zero_operands():
+    rng = random.Random(5)
+    zero = Poly("x")
+    for ctx in PRODUCT_CONTEXTS:
+        p = _random_field_poly(rng, ctx)
+        for got in (p * zero, zero * p, p * ctx.zero, ctx.zero * p):
+            assert got.is_zero and got.nums == {}
+
+
+def test_field_products_across_key_equal_contexts():
+    rng = random.Random(11)
+    tower = with_imaginary_unit("quartic_root", 7)
+    twins = [
+        (gaussian_field(), FieldContext([(1, 0, 1)], names=("i",), conj_images=[[0, -1]])),
+        (tower, FieldContext([(-7, 0, 0, 0, 1), (1, 0, 1)], names=("q4", "i"))),
+    ]
+    for ctx, twin in twins:
+        assert twin == ctx and twin is not ctx
+        for _ in range(6):
+            p = _random_field_poly(rng, ctx)
+            q = _random_field_poly(rng, ctx).map_coeffs(twin.coerce)
+            _check_field_product(p, q)
+            # one polynomial holding coefficients of both objects
+            mixed = Poly("x", {e: twin.coerce(c) if e % 2 else c for e, c in p.coeffs.items()})
+            _check_field_product(mixed, q)
+
+
+def test_field_products_reject_mixed_contexts():
+    # Q(i) and Q(sqrt 2) have the same degree, so only the context check
+    # keeps their numerators apart
+    qi, r2, z8 = gaussian_field(), sqrt_field(2), eighth_root_field()
+    p = Poly("x", {0: qi.gen(), 1: qi.one})
+    for other in (r2, z8):
+        q = Poly("x", {0: other.gen(), 2: other.one})
+        mixed = Poly("x", {0: qi.gen(), 1: qi.one, 3: other.gen()})
+        for a, b in ((p, q), (q, p), (p, mixed), (mixed, p)):
+            with pytest.raises(TypeError):
+                a * b
+
+
+def test_one_term_products_match_the_coefficient_loop():
+    # c x^k times a polynomial: an exponent shift and one scaling per
+    # coefficient, over Q (c = 1 keeps the lowest terms as they are), over
+    # every field and over rational functions
+    rng = random.Random(41)
+    x = Poly.x("t")
+    for _ in range(150):
+        da = _random_oracle(rng)
+        a = _build(rng, da)
+        k = rng.randint(0, 5)
+        c = rng.choice([Fraction(1), Fraction(-1), _random_rational(rng, nonzero=True)])
+        m = Poly("t", {k: c})
+        for got in (a * m, m * a):
+            _check_against(got, _o_mul(da, {k: c}))
+        if c == 1:
+            _check_against(x ** k * a, _o_mul(da, {k: c}))
+    for ctx in PRODUCT_CONTEXTS:
+        for _ in range(10):
+            p = _random_field_poly(rng, ctx)
+            k = rng.randint(0, 5)
+            c = _random_element(rng, ctx) or ctx.one
+            for m in (Poly("x", {k: c}), Poly("x", {k: 1}), Poly("x", {k: Fraction(-2, 9)})):
+                _check_field_product(p, m)
+    lam = RationalFunction(Poly.x("lam"), Poly("lam", {0: 1, 1: 1}))
+    p = Poly("x", {0: lam, 3: lam * lam - 1, 4: 1 / lam})
+    for m in (Poly("x", {2: lam}), Poly("x", {1: 1}), Poly("x", {0: lam + 3})):
+        want = _o_mul(p.coeffs, m.coeffs)
+        assert (p * m).coeffs == want and (m * p).coeffs == want
