@@ -432,6 +432,10 @@ def _weierstrass_f(lam):
     return lam ** 3 * (lam ** 2 + 2 * lam + STANDARD_ALPHA) ** 2
 
 
+# built once; each root choice maps it into its own field
+_STANDARD_F = _weierstrass_f(Poly.x("lam"))
+
+
 def twist_sum(twist):
     """The sum of the two branches of the twist's two-section, over Q.
 
@@ -457,7 +461,7 @@ def sum_at_root_choice(total, s, root_choice):
         return {"u": None, "v": None, "on_curve": True, "residual": None}
     field, w0 = _twist_root(s, root_choice)
     u_lam, v_lam = _untwist(total, field, w0)
-    f_lam = _weierstrass_f(Poly.x("lam")).map_coeffs(field.from_rational)
+    f_lam = _STANDARD_F.map_coeffs(field.from_rational)
     residual = v_lam ** 2 - u_lam * (u_lam ** 2 - f_lam)
     return {"u": u_lam, "v": v_lam, "on_curve": residual.is_zero,
             "residual": residual}

@@ -1,15 +1,23 @@
 """Multivariate polynomials and quotient rings by monomial-headed relations.
 
 ``MultiPoly`` is a sparse exponent-vector/coefficient map over a fixed
-variable tuple.  All operands of a binary operation must share that tuple;
-scalars coerce.  ``MultiPoly.evaluate`` is the one substitution: it maps
-the variables to scalars, to ``MultiPoly``s or to ``QuotientFraction``s.
+variable tuple.  All operands of a binary operation must share that tuple.
+A scalar operand is applied in place, never lifted to a constant
+polynomial: a sum or difference updates the constant term alone, a product
+or an exact quotient scales each coefficient, and equality reads the
+constant term; since the coefficients form an integral domain, a nonzero
+scaling leaves no zero coefficient to clean.  ``MultiPoly.evaluate`` is
+the one substitution: it maps the variables to scalars, to ``MultiPoly``s or
+to ``QuotientFraction``s.
 ``QuotientContext`` rewrites powers of designated head variables by
 lower-order replacements (think tau^2 -> h(rho)), giving enough of a
 quotient ring to verify identities on curves and covers exactly.
 ``QuotientFraction`` adds formal division with equality tested by
 cross-multiplication, which is sound because these quotients are integral
-domains for the relations we use.
+domains for the relations we use.  Its num and den are reduced by the
+relations; a scalar operand and a negation keep them reduced, since a sum or
+scalar multiple of reduced polynomials is reduced, so those results apply no
+relation again (``polynomials.FractionArithmetic``).
 
 Rational coefficients follow ``polynomials``: an ``int`` when integral, a
 ``Fraction`` otherwise, and every coefficient division goes through
@@ -20,7 +28,7 @@ from fractions import Fraction
 from operator import add, sub
 
 from . import polynomials as _polynomials
-from .polynomials import FractionArithmetic, power, qdiv, render_terms
+from .polynomials import FractionArithmetic, _times, power, qdiv, render_terms
 
 
 def _is_scalar(x):
@@ -35,7 +43,7 @@ class MultiPoly:
         cleaned = {}
         if terms:
             for exps, c in terms.items():
-                if c == 0:
+                if not c:  # as in Poly: by truth value, which needs no lift of 0
                     continue
                 if len(exps) != len(self.vars):
                     raise ValueError("exponent vector length mismatch")
@@ -89,15 +97,30 @@ class MultiPoly:
     # -- arithmetic ---------------------------------------------------------------
 
     def _check(self, other):
-        if isinstance(other, MultiPoly):
-            if other.vars != self.vars:
-                raise TypeError("variable tuples differ: %r vs %r" % (self.vars, other.vars))
-            return other
+        """A MultiPoly operand over the same variables, or None for a
+        QuotientFraction, which handles the operation."""
         if isinstance(other, QuotientFraction):
             return None
-        return MultiPoly.const(self.vars, other)
+        if other.vars != self.vars:
+            raise TypeError("variable tuples differ: %r vs %r" % (self.vars, other.vars))
+        return other
+
+    def _shift(self, terms, c):
+        """The MultiPoly of clean `terms` with the coefficient c added to the
+        constant term: one entry changes, so no other is cleaned again."""
+        zero = (0,) * len(self.vars)
+        c = terms.get(zero, 0) + c
+        if not c:
+            terms.pop(zero, None)
+        else:
+            if type(c) is Fraction and c.denominator == 1:
+                c = c.numerator
+            terms[zero] = c
+        return _new(self.vars, terms)
 
     def __add__(self, other, sign=1):
+        if _is_scalar(other):
+            return self._shift(dict(self.terms), other if sign > 0 else -other)
         o = self._check(other)
         if o is None:
             return NotImplemented
@@ -116,12 +139,24 @@ class MultiPoly:
         return self.__add__(other, -1)
 
     def __rsub__(self, other):
-        o = self._check(other)
-        if o is None:
-            return NotImplemented
-        return o - self
+        if _is_scalar(other):
+            return self._shift({e: -c for e, c in self.terms.items()}, other)
+        return NotImplemented  # a MultiPoly operand takes __sub__
+
+    def _scaled(self, c):
+        """self * c for a nonzero coefficient c: the coefficients form an
+        integral domain, so no product vanishes."""
+        out = {}
+        for e, v in self.terms.items():
+            v = v * c
+            if type(v) is Fraction and v.denominator == 1:
+                v = v.numerator
+            out[e] = v
+        return _new(self.vars, out)
 
     def __mul__(self, other):
+        if _is_scalar(other):
+            return self._scaled(other) if other else _new(self.vars, {})
         o = self._check(other)
         if o is None:
             return NotImplemented
@@ -148,10 +183,16 @@ class MultiPoly:
 
     def __truediv__(self, other):
         if _is_scalar(other):
-            return self.map_coeffs(lambda c: qdiv(c, other))
+            return self.try_exact_div(other)
         return NotImplemented
 
     def __eq__(self, other):
+        if _is_scalar(other):
+            terms = self.terms
+            if not terms:
+                return not other
+            zero = (0,) * len(self.vars)
+            return len(terms) == 1 and zero in terms and terms[zero] == other
         try:
             o = self._check(other)
         except TypeError:
@@ -189,6 +230,10 @@ class MultiPoly:
         Multivariate long division by a single divisor under lex order on
         the variable tuple; exactness means zero remainder.
         """
+        if _is_scalar(divisor):
+            if not divisor:
+                raise ZeroDivisionError("division by zero polynomial")
+            return self._scaled(qdiv(1, divisor))
         d = self._check(divisor)
         if d is None or d.is_zero:
             raise ZeroDivisionError("division by zero polynomial")
@@ -242,6 +287,14 @@ class MultiPoly:
             (str(self.terms[e]),
              "*".join(v if k == 1 else "%s^%d" % (v, k) for v, k in zip(self.vars, e) if k))
             for e in sorted(self.terms, reverse=True))
+
+
+def _new(vars, terms):
+    """The MultiPoly of a variable tuple and terms as given: no zero
+    coefficient, and every integral rational an int."""
+    p = object.__new__(MultiPoly)
+    p.vars, p.terms = vars, terms
+    return p
 
 
 class QuotientContext:
@@ -333,17 +386,30 @@ class QuotientFraction(FractionArithmetic):
     def gen(cls, qctx, name, power=1):
         return cls(qctx, MultiPoly.gen(qctx.vars, name, power))
 
+    _is_coeff = staticmethod(_is_scalar)
+
     def _lift(self, other):
-        if isinstance(other, QuotientFraction):
-            if other.qctx is not self.qctx and other.qctx.vars != self.qctx.vars:
-                raise TypeError("mixed quotient contexts")
-            return other
-        return QuotientFraction(self.qctx, other)
+        if isinstance(other, MultiPoly):
+            return QuotientFraction(self.qctx, other)
+        if other.qctx is not self.qctx and other.qctx.vars != self.qctx.vars:
+            raise TypeError("mixed quotient contexts")
+        return other
 
     def _new(self, num, den):
         return QuotientFraction(self.qctx, num, den)
 
+    def _new_normal(self, num, den):
+        # num and den are reduced already: no relation is applied again
+        q = object.__new__(QuotientFraction)
+        q.qctx = self.qctx
+        q.num = num
+        q.den = den if num.terms else MultiPoly.const(self.qctx.vars, 1)
+        return q
+
     def __eq__(self, other):
+        if _is_scalar(other):
+            # num - c den is reduced, so it is zero in the ring only as written
+            return self.num == _times(self.den, other)
         try:
             o = self._lift(other)
         except TypeError:
@@ -351,7 +417,7 @@ class QuotientFraction(FractionArithmetic):
         return self.qctx.is_zero(self.num * o.den - o.num * self.den)
 
     def __repr__(self):
-        if self.den == MultiPoly.const(self.qctx.vars, 1):
+        if self.den == 1:
             return repr(self.num)
         return "(%s)/(%s)" % (self.num, self.den)
 

@@ -139,7 +139,9 @@ class Poly:
         nums, den, frac = {}, 1, False
         if coeffs:
             for e, c in coeffs.items():
-                if c == 0:
+                # by truth value: `c == 0` lifts 0 into a field element's
+                # context, and bool agrees with it on every coefficient type
+                if not c:
                     continue
                 nums[e] = c
                 # type tests: isinstance(c, Fraction) on an int takes the ABC path
@@ -908,8 +910,8 @@ def certified_factors(p):
 
 
 def _times(a, b):
-    """a * b, without the product when either factor is the constant 1, as
-    the denominator of a lifted polynomial or scalar is."""
+    """a * b, without the product when either factor is the constant 1, as a
+    den of 1 or a coefficient of 1 is."""
     if b == 1:
         return a
     if a == 1:
@@ -920,11 +922,21 @@ def _times(a, b):
 class FractionArithmetic:
     """Field operations on a ``num``/``den`` pair, shared by the fraction classes.
 
-    A subclass supplies ``_lift(other)``, the other operand as an instance of
-    its own, or None to defer to the other operand, and ``_new(num, den)``, an
-    instance built from a numerator and a nonzero denominator.  A subclass
-    that keeps its fractions reduced overrides ``_product`` and
-    ``_new_coprime`` to skip the cancellation its invariant makes redundant.
+    A subclass supplies ``_is_coeff(other)``, whether the other operand is a
+    coefficient of its num and den; ``_lift(other)``, any other operand as
+    an instance of its own, or None to defer to the other operand; and
+    ``_new(num, den)``, an instance built from a numerator and a nonzero
+    denominator.  A subclass that keeps its fractions in a normal form
+    overrides ``_product``, ``_new_coprime`` and ``_new_normal`` to skip the
+    work its invariant makes redundant.
+
+    A coefficient c is applied in place, never lifted to a fraction: a/b + c
+    is (a + c b)/b, (a/b) c is (c a)/b, (a/b)/c is a (1/c)/b and c/(a/b) is
+    (c b)/a.  These pairs keep a normal pair's invariant as they stand, since
+    gcd(a + c b, b) = gcd(a, b) (Knuth, TAOCP vol. 2, 4.5.1) and a sum or
+    coefficient multiple of polynomials reduced by a quotient ring's
+    relations is reduced, so they take ``_new_normal`` with no gcd and no
+    reduction.
     """
 
     __slots__ = ()
@@ -937,6 +949,8 @@ class FractionArithmetic:
         return not self.is_zero
 
     def __add__(self, other):
+        if self._is_coeff(other):
+            return self._new_normal(self.num + _times(self.den, other), self.den)
         o = self._lift(other)
         if o is None:
             return NotImplemented
@@ -946,6 +960,8 @@ class FractionArithmetic:
     __radd__ = __add__
 
     def __sub__(self, other):
+        if self._is_coeff(other):
+            return self._new_normal(self.num - _times(self.den, other), self.den)
         o = self._lift(other)
         if o is None:
             return NotImplemented
@@ -953,12 +969,16 @@ class FractionArithmetic:
                          _times(self.den, o.den))
 
     def __rsub__(self, other):
+        if self._is_coeff(other):
+            return self._new_normal(_times(self.den, other) - self.num, self.den)
         o = self._lift(other)
         if o is None:
             return NotImplemented
         return o - self
 
     def __mul__(self, other):
+        if self._is_coeff(other):
+            return self._new_normal(self.num * other, self.den)
         o = self._lift(other)
         if o is None:
             return NotImplemented
@@ -967,6 +987,10 @@ class FractionArithmetic:
     __rmul__ = __mul__
 
     def __truediv__(self, other):
+        if self._is_coeff(other):
+            if not other:
+                raise ZeroDivisionError("division by a zero coefficient")
+            return self._new_normal(self.num * qdiv(1, other), self.den)
         o = self._lift(other)
         if o is None:
             return NotImplemented
@@ -975,13 +999,17 @@ class FractionArithmetic:
         return self._product(o.den, o.num)
 
     def __rtruediv__(self, other):
+        if self._is_coeff(other):
+            if self.is_zero:
+                raise ZeroDivisionError("division by a zero fraction")
+            return self._new_normal(self.den * other, self.num)
         o = self._lift(other)
         if o is None:
             return NotImplemented
         return o / self
 
     def __neg__(self):
-        return self._new_coprime(-self.num, self.den)
+        return self._new_normal(-self.num, self.den)
 
     def __pow__(self, n):
         if not isinstance(n, int):
@@ -995,13 +1023,20 @@ class FractionArithmetic:
 
     def _product(self, num, den):
         """self * (num/den), where num/den is the pair of an operand of this
-        class, swapped for a quotient.  Every product goes through here."""
+        class, swapped for a quotient.  Every product of two fractions goes
+        through here."""
         return self._new(self.num * num, self.den * den)
 
     def _new_coprime(self, num, den):
-        """An instance from a pair with no common factor, as powers and
-        negations of one fraction give."""
+        """An instance from a pair with no common factor, as powers of one
+        fraction give."""
         return self._new(num, den)
+
+    def _new_normal(self, num, den):
+        """An instance from a pair with no common factor whose parts need no
+        reduction, as a negation of one fraction and its coefficient
+        operations give; only the den of a zero numerator is reset to 1."""
+        return self._new_coprime(num, den)
 
 
 def _cancel_common(p, q):
@@ -1023,9 +1058,12 @@ class RationalFunction(FractionArithmetic):
     g1 = gcd(a, d) and g2 = gcd(c, b), so
     (a/b)(c/d) = ((a/g1)(c/g2)) / ((b/g2)(d/g1)) is reduced (Henrici; Knuth,
     TAOCP vol. 2, 4.5.1); a quotient is the product with d/c.  A power or
-    negation of a reduced pair is reduced, and a lifted polynomial or scalar
-    has denominator 1.  Only the denominator's leading coefficient is then
-    scaled out.  Sums still cancel their full gcd.
+    negation of a reduced pair is reduced, and a lifted polynomial has
+    denominator 1.  A coefficient operand is applied in place
+    (``FractionArithmetic``): gcd(a + c b, b) = gcd(a, b), so the sum, the
+    multiple and the quotient of a reduced pair by a coefficient are reduced
+    over the same monic b.  Only the denominator's leading coefficient is
+    then scaled out.  Sums of two fractions still cancel their full gcd.
     """
 
     __slots__ = ("num", "den")
@@ -1063,18 +1101,17 @@ class RationalFunction(FractionArithmetic):
             raise ValueError("%r is not polynomial" % self)
         return self.num
 
+    def _is_coeff(self, other):
+        return _is_scalar(other) and not isinstance(other, _HIGHER)
+
     def _lift(self, other):
-        if isinstance(other, RationalFunction):
-            if other.var != self.var:
-                raise TypeError("mixed variables %r and %r" % (self.var, other.var))
-            return other
-        if isinstance(other, Poly):
-            if other.var != self.var:
-                raise TypeError("mixed variables %r and %r" % (self.var, other.var))
-            return RationalFunction(other, _reduced=True)
         if isinstance(other, _HIGHER):
             return None
-        return RationalFunction(Poly.constant(self.var, other), _reduced=True)
+        if other.var != self.var:
+            raise TypeError("mixed variables %r and %r" % (self.var, other.var))
+        if isinstance(other, Poly):
+            return RationalFunction(other, _reduced=True)
+        return other
 
     def _new(self, num, den):
         return RationalFunction(num, den)
@@ -1088,6 +1125,9 @@ class RationalFunction(FractionArithmetic):
         return RationalFunction(a * c, _times(b, d), _reduced=True)
 
     def __eq__(self, other):
+        if self._is_coeff(other):
+            # a reduced pair over a monic den equals a coefficient over 1 only
+            return self.den.degree == 0 and self.num == other
         try:
             o = self._lift(other)
         except TypeError:

@@ -9,7 +9,8 @@ from the same values as Fractions, which must land in the same integer form,
 and the same values as Q(i) elements take the schoolbook loops as the
 oracle.  ``MultiPoly`` runs as it is and with ``MultiPoly.__init__``
 replaced by the all-Fraction constructor it replaced, kept here as the
-oracle.
+oracle; the constructor of the in-place coefficient operations is routed
+through it too.
 """
 
 import contextlib
@@ -20,6 +21,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from k3quartic import multipoly
 from k3quartic.covers import SPLIT_PARAM_SEXTIC, Parametrization, twist_lift
 from k3quartic.curves import base_elliptic_rhs, ec_add, j_invariant, on_curve
 from k3quartic.fibration import classify_fibers, form_scaling_order, standard_family
@@ -205,7 +207,11 @@ def _fraction_multipoly_init(self, vars, terms=None):
 
 @contextlib.contextmanager
 def _fraction_representation():
-    with mock.patch.object(MultiPoly, "__init__", _fraction_multipoly_init):
+    # a coefficient operand builds its result with multipoly._new, which
+    # skips __init__; routing it through the patched __init__ puts those
+    # results in the all-Fraction form too
+    with mock.patch.object(MultiPoly, "__init__", _fraction_multipoly_init), \
+            mock.patch.object(multipoly, "_new", MultiPoly):
         yield
 
 
@@ -253,10 +259,19 @@ def test_integer_polys_match_the_fraction_representation(a, b):
 def test_integer_multipolys_match_the_fraction_representation(a, b):
     def calls(a, b):
         p, q = MultiPoly(_VARS, a), MultiPoly(_VARS, b)
-        return [p * q, (p * q).try_exact_div(q), q ** 2 - p]
+        return [p * q, (p * q).try_exact_div(q), q ** 2 - p,
+                # coefficient operands, applied in place
+                p * 3, 3 * p, p * Fraction(2, 3), p + Fraction(1, 2), 2 - p, p - 2,
+                (p + Fraction(1, 2)) * 2, p.try_exact_div(Fraction(-3, 4)),
+                p.try_exact_div(2), p == 1, p - p.terms.get((0, 0), 0) == p]
 
     ints = calls(a, b)
+    assert all(type(c) is int or c.denominator != 1
+               for r in ints if isinstance(r, MultiPoly) for c in r.terms.values())
     with _fraction_representation():
         fractions = calls(a, b)
+    # every result was built in the all-Fraction form, in place or not
+    assert all(type(c) is Fraction
+               for r in fractions if isinstance(r, MultiPoly) for c in r.terms.values())
     assert ints == fractions
     assert _text(ints) == _text(fractions)
