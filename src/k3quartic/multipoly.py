@@ -91,9 +91,6 @@ class MultiPoly:
         i = self.vars.index(name)
         return any(e[i] for e in self.terms)
 
-    def map_coeffs(self, fn):
-        return MultiPoly(self.vars, {e: fn(c) for e, c in self.terms.items()})
-
     # -- arithmetic ---------------------------------------------------------------
 
     def _check(self, other):

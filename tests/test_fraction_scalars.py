@@ -218,6 +218,7 @@ def test_multipoly_coefficients_match_the_lifted_operand(seed, domain):
             lifted = MultiPoly.const(V, c)
             _check_against_lift(x, c, lifted, (operator.add, operator.sub, operator.mul))
             assert _outcome(_exact_div, x, c) == _outcome(_exact_div, x, lifted)
+            assert _outcome(operator.truediv, x, c) == _outcome(_exact_div, x, lifted)
             assert lifted == c and c == lifted and (lifted != c + 1)
             # -c added to a constant c leaves the zero polynomial
             assert (lifted + (-c)).terms == {} and (c - lifted).terms == {}
