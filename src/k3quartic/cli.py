@@ -589,12 +589,11 @@ def cmd_lattice(args):
 
 
 # bounds the degree, not the time: on a shared two-core host a degree-256
-# curve whose every coefficient has 7 digits takes about 0.35 s from a cold
-# start, most of it the schoolbook products that compose the quartic (its
-# degree is 4d), but one with y = (r - 1)(r - 2)...(r - 256), x = 1 and z = r
-# took about 220 s in-process, nearly all of it GCDHEU's integer gcds at
-# evaluation points of many thousands of digits, in Yun's decomposition and
-# in the squarefree step of the rational-root lift
+# curve whose every coefficient has 7 digits takes about 0.7 s from a cold
+# start, half of it the one Euclid mod p that proves its composite (degree
+# 4d) squarefree, and one with y = (r - 1)(r - 2)...(r - 256), x = 1 and
+# z = r about 7 s, most of it the rational-root lift's search for a prime
+# past the collisions of its 256 roots
 MAX_PARAM_DEGREE = 256
 
 

@@ -26,12 +26,12 @@ out even lands there automatically via ``__truediv__``.
 Over Q the gcd runs in Z[x]: ``_gcd_cofactors``, behind ``poly_gcd``, the
 cancellation of ``RationalFunction`` and Yun's loop over other fields, is
 the one place that picks the domain.  Over Q it clears denominators and
-contents and runs the heuristic gcd GCDHEU, whose candidate is certified by
-exact division of both inputs, which also yields the cofactors; Yun's
-squarefree decomposition over Q and the squarefree part that
-``rational_roots`` takes when small primes keep showing a repeated root use
-the same integer kernel.  Other coefficient fields, and the rare inputs on
-which GCDHEU gives up, take the Euclidean algorithm.  Over every field,
+contents and runs the small-primes modular gcd: one prime image of degree 0
+proves coprimality, and any other candidate is certified by exact division
+of both inputs, which also yields the cofactors; Yun's squarefree
+decomposition over Q and the squarefree part that ``rational_roots`` takes
+when small primes keep showing a repeated root use the same integer kernel.
+Other coefficient fields take the Euclidean algorithm.  Over every field,
 ``squarefree_decompose`` splits p = x^k q with q(0) != 0 first: x is coprime
 to q, so Yun's gcds run on q alone and x^k is merged into the result.
 ``rational_roots`` lifts the roots mod a small prime of the integer
@@ -434,10 +434,7 @@ def _new(var, nums, den):
 # A rational polynomial p is handled here as k * v(x): a rational k and a
 # primitive integer vector v, lowest degree first, with a positive leading
 # entry.  [] is the zero vector.  The ``_zz_`` functions compute on such
-# vectors in ints; only the Euclid fallback of ``_zz_gcd`` goes through Poly.
-
-# evaluation points GCDHEU tries after the first before giving up
-_HEU_RETRIES = 6
+# vectors in ints.
 
 
 def _split_content(v):
@@ -450,10 +447,12 @@ def _split_content(v):
 
 
 def _int_form(p):
-    """(k, v) with p = k * v(x) for a nonzero Poly over Q; None over any
-    other coefficient domain."""
+    """(k, v) with p = k * v(x) for a Poly over Q, v = [] for zero; None
+    over any other coefficient domain."""
     if p.den is None:
         return None
+    if not p.nums:
+        return 1, []
     v = [0] * (max(p.nums) + 1)
     for e, c in p.nums.items():
         v[e] = c
@@ -499,62 +498,102 @@ def _zz_divexact(f, h):
     return q
 
 
-def _symmetric_digits(n, xi):
-    """The integer vector v with v(xi) = n and every |entry| <= xi / 2."""
-    v = []
-    half = xi // 2
-    while n:
-        d = n % xi
-        if d > half:
-            d -= xi
-        v.append(d)
-        n = (n - d) // xi
-    return v
+# the first twelve primes, the bases of _is_prime
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+# primes below 2^62 in descending order, found as the modular gcd needs them
+_PRIMES = []
 
 
-def _heu_gcd(f, g):
-    """GCDHEU (Char, Geddes & Gonnet, J. Symb. Comp. 1989) on primitive
-    integer vectors with positive leading entries: (h, f / h, g / h) for h
-    = gcd(f, g), or None when it gives up.
+def _is_prime(n):
+    """Whether the integer n is prime: trial division by _MR_BASES, then
+    Miller-Rabin to each of them, which decides every n < 3.18e23 (Sorenson
+    & Webster, Math. Comp. 86, 2017)."""
+    if n < 2 or any(n % a == 0 for a in _MR_BASES):
+        return n in _MR_BASES
+    s = ((n - 1) & (1 - n)).bit_length() - 1  # 2^s exactly divides n - 1
+    for a in _MR_BASES:
+        x = [pow(a, (n - 1) >> s, n)]
+        while len(x) < s:
+            x.append(x[-1] * x[-1] % n)
+        if x[0] != 1 and n - 1 not in x:
+            return False
+    return True
 
-    The candidate is the primitive part of the symmetric base-xi digits of
-    gcd(f(xi), g(xi)).  For xi >= 2 min(|f|, |g|) + 2 (max norms), a
-    candidate that divides both f and g exactly is their gcd (Geddes,
-    Czapor & Labahn, Algorithms for Computer Algebra, thm 7.7), so the two
-    exact divisions certify it and yield the cofactors."""
-    xi = 2 * min(max(map(abs, f)), max(map(abs, g))) + 29
-    for _ in range(1 + _HEU_RETRIES):
-        n = math.gcd(_int_horner(f, xi), _int_horner(g, xi))
-        h = _split_content(_symmetric_digits(n, xi))[1]
-        cf = _zz_divexact(f, h)
-        if cf is not None:
-            cg = _zz_divexact(g, h)
-            if cg is not None:
-                return h, cf, cg
-        xi = xi * 73794 * math.isqrt(math.isqrt(xi)) // 27011
-    return None
+
+def _primes():
+    """The primes below 2^62, largest first, extending _PRIMES on demand."""
+    i = 0
+    while True:
+        if i == len(_PRIMES):
+            p = _PRIMES[-1] if _PRIMES else (1 << 62) + 1
+            _PRIMES.append(next(q for q in range(p - 2, 1, -2) if _is_prime(q)))
+        yield _PRIMES[i]
+        i += 1
+
+
+def _gf_gcd(a, b, p):
+    """A gcd, not made monic, of two residue vectors mod p with nonzero
+    leading entries: Euclid on remainders scaled so that none inverts."""
+    while len(b) > 1:
+        n, lead = len(b) - 1, b[-1]
+        for k in range(len(a) - 1 - n, -1, -1):
+            c = a.pop()
+            if c:
+                a[k:] = [(lead * x - c * y) % p for x, y in zip(a[k:], b)]
+                if k:
+                    a[:k] = [lead * x % p for x in a[:k]]
+        while a and not a[-1]:
+            a.pop()
+        if not a:
+            return b
+        a, b = b, a
+    return b
 
 
 def _zz_gcd(f, g):
     """(h, f / h, g / h) for integer vectors f and g, not both zero: h is
     their primitive gcd with a positive leading entry, and the cofactors are
-    exact in Z[x].  GCDHEU decides it unless it gives up; then Euclid over Q
-    does, and the cofactors come from exact division."""
-    if not g:
-        c, h = _split_content(f)
-        return h, [c], []
-    if not f:
-        c, h = _split_content(g)
-        return h, [], [c]
+    exact in Z[x].
+
+    The small-primes modular gcd (Brown, J. ACM 18, 1971; von zur Gathen &
+    Gerhard, Modern Computer Algebra, ch. 6).  At a prime p dividing neither
+    leading entry, gcd(f mod p, g mod p) has degree at least deg h, so 0
+    proves f and g coprime.  Else the images of the lowest degree seen,
+    scaled by b = gcd(lead f, lead g), are combined by CRT.  The primitive
+    part of their symmetric residue is tried when it first appears and when
+    a prime leaves it unchanged; once it divides f and g it is h."""
+    if not f or not g:
+        c, h = _split_content(f or g)
+        return (h, [c], []) if f else (h, [], [c])
     cf, f = _split_content(f)
     cg, g = _split_content(g)
-    found = _heu_gcd(f, g)
-    if found is None:
-        h = _int_form(_euclid_gcd(_from_ints("x", f), _from_ints("x", g)))[1]
-        found = h, _zz_divexact(f, h), _zz_divexact(g, h)
-    h, f, g = found
-    return (h, f if cf == 1 else [cf * a for a in f],
-            g if cg == 1 else [cg * a for a in g])
+    b = math.gcd(f[-1], g[-1])
+    n = min(len(f), len(g)) + 1
+    for p in _primes():
+        if f[-1] % p == 0 or g[-1] % p == 0:
+            continue
+        w = _gf_gcd([c % p for c in f], [c % p for c in g], p)
+        if len(w) == 1:
+            h, qf, qg = [1], f, g
+            break
+        if len(w) > n:
+            continue
+        t = b * pow(w[-1], -1, p)
+        w = [t * c % p for c in w]
+        if len(w) < n:
+            n, m, v, last = len(w), p, w, None
+        else:
+            t = pow(m, -1, p)
+            v, m = [x + m * ((y - x) * t % p) for x, y in zip(v, w)], m * p
+        h = _split_content([x - m if 2 * x > m else x for x in v])[1]
+        if last is None or h == last:
+            qf = _zz_divexact(f, h)
+            qg = None if qf is None else _zz_divexact(g, h)
+            if qg is not None:
+                break
+        last = h
+    return (h, qf if cf == 1 else [cf * a for a in qf],
+            qg if cg == 1 else [cg * a for a in qg])
 
 
 def _zz_yun(v):
@@ -576,7 +615,7 @@ def _zz_yun(v):
 
 
 def _euclid_gcd(a, b):
-    """Monic gcd by the Euclidean algorithm over a coefficient field."""
+    """Monic gcd by the Euclidean algorithm over a field other than Q."""
     p, q = a, b
     while not q.is_zero:
         r = p % q
@@ -588,13 +627,12 @@ def _gcd_cofactors(a, b):
     """(g, a / g, b / g) for g the monic gcd of a and b, or (0, a, b) when
     both are zero; a gcd of degree 0 returns a and b themselves.
 
-    When both are nonzero with int or Fraction coefficients, the gcd and
-    its cofactors come from ``_zz_gcd`` on the primitive integer vectors:
-    GCDHEU reads a candidate off an integer gcd of values at a large point,
-    and exact division of both inputs by it certifies it and yields the
-    cofactors.  Any other coefficient field, and a zero operand, take the
-    Euclidean algorithm and exact division."""
-    fa = _int_form(a) if a and b else None
+    With int or Fraction coefficients, the gcd and its cofactors come from
+    the modular gcd ``_zz_gcd`` on the primitive integer vectors.  Any other
+    coefficient field takes the Euclidean algorithm and exact division."""
+    if not (a or b):
+        return a, a, b
+    fa = _int_form(a)
     fb = fa and _int_form(b)
     if fb:
         h, ca, cb = _zz_gcd(fa[1], fb[1])
@@ -747,14 +785,6 @@ def poly_nth_root(p, n):
     return root
 
 
-def _int_horner(c, x):
-    """c(x) for integer coefficients c, lowest degree first."""
-    acc = 0
-    for a in reversed(c):
-        acc = acc * x + a
-    return acc
-
-
 def _eval_mod(c, xs, q):
     """[c(x) mod q for x in xs] for integer coefficients c, lowest degree
     first: one Horner pass over the whole list."""
@@ -806,7 +836,7 @@ def _lifted_roots(h):
     p, repeated = 1, 0
     while True:
         p += 1
-        if h[-1] % p == 0 or any(p % k == 0 for k in range(2, math.isqrt(p) + 1)):
+        if h[-1] % p == 0 or not _is_prime(p):
             continue
         roots = [r for r, v in enumerate(_eval_mod(h, range(p), p)) if v == 0]
         if all(_eval_mod(dh, roots, p)):
@@ -1095,11 +1125,6 @@ class RationalFunction(FractionArithmetic):
     @property
     def is_polynomial(self):
         return self.den.degree == 0
-
-    def as_poly(self):
-        if not self.is_polynomial:
-            raise ValueError("%r is not polynomial" % self)
-        return self.num
 
     def _is_coeff(self, other):
         return _is_scalar(other) and not isinstance(other, _HIGHER)

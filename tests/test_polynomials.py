@@ -22,7 +22,7 @@ from k3quartic.polynomials import (
     RationalFunction,
     _cancel_common,
     _eval_mod,
-    _int_horner,
+    _is_prime,
     _lifted_roots,
     _zz_derivative,
     certified_factors,
@@ -189,6 +189,14 @@ def test_rational_roots_match_sympy():
         expected = sorted(((Fraction(int(r.p), int(r.q)), m) for r, m in oracle.items()),
                           key=lambda rm: _root_order(rm[0]))
         assert rational_roots(p) == expected, p
+
+
+def _int_horner(c, x):
+    """c(x) for integer coefficients c, lowest degree first."""
+    acc = 0
+    for a in reversed(c):
+        acc = acc * x + a
+    return acc
 
 
 # The Descartes isolation that the p-adic root search replaced, kept verbatim
@@ -649,15 +657,159 @@ def test_gcd_matches_sympy():
         assert all(type(c) in (int, Fraction) for c in got.coeffs.values())
 
 
-def test_gcd_retries_past_an_unlucky_point():
-    # at the first point xi = 43, gcd(f(43), g(43)) = 62 reads back as
-    # t + 19, which divides neither input; only the exact division rejects it
-    f = [-5, -1, -1, 7]
-    g = [9, 7]
-    assert polynomials._zz_divexact(f, [19, 1]) is None
-    h, cf, cg = polynomials._heu_gcd(f, g)
+# GCDHEU, the heuristic gcd that the modular gcd replaced, kept as an oracle:
+# evaluation at one large point, an integer gcd, and its digits read back.
+def _symmetric_digits(n, xi):
+    """The integer vector v with v(xi) = n and every |entry| <= xi / 2."""
+    v = []
+    half = xi // 2
+    while n:
+        d = n % xi
+        if d > half:
+            d -= xi
+        v.append(d)
+        n = (n - d) // xi
+    return v
+
+
+def _heu_gcd(f, g):
+    """GCDHEU (Char, Geddes & Gonnet, J. Symb. Comp. 1989) on primitive
+    integer vectors with positive leading entries: (h, f / h, g / h) for h
+    = gcd(f, g), or None when it gives up after seven points.  A candidate
+    that divides both inputs exactly is their gcd when xi >= 2 min(|f|,
+    |g|) + 2 (Geddes, Czapor & Labahn, Algorithms for Computer Algebra,
+    thm 7.7)."""
+    xi = 2 * min(max(map(abs, f)), max(map(abs, g))) + 29
+    for _ in range(7):
+        n = math.gcd(_int_horner(f, xi), _int_horner(g, xi))
+        h = polynomials._split_content(_symmetric_digits(n, xi))[1]
+        cf = polynomials._zz_divexact(f, h)
+        if cf is not None:
+            cg = polynomials._zz_divexact(g, h)
+            if cg is not None:
+                return h, cf, cg
+        xi = xi * 73794 * math.isqrt(math.isqrt(xi)) // 27011
+    return None
+
+
+def _zz_gcd_cases(rng):
+    """Seeded (f, g) integer vectors: a shared factor to multiplicity 1-3
+    times random cofactors, up to degree 200 and 1000-bit entries, then
+    zero and constant operands and a pair on which GCDHEU retries."""
+    def vec(deg, bits):
+        v = [rng.randint(-2 ** bits, 2 ** bits) for _ in range(deg)]
+        return v + [rng.choice([-1, 1]) * rng.randint(1, 2 ** bits)]
+    cases = []
+    for i in range(24):
+        deg, bits = ((1, 4), (3, 20), (12, 70), (40, 1000))[i % 4]
+        h = vec(rng.randint(1, deg), bits)
+        f = _int_product([h] * (1 + i % 3) + [vec(rng.randint(0, deg), bits)])
+        g = _int_product([h] * rng.randint(1, 2) + [vec(rng.randint(0, deg), bits)])
+        cases.append((f, g))
+    f = vec(64, 1000)
+    cases.extend([(f, []), ([], f), ([-6], f), (f, [5]), ([4], [-6]), ([0, 0, 9], [0, 6])])
+    # coprime, and GCDHEU's first point (xi = 43) reads back t + 19
+    cases.append(([-5, -1, -1, 7], [9, 7]))
+    return cases
+
+
+def test_zz_gcd_matches_gcdheu_and_sympy():
+    sympy = pytest.importorskip("sympy")
+    x = sympy.Symbol("x")
+    rng = random.Random(20261020)
+    cases = _zz_gcd_cases(rng)
+    assert max(len(f) for f, _ in cases) > 129
+    assert max(abs(c).bit_length() for f, _ in cases for c in f) >= 1000
+    for f, g in cases:
+        h, cf, cg = polynomials._zz_gcd(f, g)
+        assert (_int_product([h, cf]) if cf else []) == f, (f, g)
+        assert (_int_product([h, cg]) if cg else []) == g, (f, g)
+        expected = sympy.Poly(f[::-1] or [0], x, domain=sympy.ZZ).gcd(
+            sympy.Poly(g[::-1] or [0], x, domain=sympy.ZZ)).primitive()[1]
+        expected = [int(c) for c in reversed(expected.all_coeffs())]
+        assert h == (expected if expected[-1] > 0 else [-c for c in expected]), (f, g)
+        if f and g:
+            pf, pg = polynomials._split_content(f)[1], polynomials._split_content(g)[1]
+            heu = _heu_gcd(pf, pg)
+            assert heu is None or heu[0] == h, (f, g)
+
+
+def test_modular_gcd_skips_a_prime_with_a_common_root():
+    # x - a and x - a - P are coprime over Q, but at the first table prime P
+    # they share the root a: the degree-1 image there gives x - a, which
+    # only the exact division rejects, and the next prime proves coprimality
+    P = next(polynomials._primes())
+    f, g = [-12345, 1], [-12345 - P, 1]
+    assert len(polynomials._gf_gcd([c % P for c in f], [c % P for c in g], P)) == 2
+    h, cf, cg = polynomials._zz_gcd(f, g)
     assert h == [1] and cf == f and cg == g
     assert poly_gcd(Poly("t", dict(enumerate(f))), Poly("t", dict(enumerate(g)))) == 1
+
+
+def test_modular_gcd_skips_a_prime_dividing_a_leading_entry():
+    # gcd = P t + 1; mod P both inputs lose their top degree and the images
+    # t + 3 and t - 5 would read as coprime
+    P = next(polynomials._primes())
+    f = _int_product([[1, P], [3, 1]])
+    g = _int_product([[1, P], [-5, 1]])
+    h, cf, cg = polynomials._zz_gcd(f, g)
+    assert h == [1, P] and cf == [3, 1] and cg == [-5, 1]
+
+
+def test_modular_gcd_skips_an_image_of_higher_degree(monkeypatch):
+    # gcd t + c with c past the first prime, so one image cannot fix it;
+    # the cofactors t - 7 and t - 7 - Q share a root mod the second prime Q,
+    # whose image of degree 2 arrives after the first of degree 1
+    primes = polynomials._primes()
+    next(primes)
+    Q = next(primes)
+    c = 2 ** 100 + 3
+    f = _int_product([[c, 1], [-7, 1]])
+    g = _int_product([[c, 1], [-7 - Q, 1]])
+    degrees = []
+    real = polynomials._gf_gcd
+
+    def spy(a, b, p):
+        w = real(a, b, p)
+        degrees.append(len(w) - 1)
+        return w
+
+    monkeypatch.setattr(polynomials, "_gf_gcd", spy)
+    h, cf, cg = polynomials._zz_gcd(f, g)
+    assert degrees[:2] == [1, 2] and 2 not in degrees[2:]
+    assert h == [c, 1] and cf == [-7, 1] and cg == [-7 - Q, 1]
+
+
+def test_modular_gcd_reads_a_small_gcd_off_one_prime(monkeypatch):
+    # gcd 3t - 2: the image at the first prime, t - 2/3 there, scaled by
+    # b = 3 and read as a symmetric residue, is already the gcd; a candidate
+    # that missed either step would never divide, so the spy stops the loop
+    calls = []
+    real = polynomials._gf_gcd
+
+    def spy(a, b, p):
+        calls.append(p)
+        assert len(calls) < 5, "more primes than a gcd of 2-bit entries needs"
+        return real(a, b, p)
+
+    monkeypatch.setattr(polynomials, "_gf_gcd", spy)
+    h, cf, cg = polynomials._zz_gcd(_int_product([[-2, 3], [5, 1]]), _int_product([[-2, 3], [-4, 3]]))
+    assert (h, cf, cg) == ([-2, 3], [5, 1], [-4, 3]) and len(calls) == 1
+
+
+def test_is_prime_is_exact_from_zero_up_and_on_strong_pseudoprimes():
+    sieve = [True] * 5000
+    sieve[0] = sieve[1] = False
+    for i in range(2, 71):
+        if sieve[i]:
+            sieve[i * i::i] = [False] * len(sieve[i * i::i])
+    assert [n for n in range(-5, 5000) if _is_prime(n)] == [n for n in range(5000) if sieve[n]]
+    # strong pseudoprimes to the bases 2, 3, 5, 7 and to every prime base
+    # up to 23, and Carmichael numbers
+    for n in (3215031751, 3825123056546413051, 561, 41041, 2 ** 62 - 55):
+        assert not _is_prime(n), n
+    assert _is_prime(2 ** 61 - 1) and _is_prime(2 ** 62 - 57)
+    assert next(polynomials._primes()) == 2 ** 62 - 57
 
 
 def test_squarefree_decompose_matches_sympy_on_content_heavy_inputs():
