@@ -23,10 +23,11 @@ denominator, adds the grid convolutions of every coefficient pair into one
 unreduced integer grid per output exponent, and reduces each grid through
 the table and puts it in lowest terms once, in place of a reduction and a
 gcd per pair and a gcd per partial sum.  An inverse solves the n x n
-integer multiplication matrix (n = d1*d2) by fraction-free (Bareiss)
-elimination.  ``coords()`` gives the nested view: a tuple (length d2) of
-tuples (length d1) of Fractions, or a tuple of Fractions for a single
-extension.
+integer multiplication matrix (n = d1*d2) by one fraction-free (Bareiss)
+Gauss-Jordan pass, with no back-substitution; a quotient by an element is
+the product with its inverse.  ``coords()`` gives the nested view: a tuple
+(length d2) of tuples (length d1) of Fractions, or a tuple of Fractions for
+a single extension.
 
 Minimal polynomials are *assumed* irreducible.  The assumption is checked
 lazily: when the multiplication matrix of an element is singular, inversion
@@ -106,8 +107,11 @@ def _neg(a):
 def _bareiss_solve(rows):
     """Solve M y = b for the augmented integer rows [M | b], fraction-free.
 
-    Returns (N, delta) with y = N / delta and N, delta integers, or None when
-    M is singular.  Every division is exact (Bareiss 1968).
+    One Gauss-Jordan pass (Bareiss 1968): each pivot eliminates its column
+    from every other row, not only those below, so the last column ends as
+    N = delta y for delta the last pivot.  Left of a pivot the pivot row is
+    zero, so only the columns right of it change.  Returns (N, delta), or
+    None when M is singular; every division is exact.
     """
     n = len(rows)
     prev = 1
@@ -120,21 +124,13 @@ def _bareiss_solve(rows):
             else:
                 return None
         pivot, top = rows[k][k], rows[k]
-        for r in range(k + 1, n):
-            row = rows[r]
-            f = row[k]
-            for c in range(k + 1, n + 1):
-                row[c] = (row[c] * pivot - f * top[c]) // prev
-            row[k] = 0
+        for row in rows:
+            if row is not top:
+                f = row[k]
+                for c in range(k + 1, n + 1):
+                    row[c] = (row[c] * pivot - f * top[c]) // prev
         prev = pivot
-    # U y = b' with U upper triangular; N = delta * y is integral (Cramer)
-    delta = prev
-    out = [0] * n
-    for k in range(n - 1, -1, -1):
-        row = rows[k]
-        s = delta * row[n] - sum(row[c] * out[c] for c in range(k + 1, n))
-        out[k] = s // row[k]
-    return out, delta
+    return [row[n] for row in rows], prev
 
 
 def _linear_map(cols):
@@ -391,7 +387,7 @@ class FieldContext:
             lift = base.element
 
             def unlift(c):
-                return base.coerce(c).coords()
+                return (base.one * c).coords()
 
         m = Poly("x", {k: lift(c) for k, c in enumerate(self.minpolys[-1])})
         g = poly_gcd(m, Poly("x", {k: lift(c) for k, c in enumerate(coords)}))
@@ -440,16 +436,6 @@ class FieldContext:
 
         place(coords, self.height, 0)
         return FieldElement(self, *_over_lcm(flat))
-
-    def coerce(self, x):
-        """Coerce int/Fraction/FieldElement-of-self into an element, else None."""
-        if isinstance(x, FieldElement):
-            if x.ctx is self or x.ctx._key == self._key:
-                return FieldElement(self, x.num, x.den)
-            return None
-        if isinstance(x, (int, Fraction)):
-            return self.from_rational(x)
-        return None
 
     def _apply(self, linear, x):
         """x under a map built by `_linear_map`; None means no conjugation."""
@@ -512,25 +498,20 @@ class FieldElement:
             return (x.numerator,) + self.ctx._zeros, x.denominator
         return None
 
-    def __add__(self, other):
+    def __add__(self, other, sign=1):
         o = self._other(other)
         if o is None:
             return NotImplemented
-        return FieldElement(self.ctx, *_add(self.num, self.den, *o))
+        b = o[0] if sign > 0 else _neg(o[0])
+        return FieldElement(self.ctx, *_add(self.num, self.den, b, o[1]))
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        o = self._other(other)
-        if o is None:
-            return NotImplemented
-        return FieldElement(self.ctx, *_add(self.num, self.den, _neg(o[0]), o[1]))
+        return self.__add__(other, -1)
 
     def __rsub__(self, other):
-        o = self._other(other)
-        if o is None:
-            return NotImplemented
-        return FieldElement(self.ctx, *_add(o[0], o[1], _neg(self.num), self.den))
+        return (-self).__add__(other)
 
     def __mul__(self, other):
         # the FieldElement test goes first: isinstance against Fraction (an
@@ -572,11 +553,10 @@ class FieldElement:
         return NotImplemented
 
     def __rtruediv__(self, other):
-        o = self._other(other)
-        if o is None:
-            return NotImplemented
-        ctx = self.ctx
-        return FieldElement(ctx, *ctx._mul(*o, *ctx._inv(self.num, self.den)))
+        # an element of this context divides by its own __truediv__
+        if isinstance(other, (int, Fraction)):
+            return self.inverse() * other
+        return NotImplemented
 
     def __pow__(self, n):
         if not isinstance(n, int):

@@ -130,7 +130,9 @@ class Poly:
     the positive common denominator, in lowest terms; the zero polynomial is
     {} over 1.  Over any other coefficient domain ``den`` is None and
     ``nums`` holds the coefficients themselves.  ``coeffs`` is the
-    {exponent: coefficient} view of either.
+    {exponent: coefficient} view of either.  A bare coefficient, a factor of
+    one term and a quotient by a coefficient (the product with its inverse)
+    all scale through ``_times_term``.
     """
 
     __slots__ = ("var", "nums", "den")
@@ -186,10 +188,7 @@ class Poly:
         return c if self.den is None or self.den == 1 else qdiv(c, self.den)
 
     def leading_coefficient(self):
-        if not self.nums:
-            return 0
-        c = self.nums[max(self.nums)]
-        return c if self.den is None or self.den == 1 else qdiv(c, self.den)
+        return self.coeff(max(self.nums)) if self.nums else 0
 
     def monic(self):
         lead = self.leading_coefficient()
@@ -199,15 +198,10 @@ class Poly:
         return Poly(self.var, {e: fn(c) for e, c in self.coeffs.items()})
 
     def _over(self, c):
-        """self / c for a nonzero scalar c: over Q by a rational c, a rescale
-        of the numerators and the denominator."""
-        if self.den is not None and type(c) in (int, Fraction):
-            if not c:
-                raise ZeroDivisionError("polynomial division by zero")
-            d = c.denominator
-            return _make(self.var, {e: n * d for e, n in self.nums.items()},
-                         self.den * c.numerator)
-        return self.map_coeffs(lambda x: qdiv(x, c))
+        """self / c for a nonzero coefficient c, by one inversion of c."""
+        if not c:
+            raise ZeroDivisionError("polynomial division by zero")
+        return self._times_term(0, qdiv(1, c))
 
     # -- arithmetic --------------------------------------------------------------
 
@@ -257,18 +251,18 @@ class Poly:
         return o - self
 
     def __mul__(self, other):
-        if self.den is not None and type(other) in (int, Fraction):
-            # a rational scalar rescales the numerators and the denominator
-            n = other.numerator
-            return _make(self.var, {e: c * n for e, c in self.nums.items()},
-                         self.den * other.denominator)
+        # the type test goes first: most products are of two polynomials
+        if type(other) is not Poly:
+            if isinstance(other, RationalFunction) or isinstance(other, _HIGHER):
+                return NotImplemented  # let the other side handle it
+            return self._times_term(0, other)
         o = self._check(other)
-        if o is None:
-            return NotImplemented
         if len(o.nums) == 1:
-            return self._times_monomial(o, False)
+            k, = o.nums
+            return self._times_term(k, o.coeff(k))
         if len(self.nums) == 1:
-            return o._times_monomial(self, True)
+            k, = self.nums
+            return o._times_term(k, self.coeff(k), True)
         q = self.den is not None and o.den is not None
         a, b = (self.nums, o.nums) if q else (self.coeffs, o.coeffs)
         if not q and a and b:
@@ -290,16 +284,16 @@ class Poly:
 
     __rmul__ = __mul__
 
-    def _times_monomial(self, m, left):
-        """self * m for a one-term m = c x^k (m * self when `left`): an
-        exponent shift and one scaling per coefficient."""
-        (k, c), = m.nums.items()
-        if self.den is not None and m.den is not None:
-            if c == 1 and m.den == 1:  # self's lowest terms carry over
+    def _times_term(self, k, c, left=False):
+        """self * c x^k (c x^k * self when `left`) for a coefficient c: an
+        exponent shift and one scaling per coefficient, over Q by a rational
+        c of the numerators and the denominator."""
+        if self.den is not None and type(c) in (int, Fraction):
+            if c == 1:  # self's lowest terms carry over
                 return _new(self.var, {e + k: n for e, n in self.nums.items()}, self.den)
-            return _make(self.var, {e + k: n * c for e, n in self.nums.items()},
-                         self.den * m.den)
-        c = m.coeff(k)
+            n = c.numerator
+            return _make(self.var, {e + k: x * n for e, x in self.nums.items()},
+                         self.den * c.denominator)
         if left:
             return Poly(self.var, {e + k: c * x for e, x in self.coeffs.items()})
         return Poly(self.var, {e + k: x * c for e, x in self.coeffs.items()})
@@ -896,10 +890,7 @@ def _roots_and_cofactor(p):
     lo = min(p.nums)
     # factor out x^lo: root 0 with multiplicity lo
     out = [(Fraction(0), lo)] if lo else []
-    v = [0] * (max(p.nums) - lo + 1)
-    for e, c in p.nums.items():
-        v[e - lo] = c
-    v = _split_content(v)[1]
+    v = _int_form(p)[1][lo:]
     cands = sorted(set(_root_candidates(v)) if len(v) > 1 else (),
                    key=lambda q: (abs(q.numerator), q.denominator, q < 0))
     for r in cands:
@@ -958,7 +949,8 @@ class FractionArithmetic:
     ``_new(num, den)``, an instance built from a numerator and a nonzero
     denominator.  A subclass that keeps its fractions in a normal form
     overrides ``_product``, ``_new_coprime`` and ``_new_normal`` to skip the
-    work its invariant makes redundant.
+    work its invariant makes redundant.  A difference is a sum: self - other
+    is ``__add__(other, -1)`` and other - self is (-self) + other.
 
     A coefficient c is applied in place, never lifted to a fraction: a/b + c
     is (a + c b)/b, (a/b) c is (c a)/b, (a/b)/c is a (1/c)/b and c/(a/b) is
@@ -978,33 +970,23 @@ class FractionArithmetic:
     def __bool__(self):
         return not self.is_zero
 
-    def __add__(self, other):
+    def __add__(self, other, sign=1):
         if self._is_coeff(other):
-            return self._new_normal(self.num + _times(self.den, other), self.den)
+            c = _times(self.den, other)
+            return self._new_normal(self.num + c if sign > 0 else self.num - c, self.den)
         o = self._lift(other)
         if o is None:
             return NotImplemented
-        return self._new(_times(self.num, o.den) + _times(o.num, self.den),
-                         _times(self.den, o.den))
+        a, b = _times(self.num, o.den), _times(o.num, self.den)
+        return self._new(a + b if sign > 0 else a - b, _times(self.den, o.den))
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        if self._is_coeff(other):
-            return self._new_normal(self.num - _times(self.den, other), self.den)
-        o = self._lift(other)
-        if o is None:
-            return NotImplemented
-        return self._new(_times(self.num, o.den) - _times(o.num, self.den),
-                         _times(self.den, o.den))
+        return self.__add__(other, -1)
 
     def __rsub__(self, other):
-        if self._is_coeff(other):
-            return self._new_normal(_times(self.den, other) - self.num, self.den)
-        o = self._lift(other)
-        if o is None:
-            return NotImplemented
-        return o - self
+        return (-self).__add__(other)
 
     def __mul__(self, other):
         if self._is_coeff(other):
@@ -1115,6 +1097,9 @@ class RationalFunction(FractionArithmetic):
         lead = den.leading_coefficient()
         if lead != 1:
             num, den = num._over(lead), den.monic()
+        if den.den is None and den.degree == 0:
+            # a den of 1 has one form, the int 1, whatever the field
+            den = Poly.constant(num.var, 1)
         self.num = num
         self.den = den
 

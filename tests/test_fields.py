@@ -360,3 +360,91 @@ def test_rational_scaling_matches_the_field_product():
                 else:
                     with pytest.raises(ZeroDivisionError):
                         x / q
+
+
+# -- the inverse against forward elimination and back-substitution -------------
+
+
+def _forward_and_back_solve(rows):
+    """Solve M y = b for the augmented integer rows [M | b]: fraction-free
+    forward elimination (Bareiss 1968), then back-substitution on the upper
+    triangle.  (N, delta) with y = N / delta, or None when M is singular."""
+    n = len(rows)
+    prev = 1
+    for k in range(n):
+        if not rows[k][k]:
+            for r in range(k + 1, n):
+                if rows[r][k]:
+                    rows[k], rows[r] = rows[r], rows[k]
+                    break
+            else:
+                return None
+        pivot, top = rows[k][k], rows[k]
+        for r in range(k + 1, n):
+            row = rows[r]
+            f = row[k]
+            for c in range(k + 1, n + 1):
+                row[c] = (row[c] * pivot - f * top[c]) // prev
+            row[k] = 0
+        prev = pivot
+    delta = prev
+    out = [0] * n
+    for k in range(n - 1, -1, -1):
+        row = rows[k]
+        s = delta * row[n] - sum(row[c] * out[c] for c in range(k + 1, n))
+        out[k] = s // row[k]
+    return out, delta
+
+
+def _inverse_or_factor(x):
+    """(numerators, denominator) of x's inverse, or the factor that the
+    ReducibilityError it raises carries."""
+    try:
+        y = x.inverse()
+    except ReducibilityError as exc:
+        return "reducible", exc.level, exc.factor
+    return y.num, y.den
+
+
+def test_inverse_matches_forward_elimination_and_back_substitution(monkeypatch):
+    # every stock context, Q(sqrt 3, i), a tower whose minimal polynomials
+    # have denominators (t1^2 = 3/2, t2^2 = t1 + 1/3), and two reducible
+    # contexts, in which both solvers must meet the same zero divisors
+    import random
+
+    from k3quartic import fields
+
+    rng = random.Random(20261020)
+    bad = FieldContext([(-4, 0, 1)], names=("r",))
+    bad_tower = with_imaginary_unit("sqrt", -1)
+    contexts = [
+        gaussian_field(), sqrt_field(2), sqrt_field(Fraction(-3, 5)), eighth_root_field(),
+        quartic_root_field(7), quartic_root_field(Fraction(7, 9)),
+        with_imaginary_unit("quartic_root", 7), with_imaginary_unit("sqrt", 3),
+        FieldContext([(Fraction(-3, 2), 0, 1), ((Fraction(-1, 3), -1), 0, 1)], names=("a", "b")),
+        bad, bad_tower,
+    ]
+    singular = {bad: [bad.gen() - 2, bad.gen() + 2],
+                bad_tower: [bad_tower.gen(2) - bad_tower.gen(1),
+                            3 * (bad_tower.gen(2) + bad_tower.gen(1))]}
+    raised = 0
+    for ctx in contexts:
+        d1 = ctx.dims[0]
+        xs = [ctx.element(_random_coords(rng, d1) if ctx.height == 1 else
+                          [_random_coords(rng, d1) for _ in range(ctx.dims[1])])
+              for _ in range(40)]
+        xs += [ctx.gen(level) + k for level in range(1, ctx.height + 1) for k in (0, 1, -3)]
+        for x in [x for x in xs if x] + singular.get(ctx, []):
+            got = _inverse_or_factor(x)
+            with monkeypatch.context() as m:
+                m.setattr(fields, "_bareiss_solve", _forward_and_back_solve)
+                want = _inverse_or_factor(x)
+            assert got == want, (ctx, x)
+            if got[0] == "reducible":
+                raised += 1
+            else:
+                assert x * x.inverse() == 1, (ctx, x)
+                for q in (1, -2, Fraction(3, 7)):
+                    y, z = q / x, ctx.from_rational(q) / x
+                    assert (y.num, y.den) == (z.num, z.den), (ctx, x, q)
+    assert raised >= 4

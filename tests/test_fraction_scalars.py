@@ -33,12 +33,8 @@ def _form(x):
     if isinstance(x, MultiPoly):
         return ("MultiPoly", x.vars, tuple(sorted((e, _form(c)) for e, c in x.terms.items())))
     if isinstance(x, (RationalFunction, QuotientFraction)):
-        # a den equal to 1 is one value whatever the type of its 1: the
-        # general path's `_times` keeps the den of 1 of whichever operand
-        # comes first, the lifted one's int 1 in a reflected form, where the
-        # in-place path keeps the fraction's own (a Q(i) 1 after a monic
-        # scaling or a map_coeffs)
-        return (type(x).__name__, _form(x.num), 1 if x.den == 1 else _form(x.den))
+        # a den equal to 1 has one form, so it is compared with its types
+        return (type(x).__name__, _form(x.num), _form(x.den))
     if isinstance(x, FieldElement):
         return ("FieldElement", x.ctx._key, x.num, x.den)
     return (type(x).__name__, x)
@@ -252,3 +248,21 @@ def test_division_by_a_zero_coefficient_raises():
     for empty in (QuotientFraction(qctx, 0), RationalFunction(Poly("t"))):
         with pytest.raises(ZeroDivisionError):
             3 / empty
+
+
+def test_a_den_of_one_holds_the_int_one_over_every_field():
+    # a map_coeffs or a monic scaling over Q(i) leaves a den equal to 1,
+    # which the constructor stores as the int-1 Poly; so a sum or product
+    # and its reflection agree in the den's coefficient type too
+    lam = Poly.x("lam")
+    one = _form(Poly.constant("lam", 1))
+    mapped = RationalFunction(lam).map_coeffs(QI.from_rational)
+    scaled = RationalFunction(Poly("lam", {1: QI.one}), Poly.constant("lam", 2 * QI.gen()))
+    assert _form(mapped.den) == one and _form(scaled.den) == one
+    plain = RationalFunction(Poly("lam", {0: QI.gen(), 2: 1}))
+    inverse = RationalFunction(Poly.constant("lam", 1), Poly("lam", {0: QI.gen(), 1: 1}))
+    for a in (mapped, scaled):
+        for b in (plain, inverse):
+            for op in (operator.add, operator.sub, operator.mul):
+                assert _form(op(a, b).den) == _form(op(b, a).den), (a, b, op)
+            assert _form((a + plain).den) == one and _form((plain + a).den) == one

@@ -9,6 +9,7 @@ import pytest
 
 from k3quartic.fields import (
     FieldContext,
+    FieldElement,
     eighth_root_field,
     gaussian_field,
     quartic_root_field,
@@ -1143,10 +1144,10 @@ def test_field_products_across_key_equal_contexts():
         assert twin == ctx and twin is not ctx
         for _ in range(6):
             p = _random_field_poly(rng, ctx)
-            q = _random_field_poly(rng, ctx).map_coeffs(twin.coerce)
+            q = _random_field_poly(rng, ctx).map_coeffs(lambda c: twin.one * c)
             _check_field_product(p, q)
             # one polynomial holding coefficients of both objects
-            mixed = Poly("x", {e: twin.coerce(c) if e % 2 else c for e, c in p.coeffs.items()})
+            mixed = Poly("x", {e: twin.one * c if e % 2 else c for e, c in p.coeffs.items()})
             _check_field_product(mixed, q)
 
 
@@ -1163,10 +1164,51 @@ def test_field_products_reject_mixed_contexts():
                 a * b
 
 
+def _typed(x):
+    """x as nested tuples, each scalar tagged by its type, so that two values
+    compare equal only with equal parts of equal types."""
+    if isinstance(x, dict):
+        return tuple(sorted((e, _typed(c)) for e, c in x.items()))
+    if isinstance(x, Poly):
+        return ("Poly", x.var, x.den, _typed(x.nums))
+    if isinstance(x, RationalFunction):
+        return ("RationalFunction", _typed(x.num), _typed(x.den))
+    if isinstance(x, FieldElement):
+        return ("FieldElement", x.ctx._key, x.num, x.den)
+    return (type(x).__name__, x)
+
+
+def _check_coefficient_loop(got, want):
+    """got, a Poly, against `want`, the {exponent: coefficient} map of the
+    per-coefficient loop, in values and in types: the constructor drops its
+    zeros, and reads a map over Q as an int where integral and a Fraction
+    otherwise, as `coeffs` does."""
+    want = Poly(got.var, want).coeffs
+    assert _typed(got.coeffs) == _typed(want), (got, want)
+
+
+def _check_scaling(p, c):
+    """A bare coefficient c in both orders, and the quotients by it and by
+    p's leading coefficient, against the per-coefficient loop."""
+    for got in (p * c, c * p):
+        _check_coefficient_loop(got, {e: x * c for e, x in p.coeffs.items()})
+    if c:
+        for got in (p._over(c), p / c):
+            _check_coefficient_loop(got, {e: qdiv(x, c) for e, x in p.coeffs.items()})
+    else:
+        with pytest.raises(ZeroDivisionError):
+            p._over(c)
+    lead = p.leading_coefficient()
+    if lead:
+        _check_coefficient_loop(p.monic(), {e: qdiv(x, lead) for e, x in p.coeffs.items()})
+
+
 def test_one_term_products_match_the_coefficient_loop():
-    # c x^k times a polynomial: an exponent shift and one scaling per
-    # coefficient, over Q (c = 1 keeps the lowest terms as they are), over
-    # every field and over rational functions
+    # c x^k times a polynomial, and a bare coefficient c in either order: an
+    # exponent shift and one scaling per coefficient, over Q (c = 1 keeps
+    # the lowest terms as they are), over every field and over rational
+    # functions; a quotient by c and the monic form are the product with
+    # one inverse, against a division per coefficient
     rng = random.Random(41)
     x = Poly.x("t")
     for _ in range(150):
@@ -1179,6 +1221,15 @@ def test_one_term_products_match_the_coefficient_loop():
             _check_against(got, _o_mul(da, {k: c}))
         if c == 1:
             _check_against(x ** k * a, _o_mul(da, {k: c}))
+        for b in (0, 1, -1, rng.randint(-10 ** 6, 10 ** 6), Fraction(0), Fraction(-1),
+                  _random_rational(rng)):
+            for got in (a * b, b * a):
+                _check_against(got, _o_mul(da, {0: Fraction(b)}))
+            if b:
+                _check_against(a._over(b), {e: q / b for e, q in da.items()})
+        if da:
+            _check_against(a.monic(), {e: q / da[max(da)] for e, q in da.items()})
+        _check_scaling(a, rng.choice([2, Fraction(-3, 4), _random_rational(rng)]))
     for ctx in PRODUCT_CONTEXTS:
         for _ in range(10):
             p = _random_field_poly(rng, ctx)
@@ -1186,8 +1237,32 @@ def test_one_term_products_match_the_coefficient_loop():
             c = _random_element(rng, ctx) or ctx.one
             for m in (Poly("x", {k: c}), Poly("x", {k: 1}), Poly("x", {k: Fraction(-2, 9)})):
                 _check_field_product(p, m)
+            for b in (0, 1, -1, 7, Fraction(-2, 9), ctx.zero, ctx.one, -ctx.one, c,
+                      _random_element(rng, ctx)):
+                _check_scaling(p, b)
     lam = RationalFunction(Poly.x("lam"), Poly("lam", {0: 1, 1: 1}))
+    alpha = RationalFunction(Poly.x("alpha"))
     p = Poly("x", {0: lam, 3: lam * lam - 1, 4: 1 / lam})
     for m in (Poly("x", {2: lam}), Poly("x", {1: 1}), Poly("x", {0: lam + 3})):
         want = _o_mul(p.coeffs, m.coeffs)
         assert (p * m).coeffs == want and (m * p).coeffs == want
+    qi = gaussian_field()
+    p_qi = p.map_coeffs(lambda r: r.map_coeffs(qi.from_rational))
+    for q in (p, p_qi, Poly("x", {1: alpha - 2, 5: 1 / (alpha ** 2 + 3)})):
+        for b in (0, 1, -1, 5, Fraction(-7, 3)):
+            _check_scaling(q, b)
+        # a rational function is a coefficient of a Poly in another
+        # variable, so `*` refuses it as a mixed-variable operand; it scales
+        # through a one-term factor or `_times_term`
+        r = q.leading_coefficient() + 2
+        for product in (lambda: q * r, lambda: r * q):
+            with pytest.raises(TypeError):
+                product()
+        for k in (0, 3):
+            right = {e + k: c * r for e, c in q.coeffs.items()}
+            left = {e + k: r * c for e, c in q.coeffs.items()}
+            _check_coefficient_loop(q._times_term(k, r), right)
+            _check_coefficient_loop(q * Poly("x", {k: r}), right)
+            _check_coefficient_loop(q._times_term(k, r, True), left)
+            _check_coefficient_loop(Poly("x", {k: r}) * q, left)
+        _check_coefficient_loop(q._over(r), {e: qdiv(c, r) for e, c in q.coeffs.items()})
