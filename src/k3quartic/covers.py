@@ -19,9 +19,12 @@ Q(theta, i), gives the isomorphism
 (U, V) -> (U / w0^2, V / w0^3) onto the standard curve.  So the lift, the
 branch sum and its descent are computed once over Q (`twist_lift`,
 `twist_sum`), and a root choice only scales by powers of w0.  Certificates:
-the chart identity H == -F(1, lam, Z) and (t g)^4 s == H over Q, w0^4 == s
-in the root choice's field, and the exact Weierstrass residual of the
-scaled sum over that field.
+the chart identity H == -F(1, lam, Z) over Q, checked on polynomials as
+x^2 (4 x^2 H) == -4 F(x, y, z) with the one denominator x cleared by hand;
+(t g)^4 s == H over Q; w0^4 == s in the root choice's field; and the exact
+Weierstrass residual of the scaled sum over that field, formed as
+w0^2 (v^2 + f u) - w0^6 u^3 from products over Q and two scalings, so that
+no root choice multiplies two polynomials over the field.
 """
 
 from collections import namedtuple
@@ -337,33 +340,38 @@ def twist_lift(param):
     once over Q on the quartic twist of the standard member alpha =
     STANDARD_ALPHA; each root choice only scales it (`sum_at_root_choice`).
 
-    Writes lam(r) = y/x, which must be a pure multiple of r^2 (so it is
-    even in r and descends under r^2 -> lam), and Z(r) = z/x, converts to
-    the normalized fiber coordinate z1 = (2Z - (lam^2 - 2 lam - alpha))/A
-    and forms H = (1/4) lam A^2 (z1^2 - 1), certified equal to
-    -F(1, lam, Z).  Then H = c g^4 and c = t^4 s (`split_fourth_power`),
-    certified as (t g)^4 s == H, and
+    Writes lam(r) = y/x, which must be a pure multiple l(r) of r^2 (so it
+    is even in r and descends under r^2 -> lam), and Z(r) = z/x, and
+    converts to the normalized fiber coordinate
+    z1 = (2Z - (lam^2 - 2 lam - alpha))/A, A = lam^2 + 2 lam + alpha.  The
+    one denominator x is cleared by hand: x A z1 = 2z - (l^2 - 2l - alpha) x
+    is a polynomial, and so is 4 x^2 H = l ((x A z1)^2 - (A x)^2) for
+    H = (1/4) lam A^2 (z1^2 - 1), certified by
+    x^2 (4 x^2 H) == -4 F(x, y, z) = -4 x^4 F(1, lam, Z).  Then H = c g^4
+    and c = t^4 s (`split_fourth_power`), certified as (t g)^4 s == H, and
 
-        U = lam^2 A^2 (z1 + 1) / (2 (t g)^2),  V = lam^3 A^3 (z1 + 1) / (2 (t g)^3)
+        U = lam^2 A^2 (z1 + 1) / (2 (t g)^2) = l^2 A ((alpha + 2l) x + z) / (x (t g)^2),
+        V = U lam A / (t g)
 
     lie on V^2 = U^3 - s lam^3 A^2 U.
     """
-    x_rf = RationalFunction(param.x)
-    lam = RationalFunction(param.y) / x_rf
+    x, z = param.x, param.z
+    lam = RationalFunction(param.y) / RationalFunction(x)
     # lam = (y/x)(r) must be a monomial c r^2 for the descent r^2 -> lam/c
     if not lam.is_polynomial or set(lam.num.coeffs) != {2}:
         raise ValueError("descent needs lam(r) to be a pure multiple of r^2")
-    zc = RationalFunction(param.z) / x_rf
+    l = lam.num
 
     alpha = STANDARD_ALPHA
-    a_of = lam ** 2 + 2 * lam + alpha
-    z1 = (2 * zc - (lam ** 2 - 2 * lam - alpha)) / a_of
-    h = Fraction(1, 4) * lam * a_of ** 2 * (z1 ** 2 - 1)
-
-    # cross-check: H must be -F(1, lam, Z)
-    neg_f = -quartic_at(RationalFunction(Poly.constant(param.var, 1)), lam, zc, alpha)
-    if h != neg_f:
+    l2 = l * l
+    a_of = l2 + 2 * l + alpha
+    ax = a_of * x
+    xaz1 = 2 * z - (l2 - 2 * l - alpha) * x
+    h4x2 = l * (xaz1 * xaz1 - ax * ax)
+    # cross-check: H must be -F(1, lam, Z), here times 4 x^4
+    if x * x * h4x2 != -4 * quartic_at(x, param.y, z, alpha):
         raise AssertionError("normalized fiber coordinate does not match the chart")
+    h = RationalFunction(h4x2, 4 * x * x)
 
     data = _rf_fourth_power_data(h)
     if data is None:
@@ -373,9 +381,9 @@ def twist_lift(param):
     tg = t * g
     if tg ** 4 * s != h:
         raise AssertionError("fourth root reconstruction failed")
-    u = lam ** 2 * a_of ** 2 * (z1 + 1) / (2 * tg ** 2)
-    v = u * lam * a_of / tg
-    return TwistLift(lam, qdiv(1, lam.num.coeff(2)), z1, tg, s, u, v)
+    u = RationalFunction(l2 * a_of * ((alpha + 2 * l) * x + z), x) / tg ** 2
+    v = u * (l * a_of) / tg
+    return TwistLift(lam, qdiv(1, l.coeff(2)), RationalFunction(xaz1, ax), tg, s, u, v)
 
 
 def _twist_root(s, root_choice):
@@ -389,11 +397,12 @@ def _twist_root(s, root_choice):
 def _untwist(scaled, field, w0):
     """(U / w0^2, V / w0^3) over `field` from (U / s, V / s) over Q: with
     w0^4 = s these are w0^2 U / s and w0 V / s, so w0 is never inverted.
-    The embedding is gcd-free and the field scalar multiplies the numerator
-    only."""
-    u, v = scaled
+    Each rational numerator is scaled by its power of w0 and the
+    denominator embedded; the pairs stay reduced, since a gcd over Q stays
+    the gcd over the extension and a nonzero scaling keeps them coprime."""
     emb = field.from_rational
-    return u.map_coeffs(emb) * w0 ** 2, v.map_coeffs(emb) * w0
+    return tuple(RationalFunction(x.num * w, x.den.map_coeffs(emb), _reduced=True)
+                 for x, w in zip(scaled, (w0 * w0, w0)))
 
 
 def _negate_variable_poly(p):
@@ -432,7 +441,7 @@ def _weierstrass_f(lam):
     return lam ** 3 * (lam ** 2 + 2 * lam + STANDARD_ALPHA) ** 2
 
 
-# built once; each root choice maps it into its own field
+# built once; a root choice's residual takes it over Q
 _STANDARD_F = _weierstrass_f(Poly.x("lam"))
 
 
@@ -461,8 +470,11 @@ def sum_at_root_choice(total, s, root_choice):
         return {"u": None, "v": None, "on_curve": True, "residual": None}
     field, w0 = _twist_root(s, root_choice)
     u_lam, v_lam = _untwist(total, field, w0)
-    f_lam = _STANDARD_F.map_coeffs(field.from_rational)
-    residual = v_lam ** 2 - u_lam * (u_lam ** 2 - f_lam)
+    # v_lam^2 - u_lam (u_lam^2 - f) = w0^2 (v^2 + f u) - w0^6 u^3 by
+    # distributivity alone: products over Q, then two scalings into the field
+    u, v = total
+    w2 = w0 * w0
+    residual = (v * v + _STANDARD_F * u) * w2 - u ** 3 * w2 ** 3
     return {"u": u_lam, "v": v_lam, "on_curve": residual.is_zero,
             "residual": residual}
 

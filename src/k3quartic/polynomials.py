@@ -70,10 +70,6 @@ def register_product(cls, kernel):
     _PRODUCTS[cls] = kernel
 
 
-def _is_scalar(x):
-    return not isinstance(x, (Poly, RationalFunction))
-
-
 def qdiv(a, b):
     """a / b, exact: for two ints the quotient is an int when b divides a and
     a Fraction otherwise, never a float; any other pair divides by its own
@@ -132,7 +128,10 @@ class Poly:
     ``nums`` holds the coefficients themselves.  ``coeffs`` is the
     {exponent: coefficient} view of either.  A bare coefficient, a factor of
     one term and a quotient by a coefficient (the product with its inverse)
-    all scale through ``_times_term``.
+    all scale through ``_times_term``.  A rational function in another
+    variable is a coefficient too, as a field element is.  A difference is
+    a sum: self - other is ``__add__(other, -1)`` and other - self is
+    (-self) + other.
     """
 
     __slots__ = ("var", "nums", "den")
@@ -205,6 +204,13 @@ class Poly:
 
     # -- arithmetic --------------------------------------------------------------
 
+    def _defers(self, other):
+        # whether the other operand takes the operation: a registered higher
+        # type or a rational function in this variable; a rational function
+        # in another variable is a coefficient, as a field element is
+        return isinstance(other, _HIGHER) or (
+            isinstance(other, RationalFunction) and other.var == self.var)
+
     def _check(self, other):
         if isinstance(other, Poly):
             if other.var != self.var:
@@ -212,7 +218,7 @@ class Poly:
                     "mixed polynomial variables %r and %r" % (self.var, other.var)
                 )
             return other
-        if isinstance(other, RationalFunction) or isinstance(other, _HIGHER):
+        if self._defers(other):
             return None  # let the other side handle it
         return Poly.constant(self.var, other)
 
@@ -245,15 +251,12 @@ class Poly:
         return self.__add__(other, -1)
 
     def __rsub__(self, other):
-        o = self._check(other)
-        if o is None:
-            return NotImplemented
-        return o - self
+        return (-self).__add__(other)
 
     def __mul__(self, other):
         # the type test goes first: most products are of two polynomials
         if type(other) is not Poly:
-            if isinstance(other, RationalFunction) or isinstance(other, _HIGHER):
+            if self._defers(other):
                 return NotImplemented  # let the other side handle it
             return self._times_term(0, other)
         o = self._check(other)
@@ -334,14 +337,14 @@ class Poly:
         return divmod(self, other)[1]
 
     def __truediv__(self, other):
-        if _is_scalar(other):
-            return self._over(other)
         if isinstance(other, Poly):
             q, r = divmod(self, other)
             if r.is_zero:
                 return q
             return RationalFunction(self, other)
-        return NotImplemented
+        if self._defers(other):
+            return NotImplemented
+        return self._over(other)
 
     def __rtruediv__(self, other):
         o = self._check(other)
@@ -763,9 +766,7 @@ def poly_nth_root(p, n):
     """Exact n-th root of a polynomial, or None if there is none."""
     if n <= 0:
         raise ValueError("root index must be positive")
-    if n == 1:
-        return p
-    if p.is_zero:
+    if n == 1 or p.is_zero:
         return p
     unit, factors = squarefree_decompose(p)
     u = scalar_nth_root(unit, n)
@@ -1112,15 +1113,16 @@ class RationalFunction(FractionArithmetic):
         return self.den.degree == 0
 
     def _is_coeff(self, other):
-        return _is_scalar(other) and not isinstance(other, _HIGHER)
+        return not isinstance(other, (Poly, RationalFunction) + _HIGHER)
 
     def _lift(self, other):
+        if isinstance(other, Poly):
+            # in another variable, self is a coefficient of the polynomial
+            return RationalFunction(other, _reduced=True) if other.var == self.var else None
         if isinstance(other, _HIGHER):
             return None
         if other.var != self.var:
             raise TypeError("mixed variables %r and %r" % (self.var, other.var))
-        if isinstance(other, Poly):
-            return RationalFunction(other, _reduced=True)
         return other
 
     def _new(self, num, den):

@@ -480,3 +480,163 @@ def test_perturbed_twist_constant_leaves_a_residual(monkeypatch):
     monkeypatch.setattr(covers, "twist_sum", perturbed)
     assert cli.check_section_roots() == (
         False, "off-curve at root choices [0, 1, 2, 3]")
+
+
+# -- the x-cleared chart lift against the lift over reduced fractions ----------
+
+
+def _fraction_chain_lift(param):
+    """`twist_lift` as it was before the chart was cleared of x, verbatim
+    but for `covers.quartic_at` and `covers.split_fourth_power`, looked up
+    at call time so that a patched one reaches both lifts: every step a
+    gcd-reduced `RationalFunction` operation."""
+    x_rf = RationalFunction(param.x)
+    lam = RationalFunction(param.y) / x_rf
+    if not lam.is_polynomial or set(lam.num.coeffs) != {2}:
+        raise ValueError("descent needs lam(r) to be a pure multiple of r^2")
+    zc = RationalFunction(param.z) / x_rf
+
+    alpha = STANDARD_ALPHA
+    a_of = lam ** 2 + 2 * lam + alpha
+    z1 = (2 * zc - (lam ** 2 - 2 * lam - alpha)) / a_of
+    h = Fraction(1, 4) * lam * a_of ** 2 * (z1 ** 2 - 1)
+
+    neg_f = -covers.quartic_at(RationalFunction(Poly.constant(param.var, 1)), lam, zc, alpha)
+    if h != neg_f:
+        raise AssertionError("normalized fiber coordinate does not match the chart")
+
+    data = _rf_fourth_power_data(h)
+    if data is None:
+        raise ValueError("curve does not split: H is not a fourth power up to constant")
+    c, g = data
+    t, s = covers.split_fourth_power(c)
+    tg = t * g
+    if tg ** 4 * s != h:
+        raise AssertionError("fourth root reconstruction failed")
+    u = lam ** 2 * a_of ** 2 * (z1 + 1) / (2 * tg ** 2)
+    v = u * lam * a_of / tg
+    return covers.TwistLift(lam, covers.qdiv(1, lam.num.coeff(2)), z1, tg, s, u, v)
+
+
+def _field_residual_at_root_choice(total, s, root_choice):
+    """`sum_at_root_choice` as it was before the residual was built from
+    rational products: both coordinates embedded, then scaled, and the
+    residual formed over the field."""
+    field, w0 = covers._twist_root(s, root_choice)
+    emb = field.from_rational
+    u_lam, v_lam = total[0].map_coeffs(emb) * w0 ** 2, total[1].map_coeffs(emb) * w0
+    f_lam = covers._STANDARD_F.map_coeffs(emb)
+    residual = v_lam ** 2 - u_lam * (u_lam ** 2 - f_lam)
+    return {"u": u_lam, "v": v_lam, "on_curve": residual.is_zero, "residual": residual}
+
+
+def _typed(x):
+    """x as nested tuples with every scalar tagged by its type: equal only
+    for equal values held in equal coefficient types."""
+    if isinstance(x, RationalFunction):
+        return ("RationalFunction", _typed(x.num), _typed(x.den))
+    if isinstance(x, Poly):
+        return ("Poly", x.var, x.den, tuple(sorted((e, _typed(c)) for e, c in x.nums.items())))
+    if isinstance(x, FieldElement):
+        return ("FieldElement", x.ctx._key, x.num, x.den)
+    return (type(x).__name__, x)
+
+
+def _assert_same(a, b, name):
+    assert a == b, name
+    assert _typed(a) == _typed(b), name
+    assert repr(a) == repr(b), name
+
+
+def _rescaled_sextic(m):
+    mr = m * Poly.x("r")
+    P = SPLIT_PARAM_SEXTIC
+    return Parametrization(P.x(mr), P.y(mr), P.z(mr))
+
+
+SECTION_CURVES = [SPLIT_PARAM_SEXTIC] + [
+    _rescaled_sextic(m) for m in (2, 3, 100000000000000000039)]
+
+
+@pytest.mark.parametrize("param", SECTION_CURVES, ids=["sextic", "m=2", "m=3", "m=21-digit"])
+def test_chart_lift_matches_the_fraction_chain(param):
+    new, old = twist_lift(param), _fraction_chain_lift(param)
+    for name in covers.TwistLift._fields:
+        _assert_same(getattr(new, name), getattr(old, name), name)
+    total = twist_sum(new)
+    for k in range(4):
+        got = sum_at_root_choice(total, new.s, k)
+        want = _field_residual_at_root_choice(total, new.s, k)
+        assert got["on_curve"] is want["on_curve"] is True
+        for name in ("u", "v", "residual"):
+            _assert_same(got[name], want[name], (k, name))
+
+
+def test_chart_lift_rejects_what_the_fraction_chain_rejects():
+    r = Poly.x("r")
+    one = Poly.constant("r", 1)
+    non_split = Parametrization(one, r ** 2, Poly.constant("r", 0))
+    on_conic = Parametrization(one, r ** 2, r ** 4)  # y^2 = x z: F vanishes
+    assert isinstance(fourth_power_test(on_conic), ContainedInBranch)
+    for param in (SPLIT_PARAM_QUARTIC, non_split, on_conic):
+        errors = []
+        for lift in (twist_lift, _fraction_chain_lift):
+            with pytest.raises(ValueError) as err:
+                lift(param)
+            errors.append(str(err.value))
+        assert errors[0] == errors[1], param
+
+
+def test_perturbed_chart_fails_its_certificate(monkeypatch):
+    real = covers.quartic_at
+    monkeypatch.setattr(covers, "quartic_at",
+                        lambda x, y, z, alpha: real(x, y, z, alpha + 1))
+    for lift in (twist_lift, _fraction_chain_lift):
+        with pytest.raises(AssertionError, match="does not match the chart"):
+            lift(SPLIT_PARAM_SEXTIC)
+
+
+def test_doubled_twist_root_fails_its_certificate(monkeypatch):
+    real = covers.split_fourth_power
+
+    def doubled(c):
+        t, s = real(c)
+        return 2 * t, s
+
+    monkeypatch.setattr(covers, "split_fourth_power", doubled)
+    for lift in (twist_lift, _fraction_chain_lift):
+        with pytest.raises(AssertionError, match="fourth root reconstruction failed"):
+            lift(SPLIT_PARAM_SEXTIC)
+
+
+def test_perturbed_twist_constant_residual_matches_the_field_residual():
+    twist = twist_lift(SPLIT_PARAM_SEXTIC)
+    total = twist_sum(twist._replace(s=twist.s + 1))
+    for k in range(4):
+        got = sum_at_root_choice(total, twist.s, k)
+        want = _field_residual_at_root_choice(total, twist.s, k)
+        assert got["on_curve"] is want["on_curve"] is False
+        assert not got["residual"].is_zero
+        _assert_same(got["residual"], want["residual"], k)
+
+
+def test_root_choice_multiplies_no_two_field_polynomials(monkeypatch):
+    # a root choice scales rational polynomials by powers of w0; a product
+    # of two polynomials over the field (den None) is what it avoids
+    twist = twist_lift(SPLIT_PARAM_SEXTIC)
+    total = twist_sum(twist)
+    mul = Poly.__mul__
+    field_products = []
+
+    def counting(self, other):
+        if isinstance(other, Poly) and self.den is None and other.den is None:
+            field_products.append((self, other))
+        return mul(self, other)
+
+    monkeypatch.setattr(Poly, "__mul__", counting)
+    monkeypatch.setattr(Poly, "__rmul__", counting)
+    for k in range(4):
+        assert sum_at_root_choice(total, twist.s, k)["on_curve"]
+    assert field_products == []
+    _field_residual_at_root_choice(total, twist.s, 0)
+    assert field_products  # the counter sees the field residual's products

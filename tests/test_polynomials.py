@@ -1,4 +1,5 @@
 import math
+import operator
 import os
 import random
 import subprocess
@@ -522,11 +523,19 @@ def test_lift_of_a_repeated_root_terminates():
 
 
 def test_mixed_variable_arithmetic_rejected():
+    # two polynomials, or two rational functions, in different variables
+    # meet only as mixed-variable operands; a rational function is a
+    # coefficient of a Poly in another variable only
     mu = Poly.x("mu")
     with pytest.raises(TypeError):
         lam + mu
     with pytest.raises(TypeError):
         poly_gcd(lam, mu)
+    f, g = RationalFunction(lam, lam + 1), RationalFunction(mu, mu - 1)
+    for op in (operator.add, operator.sub, operator.mul, operator.truediv):
+        for a, b in ((f, g), (g, f)):
+            with pytest.raises(TypeError, match="mixed variables"):
+                op(a, b)
 
 
 def test_rational_function_normalization():
@@ -1251,13 +1260,21 @@ def test_one_term_products_match_the_coefficient_loop():
     for q in (p, p_qi, Poly("x", {1: alpha - 2, 5: 1 / (alpha ** 2 + 3)})):
         for b in (0, 1, -1, 5, Fraction(-7, 3)):
             _check_scaling(q, b)
-        # a rational function is a coefficient of a Poly in another
-        # variable, so `*` refuses it as a mixed-variable operand; it scales
-        # through a one-term factor or `_times_term`
+        # a rational function in another variable is a coefficient of a
+        # Poly: it scales as a bare operand in either order, through a
+        # one-term factor and through `_times_term`, and adds as a constant
         r = q.leading_coefficient() + 2
-        for product in (lambda: q * r, lambda: r * q):
-            with pytest.raises(TypeError):
-                product()
+        right = {e: c * r for e, c in q.coeffs.items()}
+        left = {e: r * c for e, c in q.coeffs.items()}
+        _check_coefficient_loop(q * r, right)
+        _check_coefficient_loop(r * q, left)
+        _check_coefficient_loop(q / r, {e: qdiv(c, r) for e, c in q.coeffs.items()})
+        q0 = q.coeff(0)
+        rest = {e: c for e, c in q.coeffs.items() if e}
+        _check_coefficient_loop(q + r, {**rest, 0: q0 + r})
+        _check_coefficient_loop(r + q, {**rest, 0: r + q0})
+        _check_coefficient_loop(q - r, {**rest, 0: q0 - r})
+        _check_coefficient_loop(r - q, {**{e: -c for e, c in rest.items()}, 0: r - q0})
         for k in (0, 3):
             right = {e + k: c * r for e, c in q.coeffs.items()}
             left = {e + k: r * c for e, c in q.coeffs.items()}
