@@ -322,11 +322,13 @@ def _fourth_root_in_theta_field(s, root_choice):
     return field, w0
 
 
-class TwistLift(namedtuple("TwistLift", "lam_of_r r_squared_in_lam z1 tg s u v")):
+class TwistLift(namedtuple("TwistLift", "lam_of_r r_squared_in_lam s u v")):
     """The two-section of a split curve over Q, on the quartic twist
-    V^2 = U^3 - s f U of the standard member, f = lam^3 A^2.
+    V^2 = U^3 - s f U of the standard member, f = lam^3 A^2: what
+    `twist_sum` reads.
 
-    `tg` is t g with H = (t g)^4 s, and (u, v) = (U, V) are Q(r)-rational.
+    lam_of_r is lam(r) = c r^2 and r_squared_in_lam is 1/c, s is the twist
+    constant with H = (t g)^4 s, and (u, v) = (U, V) are Q(r)-rational.
     Every fourth-root choice w0 of s carries (U, V) to (U / w0^2, V / w0^3)
     on v^2 = u^3 - f u (Silverman, *The Arithmetic of Elliptic Curves*,
     X.5).
@@ -383,7 +385,7 @@ def twist_lift(param):
         raise AssertionError("fourth root reconstruction failed")
     u = RationalFunction(l2 * a_of * ((alpha + 2 * l) * x + z), x) / tg ** 2
     v = u * (l * a_of) / tg
-    return TwistLift(lam, qdiv(1, l.coeff(2)), RationalFunction(xaz1, ax), tg, s, u, v)
+    return TwistLift(lam, qdiv(1, l.coeff(2)), s, u, v)
 
 
 def _twist_root(s, root_choice):

@@ -1,19 +1,22 @@
 """Exact arithmetic in small algebraic extension towers over Q.
 
 A ``FieldContext`` fixes a tower Q = K0 < K1 < K2 of at most two simple
-extensions, each given by a monic minimal polynomial over the level below,
-of degrees d1 and d2 (d2 = 1 for a single extension).  The top field has the
-Q-basis t1^i t2^j (i < d1, j < d2), and an element is stored flat in it, as
-in Cohen, *A Course in Computational Algebraic Number Theory* (GTM 138,
+extensions, each given by a monic minimal polynomial over Q, of degrees d1
+and d2 (d2 = 1 for a single extension).  The top field has the Q-basis
+t1^i t2^j (i < d1, j < d2), and an element is stored flat in it, as in
+Cohen, *A Course in Computational Algebraic Number Theory* (GTM 138,
 section 4.2) and FLINT's ``nf_elem``: a tuple of ``int`` numerators, the
 coefficient of t1^i t2^j at index j*d1 + i, over one positive ``int``
 denominator, with no common factor.  That form is canonical, so equality,
 hashing and truth are tuple comparisons.  All values are immutable;
 arithmetic never mutates.
 
-Each context reduces, once and from the integer coefficients of its minimal
-polynomials, every monomial t1^i t2^j of the product grid (i <= 2*d1 - 2,
-j <= 2*d2 - 2) to the basis over one common denominator.  A product is one
+Each context reduces, once, every monomial t1^i t2^j of the product grid
+(i <= 2*d1 - 2, j <= 2*d2 - 2) to the basis over one common denominator.
+Both minimal polynomials are over Q, so the tower is the tensor product
+Q[t1]/(m1) (x) Q[t2]/(m2) and the reduction of t1^i t2^j is the outer
+product of t1^i mod m1 and t2^j mod m2, each power one shift-and-subtract
+from the last, in integers over a denominator.  A product is one
 grid convolution of the numerators followed by one pass over that table; a
 product with, or quotient by, an int or Fraction only scales the numerators
 and the denominator.  A product of two polynomials over the context
@@ -46,7 +49,7 @@ is one sparse matrix-vector product.
 
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd, lcm
+from math import gcd, lcm, prod
 
 from .polynomials import Poly, poly_gcd, power, register_product, render_terms
 
@@ -133,6 +136,20 @@ def _bareiss_solve(rows):
     return [row[n] for row in rows], prev
 
 
+def _reduced_powers(m, count):
+    """t^k mod m for k < count, as (numerator tuple, denominator) pairs on
+    1, t, ..., t^(d-1), for m a monic tuple of rationals of degree d: past
+    the identity rows, t v = shift(v) - v[d-1] low(m)."""
+    d = len(m) - 1
+    low, lden = _over_lcm(m[:d])
+    out = [((0,) * k + (1,) + (0,) * (d - 1 - k), 1) for k in range(d)]
+    while len(out) < count:
+        v, den = out[-1]
+        out.append(_lowest_terms([a * lden - v[-1] * b for a, b in zip((0,) + v[:-1], low)],
+                                 den * lden))
+    return out
+
+
 def _linear_map(cols):
     """Elements (the images of the basis vectors) as sparse integer columns
     over one common denominator: ((row, numerator) pairs per column, den)."""
@@ -174,24 +191,13 @@ class FieldContext:
         self.names = tuple(names)
         self.label = label or "Q(%s)" % ",".join(names)
 
-        # minpolys[k]: coefficients low to high, length deg+1, leading one;
-        # level-2 coefficients are tuples of level-1 coordinates
-        m1 = tuple(_as_fraction(c) for c in minpolys[0])
-        if len(m1) < 3 or m1[-1] != 1:
-            raise ValueError("level-1 minimal polynomial must be monic of degree >= 2")
-        stored = [m1]
-        self.dims = [len(m1) - 1]
-        if self.height == 2:
-            d1 = self.dims[0]
-            m2 = tuple(self._lift_raw(c, d1) for c in minpolys[1])
-            if len(m2) < 3 or m2[-1] != (1,) + (0,) * (d1 - 1):
-                raise ValueError("level-2 minimal polynomial must be monic of degree >= 2")
-            stored.append(m2)
-            self.dims.append(len(m2) - 1)
-        self.minpolys = tuple(stored)
-        self.degree = 1
-        for d in self.dims:
-            self.degree *= d
+        # minpolys[k]: rational coefficients low to high, length deg+1, leading one
+        self.minpolys = tuple(tuple(_as_fraction(c) for c in m) for m in minpolys)
+        for level, m in enumerate(self.minpolys, 1):
+            if len(m) < 3 or m[-1] != 1:
+                raise ValueError("level-%d minimal polynomial must be monic of degree >= 2" % level)
+        self.dims = [len(m) - 1 for m in self.minpolys]
+        self.degree = prod(self.dims)
         self._key = (self.minpolys, self.names)
         self._hash = hash(self._key)
         self._zeros = (0,) * (self.degree - 1)
@@ -204,64 +210,26 @@ class FieldContext:
 
     # -- set-up ---------------------------------------------------------------
 
-    def _lift_raw(self, c, d1):
-        """Interpret c (int/Fraction or length-d1 sequence) as level-1 coordinates."""
-        if isinstance(c, (int, Fraction)):
-            return (_as_fraction(c),) + (Fraction(0),) * (d1 - 1)
-        v = tuple(_as_fraction(x) for x in c)
-        if len(v) != d1:
-            raise ValueError("level-1 coefficient of wrong length")
-        return v
-
-    def _set_table(self, cells):
-        """Install reductions {(i, j): (nums, den)} of t1^i t2^j over one denominator."""
-        d1 = self.dims[0]
-        width = 2 * d1 - 1
-        tden = lcm(*(den for _, den in cells.values()))
-        self._red = tuple(
-            (j * width + i, tuple((p, c * (tden // den)) for p, c in enumerate(nums) if c))
-            for (i, j), (nums, den) in sorted(cells.items())
-        )
-        self._tden = tden
-
     def _build_table(self):
-        """Reduce every grid monomial outside the basis, building the table as it
-        goes: each step multiplies reduced values whose product needs only the
-        entries already installed."""
-        n = self.degree
+        """Reduce every grid monomial t1^i t2^j outside the basis.  Over Q the
+        tower is Q[t1]/(m1) (x) Q[t2]/(m2), so the reduction of t1^i t2^j has
+        coordinate (t2^j mod m2)[q] (t1^i mod m1)[p] at index q*d1 + p."""
         d1 = self.dims[0]
         d2 = self.dims[1] if self.height == 2 else 1
         width = 2 * d1 - 1
         self._pos = tuple(j * width + i for j in range(d2) for i in range(d1))
         self._grid = width * (2 * d2 - 1)
-
-        def unit(p):
-            return tuple(int(q == p) for q in range(n)), 1
-
-        # t1^d1 t2^j = -(m1 low) in slot j, then t1^i t2^j = t1 * t1^(i-1) t2^j
-        low, den = _over_lcm(self.minpolys[0][:d1])
-        cells = {(d1, j): ((0,) * (j * d1) + _neg(low) + (0,) * ((d2 - 1 - j) * d1), den)
-                 for j in range(d2)}
-        self._set_table(cells)
-        t1 = unit(1)
-        for i in range(d1 + 1, width):
-            for j in range(d2):
-                cells[i, j] = self._mul(*t1, *cells[i - 1, j])
-            self._set_table(cells)
-        if d2 == 1:
-            return
-        # t1^i t2^d2 = t1^i * -(m2 low); then t2^j = t2 * t2^(j-1)
-        top, den = _over_lcm([c for coeff in self.minpolys[1][:d2] for c in coeff])
-        top = _neg(top)
-        for i in range(width):
-            t1_i = cells[i, 0] if i >= d1 else unit(i)
-            cells[i, d2] = self._mul(*t1_i, top, den)
-        self._set_table(cells)
-        t2 = unit(d1)
-        for j in range(d2 + 1, 2 * d2 - 1):
-            for i in range(width):
-                cells[i, j] = self._mul(*t2, *cells[i, j - 1])
-            self._set_table(cells)
+        r1 = _reduced_powers(self.minpolys[0], width)
+        r2 = _reduced_powers(self.minpolys[1], 2 * d2 - 1) if d2 > 1 else [((1,), 1)]
+        # a cell over e1*e2 may not be in lowest terms, but the lcm is the
+        # same: e1 and e2 are cell denominators themselves, and a prime of
+        # both divides neither power's content, so none cancels there
+        cells = [(j * width + i, [y * x for y in n2 for x in n1], e1 * e2)
+                 for i, (n1, e1) in enumerate(r1) for j, (n2, e2) in enumerate(r2)
+                 if i >= d1 or j >= d2]
+        tden = self._tden = lcm(*(den for _, _, den in cells))
+        self._red = tuple((g, tuple((p, c * (tden // den)) for p, c in enumerate(nums) if c))
+                          for g, nums, den in cells)
 
     def _find_i(self):
         """The first generator, or its square, that squares to -1; else None."""

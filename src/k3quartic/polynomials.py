@@ -290,16 +290,18 @@ class Poly:
     def _times_term(self, k, c, left=False):
         """self * c x^k (c x^k * self when `left`) for a coefficient c: an
         exponent shift and one scaling per coefficient, over Q by a rational
-        c of the numerators and the denominator."""
-        if self.den is not None and type(c) in (int, Fraction):
+        c of the numerators and the denominator, and by any other c of the
+        numerators by c / den."""
+        den = self.den
+        if den is not None and type(c) in (int, Fraction):
             if c == 1:  # self's lowest terms carry over
-                return _new(self.var, {e + k: n for e, n in self.nums.items()}, self.den)
+                return _new(self.var, {e + k: n for e, n in self.nums.items()}, den)
             n = c.numerator
             return _make(self.var, {e + k: x * n for e, x in self.nums.items()},
-                         self.den * c.denominator)
-        if left:
-            return Poly(self.var, {e + k: c * x for e, x in self.coeffs.items()})
-        return Poly(self.var, {e + k: x * c for e, x in self.coeffs.items()})
+                         den * c.denominator)
+        if den not in (None, 1):
+            c = c * Fraction(1, den)
+        return Poly(self.var, {e + k: c * x if left else x * c for e, x in self.nums.items()})
 
     def __neg__(self):
         return _make(self.var, {e: -c for e, c in self.nums.items()}, self.den)

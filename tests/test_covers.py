@@ -393,11 +393,9 @@ def _field_sum(lift):
 def test_twist_lift_matches_the_field_lift(root_choice):
     old = _field_lift(SPLIT_PARAM_SEXTIC, root_choice)
     twist = twist_lift(SPLIT_PARAM_SEXTIC)
-    field, w0, u, v = _untwisted_branch(twist, root_choice)
-    emb = field.from_rational
+    field, _, u, v = _untwisted_branch(twist, root_choice)
     new = {"field": field, "lam_of_r": twist.lam_of_r,
-           "r_squared_in_lam": twist.r_squared_in_lam, "z1": twist.z1.map_coeffs(emb),
-           "w": twist.tg.map_coeffs(emb) * w0, "u": u, "v": v}
+           "r_squared_in_lam": twist.r_squared_in_lam, "u": u, "v": v}
     for name, b in new.items():
         a = getattr(old, name)
         assert a == b, name
@@ -425,7 +423,7 @@ def test_twist_lift_is_over_q_on_the_twisted_curve():
     lam = twist.lam_of_r
     f_r = lam ** 3 * (lam ** 2 + 2 * lam + STANDARD_ALPHA) ** 2
     assert (twist.v ** 2 - twist.u ** 3 + twist.s * f_r * twist.u).is_zero
-    for rf in (twist.z1, twist.tg, twist.u, twist.v):
+    for rf in (twist.u, twist.v):
         assert all(type(c) in (int, Fraction)
                    for p in (rf.num, rf.den) for c in p.coeffs.values())
 
@@ -515,7 +513,7 @@ def _fraction_chain_lift(param):
         raise AssertionError("fourth root reconstruction failed")
     u = lam ** 2 * a_of ** 2 * (z1 + 1) / (2 * tg ** 2)
     v = u * lam * a_of / tg
-    return covers.TwistLift(lam, covers.qdiv(1, lam.num.coeff(2)), z1, tg, s, u, v)
+    return covers.TwistLift(lam, covers.qdiv(1, lam.num.coeff(2)), s, u, v)
 
 
 def _field_residual_at_root_choice(total, s, root_choice):

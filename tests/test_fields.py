@@ -1,10 +1,12 @@
 from fractions import Fraction
+from math import lcm
 
 import pytest
 
 from k3quartic.fields import (
     FieldContext,
     ReducibilityError,
+    _over_lcm,
     eighth_root_field,
     gaussian_field,
     imaginary_unit,
@@ -170,6 +172,11 @@ def test_imaginary_unit_is_found_from_the_generators():
             imaginary_unit(ctx)
 
 
+# a tower whose minimal polynomials have denominators and whose second level
+# is a cubic: t1^2 = 3/2, t2^3 = 5/7
+RATIONAL_TOWER = FieldContext([(Fraction(-3, 2), 0, 1), (Fraction(-5, 7), 0, 0, 1)], names=("a", "b"))
+
+
 def _random_coords(rng, count):
     return [Fraction(rng.randint(-6, 6), rng.randint(1, 4)) if rng.random() < 0.8 else Fraction(0)
             for _ in range(count)]
@@ -198,6 +205,9 @@ def test_mul_and_inverse_match_sympy():
         (with_imaginary_unit("quartic_root", Fraction(7, 9)),
          lambda: [_random_coords(rng, 4), _random_coords(rng, 4)], (t, i),
          [t ** 4 - sympy.Rational(7, 9), i ** 2 + 1]),
+        # a cubic second level: the table reaches t2^4
+        (RATIONAL_TOWER, lambda: [_random_coords(rng, 2) for _ in range(3)], (t, i),
+         [t ** 2 - sympy.Rational(3, 2), i ** 3 - sympy.Rational(5, 7)]),
     ]
     for ctx, draw, gens, minpolys in cases:
         # each minimal polynomial is monic in its own generator, so a remainder
@@ -408,7 +418,7 @@ def _inverse_or_factor(x):
 
 def test_inverse_matches_forward_elimination_and_back_substitution(monkeypatch):
     # every stock context, Q(sqrt 3, i), a tower whose minimal polynomials
-    # have denominators (t1^2 = 3/2, t2^2 = t1 + 1/3), and two reducible
+    # have denominators (t1^2 = 3/2, t2^3 = 5/7), and two reducible
     # contexts, in which both solvers must meet the same zero divisors
     import random
 
@@ -421,8 +431,7 @@ def test_inverse_matches_forward_elimination_and_back_substitution(monkeypatch):
         gaussian_field(), sqrt_field(2), sqrt_field(Fraction(-3, 5)), eighth_root_field(),
         quartic_root_field(7), quartic_root_field(Fraction(7, 9)),
         with_imaginary_unit("quartic_root", 7), with_imaginary_unit("sqrt", 3),
-        FieldContext([(Fraction(-3, 2), 0, 1), ((Fraction(-1, 3), -1), 0, 1)], names=("a", "b")),
-        bad, bad_tower,
+        RATIONAL_TOWER, bad, bad_tower,
     ]
     singular = {bad: [bad.gen() - 2, bad.gen() + 2],
                 bad_tower: [bad_tower.gen(2) - bad_tower.gen(1),
@@ -448,3 +457,120 @@ def test_inverse_matches_forward_elimination_and_back_substitution(monkeypatch):
                     y, z = q / x, ctx.from_rational(q) / x
                     assert (y.num, y.den) == (z.num, z.den), (ctx, x, q)
     assert raised >= 4
+
+
+# -- the outer-product table against the incremental build -------------------
+
+
+def _lift_raw(c, d1):
+    """c (int/Fraction or length-d1 sequence) as level-1 coordinates."""
+    if isinstance(c, (int, Fraction)):
+        return (Fraction(c),) + (Fraction(0),) * (d1 - 1)
+    return tuple(Fraction(x) for x in c)
+
+
+def _set_table(self, cells):
+    """Install reductions {(i, j): (nums, den)} of t1^i t2^j over one denominator."""
+    width = 2 * self.dims[0] - 1
+    tden = lcm(*(den for _, den in cells.values()))
+    self._red = tuple(
+        (j * width + i, tuple((p, c * (tden // den)) for p, c in enumerate(nums) if c))
+        for (i, j), (nums, den) in sorted(cells.items())
+    )
+    self._tden = tden
+
+
+def _incremental_table(ctx):
+    """(_red, _tden, _pos, _grid) of ctx as the table was built before the
+    outer product: the second minimal polynomial over the first level, and
+    each monomial the product of reduced values through the entries already
+    installed."""
+    self = object.__new__(FieldContext)
+    self.height, self.dims, self.degree = ctx.height, ctx.dims, ctx.degree
+    d1 = self.dims[0]
+    self.minpolys = ctx.minpolys[:1] + tuple(
+        tuple(_lift_raw(c, d1) for c in m) for m in ctx.minpolys[1:])
+    n = self.degree
+    d2 = self.dims[1] if self.height == 2 else 1
+    width = 2 * d1 - 1
+    self._pos = tuple(j * width + i for j in range(d2) for i in range(d1))
+    self._grid = width * (2 * d2 - 1)
+
+    def unit(p):
+        return tuple(int(q == p) for q in range(n)), 1
+
+    # t1^d1 t2^j = -(m1 low) in slot j, then t1^i t2^j = t1 * t1^(i-1) t2^j
+    low, den = _over_lcm(self.minpolys[0][:d1])
+    cells = {(d1, j): ((0,) * (j * d1) + tuple(-c for c in low) + (0,) * ((d2 - 1 - j) * d1), den)
+             for j in range(d2)}
+    _set_table(self, cells)
+    t1 = unit(1)
+    for i in range(d1 + 1, width):
+        for j in range(d2):
+            cells[i, j] = self._mul(*t1, *cells[i - 1, j])
+        _set_table(self, cells)
+    if d2 > 1:
+        # t1^i t2^d2 = t1^i * -(m2 low); then t2^j = t2 * t2^(j-1)
+        top, den = _over_lcm([c for coeff in self.minpolys[1][:d2] for c in coeff])
+        top = tuple(-c for c in top)
+        for i in range(width):
+            t1_i = cells[i, 0] if i >= d1 else unit(i)
+            cells[i, d2] = self._mul(*t1_i, top, den)
+        _set_table(self, cells)
+        t2 = unit(d1)
+        for j in range(d2 + 1, 2 * d2 - 1):
+            for i in range(width):
+                cells[i, j] = self._mul(*t2, *cells[i, j - 1])
+            _set_table(self, cells)
+    return self._red, self._tden, self._pos, self._grid
+
+
+def test_outer_product_table_matches_the_incremental_build():
+    # every stock context, Q(q4, i) and Q(s, i) over rational radicands, the
+    # cubic-over-quadratic tower, and 60 seeded rational towers (d1 in 2..4,
+    # d2 in 1..3, denominators up to 9; reducible ones too, since building
+    # the table assumes nothing of irreducibility)
+    import random
+
+    rng = random.Random(20261022)
+    contexts = [
+        gaussian_field(), sqrt_field(2), sqrt_field(-3), sqrt_field(Fraction(-3, 5)),
+        eighth_root_field(), quartic_root_field(7), quartic_root_field(Fraction(7, 9)),
+        with_imaginary_unit("quartic_root", 7), with_imaginary_unit("quartic_root", Fraction(7, 9)),
+        with_imaginary_unit("sqrt", 3), with_imaginary_unit("sqrt", Fraction(-2, 7)),
+        RATIONAL_TOWER,
+    ]
+
+    def minpoly(degree):
+        return tuple(Fraction(rng.randint(-20, 20), rng.randint(1, 9)) for _ in range(degree)) + (1,)
+
+    for _ in range(60):
+        d1, d2 = rng.randint(2, 4), rng.randint(1, 3)
+        minpolys = [minpoly(d1)] + ([minpoly(d2)] if d2 > 1 else [])
+        contexts.append(FieldContext(minpolys, names=("a", "b")[:len(minpolys)]))
+    shapes = set()
+    for ctx in contexts:
+        got = (ctx._red, ctx._tden, ctx._pos, ctx._grid)
+        assert got == _incremental_table(ctx), ctx.minpolys
+        shapes.add((ctx.dims[0], ctx.degree // ctx.dims[0]))
+    assert shapes == {(d1, d2) for d1 in (2, 3, 4) for d2 in (1, 2, 3)}
+
+
+def test_minimal_polynomials_are_monic_over_q():
+    # a second level over the first level's coordinates is no longer a form;
+    # a non-rational coefficient is a TypeError at either level, and a
+    # non-monic or linear polynomial a ValueError
+    base = (Fraction(-3, 2), 0, 1)
+    with pytest.raises(TypeError, match=r"got \(Fraction\(-1, 3\), -1\)"):
+        FieldContext([base, ((Fraction(-1, 3), -1), 0, 1)], names=("a", "b"))
+    for bad in ((1.5, 0, 1), ("1", 0, 1)):
+        for minpolys in ([bad], [bad, (1, 0, 1)], [base, bad]):
+            with pytest.raises(TypeError):
+                FieldContext(minpolys, names=("a", "b")[:len(minpolys)])
+    for bad in ((1, 0, 2), (1, 1), (1,), (1, 0, 1, 0)):
+        for level, minpolys in ((1, [bad]), (1, [bad, (1, 0, 1)]), (2, [base, bad])):
+            with pytest.raises(ValueError, match="level-%d minimal polynomial" % level):
+                FieldContext(minpolys, names=("a", "b")[:len(minpolys)])
+    # the tower's own minimal polynomials are stored as Fractions
+    assert RATIONAL_TOWER.minpolys[1] == (Fraction(-5, 7), 0, 0, 1)
+    assert all(type(c) is Fraction for m in RATIONAL_TOWER.minpolys for c in m)

@@ -1070,12 +1070,12 @@ def test_scalar_product_matches_the_constant_product():
 # `FieldContext.poly_product` and of the one-term path
 
 # every stock context, and a two-level tower whose minimal polynomials have
-# denominators: t1^2 = 3/2 and t2^2 = t1 + 1/3
+# denominators: t1^2 = 3/2 and t2^3 = 5/7
 PRODUCT_CONTEXTS = [
     gaussian_field(), sqrt_field(2), sqrt_field(Fraction(-3, 5)), eighth_root_field(),
     quartic_root_field(7), with_imaginary_unit("quartic_root", 7),
     with_imaginary_unit("sqrt", 3),
-    FieldContext([(Fraction(-3, 2), 0, 1), ((Fraction(-1, 3), -1), 0, 1)], names=("a", "b")),
+    FieldContext([(Fraction(-3, 2), 0, 1), (Fraction(-5, 7), 0, 0, 1)], names=("a", "b")),
 ]
 
 
@@ -1283,3 +1283,25 @@ def test_one_term_products_match_the_coefficient_loop():
             _check_coefficient_loop(q._times_term(k, r, True), left)
             _check_coefficient_loop(Poly("x", {k: r}) * q, left)
         _check_coefficient_loop(q._over(r), {e: qdiv(c, r) for e, c in q.coeffs.items()})
+    # a polynomial over Q with a denominator, times a coefficient that is not
+    # rational (an element of a field, or a rational function over Q in
+    # another variable): 1/den folds into the coefficient once, and the
+    # numerators scale by it, to the values and types of the loop over the
+    # Fraction coefficients
+    for ctx in PRODUCT_CONTEXTS + [None]:
+        for _ in range(6):
+            coeffs = {e: _random_rational(rng) for e in range(rng.randint(0, 8))}
+            q = Poly("x", {**coeffs, len(coeffs): Fraction(2 * rng.randint(0, 49) + 1, 6)})
+            assert q.den > 1
+            if ctx is None:
+                r = rng.choice([alpha, alpha + Fraction(1, 3)]) ** rng.randint(1, 3) / (alpha - 2)
+            else:
+                r = _random_element(rng, ctx)
+                r = r if not r.is_rational else ctx.gen() + r
+            right = {e: c * r for e, c in q.coeffs.items()}
+            left = {e: r * c for e, c in q.coeffs.items()}
+            _check_coefficient_loop(q * r, right)
+            _check_coefficient_loop(r * q, left)
+            for k in (0, 2):
+                _check_coefficient_loop(q._times_term(k, r), {e + k: c for e, c in right.items()})
+                _check_coefficient_loop(q._times_term(k, r, True), {e + k: c for e, c in left.items()})
