@@ -641,8 +641,8 @@ def _load_parametrization(path):
     if not isinstance(data, dict):
         raise UsageError("parametrization file must hold a JSON object")
     var = data.get("var", "r")
-    if not isinstance(var, str):
-        raise UsageError("'var' must be a string")
+    if not isinstance(var, str) or not var.isidentifier():
+        raise UsageError("'var' must be a name such as \"r\"")
     coords = []
     for key in ("x", "y", "z"):
         if key not in data:

@@ -19,18 +19,11 @@ product of t1^i mod m1 and t2^j mod m2, each power one shift-and-subtract
 from the last, in integers over a denominator.  A product is one
 grid convolution of the numerators followed by one pass over that table; a
 product with, or quotient by, an int or Fraction only scales the numerators
-and the denominator.  A product of two polynomials over the context
-(``poly_product``, which ``Poly.__mul__`` reaches through
-``polynomials.register_product``) brings each factor over one common
-denominator, adds the grid convolutions of every coefficient pair into one
-unreduced integer grid per output exponent, and reduces each grid through
-the table and puts it in lowest terms once, in place of a reduction and a
-gcd per pair and a gcd per partial sum.  An inverse solves the n x n
-integer multiplication matrix (n = d1*d2) by one fraction-free (Bareiss)
-Gauss-Jordan pass, with no back-substitution; a quotient by an element is
-the product with its inverse.  ``coords()`` gives the nested view: a tuple
-(length d2) of tuples (length d1) of Fractions, or a tuple of Fractions for
-a single extension.
+and the denominator.  An inverse solves the n x n integer multiplication
+matrix (n = d1*d2) by one fraction-free (Bareiss) Gauss-Jordan pass, with
+no back-substitution; a quotient by an element is the product with its
+inverse.  ``coords()`` gives the nested view: a tuple (length d2) of tuples
+(length d1) of Fractions, or a tuple of Fractions for a single extension.
 
 Minimal polynomials are *assumed* irreducible.  The assumption is checked
 lazily: when the multiplication matrix of an element is singular, inversion
@@ -51,7 +44,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm, prod
 
-from .polynomials import Poly, poly_gcd, power, register_product, render_terms
+from .polynomials import Poly, poly_gcd, power, render_terms
 
 
 class ReducibilityError(ArithmeticError):
@@ -265,20 +258,9 @@ class FieldContext:
 
     # -- arithmetic on (numerators, denominator) pairs ------------------------
 
-    def _reduce(self, conv):
-        """Numerators over the table denominator of the grid sum `conv` of
-        monomial coefficients t1^i t2^j, through the reduction table."""
-        tden = self._tden
-        out = [conv[g] for g in self._pos] if tden == 1 else [conv[g] * tden for g in self._pos]
-        for g, row in self._red:
-            c = conv[g]
-            if c:
-                for p, r in row:
-                    out[p] += c * r
-        return out
-
     def _times(self, a, b):
-        """Numerators of a*b over the table denominator, for numerator vectors a, b."""
+        """Numerators of a*b over the table denominator, for numerator vectors
+        a, b: their grid convolution, reduced through the table."""
         pos = self._pos
         conv = [0] * self._grid
         nz = [(pos[q], y) for q, y in enumerate(b) if y]
@@ -287,41 +269,13 @@ class FieldContext:
                 g = pos[p]
                 for h, y in nz:
                     conv[g + h] += x * y
-        return self._reduce(conv)
-
-    def _grid_terms(self, coeffs):
-        """A polynomial's coefficients {exponent: element} over one common
-        denominator: ([(exponent, [(grid index, numerator), ...]), ...], den),
-        zero numerators left out."""
-        pos = self._pos
-        den = lcm(*(c.den for c in coeffs.values()))
-        return [(e, [(pos[p], x * (den // c.den)) for p, x in enumerate(c.num) if x])
-                for e, c in coeffs.items()], den
-
-    def poly_product(self, a, b):
-        """The product of two polynomials {exponent: element of self}, as a
-        map without zero coefficients.  Both factors go over one common
-        denominator each; every coefficient pair adds its grid convolution to
-        the unreduced integer grid of its output exponent, and each output
-        grid is reduced through the table and put in lowest terms once."""
-        a, ad = self._grid_terms(a)
-        b, bd = self._grid_terms(b)
-        grid = self._grid
-        convs = {}
-        for e1, xs in a:
-            for e2, ys in b:
-                conv = convs.get(e1 + e2)
-                if conv is None:
-                    conv = convs[e1 + e2] = [0] * grid
-                for g, x in xs:
-                    for h, y in ys:
-                        conv[g + h] += x * y
-        den = ad * bd * self._tden
-        out = {}
-        for e, conv in convs.items():
-            nums = self._reduce(conv)
-            if any(nums):
-                out[e] = FieldElement(self, *_lowest_terms(nums, den))
+        tden = self._tden
+        out = [conv[g] for g in pos] if tden == 1 else [conv[g] * tden for g in pos]
+        for g, row in self._red:
+            c = conv[g]
+            if c:
+                for p, r in row:
+                    out[p] += c * r
         return out
 
     def _mul(self, a, ad, b, bd):
@@ -592,20 +546,6 @@ class FieldElement:
                 for e, c in enumerate(raw) if (any(c) if level > 1 else c))
 
         return rend(self.coords(), self.ctx.height)
-
-
-def _poly_product(a, b):
-    """`FieldContext.poly_product` when every coefficient of both maps is an
-    element of the context of a's first one; None otherwise."""
-    ctx = next(iter(a.values())).ctx
-    for coeffs in (a, b):
-        for c in coeffs.values():
-            if type(c) is not FieldElement or (c.ctx is not ctx and c.ctx._key != ctx._key):
-                return None
-    return ctx.poly_product(a, b)
-
-
-register_product(FieldElement, _poly_product)
 
 
 def imaginary_unit(ctx):

@@ -174,7 +174,10 @@ def gram_build(spec):
         name, mult = part, 1
         if part.endswith(")") and "(" in part:
             name, arg = part[:-1].split("(", 1)
-            mult = int(arg)
+            try:
+                mult = int(arg)
+            except ValueError:  # not an integer, or more digits than int() reads
+                raise ValueError("the twist of %s must be an integer" % name) from None
         if name not in _PRESETS:
             raise ValueError("unknown lattice preset %r" % name)
         g = _PRESETS[name]()

@@ -8,10 +8,8 @@ terms, as ``fields.FieldElement`` is (Cohen, A Course in Computational
 Algebraic Number Theory, 4.2): its sums, products, derivatives and
 rescalings run on ints, followed by one gcd of the denominator with the
 numerators, which by Gauss's lemma is all that can cancel.  Any other
-coefficients keep a plain map and the generic loops, except that a product
-whose coefficients are all of a type registered with ``register_product``
-(the number-field elements of ``fields``) runs that type's kernel, and a
-factor of one term is an exponent shift and a scaling in every domain.
+coefficients keep a plain map and the generic loops, except that a factor
+of one term is an exponent shift and a scaling in every domain.
 ``coeffs`` reads either form as {exponent: coefficient}, a rational
 coefficient an ``int`` when it is integral and a ``Fraction`` otherwise.
 Long division has one loop for every domain, on ``coeffs``; every division
@@ -58,16 +56,6 @@ _HIGHER = ()
 def register_higher(*types):
     global _HIGHER
     _HIGHER = _HIGHER + types
-
-
-# coefficient type -> product kernel of two {exponent: coefficient} maps led
-# by that type, returning the product map or None when the kernel does not
-# apply; `fields` registers its number-field product here
-_PRODUCTS = {}
-
-
-def register_product(cls, kernel):
-    _PRODUCTS[cls] = kernel
 
 
 def qdiv(a, b):
@@ -268,11 +256,6 @@ class Poly:
             return o._times_term(k, self.coeff(k), True)
         q = self.den is not None and o.den is not None
         a, b = (self.nums, o.nums) if q else (self.coeffs, o.coeffs)
-        if not q and a and b:
-            kernel = _PRODUCTS.get(type(next(iter(a.values()))))
-            out = None if kernel is None else kernel(a, b)
-            if out is not None:
-                return _new(self.var, out, None)
         out = {}
         for e1, c1 in a.items():
             for e2, c2 in b.items():

@@ -193,6 +193,15 @@ class TestLattice:
         code, _, err = run(capsys, "lattice", "invariants", "--gram", "E8")
         assert code == 2
 
+    @pytest.mark.parametrize("spec, name", [("A1(1/2)", "A1"), ("U(x)", "U"),
+                                            ("A1(%s)" % ("7" * 4400), "A1")],
+                             ids=["fraction", "letter", "4400-digits"])
+    def test_invariants_reject_a_twist_that_is_not_an_integer(self, capsys, spec, name):
+        code, out, err = run(capsys, "lattice", "invariants", "--gram", spec)
+        assert code == 2
+        assert out == ""
+        assert err == "error: the twist of %s must be an integer\n" % name
+
     def test_invariants_degenerate_gram(self, capsys):
         code, out, err = run(capsys, "lattice", "invariants", "--gram", "A1(0)")
         assert code == 2
@@ -291,6 +300,8 @@ MALFORMED_PARAMS = {
     "not-json": "{not json",
     "top-level-list": json.dumps([_PARAM]),
     "var-not-string": json.dumps(dict(_PARAM, var=5)),
+    "var-empty": json.dumps(dict(_PARAM, var="")),
+    "var-not-a-name": json.dumps(dict(_PARAM, var="r r")),
     "float-coefficient": json.dumps(dict(_PARAM, x=[[0, 1.5]])),
     "zero-denominator": json.dumps(dict(_PARAM, x=[[0, "1/0"]])),
     "bool-coefficient": json.dumps(dict(_PARAM, x=[[0, True]])),

@@ -638,3 +638,31 @@ def test_root_choice_multiplies_no_two_field_polynomials(monkeypatch):
     assert field_products == []
     _field_residual_at_root_choice(total, twist.s, 0)
     assert field_products  # the counter sees the field residual's products
+
+
+def _over_a_number_field(p):
+    """p has more than one term and every coefficient is a number-field element."""
+    return len(p.nums) > 1 and all(type(c) is FieldElement for c in p.nums.values())
+
+
+def test_no_check_multiplies_two_polynomials_over_a_number_field(monkeypatch):
+    # no check multiplies two polynomials of several terms over a number
+    # field, so Poly.__mul__'s per-coefficient loop is the one field product
+    # path; a check that needs such products has to argue a faster path back
+    # in, with a workload that runs it
+    mul = Poly.__mul__
+    field_products = []
+
+    def counting(self, other):
+        if isinstance(other, Poly) and _over_a_number_field(self) and _over_a_number_field(other):
+            field_products.append((self, other))
+        return mul(self, other)
+
+    monkeypatch.setattr(Poly, "__mul__", counting)
+    monkeypatch.setattr(Poly, "__rmul__", counting)
+    for name, check in cli.CHECKS:
+        assert check()[0], name
+    assert field_products == []
+    twist = twist_lift(SPLIT_PARAM_SEXTIC)
+    _field_residual_at_root_choice(twist_sum(twist), twist.s, 0)
+    assert field_products  # the counter sees the field residual's products
