@@ -601,11 +601,22 @@ def _is_int(value):
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+def _over_digit_cap(c):
+    """Whether an int coefficient, or a string one before it is parsed, has
+    a numerator or denominator of more than MAX_ALPHA_DIGITS digits; a
+    string part counts its length, signs and outer spaces aside."""
+    if _is_int(c):
+        return abs(c) >= 10 ** MAX_ALPHA_DIGITS
+    return isinstance(c, str) and any(
+        len(part.strip().lstrip("+-")) > MAX_ALPHA_DIGITS for part in c.split("/", 1))
+
+
 def _param_coeffs(key, terms):
     """The {exponent: Fraction} map of one coordinate of a parametrization
     file: [exponent, coefficient] pairs, an exponent an integer in
     [0, MAX_PARAM_DEGREE] given at most once, a coefficient an integer or a
-    rational string."""
+    rational string whose numerator and denominator have at most
+    MAX_ALPHA_DIGITS digits (`_over_digit_cap`)."""
     if not isinstance(terms, list) or not all(
             isinstance(t, list) and len(t) == 2 for t in terms):
         raise UsageError("%r must be a list of [exponent, coefficient] pairs" % key)
@@ -616,6 +627,10 @@ def _param_coeffs(key, terms):
                              % (key, json.dumps(e), MAX_PARAM_DEGREE))
         if e in coeffs:
             raise UsageError("%r: exponent %d is repeated" % (key, e))
+        if _over_digit_cap(c):
+            raise UsageError("%r: the coefficient of exponent %d must have a numerator "
+                             "and a denominator of at most %d digits"
+                             % (key, e, MAX_ALPHA_DIGITS))
         try:
             if not (_is_int(c) or isinstance(c, str)):
                 raise ValueError

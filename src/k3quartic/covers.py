@@ -472,11 +472,10 @@ def sum_at_root_choice(total, s, root_choice):
         return {"u": None, "v": None, "on_curve": True, "residual": None}
     field, w0 = _twist_root(s, root_choice)
     u_lam, v_lam = _untwist(total, field, w0)
-    # v_lam^2 - u_lam (u_lam^2 - f) = w0^2 (v^2 + f u) - w0^6 u^3 by
-    # distributivity alone: products over Q, then two scalings into the field
+    # v_lam^2 - u_lam (u_lam^2 - f) = w0^2 (v^2 + f u) - w0^6 u^3, and
+    # w0^6 = w0^2 s since w0^4 == s: products over Q, then one scaling
     u, v = total
-    w2 = w0 * w0
-    residual = (v * v + _STANDARD_F * u) * w2 - u ** 3 * w2 ** 3
+    residual = (v * v + _STANDARD_F * u - s * u ** 3) * (w0 * w0)
     return {"u": u_lam, "v": v_lam, "on_curve": residual.is_zero,
             "residual": residual}
 

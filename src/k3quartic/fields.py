@@ -22,8 +22,12 @@ product with, or quotient by, an int or Fraction only scales the numerators
 and the denominator.  An inverse solves the n x n integer multiplication
 matrix (n = d1*d2) by one fraction-free (Bareiss) Gauss-Jordan pass, with
 no back-substitution; a quotient by an element is the product with its
-inverse.  ``coords()`` gives the nested view: a tuple (length d2) of tuples
-(length d1) of Fractions, or a tuple of Fractions for a single extension.
+inverse.  A sum, product or comparison reads an operand of the same
+context as its (numerators, denominator) pair directly, and an int, a
+Fraction or an element of an equal-key context through one coercion; each
+result takes one lowest-terms pass.  ``coords()`` gives the nested view: a
+tuple (length d2) of tuples (length d1) of Fractions, or a tuple of
+Fractions for a single extension.
 
 Minimal polynomials are *assumed* irreducible.  The assumption is checked
 lazily: when the multiplication matrix of an element is singular, inversion
@@ -88,16 +92,6 @@ def _over_lcm(values):
     since no prime divides both the lcm of the denominators and every numerator."""
     den = lcm(*(v.denominator for v in values))
     return tuple(v.numerator * (den // v.denominator) for v in values), den
-
-
-def _add(a, ad, b, bd):
-    if ad == bd:
-        return _lowest_terms([x + y for x, y in zip(a, b)], ad)
-    return _lowest_terms([x * bd + y * ad for x, y in zip(a, b)], ad * bd)
-
-
-def _neg(a):
-    return tuple(-x for x in a)
 
 
 def _bareiss_solve(rows):
@@ -278,9 +272,6 @@ class FieldContext:
                     out[p] += c * r
         return out
 
-    def _mul(self, a, ad, b, bd):
-        return _lowest_terms(self._times(a, b), ad * bd * self._tden)
-
     def _inv(self, a, ad):
         if not any(a):
             raise ZeroDivisionError("division by zero field element")
@@ -369,7 +360,12 @@ class FieldContext:
             if c:
                 for r, v in cols[p]:
                     out[r] += c * v
-        return FieldElement(self, *_lowest_terms(out, x.den * mden))
+        den = x.den * mden
+        g = gcd(den, *out)
+        if g != 1:
+            out = [c // g for c in out]
+            den //= g
+        return FieldElement(self, tuple(out), den)
 
     def conj(self, x):
         """Complex conjugation, available when the context declares it."""
@@ -410,7 +406,8 @@ class FieldElement:
         self.num = num
         self.den = den
 
-    # coercion helper: (numerators, denominator) of other, or None
+    # coercion of an int, a Fraction or an element of an equal-key context:
+    # (numerators, denominator) of other, or None
     def _other(self, x):
         if isinstance(x, FieldElement):
             if x.ctx is self.ctx or x.ctx._key == self.ctx._key:
@@ -421,11 +418,29 @@ class FieldElement:
         return None
 
     def __add__(self, other, sign=1):
-        o = self._other(other)
-        if o is None:
-            return NotImplemented
-        b = o[0] if sign > 0 else _neg(o[0])
-        return FieldElement(self.ctx, *_add(self.num, self.den, b, o[1]))
+        # an element of this very context is read directly
+        if isinstance(other, FieldElement) and other.ctx is self.ctx:
+            b, bd = other.num, other.den
+        else:
+            o = self._other(other)
+            if o is None:
+                return NotImplemented
+            b, bd = o
+        a, den = self.num, self.den
+        if den == bd:
+            # numerators over one denominator add with no cross product
+            num = ([x + y for x, y in zip(a, b)] if sign > 0
+                   else [x - y for x, y in zip(a, b)])
+        else:
+            num = ([x * bd + y * den for x, y in zip(a, b)] if sign > 0
+                   else [x * bd - y * den for x, y in zip(a, b)])
+            den *= bd
+        if den != 1:
+            g = gcd(den, *num)
+            if g != 1:
+                num = [c // g for c in num]
+                den //= g
+        return FieldElement(self.ctx, tuple(num), den)
 
     __radd__ = __add__
 
@@ -438,21 +453,36 @@ class FieldElement:
     def __mul__(self, other):
         # the FieldElement test goes first: isinstance against Fraction (an
         # ABC) costs about a tenth of a product when it fails
+        ctx = self.ctx
         if isinstance(other, FieldElement):
-            o = self._other(other)
-            if o is None:
-                return NotImplemented
-            return FieldElement(self.ctx, *self.ctx._mul(self.num, self.den, *o))
-        if isinstance(other, (int, Fraction)):
+            if other.ctx is ctx:
+                b, bd = other.num, other.den
+            else:
+                o = self._other(other)
+                if o is None:
+                    return NotImplemented
+                b, bd = o
+            # the grid convolution, reduced through the table
+            num = ctx._times(self.num, b)
+            den = self.den * bd * ctx._tden
+        elif isinstance(other, (int, Fraction)):
             # a rational scales the numerators and the denominator
-            return FieldElement(self.ctx, *_lowest_terms(
-                [c * other.numerator for c in self.num], self.den * other.denominator))
-        return NotImplemented
+            k = other.numerator
+            num = [c * k for c in self.num]
+            den = self.den * other.denominator
+        else:
+            return NotImplemented
+        if den != 1:
+            g = gcd(den, *num)
+            if g != 1:
+                num = [c // g for c in num]
+                den //= g
+        return FieldElement(ctx, tuple(num), den)
 
     __rmul__ = __mul__
 
     def __neg__(self):
-        return FieldElement(self.ctx, _neg(self.num), self.den)
+        return FieldElement(self.ctx, tuple([-c for c in self.num]), self.den)
 
     def __pos__(self):
         return self
@@ -465,8 +495,7 @@ class FieldElement:
             o = self._other(other)
             if o is None:
                 return NotImplemented
-            ctx = self.ctx
-            return FieldElement(ctx, *ctx._mul(self.num, self.den, *ctx._inv(*o)))
+            return self * FieldElement(self.ctx, *self.ctx._inv(*o))
         if isinstance(other, (int, Fraction)):
             if not other:
                 raise ZeroDivisionError("division by zero field element")
@@ -488,6 +517,8 @@ class FieldElement:
         return power(self, n, self.ctx.one)
 
     def __eq__(self, other):
+        if isinstance(other, FieldElement) and other.ctx is self.ctx:
+            return self.den == other.den and self.num == other.num
         o = self._other(other)
         if o is None:
             return NotImplemented

@@ -19,8 +19,10 @@ odd), with no Smith form or signature taken.  The certificate basis
 (x, Jx, y, Jy) onto diag(2,2,-2,-2) is built, not searched for: an
 isotropic vector read off the form, completed to a basis and diagonalised
 by Euclid in Z[i], so it exists for every integer point, not only inside a
-box.  The rank-4 grid solves m by one exact division and the t_n evidence
-looks its candidates up in a table of sums of two squares.
+box; J, the Gaussian scalings and the Hermitian products take closed forms
+on the four real coordinates.  The rank-4 grid solves m by one exact
+division and the t_n evidence looks its candidates up in a table of sums
+of two squares.
 """
 
 from itertools import chain
@@ -488,7 +490,9 @@ def tn_obstruction_evidence(n, bound=12):
     """Exhaustive search report: no primitive vector with form value n and
     coordinates bounded by `bound`.  The pairs (a3, a4) of the box are
     tabled by a3^2 + a4^2, so each (a1, a2) finds its candidates with one
-    lookup at a1^2 + a2^2 - n."""
+    lookup at a1^2 + a2^2 - n.  The minor gcd of a candidate is
+    gcd(g0, s, d), for its minors +-s, +-d (`realization_minors`) and
+    g0 = gcd(a1^2 + a2^2, n), taken once per (a1, a2)."""
     if bound < 0:
         raise ValueError("evidence bound must be nonnegative")
     rng = range(-bound, bound + 1)
@@ -500,9 +504,15 @@ def tn_obstruction_evidence(n, bound=12):
     primitive = 0
     for a1 in rng:
         for a2 in rng:
-            for a3, a4 in by_norm.get(a1 * a1 + a2 * a2 - n, ()):
-                candidates += 1
-                if minor_gcd((a1, a2, a3, a4)) == 1:
+            norm = a1 * a1 + a2 * a2
+            found = by_norm.get(norm - n)
+            if found is None:
+                continue
+            # the minors -|u|^2 and |v|^2 = |u|^2 - n have gcd(|u|^2, n)
+            g0 = gcd(norm, n)
+            candidates += len(found)
+            for a3, a4 in found:
+                if gcd(g0, a1 * a4 + a2 * a3, a1 * a3 - a2 * a4) == 1:
                     primitive += 1
     return {"bound": bound, "candidates": candidates,
             "primitive_found": primitive}
@@ -559,6 +569,12 @@ BLOCK_J = [
     [0, 0, 0, -1],
     [0, 0, 1, 0],
 ]
+
+
+def _block_j(v):
+    """BLOCK_J v in closed form: multiplication by i on each Gaussian
+    coordinate v0 + v1 i and v2 + v3 i."""
+    return [-v[1], v[0], -v[3], v[2]]
 
 
 def block_gram_det_identity():
@@ -634,19 +650,25 @@ def certificate_basis(gram):
             or 4 * n * m - b * b - c * c != -4 or not (n % 2 or m % 2)):
         return None
 
-    def j(v):
-        return mat_vec(BLOCK_J, v)
+    half_b, half_c = b // 2, c // 2
 
     def scale(k, v):
         # the Gaussian multiple k v, in real coordinates
-        return [k[0] * vi + k[1] * jvi for vi, jvi in zip(v, j(v))]
+        (k0, k1), (v0, v1, v2, v3) = k, v
+        return [k0 * v0 - k1 * v1, k0 * v1 + k1 * v0, k0 * v2 - k1 * v3, k0 * v3 + k1 * v2]
 
     def h(v, w):
-        # v^T G w = 2 Re h(v, w), and v^T G Jw = 2 Re h(v, i w) = -2 Im h(v, w)
-        gv = mat_vec(gram, v)
-        return sum(map(mul, gv, w)) // 2, -sum(map(mul, gv, j(w))) // 2
+        # G w / 2 = (p0, p1, q0, q1) = (n x + g y, conj(g) x + m y) for
+        # w = (x, y); then Re h(v, w) = v . (G w / 2) and Im h(v, w) = Jv . (G w / 2)
+        v0, v1, v2, v3 = v
+        w0, w1, w2, w3 = w
+        p0 = n * w0 + half_b * w2 + half_c * w3
+        p1 = n * w1 - half_c * w2 + half_b * w3
+        q0 = half_b * w0 - half_c * w1 + m * w2
+        q1 = half_c * w0 + half_b * w1 + m * w3
+        return v0 * p0 + v1 * p1 + v2 * q0 + v3 * q1, v0 * p1 - v1 * p0 + v2 * q1 - v3 * q0
 
-    alpha, beta = ((1 - b // 2, c // 2), (n, 0)) if n else ((1, 0), (0, 0))
+    alpha, beta = ((1 - half_b, half_c), (n, 0)) if n else ((1, 0), (0, 0))
     d, s, t = _gaussian_xgcd(alpha, beta)
     e = _gaussian_quotient(alpha, d) + _gaussian_quotient(beta, d)
     # s alpha + t beta = d, so the Gaussian determinant of (e, f) is 1
@@ -655,7 +677,7 @@ def certificate_basis(gram):
     u = h(e, f)
     x = [fi + ki for fi, ki in zip(f, scale((r * u[0], r * u[1]), e))]
     y = [ei - ki for ei, ki in zip(e, scale(h(x, e), x))]
-    jx, jy = j(x), j(y)
+    jx, jy = _block_j(x), _block_j(y)
     p = [[x[i], jx[i], y[i], jy[i]] for i in range(4)]
     if abs(mat_det(p)) != 1 or mat_mul(mat_transpose(p), mat_mul(gram, p)) != AMBIENT_GRAM:
         raise AssertionError("constructed certificate fails for %r" % (gram,))

@@ -944,7 +944,8 @@ class FractionArithmetic:
     gcd(a + c b, b) = gcd(a, b) (Knuth, TAOCP vol. 2, 4.5.1) and a sum or
     coefficient multiple of polynomials reduced by a quotient ring's
     relations is reduced, so they take ``_new_normal`` with no gcd and no
-    reduction.
+    reduction.  Two fractions over one denominator add over it, as
+    (a +- c)/b with no product b b; ``_new`` still cancels or reduces it.
     """
 
     __slots__ = ()
@@ -963,8 +964,11 @@ class FractionArithmetic:
         o = self._lift(other)
         if o is None:
             return NotImplemented
-        a, b = _times(self.num, o.den), _times(o.num, self.den)
-        return self._new(a + b if sign > 0 else a - b, _times(self.den, o.den))
+        if self.den == o.den:
+            a, b, den = self.num, o.num, self.den
+        else:
+            a, b, den = _times(self.num, o.den), _times(o.num, self.den), _times(self.den, o.den)
+        return self._new(a + b if sign > 0 else a - b, den)
 
     __radd__ = __add__
 
@@ -1061,7 +1065,8 @@ class RationalFunction(FractionArithmetic):
     (``FractionArithmetic``): gcd(a + c b, b) = gcd(a, b), so the sum, the
     multiple and the quotient of a reduced pair by a coefficient are reduced
     over the same monic b.  Only the denominator's leading coefficient is
-    then scaled out.  Sums of two fractions still cancel their full gcd.
+    then scaled out.  Sums of two fractions still cancel their full gcd,
+    over their one den when they share it.
     """
 
     __slots__ = ("num", "den")

@@ -429,6 +429,30 @@ class TestSplit:
         assert code == 0
         assert sha256(out) == WIDE1000_SHA256
 
+    # a coefficient of 2001 to 4300 digits was parsed with no budget, and a
+    # longer one was called "not an integer", its digits echoed on one line
+    @pytest.mark.parametrize("coeff", [
+        str(10 ** MAX_ALPHA_DIGITS), "-" + "7" * 5000, " 3/%s" % ("1" * 2001),
+        10 ** MAX_ALPHA_DIGITS, -10 ** MAX_ALPHA_DIGITS - 1,
+    ], ids=["string-2001", "string-5000", "denominator-2001", "int-2001", "negative-int-2002"])
+    def test_rejects_a_coefficient_over_the_digit_cap(self, capsys, tmp_path, coeff):
+        f = tmp_path / "long.json"
+        f.write_text(json.dumps(dict(_PARAM, z=[[2, "1"], [0, coeff]])))
+        code, out, err = run(capsys, "split", "--param", str(f))
+        assert code == 2
+        assert out == ""
+        assert err == ("error: 'z': the coefficient of exponent 0 must have a numerator "
+                       "and a denominator of at most %d digits\n" % MAX_ALPHA_DIGITS)
+
+    @pytest.mark.parametrize("coeff", ["9" * MAX_ALPHA_DIGITS, "-%s/7" % ("9" * MAX_ALPHA_DIGITS),
+                                       "2/" + "9" * MAX_ALPHA_DIGITS, 10 ** MAX_ALPHA_DIGITS - 1])
+    def test_coefficient_at_the_digit_cap(self, capsys, tmp_path, coeff):
+        f = tmp_path / "long.json"
+        f.write_text(json.dumps(dict(_PARAM, z=[[2, "1"], [0, coeff]])))
+        code, rep, _ = run_json(capsys, "split", "--param", str(f))
+        assert code in (0, 1)
+        assert rep["results"]["tests"][0]["verdict"] in ("Splits", "DoesNotSplit")
+
     def test_missing_file(self, capsys):
         code, _, err = run(capsys, "split", "--param", "/nonexistent/f.json")
         assert code == 2

@@ -1,10 +1,11 @@
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 import pytest
 
 from k3quartic.fields import (
     FieldContext,
+    FieldElement,
     ReducibilityError,
     _over_lcm,
     eighth_root_field,
@@ -484,7 +485,7 @@ def _incremental_table(ctx):
     """(_red, _tden, _pos, _grid) of ctx as the table was built before the
     outer product: the second minimal polynomial over the first level, and
     each monomial the product of reduced values through the entries already
-    installed."""
+    installed, each product through the oracle `_o_mul`."""
     self = object.__new__(FieldContext)
     self.height, self.dims, self.degree = ctx.height, ctx.dims, ctx.degree
     d1 = self.dims[0]
@@ -507,7 +508,7 @@ def _incremental_table(ctx):
     t1 = unit(1)
     for i in range(d1 + 1, width):
         for j in range(d2):
-            cells[i, j] = self._mul(*t1, *cells[i - 1, j])
+            cells[i, j] = _o_mul(self, *t1, *cells[i - 1, j])
         _set_table(self, cells)
     if d2 > 1:
         # t1^i t2^d2 = t1^i * -(m2 low); then t2^j = t2 * t2^(j-1)
@@ -515,12 +516,12 @@ def _incremental_table(ctx):
         top = tuple(-c for c in top)
         for i in range(width):
             t1_i = cells[i, 0] if i >= d1 else unit(i)
-            cells[i, d2] = self._mul(*t1_i, top, den)
+            cells[i, d2] = _o_mul(self, *t1_i, top, den)
         _set_table(self, cells)
         t2 = unit(d1)
         for j in range(d2 + 1, 2 * d2 - 1):
             for i in range(width):
-                cells[i, j] = self._mul(*t2, *cells[i, j - 1])
+                cells[i, j] = _o_mul(self, *t2, *cells[i, j - 1])
             _set_table(self, cells)
     return self._red, self._tden, self._pos, self._grid
 
@@ -574,3 +575,111 @@ def test_minimal_polynomials_are_monic_over_q():
     # the tower's own minimal polynomials are stored as Fractions
     assert RATIONAL_TOWER.minpolys[1] == (Fraction(-5, 7), 0, 0, 1)
     assert all(type(c) is Fraction for m in RATIONAL_TOWER.minpolys for c in m)
+
+
+# -- the direct kernels against the coercion-helper route ------------------------
+#
+# Sums, differences, products and equality once took every operand through
+# `_other`, and then through module-level `_add` or `FieldContext._mul`, each
+# ending in one lowest-terms pass.  That route, verbatim, is the oracle of
+# the kernels that read a same-context operand's (num, den) directly, and
+# `_o_mul` also builds the incremental table above.
+
+
+def _o_lowest_terms(nums, den):
+    if den < 0:
+        nums, den = [-c for c in nums], -den
+    if den != 1:
+        g = gcd(den, *nums)
+        if g != 1:
+            nums = [c // g for c in nums]
+            den //= g
+    return tuple(nums), den
+
+
+def _o_add(a, ad, b, bd):
+    if ad == bd:
+        return _o_lowest_terms([x + y for x, y in zip(a, b)], ad)
+    return _o_lowest_terms([x * bd + y * ad for x, y in zip(a, b)], ad * bd)
+
+
+def _o_other(ctx, x):
+    if isinstance(x, FieldElement):
+        if x.ctx is ctx or x.ctx._key == ctx._key:
+            return x.num, x.den
+        return None
+    return (x.numerator,) + ctx._zeros, x.denominator
+
+
+def _o_sum(x, y, sign):
+    """x + sign*y for x an element, y an element or a rational."""
+    b, bd = _o_other(x.ctx, y)
+    if sign < 0:
+        b = tuple(-c for c in b)
+    return _o_add(x.num, x.den, b, bd)
+
+
+def _o_mul(ctx, a, ad, b, bd):
+    return _o_lowest_terms(ctx._times(a, b), ad * bd * ctx._tden)
+
+
+def _o_product(x, y):
+    if isinstance(y, FieldElement):
+        return _o_mul(x.ctx, x.num, x.den, *_o_other(x.ctx, y))
+    return _o_lowest_terms([c * y.numerator for c in x.num], x.den * y.denominator)
+
+
+def _typed_pair(x):
+    """(num, den) of an element, with every entry tagged by its type."""
+    assert type(x) is FieldElement and type(x.num) is tuple
+    return tuple((type(c), c) for c in x.num), (type(x.den), x.den)
+
+
+def _o_typed(pair):
+    num, den = pair
+    return tuple((int, c) for c in num), (int, den)
+
+
+def test_direct_kernels_match_the_coercion_route():
+    import random
+
+    rng = random.Random(20261020)
+    scalars = [0, 1, -3, True, 10 ** 30 + 7, Fraction(3, 4), Fraction(-5, 12)]
+    cases = [
+        (gaussian_field(), lambda: _random_coords(rng, 2)),
+        (sqrt_field(2), lambda: _random_coords(rng, 2)),
+        (eighth_root_field(), lambda: _random_coords(rng, 4)),
+        (quartic_root_field(7), lambda: _random_coords(rng, 4)),
+        (with_imaginary_unit("quartic_root", 7),
+         lambda: [_random_coords(rng, 4), _random_coords(rng, 4)]),
+    ]
+    for ctx, draw in cases:
+        # a second context object with the same key takes the `_other` route
+        twin = FieldContext(ctx.minpolys, ctx.names)
+        assert twin is not ctx and twin._key == ctx._key
+        elements = [ctx.zero, ctx.one] + [ctx.element(draw()) for _ in range(20)]
+        for x in elements:
+            y = rng.choice(elements)
+            for z in (y, FieldElement(twin, y.num, y.den)):
+                assert _typed_pair(x + z) == _o_typed(_o_sum(x, z, 1)), (x, z)
+                assert _typed_pair(z + x) == _o_typed(_o_sum(x, z, 1)), (x, z)
+                assert _typed_pair(x - z) == _o_typed(_o_sum(x, z, -1)), (x, z)
+                assert _typed_pair(x * z) == _o_typed(_o_product(x, z)), (x, z)
+                assert _typed_pair(z * x) == _o_typed(_o_product(x, z)), (x, z)
+                assert (x == z) is ((x.num, x.den) == (z.num, z.den))
+            for q in scalars + [Fraction(rng.randint(-99, 99), rng.randint(1, 99))]:
+                assert _typed_pair(x + q) == _o_typed(_o_sum(x, q, 1)), (x, q)
+                assert _typed_pair(q + x) == _o_typed(_o_sum(x, q, 1)), (x, q)
+                assert _typed_pair(x - q) == _o_typed(_o_sum(x, q, -1)), (x, q)
+                assert _typed_pair(q - x) == _o_typed(_o_sum(-x, q, 1)), (x, q)
+                assert _typed_pair(x * q) == _o_typed(_o_product(x, q)), (x, q)
+                assert _typed_pair(q * x) == _o_typed(_o_product(x, q)), (x, q)
+                assert (x == q) is (_o_other(ctx, q) == (x.num, x.den))
+    # a mixed-context operand still fails, in either order
+    x, other = gaussian_field().gen(), eighth_root_field().gen()
+    for op in (lambda a, b: a + b, lambda a, b: a - b, lambda a, b: a * b,
+               lambda a, b: a / b):
+        for a, b in ((x, other), (other, x)):
+            with pytest.raises(TypeError):
+                op(a, b)
+    assert x != other and not (x == other)

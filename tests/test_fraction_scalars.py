@@ -266,3 +266,84 @@ def test_a_den_of_one_holds_the_int_one_over_every_field():
             for op in (operator.add, operator.sub, operator.mul):
                 assert _form(op(a, b).den) == _form(op(b, a).den), (a, b, op)
             assert _form((a + plain).den) == one and _form((plain + a).den) == one
+
+
+# -- sums over one denominator --------------------------------------------------------
+#
+# a/b + c/b is (a + c)/b, with no product of the denominators.  The oracle is
+# the cross-multiplied sum (a b + c b)/(b b) through the constructor, which
+# cancels (RationalFunction) or reduces (QuotientFraction) it.
+
+
+def _cross_sum(x, y, sign):
+    a, b = x.num * y.den, y.num * x.den
+    return x._new(a + b if sign > 0 else a - b, x.den * y.den)
+
+
+@pytest.mark.parametrize("domain", ["Q", "Q(i)", "Q(alpha)"])
+@pytest.mark.parametrize("seed", range(3))
+def test_rational_function_sums_over_one_den_match_the_cross_product(seed, domain):
+    rng = random.Random(4000 * seed + len(domain))
+    coeff = DOMAINS[domain][0]
+    shared = 0
+    for _ in range(12):
+        x = _rational_function(rng, domain)
+        # a numerator with a common factor of x.den cancels to a smaller den
+        y = RationalFunction(_poly(rng, coeff), x.den)
+        ys = [y, x, -x, RationalFunction(x.den * coeff(rng) + x.num, x.den)]
+        for y in ys:
+            shared += y.den == x.den
+            for sign, op in ((1, operator.add), (-1, operator.sub)):
+                assert _form(op(x, y)) == _form(_cross_sum(x, y, sign)), (x, y)
+    assert shared >= 40
+
+
+@pytest.mark.parametrize("domain", ["Q", "Q(i)", "Q(alpha)"])
+@pytest.mark.parametrize("seed", range(3))
+def test_quotient_fraction_sums_over_one_den_keep_equality_and_zero(seed, domain):
+    rng = random.Random(5000 * seed + len(domain))
+    qctx = _context(domain)
+    coeff = DOMAINS[domain][0]
+    for _ in range(4):
+        x = _quotient_fraction(rng, domain, qctx)
+        z = _quotient_fraction(rng, domain, qctx)
+        for y in (QuotientFraction(qctx, _multipoly(rng, coeff, size=5), x.den), x, -x):
+            # a zero numerator resets its den to 1
+            assert y.den == x.den or y.is_zero
+            for sign, op in ((1, operator.add), (-1, operator.sub)):
+                got, want = op(x, y), _cross_sum(x, y, sign)
+                _assert_reduced(got)
+                assert got == want and want == got
+                assert got.is_zero == want.is_zero
+                assert (got == z) == (want == z) and (got == x) == (want == x)
+        assert (x - x).is_zero and (x + x).is_zero == x.is_zero
+
+
+def test_a_sum_over_one_den_forms_no_den_product(monkeypatch):
+    products = []
+    for cls in (Poly, MultiPoly):
+        def counting(self, other, real=cls.__mul__):
+            products.append((self, other))
+            return real(self, other)
+        monkeypatch.setattr(cls, "__mul__", counting)
+
+    def squares(den):
+        return sum(type(p) is type(den) and type(q) is type(den) and p == den and q == den
+                   for p, q in products)
+
+    t = Poly.x("t")
+    b = t * t + 1
+    rf = [RationalFunction(t, b), RationalFunction(Poly.constant("t", 3), b)]
+    qctx = _context("Q")
+    rho, tau = MultiPoly.gen(V, "rho"), MultiPoly.gen(V, "tau")
+    d = rho + 2
+    qf = [QuotientFraction(qctx, tau, d), QuotientFraction(qctx, rho, d)]
+    for (x, y), den in ((rf, b), (qf, d)):
+        products.clear()
+        x + y, x - y, y + x
+        assert squares(den) == 0, den
+        # the counter sees the den product of two different dens
+        other = x._new(y.num, den + 1)
+        products.clear()
+        x + other
+        assert squares(den) == 0 and (den, other.den) in products, den

@@ -3,6 +3,7 @@ import itertools
 import random
 from fractions import Fraction
 from math import gcd, isqrt
+from operator import mul
 
 import pytest
 
@@ -894,3 +895,119 @@ def test_lattice_invariants_match_whole_matrix_smith_form():
         assert got == _whole_matrix_invariants(gram), gram
         deltas.add(inv.delta)
     assert deltas == {None, 0, 1}
+
+
+# -- the closed forms against the loops they replaced -----------------------------
+
+
+# The per-candidate loop that tn_obstruction_evidence replaced, kept verbatim
+# as the oracle: all six minors and their gcd for every candidate, where the
+# closed form takes gcd(a1^2 + a2^2, n) once per (a1, a2).
+def _minor_gcd_tn_obstruction_evidence(n, bound=12):
+    if bound < 0:
+        raise ValueError("evidence bound must be nonnegative")
+    rng = range(-bound, bound + 1)
+    by_norm = {}
+    for a3 in rng:
+        for a4 in rng:
+            by_norm.setdefault(a3 * a3 + a4 * a4, []).append((a3, a4))
+    candidates = 0
+    primitive = 0
+    for a1 in rng:
+        for a2 in rng:
+            for a3, a4 in by_norm.get(a1 * a1 + a2 * a2 - n, ()):
+                candidates += 1
+                if minor_gcd((a1, a2, a3, a4)) == 1:
+                    primitive += 1
+    return {"bound": bound, "candidates": candidates,
+            "primitive_found": primitive}
+
+
+def test_tn_obstruction_evidence_matches_the_minor_gcd_loop():
+    for n in range(1, 61):
+        for bound in range(13):
+            assert tn_obstruction_evidence(n, bound) == \
+                _minor_gcd_tn_obstruction_evidence(n, bound), (n, bound)
+
+
+# The matrix forms that certificate_basis replaced, kept verbatim as the
+# oracle: J, the Gaussian scaling and the Hermitian products through
+# BLOCK_J and the Gram.
+def _matrix_certificate_basis(gram):
+    gram = _int_matrix(gram)
+    if len(gram) != 4 or len(gram[0]) != 4:
+        return None
+    n, m, b, c = gram[0][0] // 2, gram[3][3] // 2, gram[0][2], gram[0][3]
+    if (gram != gaussian_block_gram(n, m, b, c) or b % 2 or c % 2
+            or 4 * n * m - b * b - c * c != -4 or not (n % 2 or m % 2)):
+        return None
+
+    def j(v):
+        return mat_vec(BLOCK_J, v)
+
+    def scale(k, v):
+        # the Gaussian multiple k v, in real coordinates
+        return [k[0] * vi + k[1] * jvi for vi, jvi in zip(v, j(v))]
+
+    def h(v, w):
+        # v^T G w = 2 Re h(v, w), and v^T G Jw = 2 Re h(v, i w) = -2 Im h(v, w)
+        gv = mat_vec(gram, v)
+        return sum(map(mul, gv, w)) // 2, -sum(map(mul, gv, j(w))) // 2
+
+    alpha, beta = ((1 - b // 2, c // 2), (n, 0)) if n else ((1, 0), (0, 0))
+    d, s, t = _gaussian_xgcd(alpha, beta)
+    e = lattices._gaussian_quotient(alpha, d) + lattices._gaussian_quotient(beta, d)
+    # s alpha + t beta = d, so the Gaussian determinant of (e, f) is 1
+    f = [-t[0], -t[1], s[0], s[1]]
+    r = (1 - h(f, f)[0]) // 2
+    u = h(e, f)
+    x = [fi + ki for fi, ki in zip(f, scale((r * u[0], r * u[1]), e))]
+    y = [ei - ki for ei, ki in zip(e, scale(h(x, e), x))]
+    jx, jy = j(x), j(y)
+    p = [[x[i], jx[i], y[i], jy[i]] for i in range(4)]
+    if abs(mat_det(p)) != 1 or mat_mul(mat_transpose(p), mat_mul(gram, p)) != AMBIENT_GRAM:
+        raise AssertionError("constructed certificate fails for %r" % (gram,))
+    return p
+
+
+def _block_grams(bound):
+    """Every J-invariant block Gram of determinant 16 and signature (2, 2)
+    with |n|, |b|, |c| <= bound, m solved from 4nm - b^2 - c^2 = -4."""
+    rng = range(-bound, bound + 1)
+    out = []
+    for n, b, c in itertools.product(rng, rng, rng):
+        rhs = b * b + c * c - 4
+        if n and rhs % (4 * n) == 0:
+            out.append(gaussian_block_gram(n, rhs // (4 * n), b, c))
+    return out
+
+
+def test_certificate_basis_matches_the_matrix_forms():
+    r = rank4_classification_check()
+    assert len(r.delta_one) == 90
+    for t, p in r.delta_one:
+        assert p == _matrix_certificate_basis(gaussian_block_gram(*t)), t
+    # past the classification box, with its delta-zero Grams and large entries
+    rng = random.Random(38)
+    grams = _block_grams(12)
+    for _ in range(60):
+        g = (rng.randint(-10 ** 20, 10 ** 20), rng.randint(-10 ** 20, 10 ** 20))
+        norm1 = g[0] ** 2 + g[1] ** 2 - 1
+        grams += [gaussian_block_gram(k, norm1 // k, 2 * g[0], -2 * g[1])
+                  for k in (1, -1, 2, 4) if norm1 % k == 0]
+    found = 0
+    for gram in grams:
+        p = certificate_basis(gram)
+        assert p == _matrix_certificate_basis(gram), gram
+        found += p is not None
+    assert 0 < found < len(grams)
+
+
+def test_a_perturbed_j_fails_the_certificate_check(monkeypatch):
+    # J with its two Gaussian coordinates swapped: the built columns are no
+    # longer Jx and Jy, and the full P^T G P check must see it
+    grams = [gaussian_block_gram(*t) for t, _ in rank4_classification_check().delta_one]
+    monkeypatch.setattr(lattices, "_block_j", lambda v: [-v[3], v[2], -v[1], v[0]])
+    for gram in grams:
+        with pytest.raises(AssertionError, match="constructed certificate fails"):
+            certificate_basis(gram)
