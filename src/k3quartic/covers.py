@@ -396,14 +396,13 @@ def _twist_root(s, root_choice):
     return field, w0
 
 
-def _untwist(scaled, field, w0):
-    """(U / w0^2, V / w0^3) over `field` from (U / s, V / s) over Q: with
+def _untwist(scaled, w0):
+    """(U / w0^2, V / w0^3) over w0's field from (U / s, V / s) over Q: with
     w0^4 = s these are w0^2 U / s and w0 V / s, so w0 is never inverted.
-    Each rational numerator is scaled by its power of w0 and the
-    denominator embedded; the pairs stay reduced, since a gcd over Q stays
+    Each rational numerator is scaled by its power of w0 over the same
+    rational denominator; the pairs stay reduced, since a gcd over Q stays
     the gcd over the extension and a nonzero scaling keeps them coprime."""
-    emb = field.from_rational
-    return tuple(RationalFunction(x.num * w, x.den.map_coeffs(emb), _reduced=True)
+    return tuple(RationalFunction(x.num * w, x.den, _reduced=True)
                  for x, w in zip(scaled, (w0 * w0, w0)))
 
 
@@ -470,8 +469,8 @@ def sum_at_root_choice(total, s, root_choice):
     "residual"}."""
     if total is EC_INFINITY:
         return {"u": None, "v": None, "on_curve": True, "residual": None}
-    field, w0 = _twist_root(s, root_choice)
-    u_lam, v_lam = _untwist(total, field, w0)
+    _, w0 = _twist_root(s, root_choice)
+    u_lam, v_lam = _untwist(total, w0)
     # v_lam^2 - u_lam (u_lam^2 - f) = w0^2 (v^2 + f u) - w0^6 u^3, and
     # w0^6 = w0^2 s since w0^4 == s: products over Q, then one scaling
     u, v = total

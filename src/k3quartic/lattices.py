@@ -20,9 +20,11 @@ odd), with no Smith form or signature taken.  The certificate basis
 isotropic vector read off the form, completed to a basis and diagonalised
 by Euclid in Z[i], so it exists for every integer point, not only inside a
 box; J, the Gaussian scalings and the Hermitian products take closed forms
-on the four real coordinates.  The rank-4 grid solves m by one exact
-division and the t_n evidence looks its candidates up in a table of sums
-of two squares.
+on the four real coordinates.  The rank-two realizations' `j_apply` is
+D BLOCK_J D for the isometry D = diag(1, -1, 1, 1) of diag(2,2,-2,-2), so
+both complex structures realize the same n.  The rank-4 grid solves m by
+one exact division and the t_n evidence looks its candidates up in a table
+of sums of two squares.
 """
 
 from itertools import chain
@@ -640,8 +642,9 @@ def certificate_basis(gram):
     - h(f) is odd, as h is, and f + ((1 - h(f)) / 2) u e has h = 1;
     - y = e - h(f, e) f is orthogonal to f, with h(y) = -1.
 
-    The basis is checked in full (|det P| = 1 and P^T G P), and a failure
-    raises AssertionError."""
+    The basis is checked in full (|det P| = 1, P^T G P, and its second and
+    fourth columns BLOCK_J x and BLOCK_J y, which P^T G P cannot tell from
+    -J), and a failure raises AssertionError."""
     gram = _int_matrix(gram)
     if len(gram) != 4 or len(gram[0]) != 4:
         return None
@@ -679,7 +682,8 @@ def certificate_basis(gram):
     y = [ei - ki for ei, ki in zip(e, scale(h(x, e), x))]
     jx, jy = _block_j(x), _block_j(y)
     p = [[x[i], jx[i], y[i], jy[i]] for i in range(4)]
-    if abs(mat_det(p)) != 1 or mat_mul(mat_transpose(p), mat_mul(gram, p)) != AMBIENT_GRAM:
+    if (abs(mat_det(p)) != 1 or mat_mul(mat_transpose(p), mat_mul(gram, p)) != AMBIENT_GRAM
+            or mat_vec(BLOCK_J, x) != jx or mat_vec(BLOCK_J, y) != jy):
         raise AssertionError("constructed certificate fails for %r" % (gram,))
     return p
 

@@ -126,7 +126,7 @@ def _untwisted_branch(twist, root_choice):
     """One branch (u, v) of the two-section on the standard member over the
     root choice's field, with that field and its w0."""
     field, w0 = covers._twist_root(twist.s, root_choice)
-    u, v = covers._untwist((twist.u / twist.s, twist.v / twist.s), field, w0)
+    u, v = covers._untwist((twist.u / twist.s, twist.v / twist.s), w0)
     return field, w0, u, v
 
 

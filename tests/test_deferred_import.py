@@ -16,31 +16,50 @@ from k3quartic.cli import SUITES
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
-# every name the package re-exports
-PACKAGE_NAMES = (
-    "FieldContext", "FieldElement", "ReducibilityError", "eighth_root_field",
-    "gaussian_field", "quartic_root_field", "sqrt_field", "with_imaginary_unit",
-    "Poly", "RationalFunction", "poly_gcd", "poly_nth_root", "rational_roots",
-    "squarefree_decompose",
-    "MultiPoly", "QuotientContext", "QuotientFraction",
-    "ALPHA", "ALPHA_INFINITY", "Stable", "Unstable", "build_quartic",
-    "singular_points", "stability",
-    "WeierstrassFibration", "classify_fibers", "degeneration_model",
-    "form_scaling_order", "parity_refine", "shioda_tate_bound", "standard_family",
-    "twist_minimize",
-    "CurveMap", "CurveModel", "base_elliptic_rhs", "ec_add", "j_invariant",
-    "on_curve", "quotient_map", "verify_involution",
-    "Inconclusive", "IsogenousToE", "NotDetected", "cm_isogeny_check",
-    "period_ratio_numeric", "tau_from_cubic",
-    "ContainedInBranch", "CoverDoesNotSplit", "CoverSplits", "Parametrization",
-    "SPLIT_PARAM_QUARTIC", "SPLIT_PARAM_SEXTIC", "displayed_section",
-    "fourth_power_test", "verify_cover_map",
-    "Obstructed", "RealizationVector", "gram_build", "kummer_tn",
-    "lattice_invariants", "neron_severi_gram", "rank4_classification_check",
-    "tn_gram", "tn_search", "transcendental_gram",
-    "GroupMembershipReport", "cayley", "fricke_checks", "gaussian_form_check",
-    "inverse_cayley", "membership", "period_point", "su11_samples",
-)
+# public names by their modules, frozen: each has the one import path
+# k3quartic.<module>.<name>, and none resolves from the package root
+FORMER_PACKAGE_NAMES = {
+    "fields": (
+        "FieldContext", "FieldElement", "ReducibilityError", "eighth_root_field",
+        "gaussian_field", "quartic_root_field", "sqrt_field", "with_imaginary_unit",
+    ),
+    "polynomials": (
+        "Poly", "RationalFunction", "poly_gcd", "poly_nth_root", "rational_roots",
+        "squarefree_decompose",
+    ),
+    "multipoly": ("MultiPoly", "QuotientContext", "QuotientFraction"),
+    "quartic": (
+        "ALPHA", "ALPHA_INFINITY", "Stable", "Unstable", "build_quartic",
+        "singular_points", "stability",
+    ),
+    "fibration": (
+        "WeierstrassFibration", "classify_fibers", "degeneration_model",
+        "form_scaling_order", "parity_refine", "shioda_tate_bound", "standard_family",
+        "twist_minimize",
+    ),
+    "curves": (
+        "CurveMap", "CurveModel", "base_elliptic_rhs", "ec_add", "j_invariant",
+        "on_curve", "quotient_map", "verify_involution",
+    ),
+    "periods": (
+        "Inconclusive", "IsogenousToE", "NotDetected", "cm_isogeny_check",
+        "period_ratio_numeric", "tau_from_cubic",
+    ),
+    "covers": (
+        "ContainedInBranch", "CoverDoesNotSplit", "CoverSplits", "Parametrization",
+        "SPLIT_PARAM_QUARTIC", "SPLIT_PARAM_SEXTIC", "displayed_section",
+        "fourth_power_test", "verify_cover_map",
+    ),
+    "lattices": (
+        "Obstructed", "RealizationVector", "gram_build", "kummer_tn",
+        "lattice_invariants", "neron_severi_gram", "rank4_classification_check",
+        "tn_gram", "tn_search", "transcendental_gram",
+    ),
+    "moduli": (
+        "GroupMembershipReport", "cayley", "fricke_checks", "gaussian_form_check",
+        "inverse_cayley", "membership", "period_point", "su11_samples",
+    ),
+}
 
 # runs cli.main(argv) and reports on stderr whether mpmath and the test-only
 # oracles got loaded
@@ -95,17 +114,17 @@ FRONT_END = "k3quartic.cli k3quartic.report k3quartic.serialize"
 
 # the library modules each subcommand executes besides FRONT_END, and its exit
 EXECUTED_MODULES = [
-    (("analyze", "81/49"), "fibration multipoly polynomials quartic", 0),
-    (("fibers", "81/49"), "fibration multipoly polynomials quartic", 0),
-    (("verify", "fibers"), "fibration multipoly polynomials quartic", 0),
-    (("verify", "chain"), "fibration multipoly polynomials quartic", 0),
-    (("verify", "pencil"), "multipoly polynomials quartic", 0),
+    (("analyze", "81/49"), "fibration multipoly polynomials quartic zx", 0),
+    (("fibers", "81/49"), "fibration multipoly polynomials quartic zx", 0),
+    (("verify", "fibers"), "fibration multipoly polynomials quartic zx", 0),
+    (("verify", "chain"), "fibration multipoly polynomials quartic zx", 0),
+    (("verify", "pencil"), "multipoly polynomials quartic zx", 0),
     (("lattice", "invariants", "--gram", "N"), "lattices", 0),
     (("lattice", "tn", "--n", "7"), "lattices", 0),
-    (("split",), "covers curves fields multipoly polynomials quartic", 0),
-    (("verify", "cover"), "covers curves fields multipoly polynomials quartic", 0),
-    (("moduli", "--check", "all"), "fields lattices moduli polynomials", 0),
-    (("cm", "--beta4", "7/9"), "curves fields multipoly periods polynomials", 0),
+    (("split",), "covers curves fields multipoly polynomials quartic zx", 0),
+    (("verify", "cover"), "covers curves fields multipoly polynomials quartic zx", 0),
+    (("moduli", "--check", "all"), "fields lattices moduli polynomials zx", 0),
+    (("cm", "--beta4", "7/9"), "curves fields multipoly periods polynomials zx", 0),
     (("analyze", "1/2/3"), "", 2),
 ]
 
@@ -135,21 +154,20 @@ def test_package_import_executes_no_module():
     # them all; cli is not, since python -m k3quartic.cli runs it as __main__
     assert registered.split() == ["k3quartic.%s" % m for m in (
         "covers", "curves", "fibration", "fields", "lattices", "moduli", "multipoly",
-        "periods", "polynomials", "quartic", "report", "serialize")]
+        "periods", "polynomials", "quartic", "report", "serialize", "zx")]
 
 
 def test_package_names_resolve_to_their_modules():
-    import types
+    import importlib
 
     import k3quartic
-    assert sorted(k3quartic.__all__) == sorted(PACKAGE_NAMES)
-    assert set(PACKAGE_NAMES) <= set(dir(k3quartic))
-    for name in PACKAGE_NAMES:
-        module = getattr(k3quartic, k3quartic._MODULE_OF[name])
-        assert isinstance(module, types.ModuleType)
-        assert getattr(k3quartic, name) is getattr(module, name)
-    with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
-        k3quartic.no_such_name
+    for module, names in FORMER_PACKAGE_NAMES.items():
+        owner = importlib.import_module("k3quartic." + module)
+        for name in names:
+            assert hasattr(owner, name), (module, name)
+            assert not hasattr(k3quartic, name), name
+    with pytest.raises(AttributeError, match="no attribute 'tn_search'"):
+        k3quartic.tn_search
 
 
 def test_module_run_raises_no_warning():
@@ -160,8 +178,9 @@ def test_module_run_raises_no_warning():
 
 
 def test_package_names_import_without_mpmath():
-    proc = python("-c", "import sys\nfrom k3quartic import %s\n"
-                        "assert 'mpmath' not in sys.modules" % ", ".join(PACKAGE_NAMES))
+    imports = "".join("from k3quartic.%s import %s\n" % (module, ", ".join(names))
+                      for module, names in FORMER_PACKAGE_NAMES.items())
+    proc = python("-c", "import sys\n" + imports + "assert 'mpmath' not in sys.modules")
     assert proc.returncode == 0, proc.stderr
 
 

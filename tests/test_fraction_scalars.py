@@ -268,6 +268,19 @@ def test_a_den_of_one_holds_the_int_one_over_every_field():
             assert _form((a + plain).den) == one and _form((plain + a).den) == one
 
 
+@pytest.mark.parametrize("seed", range(3))
+def test_a_rational_den_has_one_form_in_every_field(seed):
+    # x over Q and x with its coefficients in Q(i) share one den: their sum,
+    # difference and product take the same typed form in both orders
+    rng = random.Random(6000 + seed)
+    for _ in range(12):
+        x = _rational_function(rng, "Q")
+        y = x.map_coeffs(QI.from_rational)
+        assert _form(y.den) == _form(x.den), x
+        for op in (operator.add, operator.sub, operator.mul):
+            assert _form(op(x, y)) == _form(op(y, x)), (x, op)
+
+
 # -- sums over one denominator --------------------------------------------------------
 #
 # a/b + c/b is (a + c)/b, with no product of the denominators.  The oracle is
@@ -347,3 +360,4 @@ def test_a_sum_over_one_den_forms_no_den_product(monkeypatch):
         products.clear()
         x + other
         assert squares(den) == 0 and (den, other.den) in products, den
+

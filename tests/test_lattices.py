@@ -517,6 +517,19 @@ def test_j_structure():
         assert g[0][0] == g[1][1] == 2 * form_value(a)
 
 
+def test_j_apply_is_block_j_conjugated_by_an_isometry():
+    # D = diag(1, -1, 1, 1) preserves the ambient form and carries the pair
+    # (a, j_apply(a)) to (Da, BLOCK_J Da): both structures realize the same n
+    d = [[1, 0, 0, 0], [0, -1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]
+    assert mat_mul(mat_transpose(d), mat_mul(AMBIENT_GRAM, d)) == AMBIENT_GRAM
+    for a in itertools.product(range(-3, 4), repeat=4):
+        da = mat_vec(d, a)
+        jda = mat_vec(BLOCK_J, da)
+        assert list(j_apply(a)) == mat_vec(d, jda), a
+        pair = mat_transpose([da, jda])
+        assert mat_mul(mat_transpose(pair), mat_mul(AMBIENT_GRAM, pair)) == pair_gram(a), a
+
+
 def test_kummer_lattices():
     assert kummer_tn(1) == [[4, 0], [0, 4]]
     # diag(4,4) is the n=2 Gram, which the family never realizes
@@ -1008,6 +1021,17 @@ def test_a_perturbed_j_fails_the_certificate_check(monkeypatch):
     # longer Jx and Jy, and the full P^T G P check must see it
     grams = [gaussian_block_gram(*t) for t, _ in rank4_classification_check().delta_one]
     monkeypatch.setattr(lattices, "_block_j", lambda v: [-v[3], v[2], -v[1], v[0]])
+    for gram in grams:
+        with pytest.raises(AssertionError, match="constructed certificate fails"):
+            certificate_basis(gram)
+
+
+def test_minus_j_fails_the_certificate_check(monkeypatch):
+    # (x, -Jx, y, -Jy) has the same Gram as (x, Jx, y, Jy), so only the
+    # comparison of the built columns with BLOCK_J x and BLOCK_J y sees -J
+    grams = [gaussian_block_gram(*t) for t, _ in rank4_classification_check().delta_one]
+    assert len(grams) == 90
+    monkeypatch.setattr(lattices, "_block_j", lambda v: [v[1], -v[0], v[3], -v[2]])
     for gram in grams:
         with pytest.raises(AssertionError, match="constructed certificate fails"):
             certificate_basis(gram)

@@ -18,15 +18,11 @@ from k3quartic.fields import (
     with_imaginary_unit,
 )
 from k3quartic.quartic import ALPHA
-from k3quartic import polynomials
+from k3quartic import polynomials, zx
 from k3quartic.polynomials import (
     Poly,
     RationalFunction,
     _cancel_common,
-    _eval_mod,
-    _is_prime,
-    _lifted_roots,
-    _zz_derivative,
     certified_factors,
     poly_gcd,
     poly_nth_root,
@@ -35,6 +31,7 @@ from k3quartic.polynomials import (
     scalar_nth_root,
     squarefree_decompose,
 )
+from k3quartic.zx import _eval_mod, _is_prime, _lifted_roots, _zz_derivative
 
 lam = Poly.x("lam")
 
@@ -427,8 +424,8 @@ def _horner_roots_and_cofactor(p):
     work = Poly(p.var, ints)
     if max(ints) == 0:
         return out, work
-    v = polynomials._split_content([ints.get(e, 0) for e in range(max(ints) + 1)])[1]
-    cands = sorted(set(polynomials._root_candidates(v)), key=_root_order)
+    v = zx._split_content([ints.get(e, 0) for e in range(max(ints) + 1)])[1]
+    cands = sorted(set(zx._root_candidates(v)), key=_root_order)
     for r in cands:
         if work.degree <= 0:
             break
@@ -500,7 +497,8 @@ def test_certified_factors():
 
 
 REPEATED_ROOT_FACTORS = """\
-from k3quartic.polynomials import Poly, certified_factors, _lifted_roots
+from k3quartic.polynomials import Poly, certified_factors
+from k3quartic.zx import _lifted_roots
 lam = Poly.x("lam")
 print(certified_factors((lam - 1) ** 2 * (lam ** 2 + 3) * (lam + 5)))
 h = ((lam - 1) ** 2 * (lam ** 2 + 3) * (lam ** 2 - lam + 10)).nums
@@ -692,10 +690,10 @@ def _heu_gcd(f, g):
     xi = 2 * min(max(map(abs, f)), max(map(abs, g))) + 29
     for _ in range(7):
         n = math.gcd(_int_horner(f, xi), _int_horner(g, xi))
-        h = polynomials._split_content(_symmetric_digits(n, xi))[1]
-        cf = polynomials._zz_divexact(f, h)
+        h = zx._split_content(_symmetric_digits(n, xi))[1]
+        cf = zx._zz_divexact(f, h)
         if cf is not None:
-            cg = polynomials._zz_divexact(g, h)
+            cg = zx._zz_divexact(g, h)
             if cg is not None:
                 return h, cf, cg
         xi = xi * 73794 * math.isqrt(math.isqrt(xi)) // 27011
@@ -731,7 +729,7 @@ def test_zz_gcd_matches_gcdheu_and_sympy():
     assert max(len(f) for f, _ in cases) > 129
     assert max(abs(c).bit_length() for f, _ in cases for c in f) >= 1000
     for f, g in cases:
-        h, cf, cg = polynomials._zz_gcd(f, g)
+        h, cf, cg = zx._zz_gcd(f, g)
         assert (_int_product([h, cf]) if cf else []) == f, (f, g)
         assert (_int_product([h, cg]) if cg else []) == g, (f, g)
         expected = sympy.Poly(f[::-1] or [0], x, domain=sympy.ZZ).gcd(
@@ -739,7 +737,7 @@ def test_zz_gcd_matches_gcdheu_and_sympy():
         expected = [int(c) for c in reversed(expected.all_coeffs())]
         assert h == (expected if expected[-1] > 0 else [-c for c in expected]), (f, g)
         if f and g:
-            pf, pg = polynomials._split_content(f)[1], polynomials._split_content(g)[1]
+            pf, pg = zx._split_content(f)[1], zx._split_content(g)[1]
             heu = _heu_gcd(pf, pg)
             assert heu is None or heu[0] == h, (f, g)
 
@@ -748,10 +746,10 @@ def test_modular_gcd_skips_a_prime_with_a_common_root():
     # x - a and x - a - P are coprime over Q, but at the first table prime P
     # they share the root a: the degree-1 image there gives x - a, which
     # only the exact division rejects, and the next prime proves coprimality
-    P = next(polynomials._primes())
+    P = next(zx._primes())
     f, g = [-12345, 1], [-12345 - P, 1]
-    assert len(polynomials._gf_gcd([c % P for c in f], [c % P for c in g], P)) == 2
-    h, cf, cg = polynomials._zz_gcd(f, g)
+    assert len(zx._gf_gcd([c % P for c in f], [c % P for c in g], P)) == 2
+    h, cf, cg = zx._zz_gcd(f, g)
     assert h == [1] and cf == f and cg == g
     assert poly_gcd(Poly("t", dict(enumerate(f))), Poly("t", dict(enumerate(g)))) == 1
 
@@ -759,10 +757,10 @@ def test_modular_gcd_skips_a_prime_with_a_common_root():
 def test_modular_gcd_skips_a_prime_dividing_a_leading_entry():
     # gcd = P t + 1; mod P both inputs lose their top degree and the images
     # t + 3 and t - 5 would read as coprime
-    P = next(polynomials._primes())
+    P = next(zx._primes())
     f = _int_product([[1, P], [3, 1]])
     g = _int_product([[1, P], [-5, 1]])
-    h, cf, cg = polynomials._zz_gcd(f, g)
+    h, cf, cg = zx._zz_gcd(f, g)
     assert h == [1, P] and cf == [3, 1] and cg == [-5, 1]
 
 
@@ -770,22 +768,22 @@ def test_modular_gcd_skips_an_image_of_higher_degree(monkeypatch):
     # gcd t + c with c past the first prime, so one image cannot fix it;
     # the cofactors t - 7 and t - 7 - Q share a root mod the second prime Q,
     # whose image of degree 2 arrives after the first of degree 1
-    primes = polynomials._primes()
+    primes = zx._primes()
     next(primes)
     Q = next(primes)
     c = 2 ** 100 + 3
     f = _int_product([[c, 1], [-7, 1]])
     g = _int_product([[c, 1], [-7 - Q, 1]])
     degrees = []
-    real = polynomials._gf_gcd
+    real = zx._gf_gcd
 
     def spy(a, b, p):
         w = real(a, b, p)
         degrees.append(len(w) - 1)
         return w
 
-    monkeypatch.setattr(polynomials, "_gf_gcd", spy)
-    h, cf, cg = polynomials._zz_gcd(f, g)
+    monkeypatch.setattr(zx, "_gf_gcd", spy)
+    h, cf, cg = zx._zz_gcd(f, g)
     assert degrees[:2] == [1, 2] and 2 not in degrees[2:]
     assert h == [c, 1] and cf == [-7, 1] and cg == [-7 - Q, 1]
 
@@ -795,15 +793,15 @@ def test_modular_gcd_reads_a_small_gcd_off_one_prime(monkeypatch):
     # b = 3 and read as a symmetric residue, is already the gcd; a candidate
     # that missed either step would never divide, so the spy stops the loop
     calls = []
-    real = polynomials._gf_gcd
+    real = zx._gf_gcd
 
     def spy(a, b, p):
         calls.append(p)
         assert len(calls) < 5, "more primes than a gcd of 2-bit entries needs"
         return real(a, b, p)
 
-    monkeypatch.setattr(polynomials, "_gf_gcd", spy)
-    h, cf, cg = polynomials._zz_gcd(_int_product([[-2, 3], [5, 1]]), _int_product([[-2, 3], [-4, 3]]))
+    monkeypatch.setattr(zx, "_gf_gcd", spy)
+    h, cf, cg = zx._zz_gcd(_int_product([[-2, 3], [5, 1]]), _int_product([[-2, 3], [-4, 3]]))
     assert (h, cf, cg) == ([-2, 3], [5, 1], [-4, 3]) and len(calls) == 1
 
 
@@ -819,7 +817,7 @@ def test_is_prime_is_exact_from_zero_up_and_on_strong_pseudoprimes():
     for n in (3215031751, 3825123056546413051, 561, 41041, 2 ** 62 - 55):
         assert not _is_prime(n), n
     assert _is_prime(2 ** 61 - 1) and _is_prime(2 ** 62 - 57)
-    assert next(polynomials._primes()) == 2 ** 62 - 57
+    assert next(zx._primes()) == 2 ** 62 - 57
 
 
 def test_squarefree_decompose_matches_sympy_on_content_heavy_inputs():
@@ -861,7 +859,7 @@ def _yun_on_the_whole(p):
     form = polynomials._int_form(p)
     if form is not None:
         return unit, [(polynomials._from_ints(p.var, f, qdiv(1, f[-1])), i)
-                      for f, i in polynomials._zz_yun(form[1])]
+                      for f, i in zx._zz_yun(form[1])]
     p = p.monic()
     _, c, d = polynomials._gcd_cofactors(p, p.derivative())
     d = d - c.derivative()
