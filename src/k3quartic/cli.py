@@ -249,13 +249,10 @@ def check_section_roots():
 def check_curve_identities():
     results = {}
     results["quotient_map"] = curves.quotient_map().verify()[0]
-    results["rho_inversion_involution"] = curves.verify_involution(
-        curves.genus2_curve(), curves.rho_inversion().images)[0]
-    results["order_four_twist"] = curves.automorphism_order(
-        curves.genus2_curve(), curves.order_four_twist().images) == 4
+    results["rho_inversion_involution"] = curves.verify_involution(curves.rho_inversion())[0]
+    results["order_four_twist"] = curves.automorphism_order(curves.order_four_twist()) == 4
     results["cubic_model_isomorphism"] = curves.cubic_to_exponent_four().verify()[0]
-    results["quarter_turn_order_four"] = curves.automorphism_order(
-        curves.exponent_four_model(), curves.quarter_turn().images) == 4
+    results["quarter_turn_order_four"] = curves.automorphism_order(curves.quarter_turn()) == 4
     results["genus2_rescale"] = curves.rescale_genus2_check()
     results["quotient_negation"] = curves.quotient_negation_check()
     bad = sorted(k for k, v in results.items() if not v)
@@ -663,6 +660,19 @@ def _load_parametrization(path):
         if key not in data:
             raise UsageError("parametrization file must define %r" % key)
         coords.append(polynomials.Poly(var, _param_coeffs(key, data[key])))
+    # a Parametrization is a map r -> (x : y : z) with coprime coordinates: a
+    # shared factor would add its places to the split report, and coprime
+    # coordinates that are not all constant give a map that is not constant.
+    # As for split's places, no cheap bound on the factor's coefficients is
+    # known, so one past MAX_PRINTED_DIGITS is named by its degree
+    if all(c.degree <= 0 for c in coords):
+        raise UsageError("x, y and z are all constant: the map is constant")
+    g = polynomials.poly_gcd(polynomials.poly_gcd(coords[0], coords[1]), coords[2])
+    if g.degree > 0:
+        limit = 10 ** MAX_PRINTED_DIGITS
+        printable = all(abs(c) < limit for c in (*g.nums.values(), g.den))
+        raise UsageError("x, y and z share the factor %s" % g if printable
+                         else "x, y and z share a factor of degree %d" % g.degree)
     return covers.Parametrization(*coords, name=path)
 
 
@@ -719,11 +729,18 @@ def cmd_split(args):
 # keeps cm interactive: 2^16 bits take under half a second, 2^20 bits took
 # about half a minute
 MAX_PRECISION_BITS = 2 ** 16
+# keeps j printable (MAX_PRINTED_DIGITS): with a = 2(1 + beta^4), j is
+# 256 (16 - 3a)^3 / (a^2 (16 - 4a)), about three times the digits of beta^4,
+# at most 4204 for a numerator and a denominator of 1400 digits
+MAX_BETA4_DIGITS = 1400
 
 
 def cmd_cm(args):
     import mpmath
     beta4 = _parse_rational_flag(args.beta4, "--beta4")
+    if max(abs(beta4.numerator), beta4.denominator) >= 10 ** MAX_BETA4_DIGITS:
+        raise UsageError("--beta4 must have a numerator and a denominator of at most "
+                         "%d digits" % MAX_BETA4_DIGITS)
     precision = args.precision
     if precision < 32:
         raise UsageError("--precision must be at least 32 bits")

@@ -1,11 +1,13 @@
 """Curve models, rational maps between them, and exact map verification.
 
 A curve here is one affine equation head^power = rhs over a named variable
-tuple (extra names in the tuple act as free parameters).  Maps are dicts
-sending each target variable to a rational expression in the source
-variables; verification substitutes the map into the target equation and
-reduces in the source coordinate ring, so a pass is an exact identity, not a
-numerical check.
+tuple (extra names in the tuple act as free parameters), and a curve model is
+its coordinate ring: a ``CurveModel`` is the one-relation ``QuotientContext``
+that rewrites head^power to rhs.  Maps are dicts sending each target variable
+to a rational expression in the source variables; verification substitutes
+the map into the target equation and reduces in the source ring, so a pass is
+an exact identity, not a numerical check.  Rings compare by identity, so each
+concrete model is built once and every map on it lives in that one ring.
 
 The concrete models: the genus-2 curve tau^2 = rho(rho^4 + 2 beta^4 rho^2 + 1),
 its degree-2 quotient v^2 = u^3 + 4u^2 + 2(1+beta^4)u, the j=1728 cubic
@@ -13,6 +15,7 @@ y^2 = x^3 - x, and the exponent-4 model w1^4 = z1^2 - 1.
 """
 
 from fractions import Fraction
+from functools import lru_cache
 
 from .fields import gaussian_field, imaginary_unit, sqrt_field
 from .multipoly import MultiPoly, QuotientContext, QuotientFraction
@@ -21,40 +24,27 @@ from .polynomials import Poly, qdiv
 
 def _as_qf(ctx, value):
     if isinstance(value, QuotientFraction):
-        if value.qctx.vars != ctx.vars:
-            raise TypeError("expression over the wrong variables")
+        if value.qctx is not ctx:
+            raise TypeError("expression over another ring")
         return value
     return QuotientFraction(ctx, value)
 
 
-class CurveModel:
-    """head^power = rhs over vars; rhs must not involve the head variable."""
+class CurveModel(QuotientContext):
+    """The ring of head^power = rhs over vars; rhs must not involve the head
+    variable, and power is at least 2 (both checked by QuotientContext)."""
 
-    __slots__ = ("vars", "head", "power", "rhs", "_ctx")
+    __slots__ = ("head", "power", "rhs")
 
     def __init__(self, vars, head, power, rhs):
-        self.vars = tuple(vars)
-        if head not in self.vars:
-            raise ValueError("head %r not among %r" % (head, self.vars))
-        if rhs.vars != self.vars:
-            raise ValueError("rhs is over the wrong variable tuple")
-        if rhs.degree_in(head) > 0:
-            raise ValueError("rhs must not involve the head variable")
-        self.head = head
-        self.power = power
-        self.rhs = rhs
-        self._ctx = None
-
-    def context(self):
-        if self._ctx is None:
-            self._ctx = QuotientContext(self.vars, [(self.head, self.power, self.rhs)])
-        return self._ctx
+        super().__init__(vars, [(head, power, rhs)])
+        self.head, self.power, self.rhs = self.relations[0]
 
     def equation(self):
         return MultiPoly.gen(self.vars, self.head, self.power) - self.rhs
 
     def q(self, name):
-        return QuotientFraction.gen(self.context(), name)
+        return QuotientFraction.gen(self, name)
 
     def __repr__(self):
         return "CurveModel(%s^%d = %s)" % (self.head, self.power, self.rhs)
@@ -72,11 +62,10 @@ class CurveMap:
     def __init__(self, source, target, images):
         self.source = source
         self.target = target
-        ctx = source.context()
         filled = {}
         for name in target.vars:
             if name in images:
-                filled[name] = _as_qf(ctx, images[name])
+                filled[name] = _as_qf(source, images[name])
             elif name in source.vars:
                 filled[name] = source.q(name)
             else:
@@ -85,14 +74,13 @@ class CurveMap:
 
     def verify(self):
         """(passes, residual): the target equation pulled back, fully reduced."""
-        ctx = self.source.context()
-        residual = _as_qf(ctx, self.target.equation().evaluate(self.images))
+        residual = _as_qf(self.source, self.target.equation().evaluate(self.images))
         return residual.is_zero, residual
 
     def __eq__(self, other):
         if not isinstance(other, CurveMap):
             return NotImplemented
-        if self.source.vars != other.source.vars or self.target.vars != other.target.vars:
+        if self.source is not other.source or self.target is not other.target:
             return False
         return all(self.images[n] == other.images[n] for n in self.target.vars)
 
@@ -102,20 +90,18 @@ class CurveMap:
         return "CurveMap{%s}" % body
 
 
-def _substitute_qf(qf, assignment, out_ctx):
+def _substitute_qf(qf, assignment, ring):
     num = qf.num.evaluate(assignment)
     den = qf.den.evaluate(assignment)
-    return _as_qf(out_ctx, num) / _as_qf(out_ctx, den)
+    return _as_qf(ring, num) / _as_qf(ring, den)
 
 
 def compose(outer, inner):
-    """outer after inner; inner.target and outer.source must share variables."""
-    if inner.target.vars != outer.source.vars:
-        raise TypeError("maps do not chain: %r vs %r"
-                        % (inner.target.vars, outer.source.vars))
-    ctx = inner.source.context()
+    """outer after inner; inner.target must be outer.source."""
+    if inner.target is not outer.source:
+        raise TypeError("maps do not chain: %r vs %r" % (inner.target, outer.source))
     images = {
-        name: _substitute_qf(img, inner.images, ctx)
+        name: _substitute_qf(img, inner.images, inner.source)
         for name, img in outer.images.items()
     }
     return CurveMap(inner.source, outer.target, images)
@@ -125,22 +111,20 @@ def identity_map(curve):
     return CurveMap(curve, curve, {n: curve.q(n) for n in curve.vars})
 
 
-def verify_involution(curve, images):
-    """Check an endomorphism preserves the curve and squares to the identity."""
-    m = CurveMap(curve, curve, images)
+def verify_involution(m):
+    """Check an endomorphism preserves its curve and squares to the identity."""
     preserves, residual = m.verify()
-    squares = compose(m, m) == identity_map(curve)
+    squares = compose(m, m) == identity_map(m.source)
     return preserves and squares, {"preserves": preserves, "residual": residual,
                                    "squares_to_identity": squares}
 
 
-def automorphism_order(curve, images):
-    """Order of the curve automorphism given by `images`, searched up to 12."""
-    m = CurveMap(curve, curve, images)
+def automorphism_order(m):
+    """Order of the curve automorphism m, searched up to 12."""
     ok, residual = m.verify()
     if not ok:
         raise ValueError("map does not preserve the curve: residual %r" % residual)
-    ident = identity_map(curve)
+    ident = identity_map(m.source)
     acc = m
     for k in range(1, 13):
         if acc == ident:
@@ -155,6 +139,7 @@ G2_VARS = ("rho", "tau", "beta")
 WB_VARS = ("u", "v", "beta")
 
 
+@lru_cache(maxsize=None)
 def genus2_curve():
     """tau^2 = rho(rho^4 + 2 beta^4 rho^2 + 1), beta a free parameter."""
     rho = MultiPoly.gen(G2_VARS, "rho")
@@ -176,6 +161,7 @@ def rescale_genus2_check():
     return (lhs * b ** 10 - rhs).is_zero
 
 
+@lru_cache(maxsize=None)
 def base_elliptic():
     """v^2 = u^3 + 4u^2 + 2(1+beta^4)u, the quotient target."""
     u = MultiPoly.gen(WB_VARS, "u")
@@ -230,6 +216,7 @@ def quotient_negation_check():
     return left == right
 
 
+@lru_cache(maxsize=None)
 def minus_x_cubic():
     """y^2 = x^3 - x."""
     V = ("x", "y")
@@ -237,6 +224,7 @@ def minus_x_cubic():
     return CurveModel(V, "y", 2, x ** 3 - x)
 
 
+@lru_cache(maxsize=None)
 def exponent_four_model():
     """w1^4 = z1^2 - 1."""
     V = ("z1", "w1")

@@ -388,7 +388,7 @@ class QuotientFraction(FractionArithmetic):
     def _lift(self, other):
         if isinstance(other, MultiPoly):
             return QuotientFraction(self.qctx, other)
-        if other.qctx is not self.qctx and other.qctx.vars != self.qctx.vars:
+        if other.qctx is not self.qctx:  # rings compare by identity
             raise TypeError("mixed quotient contexts")
         return other
 

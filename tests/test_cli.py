@@ -13,9 +13,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from k3quartic.cli import (MAX_ALPHA_DIGITS, MAX_DET_DIGITS, MAX_PARAM_DEGREE,
-                           MAX_PRECISION_BITS, MAX_PRINTED_DIGITS, MAX_TN_DIGITS,
-                           SUITES, main)
+from k3quartic.cli import (MAX_ALPHA_DIGITS, MAX_BETA4_DIGITS, MAX_DET_DIGITS,
+                           MAX_PARAM_DEGREE, MAX_PRECISION_BITS, MAX_PRINTED_DIGITS,
+                           MAX_TN_DIGITS, SUITES, main)
 from k3quartic.lattices import MAX_GRAM_RANK
 
 
@@ -474,6 +474,47 @@ class TestSplit:
         assert code == 2
         assert "'z'" in err
 
+    # a shared factor added its places to the report: the built-in sextic
+    # times (r + 2) gave profile [4, 4, 4, 4] with the place r + 2, and
+    # (r, 2r, 3r) "split" with the place r
+    @pytest.mark.parametrize("coords, factor", [
+        ({"x": [[0, "98"], [1, "-147"], [3, "49"]], "y": [[2, "126"], [3, "-189"], [5, "63"]],
+          "z": [[2, "288"], [3, "-48"], [4, "354"], [5, "-99"], [7, "81"]]}, "r + 2"),
+        ({"x": [[1, "1"]], "y": [[1, "2"]], "z": [[1, "3"]]}, "r"),
+        ({"x": [], "y": [[2, "1"], [0, "1"]], "z": [[3, "1"], [1, "1"]]}, "r^2 + 1"),
+    ], ids=["sextic-times-r-plus-2", "line-through-a-point", "zero-x"])
+    def test_rejects_a_shared_factor(self, capsys, tmp_path, coords, factor):
+        f = tmp_path / "shared.json"
+        f.write_text(json.dumps(coords))
+        code, out, err = run(capsys, "split", "--param", str(f))
+        assert code == 2
+        assert out == ""
+        assert err == "error: x, y and z share the factor %s\n" % factor
+
+    def test_names_an_unprintable_shared_factor_by_its_degree(self, capsys, tmp_path,
+                                                              monkeypatch):
+        from k3quartic import cli
+
+        monkeypatch.setattr(cli, "MAX_PRINTED_DIGITS", 0)
+        f = tmp_path / "shared.json"
+        f.write_text(json.dumps({"x": [[1, "1"]], "y": [[1, "2"]], "z": [[1, "3"]]}))
+        code, _, err = run(capsys, "split", "--param", str(f))
+        assert code == 2
+        assert err == "error: x, y and z share a factor of degree 1\n"
+
+    @pytest.mark.parametrize("coords", [
+        {"x": [[0, "1"]], "y": [[0, "1"]], "z": [[0, "1"]]},
+        {"x": [], "y": [[0, "2/3"]], "z": []},
+    ], ids=["ones", "zeros-and-a-constant"])
+    def test_rejects_constant_coordinates(self, capsys, tmp_path, coords):
+        # (1, 1, 1) reported ContainedInBranch and exited 1
+        f = tmp_path / "constant.json"
+        f.write_text(json.dumps(coords))
+        code, out, err = run(capsys, "split", "--param", str(f))
+        assert code == 2
+        assert out == ""
+        assert err == "error: x, y and z are all constant: the map is constant\n"
+
 
 class TestCm:
     def test_square_lattice_member(self, capsys):
@@ -531,6 +572,27 @@ class TestCm:
                                 "--precision", str(MAX_PRECISION_BITS))
         assert code == 0
         assert rep["inputs"]["precision"] == MAX_PRECISION_BITS
+
+    # a split member 1 - w^2/8 whose numerator has 1442 digits printed a
+    # traceback: its j has about three times the digits of beta^4, past
+    # CPython's 4300-digit limit on int-to-str conversion
+    @pytest.mark.parametrize("beta4", [
+        "%d/8" % (8 - w * w) for w in (10 ** (MAX_BETA4_DIGITS // 2) + 1, 10 ** 720 + 1)
+    ] + ["1/%d" % 10 ** MAX_BETA4_DIGITS],
+        ids=["numerator-1401", "numerator-1442", "denominator-1401"])
+    def test_rejects_a_beta4_over_the_digit_cap(self, capsys, beta4):
+        code, out, err = run(capsys, "cm", "--beta4", beta4)
+        assert code == 2
+        assert out == ""
+        assert err == ("error: --beta4 must have a numerator and a denominator of at "
+                       "most %d digits\n" % MAX_BETA4_DIGITS)
+
+    def test_beta4_at_the_digit_cap(self, capsys):
+        w = 4 * 10 ** (MAX_BETA4_DIGITS // 2 - 1) + 1
+        assert len(str(w * w - 8)) == MAX_BETA4_DIGITS
+        code, rep, _ = run_json(capsys, "cm", "--beta4", "%d/8" % (8 - w * w))
+        assert code in (0, 1)
+        assert len(rep["results"]["j"]) > 4000
 
     def test_precision_above_ceiling_exits_at_once(self):
         # uncapped, 5000000 bits ran for longer than 20 s
@@ -690,6 +752,13 @@ _ALPHAS = st.one_of(
     _NOT_NUMBERS,
 )
 
+# split members 1 - w^2/8, w of up to 800 digits (beta^4 of up to about
+# 1600, past the cap), beside the typed alphas
+_BETA4S = st.one_of(
+    _signed_ints(800).map(lambda w: "%d/8" % (8 - w * w)),
+    _ALPHAS,
+)
+
 _SUMMANDS = st.tuples(
     st.sampled_from(["N", "T", "U", "A1", "E7", "E8", "n", ""]),
     st.one_of(st.none(), _signed_ints().map(str), _NOT_NUMBERS),
@@ -703,6 +772,7 @@ _ARGVS = st.one_of(
     st.lists(_SUMMANDS, min_size=1, max_size=4).map(
         lambda parts: ["lattice", "invariants", "--gram", "+".join(parts)]),
     st.one_of(_signed_ints().map(str), _NOT_NUMBERS).map(lambda n: ["lattice", "tn", "--n", n]),
+    _BETA4S.map(lambda b: ["cm", "--beta4=" + b]),
 )
 
 # JSON values of the wrong kind: bools, floats (inf and nan included), null,

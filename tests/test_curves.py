@@ -5,6 +5,7 @@ import pytest
 from k3quartic.curves import (
     EC_INFINITY,
     CurveMap,
+    CurveModel,
     _as_qf,
     automorphism_order,
     base_elliptic,
@@ -16,6 +17,7 @@ from k3quartic.curves import (
     genus2_curve,
     identity_map,
     j_invariant,
+    minus_x_cubic,
     negation_map,
     on_curve,
     order_four_twist,
@@ -27,7 +29,7 @@ from k3quartic.curves import (
     verify_involution,
 )
 from k3quartic.fields import gaussian_field, imaginary_unit
-from k3quartic.multipoly import MultiPoly, QuotientFraction
+from k3quartic.multipoly import MultiPoly, QuotientContext, QuotientFraction
 from k3quartic.polynomials import Poly, poly_gcd, rational_roots
 
 
@@ -126,18 +128,18 @@ def test_perturbed_quotient_map_fails():
 
 
 def test_rho_inversion_is_involution():
-    ok, detail = verify_involution(genus2_curve(), rho_inversion().images)
+    ok, detail = verify_involution(rho_inversion())
     assert ok
     assert detail["preserves"] and detail["squares_to_identity"]
-    assert automorphism_order(genus2_curve(), rho_inversion().images) == 2
+    assert automorphism_order(rho_inversion()) == 2
 
 
 def test_order_four_twist():
-    ok, detail = verify_involution(genus2_curve(), order_four_twist().images)
+    ok, detail = verify_involution(order_four_twist())
     assert not ok
     assert detail["preserves"]
     assert not detail["squares_to_identity"]
-    assert automorphism_order(genus2_curve(), order_four_twist().images) == 4
+    assert automorphism_order(order_four_twist()) == 4
     # its square is exactly the hyperelliptic involution
     sq = compose(order_four_twist(), order_four_twist())
     assert sq == hyperelliptic_involution()
@@ -157,15 +159,42 @@ def test_rescale_identity():
 def test_cubic_to_exponent_four_model():
     ok, residual = cubic_to_exponent_four().verify()
     assert ok
-    assert automorphism_order(exponent_four_model(), quarter_turn().images) == 4
+    assert automorphism_order(quarter_turn()) == 4
 
 
 def test_identity_map_order():
     B = genus2_curve()
-    assert automorphism_order(B, identity_map(B).images) == 1
+    assert automorphism_order(identity_map(B)) == 1
     # maps compare by value, so they are not hashable
     with pytest.raises(TypeError):
         hash(identity_map(B))
+
+
+def test_power_one_model_is_refused_at_construction():
+    V = ("x", "y")
+    with pytest.raises(ValueError):
+        CurveModel(V, "y", 1, MultiPoly.gen(V, "x"))
+
+
+def test_a_model_is_its_ring_built_once():
+    B = genus2_curve()
+    assert isinstance(B, QuotientContext)
+    assert B.relations == (("tau", 2, B.rhs),)
+    for factory in (genus2_curve, base_elliptic, minus_x_cubic, exponent_four_model):
+        assert factory() is factory()
+    assert quotient_map().source is rho_inversion().source is B
+    assert quotient_map().target is base_elliptic()
+    assert cubic_to_exponent_four().target is quarter_turn().source
+
+
+def test_a_second_copy_of_a_curve_is_another_ring():
+    B = genus2_curve()
+    copy = CurveModel(B.vars, B.head, B.power, B.rhs)
+    assert identity_map(copy) != identity_map(B)
+    with pytest.raises(TypeError):
+        compose(rho_inversion(), identity_map(copy))
+    with pytest.raises(TypeError):
+        CurveMap(copy, B, {"rho": B.q("rho")})
 
 
 def test_j_invariant_values():

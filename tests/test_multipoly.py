@@ -1,3 +1,4 @@
+import operator
 import random
 from fractions import Fraction
 
@@ -161,6 +162,23 @@ def test_quotient_fraction_zero_denominator():
     t = QuotientFraction(ctx, tau)
     with pytest.raises(ZeroDivisionError):
         t / (t * t - (rho ** 3 - rho))
+
+
+def test_quotient_fractions_of_two_rings_never_mix():
+    # t^2 = x in c1 and no relation in c2, over one variable tuple: matched
+    # by variable names, a == b was False but b == a True, and a - b was
+    # t^2 - x while b - a was 0
+    V2 = ("x", "t")
+    x2, t2 = MultiPoly.gen(V2, "x"), MultiPoly.gen(V2, "t")
+    c1 = QuotientContext(V2, [("t", 2, x2)])
+    c2 = QuotientContext(V2, [])
+    a, b = QuotientFraction(c2, t2 ** 2), QuotientFraction(c1, x2)
+    assert not a == b and not b == a
+    for op in (operator.add, operator.sub, operator.mul, operator.truediv):
+        with pytest.raises(TypeError):
+            op(a, b)
+        with pytest.raises(TypeError):
+            op(b, a)
 
 
 def test_two_relation_context():
