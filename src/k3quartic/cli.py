@@ -756,7 +756,11 @@ def cmd_cm(args):
     except ValueError as exc:
         # a smooth member whose cubic has fewer than three rational roots
         raise UsageError("unsupported member: %s" % exc)
-    res = periods.cm_isogeny_check(pr.tau, precision_bits=precision)
+    if j in curves.CM_J_INVARIANTS:
+        res = periods.cm_isogeny_check(pr.tau, precision_bits=precision)
+    else:  # decided by the exact j: no numeric residual takes part
+        res = periods.NotDetected("j = %s is none of the 13 rational CM j-invariants"
+                                  % rat_str(j))
     ledger = Ledger()
     inputs = {"beta4": rat_str(beta4), "precision": precision}
     results = {

@@ -30,13 +30,7 @@ no root choice multiplies two polynomials over the field.
 from collections import namedtuple
 from fractions import Fraction
 
-from .curves import EC_INFINITY, ec_add
-from .fields import (
-    gaussian_field,
-    imaginary_unit,
-    quartic_root_field,
-    with_imaginary_unit,
-)
+from . import curves, fields
 from .multipoly import MultiPoly, QuotientContext, QuotientFraction
 from .polynomials import (
     Poly,
@@ -84,7 +78,7 @@ def verify_cover_map(perturb=False):
     if perturb:
         w = tau * w1
     else:
-        i = imaginary_unit(gaussian_field())
+        i = fields.imaginary_unit(fields.gaussian_field())
         w = tau * w1 * (1 + i) ** -1
 
     residual = w ** 4 - quartic_at(x, y, z, alpha)
@@ -302,8 +296,8 @@ def _rf_fourth_power_data(h):
 def _fourth_root_in_theta_field(s, root_choice):
     """An element w0 of Q(theta) (or Q(theta, i) for odd choices) with
     w0^4 = s, for s = +/- RADICAND^j; the root choice rotates by i^k."""
-    field = (quartic_root_field(RADICAND) if root_choice % 2 == 0
-             else with_imaginary_unit("quartic_root", RADICAND))
+    field = (fields.quartic_root_field(RADICAND) if root_choice % 2 == 0
+             else fields.with_imaginary_unit("quartic_root", RADICAND))
     sign = -1 if s < 0 else 1
     rest, j = _radicand_valuation(abs(s)) if s else (0, 0)
     if rest != 1 or j >= 4:
@@ -318,7 +312,7 @@ def _fourth_root_in_theta_field(s, root_choice):
         if root_choice % 2 == 0:
             w0 = w0 * field.from_rational((-1) ** (root_choice // 2 % 2))
         else:
-            w0 = w0 * imaginary_unit(field) ** (root_choice % 4)
+            w0 = w0 * fields.imaginary_unit(field) ** (root_choice % 4)
     return field, w0
 
 
@@ -452,12 +446,12 @@ def twist_sum(twist):
     Adds (U, V) and its r -> -r image on V^2 = U^3 - s f U, descends the
     invariant sum to the lam-line and divides it by s: the standard-curve
     sum over a root choice's field is then (w0^2 u, w0 v) for the returned
-    (u, v).  EC_INFINITY when the branches are opposite.
+    (u, v).  curves.EC_INFINITY when the branches are opposite.
     """
     u_p, v_p = twist.u, twist.v
     u_m, v_m = _negate_variable_rf(u_p), _negate_variable_rf(v_p)
-    total = ec_add((u_p, v_p), (u_m, v_m), -twist.s * _weierstrass_f(twist.lam_of_r))
-    if total is EC_INFINITY:
+    total = curves.ec_add((u_p, v_p), (u_m, v_m), -twist.s * _weierstrass_f(twist.lam_of_r))
+    if total is curves.EC_INFINITY:
         return total
     return tuple(even_descend(x, twist.r_squared_in_lam) / twist.s for x in total)
 
@@ -467,7 +461,7 @@ def sum_at_root_choice(total, s, root_choice):
     exact Weierstrass residual against v^2 = u^3 - lam^3 (lam^2 + 2 lam +
     alpha)^2 u over that field.  Returns {"u", "v", "on_curve",
     "residual"}."""
-    if total is EC_INFINITY:
+    if total is curves.EC_INFINITY:
         return {"u": None, "v": None, "on_curve": True, "residual": None}
     _, w0 = _twist_root(s, root_choice)
     u_lam, v_lam = _untwist(total, w0)
@@ -489,7 +483,7 @@ def displayed_section():
     t^3/7529536 = 2^-6 7^-21/4).  Returns {"u", "v"} as rational functions of
     lam over Q(7^(1/4)).
     """
-    field = quartic_root_field(RADICAND)
+    field = fields.quartic_root_field(RADICAND)
     t = field.gen()
     lam = Poly.x("lam")
     a = 27 + 7 * lam

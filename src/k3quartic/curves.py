@@ -17,7 +17,7 @@ y^2 = x^3 - x, and the exponent-4 model w1^4 = z1^2 - 1.
 from fractions import Fraction
 from functools import lru_cache
 
-from .fields import gaussian_field, imaginary_unit, sqrt_field
+from . import fields
 from .multipoly import MultiPoly, QuotientContext, QuotientFraction
 from .polynomials import Poly, qdiv
 
@@ -198,7 +198,7 @@ def order_four_twist():
     """(rho, tau) -> (-rho, i tau); squares to the hyperelliptic involution."""
     B = genus2_curve()
     rho, tau = B.q("rho"), B.q("tau")
-    i = imaginary_unit(gaussian_field())
+    i = fields.imaginary_unit(fields.gaussian_field())
     return CurveMap(B, B, {"rho": -rho, "tau": i * tau})
 
 
@@ -237,18 +237,28 @@ def cubic_to_exponent_four():
     C = minus_x_cubic()
     M = exponent_four_model()
     x, y = C.q("x"), C.q("y")
-    s2 = sqrt_field(2).gen()
+    s2 = fields.sqrt_field(2).gen()
     return CurveMap(C, M, {"z1": (x + 1 / x) / 2, "w1": (s2 ** -1) * y / x})
 
 
 def quarter_turn():
     """(z1, w1) -> (z1, i w1) on the exponent-4 model; order 4."""
     M = exponent_four_model()
-    i = imaginary_unit(gaussian_field())
+    i = fields.imaginary_unit(fields.gaussian_field())
     return CurveMap(M, M, {"w1": i * M.q("w1")})
 
 
 # -- invariants and the group law ---------------------------------------------
+
+
+# the 13 rational j-invariants of elliptic curves with complex multiplication,
+# one per imaginary quadratic order of class number one, by its discriminant;
+# a curve over Q has CM exactly when its j is one of them
+CM_J_INVARIANTS = {
+    0: -3, 1728: -4, -3375: -7, 8000: -8, -32768: -11, 54000: -12, 287496: -16,
+    -884736: -19, -12288000: -27, 16581375: -28, -884736000: -43,
+    -147197952000: -67, -262537412640768000: -163,
+}
 
 
 def j_invariant(rhs):

@@ -12,17 +12,18 @@ Shioda-Tate sums are exact without ever adjoining roots.
 The standard family's derivation is certified in two places: the coordinate
 chain down to v^2 = u^3 - 4 beta u, beta symbolic, by the ledger entry
 weierstrass_reduction_chain; the twist to f = lam^3 A^2 by standard_family, on
-every call, as one cross-multiplied polynomial identity between the two
-fractions 4 beta and s = 2/(lam A), with no rational-function quotient.
+every call, as one degree-6 polynomial identity: the cross-multiplied identity
+between the two fractions 4 beta and s = 2/(lam A), with the common nonzero
+factor (lam A)^2 cancelled and no rational-function quotient.
 """
 
-from collections import Counter
 from fractions import Fraction
 
 from .multipoly import MultiPoly, QuotientContext, QuotientFraction
 from .polynomials import (
     Poly,
     RationalFunction,
+    _new,
     certified_factors,
     poly_nth_root,
     qdiv,
@@ -161,10 +162,13 @@ def classify_fibers(f):
         for piece, certified in _split_location(p):
             fibers.append(KodairaFiber(piece, piece.degree, m, certified))
     # deterministic order: finite places by (k, degree, printed location),
-    # where only a tie on (k, degree) prints a location; infinity last
-    tied = Counter((fb.k, fb.degree) for fb in fibers)
-    fibers.sort(key=lambda fb: (fb.k, fb.degree, str(fb.location))
-                if tied[fb.k, fb.degree] > 1 else (fb.k, fb.degree))
+    # where locations are printed only when two places tie on (k, degree);
+    # infinity last
+    keys = [(fb.k, fb.degree) for fb in fibers]
+    if len(set(keys)) == len(keys):
+        fibers.sort(key=lambda fb: (fb.k, fb.degree))
+    else:
+        fibers.sort(key=lambda fb: (fb.k, fb.degree, str(fb.location)))
     k_inf = (-f.degree) % 4
     if k_inf:
         fibers.append(KodairaFiber("infinity", 1, k_inf))
@@ -235,13 +239,15 @@ def standard_beta(alpha=ALPHA):
     The denominator is written out, not multiplied: for alpha = n/d,
     lam A^2 = (d^2 lam^5 + 4 d^2 lam^4 + (4 d^2 + 2 n d) lam^3 + 4 n d lam^2
     + n^2 lam) / d^2, with n = alpha and d = 1 outside Q, so a rational alpha
-    takes integer arithmetic only.  A constant over this monic denominator is
+    takes integer arithmetic only.  Over Q these numerators over d^2 are
+    built as they stand: they are in lowest terms, since gcd(n, d) = 1 and
+    n^2 is the lam coefficient.  A constant over this monic denominator is
     already the reduced pair."""
-    n, d = (alpha.numerator, alpha.denominator) if type(alpha) in (int, Fraction) else (alpha, 1)
+    rational = type(alpha) in (int, Fraction)
+    n, d = (alpha.numerator, alpha.denominator) if rational else (alpha, 1)
     dd, nd = d * d, n * d
-    den = Poly("lam", {5: dd, 4: 4 * dd, 3: 4 * dd + 2 * nd, 2: 4 * nd, 1: n * n})
-    if dd != 1:
-        den = den * Fraction(1, dd)
+    nums = {5: dd, 4: 4 * dd, 3: 4 * dd + 2 * nd, 2: 4 * nd, 1: n * n}
+    den = _new("lam", {e: c for e, c in nums.items() if c}, dd) if rational else Poly("lam", nums)
     return RationalFunction(Poly.constant("lam", 4), den, _reduced=True)
 
 
@@ -254,17 +260,19 @@ def standard_family(alpha=ALPHA):
     (s^2 u, s^3 v) by s = 2/(lam A), which sends g = 4*standard_beta(alpha)
     to g / s^4, takes g to f.  As both denominators are nonzero, g / s^4 = f
     exactly when 4 beta.num (lam A)^4 = 2^4 f beta.den, that is when
-    beta.num (lam A)^4 = 4 f beta.den.  (lam A)^4 is the square of the
-    (lam A)^2 in f, and no quotient, gcd or division runs.
+    beta.num (lam A)^4 = 4 lam (lam A)^2 beta.den.  Both sides share the
+    factor (lam A)^2, nonzero in the integral domain of polynomials over the
+    coefficient field, so cancelling it gives the equivalent identity
+    beta.num (lam A)^2 = 4 lam beta.den, of degree 6 where the uncancelled one
+    has degree 12.  No quotient, gcd or division runs.
     """
     lam = Poly.x("lam")
     lam_a = lam * _pencil_poly(alpha)
     lam_a2 = lam_a * lam_a
-    f = lam * lam_a2
     beta = standard_beta(alpha)
-    if beta.num * (lam_a2 * lam_a2) != 4 * (f * beta.den):
+    if beta.num * lam_a2 != 4 * (lam * beta.den):
         raise AssertionError("twist transport failed to reach the standard family")
-    return WeierstrassFibration(f)
+    return WeierstrassFibration(lam * lam_a2)
 
 
 # -- degenerations ----------------------------------------------------------

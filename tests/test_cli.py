@@ -594,6 +594,26 @@ class TestCm:
         assert code in (0, 1)
         assert len(rep["results"]["j"]) > 4000
 
+    # split members 1 - w^2/8 have tau within about 1/w of i, and the
+    # numeric relation check accepted that tiny residual as IsogenousToE
+    # (at w = 4 * 10^699 + 1 even at 53 bits); their exact j is none of the
+    # 13 rational CM values, and that alone decides the verdict
+    @pytest.mark.parametrize("w, precision", [
+        (10 ** 20 + 1, 128), (10 ** 40 + 1, 128), (4 * 10 ** 699 + 1, 53),
+    ], ids=["w-21", "w-41", "w-700"])
+    def test_a_member_near_the_square_lattice_has_no_cm(self, capsys, w, precision):
+        code, rep, _ = run_json(capsys, "cm", "--beta4", "%d/8" % (8 - w * w),
+                                "--precision", str(precision))
+        assert code == 0
+        res = rep["results"]
+        assert res["verdict"] == {
+            "kind": "NotDetected",
+            "reason": "j = %s is none of the 13 rational CM j-invariants" % res["j"],
+            "witness": None,
+        }
+        assert [e["checkName"] for e in rep["verificationLedger"]] == [
+            "tau_in_upper_half_plane", "verdict_structured"]
+
     def test_precision_above_ceiling_exits_at_once(self):
         # uncapped, 5000000 bits ran for longer than 20 s
         proc = run_subprocess("cm", "--beta4=1/2", "--precision", "5000000",

@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 
 from k3quartic.curves import (
+    CM_J_INVARIANTS,
     EC_INFINITY,
     CurveMap,
     CurveModel,
@@ -207,6 +208,22 @@ def test_j_invariant_values():
         j_invariant(x ** 2 - 1)
     with pytest.raises(ValueError):
         j_invariant(2 * x ** 3 - 1)
+
+
+def test_cm_j_table_matches_the_numeric_j():
+    # the frozen table against mpmath's Klein j (test-only oracle): j_D is
+    # 1728 kleinj(tau) at tau = (D + sqrt(D))/2, the generator of the order
+    # of discriminant D, and the 13 discriminants are those of class number one
+    import mpmath
+
+    assert sorted(CM_J_INVARIANTS.values(), reverse=True) == [
+        -3, -4, -7, -8, -11, -12, -16, -19, -27, -28, -43, -67, -163]
+    with mpmath.workdps(60):
+        for j, disc in CM_J_INVARIANTS.items():
+            tau = (disc + mpmath.sqrt(mpmath.mpf(disc))) / 2
+            numeric = 1728 * mpmath.kleinj(tau)
+            assert abs(numeric.imag) < mpmath.mpf(10) ** -30, disc
+            assert abs(numeric.real - j) < mpmath.mpf(10) ** -30, (disc, numeric)
 
 
 def test_quotient_target_has_j_1728():

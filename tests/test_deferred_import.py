@@ -121,10 +121,10 @@ EXECUTED_MODULES = [
     (("verify", "pencil"), "multipoly polynomials quartic zx", 0),
     (("lattice", "invariants", "--gram", "N"), "lattices", 0),
     (("lattice", "tn", "--n", "7"), "lattices", 0),
-    (("split",), "covers curves fields multipoly polynomials quartic zx", 0),
-    (("verify", "cover"), "covers curves fields multipoly polynomials quartic zx", 0),
+    (("split",), "covers multipoly polynomials quartic zx", 0),
+    (("verify", "cover"), "covers fields multipoly polynomials quartic zx", 0),
     (("moduli", "--check", "all"), "fields lattices moduli polynomials zx", 0),
-    (("cm", "--beta4", "7/9"), "curves fields multipoly periods polynomials zx", 0),
+    (("cm", "--beta4", "7/9"), "curves multipoly periods polynomials zx", 0),
     (("analyze", "1/2/3"), "", 2),
 ]
 

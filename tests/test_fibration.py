@@ -111,6 +111,52 @@ def test_standard_family_check_matches_the_quotient_oracle(alpha, c):
                 standard_family(alpha)
 
 
+@pytest.mark.parametrize("alpha", [Fraction(81, 49), ALPHA], ids=["81/49", "ALPHA"])
+def test_standard_family_multiplies_nothing_above_degree_seven(monkeypatch, alpha):
+    # the twist check cancels (lam A)^2: no product reaches the degree 12 of
+    # (lam A)^4; the highest is f = lam (lam A)^2 itself
+    degrees = []
+    mul = Poly.__mul__
+
+    def recording_mul(self, other):
+        degrees.append(self.degree + (other.degree if isinstance(other, Poly) else 0))
+        return mul(self, other)
+
+    monkeypatch.setattr(Poly, "__mul__", recording_mul)
+    monkeypatch.setattr(Poly, "__rmul__", recording_mul)
+    A = Poly("lam", {2: 1, 1: 2, 0: alpha})
+    assert standard_family(alpha).f == LAM ** 3 * A ** 2
+    assert max(degrees) == 7
+
+
+@pytest.mark.parametrize("alpha", [
+    Fraction(5), 0, -2, Fraction(81, 49), Fraction(-7, 3), Fraction(-1, 3),
+    Fraction(10000004400000259, 10000003799999461),
+])
+def test_standard_beta_builds_its_denominator_in_lowest_terms(alpha):
+    # the numerators over d^2 equal the Poly scaled by 1/d^2 that the
+    # denominator used to be, in the same lowest-terms form
+    alpha = Fraction(alpha)
+    n, d = alpha.numerator, alpha.denominator
+    dd, nd = d * d, n * d
+    scaled = Poly("lam", {5: dd, 4: 4 * dd, 3: 4 * dd + 2 * nd, 2: 4 * nd, 1: n * n})
+    if dd != 1:
+        scaled = scaled * Fraction(1, dd)
+    den = standard_beta(alpha).den
+    assert (den.nums, den.den) == (scaled.nums, scaled.den)
+    assert den == LAM * Poly("lam", {2: 1, 1: 2, 0: alpha}) ** 2
+
+
+def test_fiber_order_of_a_member_with_a_tie():
+    # alpha = 3/4 splits A into two rational I0* places tied on (k, degree)
+    cfg = standard_family(Fraction(3, 4)).classify()
+    assert [(str(fb.location), fb.type) for fb in cfg.fibers] == [
+        ("lam + 1/2", "I0*"), ("lam + 3/2", "I0*"), ("lam", "III*"), ("infinity", "III")]
+    cfg = standard_family().classify()
+    assert [(str(fb.location), fb.type) for fb in cfg.fibers] == [
+        ("lam^2 + 2*lam + alpha", "I0*"), ("lam", "III*"), ("infinity", "III")]
+
+
 def fiber_at_infinity(cfg):
     for fb in cfg.fibers:
         if fb.location == "infinity":
