@@ -109,13 +109,7 @@ def _encode_cm_verdict(res):
             "witness": list(res.witness),
             "residual": mpmath.nstr(res.residual, 8),
         }
-    if isinstance(res, periods.NotDetected):
-        return {
-            "kind": "NotDetected",
-            "reason": res.reason,
-            "witness": list(res.witness) if res.witness else None,
-        }
-    return {"kind": "Inconclusive", "detail": res.detail}
+    return {"kind": "NotDetected", "reason": res.reason, "witness": None}
 
 
 def _encode_invariants(inv):
@@ -378,10 +372,9 @@ def check_cm_square_lattice():
     close = dist < mpmath.mpf("1e-12")
     rhs = curves.base_elliptic_rhs(Fraction(7, 9))
     j = curves.j_invariant(rhs)
-    res = periods.cm_isogeny_check(periods.tau_from_cubic(rhs, precision_bits=128).tau,
-                                   precision_bits=128)
+    res = periods.cm_verdict(j, periods.tau_from_cubic(rhs, precision_bits=128).tau)
     ok = (close and j == 1728 and isinstance(res, periods.IsogenousToE)
-          and res.conductor == 1)
+          and res.conductor == 1 and res.residual < periods.acceptance_bound(128))
     return ok, "|tau - i| = %s, j = %s, verdict %r" % (
         mpmath.nstr(dist, 5), rat_str(j), res)
 
@@ -756,11 +749,7 @@ def cmd_cm(args):
     except ValueError as exc:
         # a smooth member whose cubic has fewer than three rational roots
         raise UsageError("unsupported member: %s" % exc)
-    if j in curves.CM_J_INVARIANTS:
-        res = periods.cm_isogeny_check(pr.tau, precision_bits=precision)
-    else:  # decided by the exact j: no numeric residual takes part
-        res = periods.NotDetected("j = %s is none of the 13 rational CM j-invariants"
-                                  % rat_str(j))
+    res = periods.cm_verdict(j, pr.tau, precision_bits=precision)
     ledger = Ledger()
     inputs = {"beta4": rat_str(beta4), "precision": precision}
     results = {

@@ -1,18 +1,18 @@
-"""Period-lattice identification.
+"""Period ratios, and the CM verdict that the exact j-invariant decides.
 
-Exact data goes in, as a triple of rational roots; what comes out is a
-period ratio with a stated error bound and, from that, an integer quadratic
-relation detected at a threshold (`acceptance_bound`) far above the noise
-floor, so a positive identification is never an artifact of rounding.
-Everything numeric runs through mpmath at a caller-chosen precision with
-guard bits.  mpmath is imported on the first numeric call, not with this
-module, so the exact commands never load it.
+A curve over Q has CM exactly when its rational j is one of 13 values, so the
+verdict is read from that table, with no numeric search.  The period ratio tau
+is numeric, from the AGM on rational roots at a caller-chosen precision with
+guard bits; it is displayed, and its one residual against the verdict's
+witness cross-checks the exact verdict (`acceptance_bound`).  mpmath is
+imported on the first numeric call, so the exact commands never load it.
 """
 
 import math
 from collections import namedtuple
 from fractions import Fraction
 
+from .curves import CM_J_INVARIANTS
 from .polynomials import rational_roots
 from .serialize import rat_str
 
@@ -88,70 +88,36 @@ class IsogenousToE:
 
 
 class NotDetected:
-    __slots__ = ("reason", "witness")
+    __slots__ = ("reason",)
 
-    def __init__(self, reason, witness=None):
+    def __init__(self, reason):
         self.reason = reason
-        self.witness = witness
 
     def __repr__(self):
         return "NotDetected(%s)" % self.reason
 
 
-class Inconclusive:
-    __slots__ = ("detail",)
+def cm_verdict(j, tau, precision_bits=128):
+    """Whether the curve with rational j-invariant j is isogenous to C/Z[i].
 
-    def __init__(self, detail):
-        self.detail = detail
-
-    def __repr__(self):
-        return "Inconclusive(%s)" % self.detail
-
-
-def cm_isogeny_check(tau, max_conductor=10, precision_bits=128):
-    """Look for a primitive integer relation a tau^2 + b tau + c = 0, a >= 1.
-
-    The acceptance threshold `acceptance_bound` sits far above the noise floor
-    of a tau computed at precision_bits, and far below any spurious residual
-    for small coefficients, so a hit below it is structural.  Residuals in the
-    band up to 2^(-precision_bits/4) come back Inconclusive rather than as a
-    detection.  Discriminant -4 m^2 identifies the conductor-m case.
+    j alone decides, from the frozen table `CM_J_INVARIANTS`: j has CM by
+    the order of discriminant D, and the order lies in Q(i) exactly when
+    D = -4 m^2, with conductor m.  tau, the curve's period ratio computed at
+    precision_bits, is then a root of the witness (1, 0, m^2) when
+    Im tau >= 1 and of (m^2, 0, 1) otherwise; the residual |a tau^2 + c| is
+    returned to cross-check the exact verdict against the numeric tau.
     """
-    if max_conductor < 1:
-        raise ValueError("max_conductor must be >= 1")
+    D = CM_J_INVARIANTS.get(j)
+    if D is None:
+        return NotDetected("j = %s is none of the 13 rational CM j-invariants"
+                           % rat_str(j))
+    m = math.isqrt(-D // 4)
+    if D != -4 * m * m:
+        return NotDetected("CM discriminant %d is not -4 m^2" % D)
     import mpmath
     with mpmath.mp.workprec(precision_bits + GUARD_BITS):
         tau = mpmath.mpc(tau)
         if tau.imag <= 0:
             raise ValueError("tau must lie in the upper half plane")
-        accept = acceptance_bound(precision_bits)
-        margin = mpmath.mpf(2) ** (-(precision_bits // 4))
-        best = None
-        for a in range(1, max_conductor + 1):
-            b = int(mpmath.nint(-2 * a * tau.real))
-            c = int(mpmath.nint(a * abs(tau) ** 2))
-            if math.gcd(math.gcd(a, b), c) != 1:
-                continue
-            r = abs(a * tau ** 2 + b * tau + c)
-            if best is None or r < best[0]:
-                best = (r, (a, b, c))
-        if best is None:
-            return NotDetected("no primitive candidate up to conductor %d" % max_conductor)
-        residual, (a, b, c) = best
-        if residual >= accept:
-            if residual < margin:
-                return Inconclusive("best residual %s for %r sits in the margin band"
-                                    % (mpmath.nstr(residual, 8), (a, b, c)))
-            return NotDetected("no integer relation: best residual %s"
-                               % mpmath.nstr(residual, 8), witness=(a, b, c))
-        disc = b * b - 4 * a * c
-        if disc >= 0:
-            return NotDetected("relation has nonnegative discriminant %d" % disc,
-                               witness=(a, b, c))
-        if disc % 4 == 0:
-            m2 = -disc // 4
-            m = math.isqrt(m2)
-            if m * m == m2:
-                return IsogenousToE(m, (a, b, c), float(residual))
-        return NotDetected("CM discriminant %d is not -4 m^2" % disc,
-                           witness=(a, b, c))
+        a, c = (1, m * m) if tau.imag >= 1 else (m * m, 1)
+        return IsogenousToE(m, (a, 0, c), float(abs(a * tau ** 2 + c)))

@@ -8,6 +8,7 @@ import subprocess
 import sys
 import tempfile
 from datetime import timedelta
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -16,6 +17,7 @@ from hypothesis import strategies as st
 from k3quartic.cli import (MAX_ALPHA_DIGITS, MAX_BETA4_DIGITS, MAX_DET_DIGITS,
                            MAX_PARAM_DEGREE, MAX_PRECISION_BITS, MAX_PRINTED_DIGITS,
                            MAX_TN_DIGITS, SUITES, main)
+from k3quartic.curves import CM_J_INVARIANTS, base_elliptic_rhs, j_invariant
 from k3quartic.lattices import MAX_GRAM_RANK
 
 
@@ -534,9 +536,14 @@ class TestCm:
             assert err == "error: degenerate member: singular cubic: discriminant vanishes\n"
 
     def test_unsplit_cubic_prints_rationals(self, capsys):
-        # smooth members (j = 287496 at -7/9, 8000 at 0, 0 at 5/3) whose cubic
-        # u(u^2 + 4u + a) has the one rational root 0: unsupported, not degenerate
-        for beta4 in ("81/49", "-7/9", "0", "5/3"):
+        # smooth members whose cubic u(u^2 + 4u + a) has the one rational root
+        # 0: unsupported, not degenerate.  Besides 81/49 (no CM) they are six of
+        # the seven rational beta4 with CM, by the discriminant of the order;
+        # the seventh, 7/9 (D = -4), is the one split member with CM
+        for beta4, disc in (("81/49", None), ("5/3", -3), ("65/63", -7), ("0", -8),
+                            ("-5/3", -12), ("-7/9", -16), ("-65/63", -28)):
+            rhs = base_elliptic_rhs(Fraction(beta4))
+            assert CM_J_INVARIANTS.get(j_invariant(rhs)) == disc
             code, out, err = run(capsys, "cm", "--beta4", beta4)
             assert code == 2
             assert out == ""
@@ -549,23 +556,43 @@ class TestCm:
         assert code == 2
 
     def test_odd_precision_accepts_what_the_check_accepts(self, capsys, monkeypatch):
-        # at 33 bits the check accepts residuals below 2^-16 = 2^-(33 // 2);
-        # the ledger entry must pass every relation the check accepts
+        # at 33 bits the cross-check accepts residuals below 2^-16 = 2^-(33 // 2);
+        # a tau off i by a residual |tau^2 + 1| in [2^-17, 2^-16) must pass
         import mpmath
 
         from k3quartic import periods
 
-        residual = 1.5 * 2.0 ** -17
-        monkeypatch.setattr(periods, "cm_isogeny_check",
-                            lambda tau, precision_bits: periods.IsogenousToE(
-                                1, (1, 0, 1), residual))
-        assert mpmath.mpf(2) ** -17 <= residual < mpmath.mpf(2) ** -16
+        eps = mpmath.mpf(3) * 2 ** -19
+        monkeypatch.setattr(periods, "tau_from_cubic",
+                            lambda rhs, precision_bits: periods.PeriodRatio(
+                                mpmath.mpc(0, 1 + eps), mpmath.mpf(2) ** -25))
         code, rep, _ = run_json(capsys, "cm", "--beta4", "7/9", "--precision", "33")
         assert code == 0
-        assert rep["results"]["verdict"]["kind"] == "IsogenousToE"
+        verdict = rep["results"]["verdict"]
+        assert verdict["kind"] == "IsogenousToE"
+        assert 2.0 ** -17 <= float(verdict["residual"]) < 2.0 ** -16
         entry, = [e for e in rep["verificationLedger"]
                   if e["checkName"] == "relation_residual_small"]
         assert entry["pass"]
+
+    def test_a_wrong_tau_fails_the_residual_cross_check(self, capsys, monkeypatch):
+        # j = 1728 decides the verdict, and the numeric tau still cross-checks
+        # it: a period ratio of 2i for the square-lattice member must fail
+        import mpmath
+
+        from k3quartic import periods
+
+        monkeypatch.setattr(periods, "tau_from_cubic",
+                            lambda rhs, precision_bits: periods.PeriodRatio(
+                                mpmath.mpc(0, 2), mpmath.mpf(2) ** (8 - precision_bits)))
+        code, rep, _ = run_json(capsys, "cm", "--beta4", "7/9")
+        assert code == 1
+        assert rep["results"]["verdict"]["witness"] == [1, 0, 1]
+        assert [(e["checkName"], e["pass"]) for e in rep["verificationLedger"]] == [
+            ("tau_in_upper_half_plane", True), ("relation_residual_small", False)]
+        code, rep, _ = run_json(capsys, "verify", "cm")
+        assert code == 1
+        assert [e["pass"] for e in rep["verificationLedger"]] == [False]
 
     def test_precision_ceiling_is_inclusive(self, capsys):
         code, rep, _ = run_json(capsys, "cm", "--beta4", "1/2",

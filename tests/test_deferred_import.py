@@ -42,8 +42,8 @@ FORMER_PACKAGE_NAMES = {
         "on_curve", "quotient_map", "verify_involution",
     ),
     "periods": (
-        "Inconclusive", "IsogenousToE", "NotDetected", "cm_isogeny_check",
-        "period_ratio_numeric", "tau_from_cubic",
+        "IsogenousToE", "NotDetected", "cm_verdict", "period_ratio_numeric",
+        "tau_from_cubic",
     ),
     "covers": (
         "ContainedInBranch", "CoverDoesNotSplit", "CoverSplits", "Parametrization",
