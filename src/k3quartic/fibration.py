@@ -15,6 +15,16 @@ weierstrass_reduction_chain; the twist to f = lam^3 A^2 by standard_family, on
 every call, as one degree-6 polynomial identity: the cross-multiplied identity
 between the two fractions 4 beta and s = 2/(lam A), with the common nonzero
 factor (lam A)^2 cancelled and no rational-function quotient.
+
+A fiber table is read from the squarefree decomposition of f.  For the
+standard family it is known in closed form: lam^3 A^2 is that decomposition
+exactly when lam does not divide A (A(0) = alpha != 0) and A is squarefree
+(disc A = 4(1 - alpha) != 0), the triple-point and tacnode tests of
+quartic.stability, both exact comparisons over Q, Q(i) and Q(alpha).
+standard_family certifies the two and attaches [(A, 2), (lam, 3)] to its
+fibration, and classify_fibers reads it.  Yun's algorithm still runs on a bare
+polynomial and on every fibration with nothing attached: alpha = 0 or 1, the
+degeneration members and any user-built f.
 """
 
 from fractions import Fraction
@@ -44,17 +54,22 @@ class NotTwistMinimalError(ValueError):
 
 
 class WeierstrassFibration:
-    """The family y^2 = x^3 - f(lam) x over the base line."""
+    """The family y^2 = x^3 - f(lam) x over the base line.
 
-    __slots__ = ("f",)
+    ``_factors`` is f's squarefree decomposition when standard_family
+    certified it in closed form, and None otherwise.
+    """
+
+    __slots__ = ("f", "_factors")
 
     def __init__(self, f):
         if f.is_zero:
             raise ValueError("f must be nonzero")
         self.f = f
+        self._factors = None
 
     def classify(self):
-        return classify_fibers(self.f)
+        return classify_fibers(self)
 
     def __repr__(self):
         return "WeierstrassFibration(v^2 = u^3 - (%s)*u)" % (self.f,)
@@ -147,12 +162,20 @@ def twist_minimize(f):
 
 
 def classify_fibers(f):
-    """Kodaira configuration of y^2 = x^3 - f x, f twist-minimal."""
+    """Kodaira configuration of y^2 = x^3 - f x, f twist-minimal.
+
+    f is a Poly or a WeierstrassFibration.  A fibration from standard_family
+    carries f's squarefree decomposition, certified in closed form, and that
+    is read as it stands; a bare Poly, and a fibration with nothing attached,
+    take it from Yun's algorithm (squarefree_decompose).
+    """
+    factors = None
     if isinstance(f, WeierstrassFibration):
-        f = f.f
+        f, factors = f.f, f._factors
     if f.is_zero:
         raise ValueError("f must be nonzero")
-    unit, factors = squarefree_decompose(f)
+    if factors is None:
+        factors = squarefree_decompose(f)[1]
     fibers = []
     for p, m in factors:
         if m >= 4:
@@ -265,14 +288,24 @@ def standard_family(alpha=ALPHA):
     coefficient field, so cancelling it gives the equivalent identity
     beta.num (lam A)^2 = 4 lam beta.den, of degree 6 where the uncancelled one
     has degree 12.  No quotient, gcd or division runs.
+
+    The fibration carries [(A, 2), (lam, 3)], f's squarefree decomposition
+    as squarefree_decompose gives it, when alpha != 0 (lam does not divide
+    A) and disc A = 4(1 - alpha) != 0 (A is squarefree).  At alpha = 0 or 1
+    it carries nothing: classify_fibers runs Yun's algorithm, finds a
+    multiplicity of at least 4 and raises NotTwistMinimalError.
     """
     lam = Poly.x("lam")
-    lam_a = lam * _pencil_poly(alpha)
+    a = _pencil_poly(alpha)
+    lam_a = lam * a
     lam_a2 = lam_a * lam_a
     beta = standard_beta(alpha)
     if beta.num * lam_a2 != 4 * (lam * beta.den):
         raise AssertionError("twist transport failed to reach the standard family")
-    return WeierstrassFibration(lam * lam_a2)
+    fib = WeierstrassFibration(lam * lam_a2)
+    if alpha != 0 and 4 * (1 - alpha) != 0:
+        fib._factors = [(a, 2), (lam, 3)]
+    return fib
 
 
 # -- degenerations ----------------------------------------------------------

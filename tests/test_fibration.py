@@ -4,9 +4,10 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from k3quartic import fibration
+from k3quartic import cli, fibration
 from k3quartic.fibration import (
     NotTwistMinimalError,
+    WeierstrassFibration,
     classify_fibers,
     degeneration_model,
     form_scaling_order,
@@ -155,6 +156,26 @@ def test_fiber_order_of_a_member_with_a_tie():
     cfg = standard_family().classify()
     assert [(str(fb.location), fb.type) for fb in cfg.fibers] == [
         ("lam^2 + 2*lam + alpha", "I0*"), ("lam", "III*"), ("infinity", "III")]
+
+
+def test_standard_family_classifies_without_yun(monkeypatch):
+    # standard_family attaches lam^3 A^2 as f's squarefree decomposition, so
+    # classifying its fibration, in the library or a ledger check, runs no Yun
+    def yun(f):
+        raise RuntimeError("classify_fibers ran Yun's algorithm")
+
+    monkeypatch.setattr(fibration, "squarefree_decompose", yun)
+    assert classify_fibers(standard_family(Fraction(81, 49))).total_euler == 24
+    assert standard_family().classify().total_euler == 24
+    for check in (cli.check_generic_fiber_table, cli.check_generic_euler,
+                  cli.check_picard_bounds):
+        assert check()[0] is True, check.__name__
+    # the controls: the bare f, and a fibration built from it, take Yun's path
+    f = standard_family(Fraction(81, 49)).f
+    with pytest.raises(RuntimeError, match="Yun"):
+        classify_fibers(f)
+    with pytest.raises(RuntimeError, match="Yun"):
+        WeierstrassFibration(f).classify()
 
 
 def fiber_at_infinity(cfg):

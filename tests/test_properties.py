@@ -21,12 +21,13 @@ from k3quartic.covers import (
     fourth_power_test,
 )
 from k3quartic.curves import EC_INFINITY, ec_add, on_curve
-from k3quartic.fibration import classify_fibers, standard_family
+from k3quartic.fibration import NotTwistMinimalError, classify_fibers, standard_family
 from k3quartic.fields import gaussian_field, with_imaginary_unit
 from k3quartic.lattices import Obstructed, RealizationVector, tn_gram, tn_search
 from k3quartic.moduli import cayley, inverse_cayley, m_adj, m_mul, membership, period_point, su11_samples
 from k3quartic.multipoly import MultiPoly, QuotientContext
 from k3quartic.polynomials import Poly, RationalFunction, poly_gcd, squarefree_decompose
+from k3quartic.quartic import ALPHA
 
 
 # -- polynomial factor bookkeeping --------------------------------------------
@@ -294,6 +295,58 @@ def test_tall_alphas_classify_in_time(drawn):
     assert all(fb.certified for fb in cfg.fibers)
     # a square 1 - alpha splits lam^2 + 2 lam + alpha into two rational places
     assert len([fb for fb in cfg.fibers if fb.type == "I0*"]) == (2 if square else 1)
+
+
+# -- the closed-form decomposition against Yun's algorithm ---------------------
+
+
+def _fiber_rows(cfg):
+    return [(str(fb.location), fb.degree, fb.type, fb.certified) for fb in cfg.fibers]
+
+
+def _assert_matches_yun(fib):
+    """standard_family's attached decomposition is Yun's, and classifying the
+    fibration gives the fibers, in order, that classifying its bare f does."""
+    assert fib._factors is not None
+    assert fib._factors == squarefree_decompose(fib.f)[1]
+    assert _fiber_rows(classify_fibers(fib)) == _fiber_rows(classify_fibers(fib.f))
+
+
+def test_attached_decomposition_matches_yun_on_seeded_members():
+    rng = random.Random(43)
+    for digits in range(2, 61):
+        lo, hi = 10 ** (digits - 1), 10 ** digits - 1
+        a, b = rng.randint(lo, hi), rng.randint(lo, hi)
+        for alpha in (Fraction(rng.choice((1, -1)) * a, b), 1 - Fraction(a, b) ** 2):
+            if alpha != 1:
+                _assert_matches_yun(standard_family(alpha))
+
+
+@given(_tall_alphas())
+@settings(max_examples=40, deadline=None)
+def test_attached_decomposition_matches_yun_on_tall_members(drawn):
+    _assert_matches_yun(standard_family(drawn[0]))
+
+
+_QI = gaussian_field()
+
+
+@pytest.mark.parametrize("alpha", [ALPHA, 1 + _QI.gen(), 2 * _QI.gen(),
+                                   _QI.from_rational(Fraction(3, 4))], ids=str)
+def test_attached_decomposition_matches_yun_off_q(alpha):
+    _assert_matches_yun(standard_family(alpha))
+
+
+@pytest.mark.parametrize("alpha", [0, 1, Fraction(0), Fraction(1)], ids=repr)
+def test_unstable_members_attach_nothing(alpha):
+    fib = standard_family(alpha)
+    assert fib._factors is None
+    raised = []
+    for arg in (fib, fib.f):
+        with pytest.raises(NotTwistMinimalError) as err:
+            classify_fibers(arg)
+        raised.append(str(err.value))
+    assert raised[0] == raised[1]
 
 # -- the group law on a rank-one curve ----------------------------------------
 
