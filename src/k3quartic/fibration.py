@@ -303,8 +303,10 @@ def standard_family(alpha=ALPHA):
     if beta.num * lam_a2 != 4 * (lam * beta.den):
         raise AssertionError("twist transport failed to reach the standard family")
     fib = WeierstrassFibration(lam * lam_a2)
-    if alpha != 0 and 4 * (1 - alpha) != 0:
-        fib._factors = [(a, 2), (lam, 3)]
+    if alpha != 0 and alpha != 1:
+        # lam over A's coefficient field, as squarefree_decompose builds it
+        x = lam if a.den is not None else Poly(lam.var, {1: alpha ** 0})
+        fib._factors = [(a, 2), (x, 3)]
     return fib
 
 
