@@ -27,12 +27,15 @@ polynomial and on every fibration with nothing attached: alpha = 0 or 1, the
 degeneration members and any user-built f.
 """
 
+from collections import Counter
 from fractions import Fraction
 
 from .multipoly import MultiPoly, QuotientContext, QuotientFraction
 from .polynomials import (
     Poly,
     RationalFunction,
+    _int_form,
+    _make,
     _new,
     certified_factors,
     poly_nth_root,
@@ -41,6 +44,7 @@ from .polynomials import (
     squarefree_decompose,
 )
 from .quartic import ALPHA
+from .zx import _quadratic_roots
 
 KODAIRA_BY_K = {
     1: ("III", 3, 2),
@@ -123,16 +127,26 @@ def _is_square_scalar(c):
 def _split_location(p):
     """Break a squarefree location into certified-irreducible pieces.
 
-    Returns a list of (poly, certified) pairs.  Full factorization is only
-    attempted over Q; elsewhere linear factors are trivially irreducible and
-    quadratics are certified by a discriminant non-square test when the
-    scalar domain supports it.  A quadratic that splits, or whose
-    discriminant the domain cannot decide, is reported uncertified, since
-    no root finder serves that domain.
+    Returns a list of (poly, certified) pairs.  A linear location is
+    irreducible.  A quadratic over Q is decided from its primitive integer
+    vector (c0, c1, c2) by one integer square root of c1^2 - 4 c0 c2: it is
+    irreducible, or it splits into the monic x + (c1 -+ r)/(2 c2), built from
+    integers.  From degree 3 on, Q takes certified_factors.  Over any other
+    domain a quadratic is certified by a discriminant non-square test when
+    the scalar domain supports it; one that splits, or whose discriminant
+    the domain cannot decide, is reported uncertified, since no root finder
+    serves that domain.
     """
     if p.degree == 1:
         return [(p.monic(), True)]
     if p.den is not None:  # rational coefficients
+        if p.degree == 2:
+            v = _int_form(p)[1]
+            d = 2 * v[2]
+            roots = _quadratic_roots(v)
+            if not roots:
+                return [(p.monic(), True)]
+            return [(_make(p.var, {1: d, 0: -n}, d), True) for n in roots]
         factors, residual = certified_factors(p)
         out = [(f, True) for f in factors]
         if residual is not None:
@@ -185,13 +199,11 @@ def classify_fibers(f):
         for piece, certified in _split_location(p):
             fibers.append(KodairaFiber(piece, piece.degree, m, certified))
     # deterministic order: finite places by (k, degree, printed location),
-    # where locations are printed only when two places tie on (k, degree);
-    # infinity last
-    keys = [(fb.k, fb.degree) for fb in fibers]
-    if len(set(keys)) == len(keys):
-        fibers.sort(key=lambda fb: (fb.k, fb.degree))
-    else:
-        fibers.sort(key=lambda fb: (fb.k, fb.degree, str(fb.location)))
+    # where a location is printed only when its (k, degree) ties with
+    # another place's; infinity last
+    ties = Counter((fb.k, fb.degree) for fb in fibers)
+    fibers.sort(key=lambda fb: (fb.k, fb.degree, str(fb.location)
+                                if ties[fb.k, fb.degree] > 1 else ""))
     k_inf = (-f.degree) % 4
     if k_inf:
         fibers.append(KodairaFiber("infinity", 1, k_inf))

@@ -13,9 +13,11 @@ tangency); they are detected from the equations, not hardcoded.
 A singular point is certified a node on every call: the 2x2 minors of the
 two meeting components' gradients are built once at import, from the same
 equations, as polynomials in (x, y, z, alpha), and a member evaluates them at
-(point, alpha) until one is nonzero.  alpha may be a Fraction, a
-FieldElement, or the symbol ALPHA (a rational function over Q), so the same
-code paths serve both symbolic identities and concrete members.
+(point, alpha), cheapest first, until one is nonzero: the constant minor 1
+decides line1 cap line2, and 2x + 2y decides a conic cap line2 point unless
+it is the tacnode.  alpha may be a Fraction, a FieldElement, or the symbol
+ALPHA (a rational function over Q), so the same code paths serve both
+symbolic identities and concrete members.
 """
 
 from fractions import Fraction
@@ -65,7 +67,8 @@ def quartic_at(x, y, z, alpha):
 
 def _pencil_minors():
     """For each pair of components, the nonzero 2x2 minors of their 2x3
-    gradient matrix, as polynomials in (x, y, z, alpha)."""
+    gradient matrix, as polynomials in (x, y, z, alpha), cheapest first: by
+    total degree, then number of terms."""
     x, y, z, alpha = (MultiPoly.gen(PENCIL_VARS, v) for v in PENCIL_VARS)
     conic, line1, line2 = (
         tuple(c.derivative(v) for v in PLANE_VARS)
@@ -76,7 +79,8 @@ def _pencil_minors():
     out = {}
     for names, (g1, g2) in pairs.items():
         minors = (g1[i] * g2[j] - g1[j] * g2[i] for i, j in ((0, 1), (0, 2), (1, 2)))
-        out[names] = tuple(m for m in minors if not m.is_zero)
+        out[names] = tuple(sorted((m for m in minors if not m.is_zero),
+                                  key=lambda m: (m.total_degree(), len(m.terms))))
     return out
 
 

@@ -6,7 +6,9 @@ a primitive integer vector v, lowest degree first, with a positive leading
 entry.  [] is the zero vector.  The ``_zz_`` functions compute on such
 vectors in ints: exact division, the small-primes modular gcd and Yun's
 squarefree decomposition.  ``_root_candidates`` gives the rational roots'
-candidates by Loos' Newton-Hensel lift of the roots mod a small prime.
+candidates: a quadratic's from one integer square root of its
+discriminant (``_quadratic_roots``), a higher degree's by Loos'
+Newton-Hensel lift of the roots mod a small prime.
 """
 
 import math
@@ -180,18 +182,28 @@ def _eval_mod(c, xs, q):
     return vals
 
 
+def _quadratic_roots(v):
+    """The rational roots of the integer quadratic v = [c, b, a], a != 0, as
+    numerators over 2a: [-b + s, -b - s] for s = isqrt(b^2 - 4ac), a double
+    root twice, or [] when the discriminant is not a square, so that v has
+    no rational root."""
+    c, b, a = v
+    disc = b * b - 4 * a * c
+    s = math.isqrt(disc) if disc >= 0 else -1
+    if s * s != disc:
+        return []
+    return [-b + s, -b - s]
+
+
 def _root_candidates(v):
     """Rational numbers that include every rational root of the primitive
-    integer vector v of positive degree whose constant term is nonzero."""
+    integer vector v of positive degree whose constant term is nonzero.  For
+    degree 1 or 2 they are exactly the rational roots, in closed form, a
+    double root twice."""
     if len(v) == 2:
         return [Fraction(-v[0], v[1])]
     if len(v) == 3:
-        c, b, a = v
-        disc = b * b - 4 * a * c
-        s = math.isqrt(disc) if disc >= 0 else -1
-        if s * s != disc:
-            return []
-        return [Fraction(-b + s, 2 * a), Fraction(-b - s, 2 * a)]
+        return [Fraction(n, 2 * v[2]) for n in _quadratic_roots(v)]
     return _lifted_roots(v)
 
 

@@ -1,3 +1,5 @@
+import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -20,7 +22,7 @@ from k3quartic.fibration import (
     verify_reduction_chain,
 )
 from k3quartic.fields import eighth_root_field, gaussian_field
-from k3quartic.polynomials import Poly
+from k3quartic.polynomials import Poly, certified_factors
 from k3quartic.quartic import ALPHA
 
 LAM = Poly.x("lam")
@@ -156,6 +158,137 @@ def test_fiber_order_of_a_member_with_a_tie():
     cfg = standard_family().classify()
     assert [(str(fb.location), fb.type) for fb in cfg.fibers] == [
         ("lam^2 + 2*lam + alpha", "I0*"), ("lam", "III*"), ("infinity", "III")]
+
+
+def _count_prints(monkeypatch):
+    """A list that grows by one entry on every Poly.__repr__ call."""
+    calls = []
+    real = Poly.__repr__
+
+    def counted(p):
+        calls.append(p.degree)
+        return real(p)
+
+    monkeypatch.setattr(Poly, "__repr__", counted)
+    return calls
+
+
+def test_locations_are_printed_only_on_a_tie(monkeypatch):
+    generic, split = standard_family(Fraction(81, 49)), standard_family(Fraction(3, 4))
+    calls = _count_prints(monkeypatch)
+    classify_fibers(generic)
+    assert calls == []
+    classify_fibers(split)  # lam + 1/2 and lam + 3/2 tie on (2, 1)
+    assert calls == [1, 1]
+
+
+def test_tied_places_of_a_bare_f_keep_the_full_key_order(monkeypatch):
+    # linear places tie on (1, 1) and on (2, 1); lam^2 + 1 and lam^2 + 7
+    # would tie on (2, 2), but Yun gives them as one factor, and a quartic
+    # without a rational root stays one uncertified place, so two quadratic
+    # places of one f never tie; lam^2 + 3 and lam tie with nothing
+    f = (LAM ** 3 * (LAM ** 2 + 3) * (LAM + 5) * (LAM - 2)
+         * ((LAM - 1) * (LAM + 3) * (LAM ** 2 + 7) * (LAM ** 2 + 1)) ** 2)
+    calls = _count_prints(monkeypatch)
+    cfg = classify_fibers(f)
+    assert sorted(calls) == [1, 1, 1, 1]
+    finite = cfg.fibers[:-1]
+    assert finite == sorted(finite, key=lambda fb: (fb.k, fb.degree, str(fb.location)))
+    assert [(str(fb.location), fb.k, fb.certified) for fb in finite] == [
+        ("lam + 5", 1, True), ("lam - 2", 1, True), ("lam^2 + 3", 1, True),
+        ("lam + 3", 2, True), ("lam - 1", 2, True),
+        ("lam^4 + 8*lam^2 + 7", 2, False), ("lam", 3, True)]
+
+
+# -- the quadratic split over Q against certified_factors and sympy -------------
+
+
+def _quadratic(kind, digits, randint, monic):
+    """A rational quadratic whose primitive integer vector has entries of
+    about `digits` digits and a discriminant of the given kind: "square"
+    (two rational roots), "one" (exactly 1), "nonsquare" (positive) or
+    "negative".  randint(lo, hi) draws the integers."""
+    def sign():
+        return 2 * randint(0, 1) - 1
+
+    def draw(d=digits):
+        return randint(10 ** (d - 1), 10 ** d - 1) * sign()
+
+    if kind == "square":
+        half = max(1, digits // 2)
+        a, b, c, d = (draw(half) for _ in range(4))
+        v = [b * d, a * d + b * c, a * c]  # (a x + b)(c x + d)
+    elif kind == "one":
+        m = abs(draw())
+        v = [m + 1, 2 * m + 1, m]  # (2m + 1)^2 - 4 m (m + 1) = 1
+    elif kind == "negative":
+        a, c = abs(draw()), abs(draw())
+        b, s = math.isqrt(4 * a * c - 1), sign()
+        v = [s * c, randint(-b, b), s * a]  # b^2 < 4ac
+    else:
+        while True:
+            v = [draw(), draw(), draw()]
+            disc = v[1] ** 2 - 4 * v[0] * v[2]
+            if disc > 0 and math.isqrt(disc) ** 2 != disc:
+                break
+    scale = Fraction(1) if monic else Fraction(draw(), abs(draw()))
+    p = Poly("x", {e: scale * c for e, c in enumerate(v)})
+    return p.monic() if monic else p
+
+
+def _pieces(pairs):
+    return sorted((tuple(sorted(p.nums.items())), p.den, certified) for p, certified in pairs)
+
+
+def _certified_factors_pieces(p):
+    factors, residual = certified_factors(p)
+    assert residual is None
+    return _pieces([(f, True) for f in factors])
+
+
+def _sympy_pieces(p, sympy):
+    """The monic irreducible factors over Q of sympy's factor_list, each
+    written as int numerators over their least common denominator."""
+    x = sympy.Symbol("x")
+    expr = sum(sympy.Rational(c.numerator, c.denominator) * x ** e for e, c in p.coeffs.items())
+    out = []
+    for factor, m in sympy.factor_list(expr, x, domain=sympy.QQ)[1]:
+        coeffs = sympy.Poly(factor, x, domain=sympy.QQ).monic().all_coeffs()[::-1]
+        coeffs = {e: Fraction(int(c.p), int(c.q)) for e, c in enumerate(coeffs) if c}
+        den = math.lcm(*(c.denominator for c in coeffs.values()))
+        nums = tuple(sorted((e, int(c * den)) for e, c in coeffs.items()))
+        out += [(nums, den, True)] * m
+    return sorted(out)
+
+
+def _assert_split_matches(p, sympy):
+    got = _pieces(fibration._split_location(p))
+    assert got == _certified_factors_pieces(p), p
+    assert got == _sympy_pieces(p, sympy), p
+    return got
+
+
+_KINDS = ("square", "one", "nonsquare", "negative")
+
+
+def test_quadratic_split_matches_certified_factors_and_sympy():
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(44)
+    for digits in range(2, 61):
+        for kind in _KINDS:
+            for monic in (False, True):
+                p = _quadratic(kind, digits, rng.randint, monic)
+                assert p.degree == 2
+                pieces = _assert_split_matches(p, sympy)
+                assert len(pieces) == (2 if kind in ("square", "one") else 1)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(_KINDS), st.integers(2, 60), st.booleans(), st.data())
+def test_drawn_quadratic_split_matches_certified_factors_and_sympy(kind, digits, monic, data):
+    sympy = pytest.importorskip("sympy")
+    randint = lambda lo, hi: data.draw(st.integers(lo, hi))
+    _assert_split_matches(_quadratic(kind, digits, randint, monic), sympy)
 
 
 def test_standard_family_classifies_without_yun(monkeypatch):

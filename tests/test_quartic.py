@@ -5,8 +5,10 @@ import pytest
 from k3quartic.fields import gaussian_field, sqrt_field
 from k3quartic.multipoly import MultiPoly
 from k3quartic.quartic import (
+    _PAIR_MINORS,
     ALPHA,
     ALPHA_INFINITY,
+    PENCIL_VARS,
     PLANE_VARS,
     Stable,
     Unstable,
@@ -179,3 +181,33 @@ def test_singular_points_match_per_call_gradients(alpha, root, n_points):
         assert [p["node"] for p in points] == [True, True, True, False, False]
     else:
         assert all(p["node"] for p in points)
+
+
+def _construction_minors(components):
+    """The nonzero gradient minors of two components in the order (0, 1),
+    (0, 2), (1, 2), over the pencil variables, as the node test built them
+    before sorting."""
+    gens = [MultiPoly.gen(PENCIL_VARS, v) for v in PENCIL_VARS]
+    x, y, z, alpha = gens
+    comps = {"conic": conic_at(x, y, z), "line1": line1_at(x, y, z),
+             "line2": line2_at(x, y, z, alpha)}
+    g1, g2 = ([comps[name].derivative(v) for v in PLANE_VARS] for name in components)
+    minors = (g1[i] * g2[j] - g1[j] * g2[i] for i, j in ((0, 1), (0, 2), (1, 2)))
+    return [m for m in minors if not m.is_zero]
+
+
+def test_node_minors_are_tried_cheapest_first():
+    assert set(_PAIR_MINORS) == {("conic", "line1"), ("line1", "line2"), ("conic", "line2")}
+    for components, minors in _PAIR_MINORS.items():
+        costs = [(m.total_degree(), len(m.terms)) for m in minors]
+        assert costs == sorted(costs), components
+        same = [sorted(sorted(m.terms.items()) for m in ms)
+                for ms in (minors, _construction_minors(components))]
+        assert same[0] == same[1], components
+    # line1 cap line2 is decided by the constant 1, conic cap line2 by 2x + 2y
+    assert _PAIR_MINORS["line1", "line2"][0] == 1
+    x, y = (MultiPoly.gen(PENCIL_VARS, v) for v in "xy")
+    assert _PAIR_MINORS["conic", "line2"][0] == 2 * x + 2 * y
+    # at the tacnode 2x + 2y vanishes, and so does every later minor
+    at = dict(zip(PENCIL_VARS, (1, -1, 1, 1)))
+    assert [m.evaluate(at) for m in _PAIR_MINORS["conic", "line2"]] == [0, 0, 0]
